@@ -58,8 +58,9 @@ def write_population_csv(path, pop: FinitePopulation) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        ids = pop.ids  # the property builds arange(N) on every access
         for i in range(pop.N):
-            row = [str(pop.ids[i]), _fmt(pop.y[i])]
+            row = [str(ids[i]), _fmt(pop.y[i])]
             row.append("" if pop.y_star is None else _fmt(pop.y_star[i]))
             for j in range(k):
                 row.append(str(pop.z[i, j]))

@@ -33,6 +33,7 @@ from .population import (
     FinitePopulation,
     ProbabilitySample,
     SRSJointInclusion,
+    _srs_positions,
     big_data_inclusion_probabilities,
     generate_population_sim1,
     generate_population_sim2,
@@ -180,81 +181,121 @@ def _summaries(records, names, truths):
 # study one
 # ---------------------------------------------------------------------------
 
-def _sim1_replicate(pop: FinitePopulation, config: SimConfig, rep: int, attempt: int):
+SIM1_STRATA = (1, 2)
+
+
+@dataclass(frozen=True)
+class _Sim1Frame:
+    """Study-one state that depends only on the population.
+
+    ``pools[h]`` holds the sorted unit indices of stratum ``SIM1_STRATA[h]``
+    and ``big_values[h]`` the big source's observed column (``y_star`` in
+    scenario 2, ``y`` otherwise) in pool order.
+    """
+
+    pop: FinitePopulation
+    pools: tuple[np.ndarray, ...]
+    big_values: tuple[np.ndarray, ...]
+    truth: float
+
+    def membership(self, chosen, idx) -> np.ndarray:
+        """Big-data ``delta`` of the sorted unit indices ``idx``, given the
+        selected pool positions ``chosen`` of every stratum."""
+        delta = np.zeros(idx.size, np.int64)
+        for pool, pos in zip(self.pools, chosen):
+            if pos.size == 0:
+                continue
+            hit = np.zeros(pool.size, bool)
+            hit[pos] = True
+            at = np.minimum(np.searchsorted(pool, idx), pool.size - 1)
+            delta[(pool[at] == idx) & hit[at]] = 1
+        return delta
+
+
+def _sim1_frame(pop: FinitePopulation, config: SimConfig) -> _Sim1Frame:
+    """Stratum pools, big-source column and truth of one population.
+
+    Raises ``ValueError`` naming ``stratum_sizes`` when a stratum holds
+    fewer units than it is asked to contribute.
+    """
+    sizes = config.stratum_sizes
+    if len(sizes) != len(SIM1_STRATA) or sum(sizes) < 1:
+        raise ValueError(
+            f"stratum_sizes needs one size per stratum {SIM1_STRATA}, "
+            "selecting at least one unit in all"
+        )
+    pools = tuple(np.flatnonzero(pop.stratum == label) for label in SIM1_STRATA)
+    for label, pool, n_h in zip(SIM1_STRATA, pools, sizes):
+        if not 0 <= n_h <= pool.size:
+            raise ValueError(
+                f"stratum_sizes asks {n_h} units of stratum {label}, "
+                f"which holds {pool.size}"
+            )
+    column = pop.y_star if config.scenario == 2 else pop.y
+    return _Sim1Frame(
+        pop=pop,
+        pools=pools,
+        big_values=tuple(column[pool] for pool in pools),
+        truth=float(pop.y.mean()),
+    )
+
+
+def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int):
     seed = (config.master_seed, rep, attempt)
     if config.regenerate_population:
-        pop = generate_population_sim1(config.pop_n, substream(seed, 9))
-    n1, n2 = config.stratum_sizes
+        frame = _sim1_frame(
+            generate_population_sim1(config.pop_n, substream(seed, 9)), config
+        )
+    pop, scen = frame.pop, config.scenario
     rng_b = substream(seed, 1)
-    delta = np.zeros(pop.N, np.int64)
-    for label, n_h in ((1, n1), (2, n2)):
-        pool = np.flatnonzero(pop.stratum == label)
-        if n_h > pool.size:
-            raise ValueError(f"stratum {label} holds {pool.size} < {n_h} units")
-        keys = rng_b.random(pool.size)
-        delta[pool[np.argpartition(keys, n_h)[:n_h]]] = 1
+    chosen = [
+        _srs_positions(pool.size, n_h, rng_b)
+        for pool, n_h in zip(frame.pools, config.stratum_sizes)
+    ]
+    sample = _draw_srs_fast(
+        pop, config.n_a, substream(seed, 0), lambda idx: frame.membership(chosen, idx)
+    )
+    N, N_b = pop.N, int(sum(config.stratum_sizes))
+    T_b = float(sum(vals[pos].sum() for vals, pos in zip(frame.big_values, chosen)))
 
-    sample = _draw_srs_fast(pop, config.n_a, substream(seed, 0), delta)
-    mask = delta.astype(bool)
-    N, N_b = pop.N, int(n1 + n2)
-    t_b_y = float(pop.y[mask].sum())
-    scen = config.scenario
-
-    if scen == 1:
-        observed_a, observed_b = sample.y, pop.y[mask]
-        big_totals = BigDataTotals(T_b=t_b_y, N_b=N_b, N=N)
-        spec = build_controls(
-            "standard", delta=sample.delta, y=sample.y, N=N, N_b=N_b, T_b=t_b_y
-        )
-        cal = solve_weights(sample, spec.x, spec.totals, names=spec.names)
-        regdi = float(np.dot(cal.w, sample.y))
-        resid = regdi_residuals(sample, sample.y, spec.x)
-        pdi = pdi_total(sample, sample.delta, sample.y, big_totals)
-    elif scen == 2:
-        t_b_star = float(pop.y_star[mask].sum())
-        observed_a, observed_b = sample.y, pop.y_star[mask]
-        big_totals = BigDataTotals(T_b=t_b_star, N_b=N_b, N=N)
-        spec = build_controls(
-            "proxy_ystar",
-            delta=sample.delta,
-            y_star=sample.y_star,
-            N=N,
-            N_b=N_b,
-            T_b=t_b_star,
-        )
-        cal = solve_weights(sample, spec.x, spec.totals, names=spec.names)
-        regdi = float(np.dot(cal.w, sample.y))
-        resid = regdi_residuals(sample, sample.y, spec.x)
-        pdi = pdi_total(sample, sample.delta, sample.y, big_totals)
-    else:
-        observed_a, observed_b = sample.y_star, pop.y[mask]
-        big_totals = BigDataTotals(T_b=t_b_y, N_b=N_b, N=N)
+    if scen == 3:
         matched = sample.delta > 0
         model = fit_measurement_model(
             sample.y[matched], sample.y_star[matched], sample.d[matched]
         )
-        y_hat = model.invert(sample.y_star)
-        spec = build_controls(
-            "standard", delta=sample.delta, y=sample.y, N=N, N_b=N_b, T_b=t_b_y
-        )
-        cal = solve_weights(sample, spec.x, spec.totals, names=spec.names)
-        regdi = float(np.dot(cal.w, y_hat))
-        resid = regdi_residuals(sample, y_hat, spec.x, kind="two_step")
-        pdi = pdi_total(sample, sample.delta, sample.y_star, big_totals)
+        y_a, kind, observed_a = model.invert(sample.y_star), "two_step", sample.y_star
+    else:
+        y_a, kind, observed_a = sample.y, "regdi", sample.y
+    spec = build_controls(
+        "proxy_ystar" if scen == 2 else "standard",
+        delta=sample.delta,
+        y=sample.y,
+        y_star=sample.y_star,
+        N=N,
+        N_b=N_b,
+        T_b=T_b,
+    )
+    cal = solve_weights(sample, spec.x, spec.totals, names=spec.names)
+    regdi = float(np.dot(cal.w, y_a))
+    resid = regdi_residuals(sample, y_a, spec.x, kind=kind)
+    pdi = pdi_total(
+        sample, sample.delta, observed_a, BigDataTotals(T_b=T_b, N_b=N_b, N=N)
+    )
 
     vhat_mean = ht_variance_quadratic(sample, resid.e_hat) / (N * N)
     return {
         "mean_a": float(observed_a.mean()),
-        "mean_b": float(observed_b.mean()),
+        "mean_b": T_b / N_b,
         "pdi": pdi.mean,
         "regdi": regdi / N,
         "vhat_regdi": vhat_mean,
-        "truth": float(pop.y.mean()),
+        "truth": frame.truth,
     }
 
 
-def _draw_srs_fast(pop, n, rng, delta):
-    """SRS draw that reuses an externally materialised membership column."""
+def _draw_srs_fast(pop, n, rng, membership):
+    """SRS draw whose ``delta`` column is ``membership(idx)``, ``idx`` being
+    the sorted indices of the drawn units."""
     idx = np.sort(rng.choice(pop.N, size=n, replace=False))
     return ProbabilitySample(
         unit_ids=idx + 1,
@@ -265,7 +306,7 @@ def _draw_srs_fast(pop, n, rng, delta):
         design="srs",
         y=pop.y[idx],
         y_star=None if pop.y_star is None else pop.y_star[idx],
-        delta=delta[idx],
+        delta=membership(idx),
         z=None if pop.z is None else pop.z[idx],
     )
 
@@ -273,10 +314,13 @@ def _draw_srs_fast(pop, n, rng, delta):
 def run_sim1(config: SimConfig) -> MonteCarloSummary:
     """Run study one and summarise every estimator against the truth."""
     config = config.resolved()
-    pop = generate_population_sim1(config.pop_n, substream(config.master_seed, 9))
+    frame = _sim1_frame(
+        generate_population_sim1(config.pop_n, substream(config.master_seed, 9)),
+        config,
+    )
 
     def attempt(rep, att):
-        return _sim1_replicate(pop, config, rep, att)
+        return _sim1_replicate(frame, config, rep, att)
 
     records, failures = _run_replicates(
         config, lambda rep: _with_attempts(config, attempt, rep)
@@ -313,7 +357,7 @@ def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: in
     z_b = pop.z[mask]
     t_b = float(y_b.sum())
 
-    sample = _draw_srs_fast(pop, config.n_a, substream(seed, 0), delta)
+    sample = _draw_srs_fast(pop, config.n_a, substream(seed, 0), delta.__getitem__)
     big = BigSample(
         unit_ids=np.flatnonzero(mask) + 1,
         values=y_b,

@@ -44,6 +44,11 @@ class ResidualSet:
 
 def _pairwise_matrix(sample: ProbabilitySample) -> np.ndarray:
     provider = sample.joint_pi
+    if provider is None:
+        raise ValueError(
+            "the double-sum variance needs joint inclusion probabilities, "
+            "but the sample's joint_pi is None"
+        )
     ids = sample.unit_ids
     if hasattr(provider, "pairwise"):
         return np.asarray(provider.pairwise(ids), float)

@@ -55,6 +55,16 @@ class TestPopulationCSV:
         assert np.array_equal(back.delta, pop.delta)
         assert np.array_equal(back.stratum, pop.stratum)
 
+    def test_large_round_trip_is_bit_exact(self, tmp_path):
+        """20,000 rows: the writer stays linear in N and exact."""
+        pop = full_population(n=20_000, seed=3)
+        path = tmp_path / "pop.csv"
+        write_population_csv(path, pop)
+        back = read_population_csv(path)
+        assert back.N == pop.N
+        for name in ("y", "y_star", "z", "delta", "stratum"):
+            assert np.array_equal(getattr(back, name), getattr(pop, name))
+
     def test_minimal_population_round_trip(self, tmp_path):
         pop = FinitePopulation(y=np.array([1.5, 2.5, 3.5]))
         path = tmp_path / "pop.csv"

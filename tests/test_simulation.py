@@ -17,6 +17,7 @@ from bigsurv import (
     summarize,
     summary_rows,
 )
+from bigsurv import simulation
 from bigsurv.simulation import SIM1_ESTIMATORS, SIM2_ESTIMATORS, _with_attempts
 
 
@@ -209,6 +210,39 @@ class TestStudyOneHarness:
         assert summary.row("pdi").bias == pytest.approx(-0.49, abs=0.05)
         assert abs(summary.row("regdi").bias) < 0.05
         assert abs(summary.row("mean_a").bias) < 0.05
+
+
+def sim1_pool_sizes(pop_n=2000, master_seed=101):
+    pop = generate_population_sim1(pop_n, substream(master_seed, 9))
+    return tuple(int((pop.stratum == label).sum()) for label in (1, 2))
+
+
+class TestStudyOneStratumSizes:
+    @pytest.mark.parametrize("label", [1, 2])
+    def test_oversized_stratum_rejected_before_any_replicate(self, monkeypatch, label):
+        pool1, pool2 = sim1_pool_sizes()
+        sizes = (pool1 + 1, 1) if label == 1 else (1, pool2 + 1)
+
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(simulation, "_sim1_replicate", no_replicate)
+        with pytest.raises(
+            ValueError, match=rf"stratum_sizes .* stratum {label}, which holds"
+        ):
+            run_sim1(small_sim1(stratum_sizes=sizes))
+
+    @pytest.mark.parametrize("sizes", [(0, 0), (10,), (10, 10, 10)])
+    def test_malformed_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="stratum_sizes needs one size"):
+            run_sim1(small_sim1(stratum_sizes=sizes))
+
+    def test_whole_stratum_can_be_selected(self):
+        """n_h equal to the stratum's size selects all of it."""
+        pool1, _ = sim1_pool_sizes()
+        summary = run_sim1(small_sim1(stratum_sizes=(pool1, 10)))
+        assert summary.failures == 0
+        assert all(np.isfinite([r.bias, r.se]).all() for r in summary.rows)
 
 
 class TestStudyTwoHarness:

@@ -82,6 +82,16 @@ class TestHTVarianceQuadratic:
         v = ht_variance_quadratic(plain, [1.0, 3.0], method="double_sum")
         assert v == pytest.approx(8.0)
 
+    def test_missing_joint_provider_named(self):
+        """A non-SRS sample without joint inclusion probabilities fails
+        with an error naming ``joint_pi``, not inside the pair loop."""
+        sample = srs_sample(2, 4)
+        bare = ProbabilitySample(
+            unit_ids=sample.unit_ids, d=sample.d, pi=sample.pi, joint_pi=None, N=4
+        )
+        with pytest.raises(ValueError, match="joint_pi"):
+            ht_variance_quadratic(bare, [1.0, 3.0])
+
     def test_auto_dispatches_on_design_tag(self):
         tagged = srs_sample(3, 9)
         r = [1.0, 2.0, 4.0]
