@@ -12,6 +12,7 @@ inverting it before calibration restores the true scale.
 import numpy as np
 
 from bigsurv import (
+    BigDataTotals,
     draw_srs,
     fit_measurement_model,
     generate_population_sim1,
@@ -55,7 +56,10 @@ print(f"\nmass-imputation mean:  {imputed.mean:.4f}")
 print(f"standard error:        {np.sqrt(v_hat):.4f}")
 
 # Step two: calibrate the inverted values on the standard controls so
-# the big stratum is also pinned to its exact total.
-two_step = two_step_regdi(sample, big)
+# the big stratum is also pinned to its exact total.  Only the big
+# source's totals enter; the report carries the linearized variance.
+totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=big.N)
+two_step = two_step_regdi(sample, totals)
 print(f"two-step calibrated:   {two_step.mean:.4f}")
+print(f"standard error:        {np.sqrt(two_step.variance) / totals.N:.4f}")
 print(f"error vs truth:        {two_step.mean - truth:+.4f}")

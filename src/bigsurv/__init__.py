@@ -50,23 +50,21 @@ from .fileio import (
     read_classifier_model,
     read_population_csv,
     read_sample_csv,
-    read_weights_csv,
     write_big_data_csv,
     write_classifier_model,
     write_labels_csv,
-    write_measurement_model,
     write_population_csv,
     write_sample_csv,
     write_summary_csv,
-    write_weights_csv,
 )
 from .linalg import SingularControlsError
 from .measurement import (
     MeasurementFitError,
     MeasurementModel,
     fit_measurement_model,
-    invert_measurement,
     linearization_terms,
+    mass_imputation_total,
+    mass_imputation_variance,
     two_step_regdi,
 )
 from .population import (
@@ -76,7 +74,6 @@ from .population import (
     InfeasibleSelectionError,
     ProbabilitySample,
     SRSJointInclusion,
-    UnitRecord,
     big_data_inclusion_probabilities,
     draw_srs,
     generate_population_sim1,
@@ -96,8 +93,6 @@ from .simulation import (
 from .variance import (
     ResidualSet,
     ht_variance_quadratic,
-    mass_imputation_total,
-    mass_imputation_variance,
     regdi_residuals,
     variance_relative_bias,
 )
@@ -130,7 +125,6 @@ __all__ = [
     "SRSJointInclusion",
     "SimConfig",
     "SingularControlsError",
-    "UnitRecord",
     "big_data_inclusion_probabilities",
     "build_controls",
     "classify",
@@ -145,7 +139,6 @@ __all__ = [
     "ht_total",
     "ht_variance_quadratic",
     "initial_u",
-    "invert_measurement",
     "linearization_terms",
     "mass_imputation_total",
     "mass_imputation_variance",
@@ -159,7 +152,6 @@ __all__ = [
     "read_classifier_model",
     "read_population_csv",
     "read_sample_csv",
-    "read_weights_csv",
     "regdi_residuals",
     "regdi_total",
     "run_sim1",
@@ -174,9 +166,7 @@ __all__ = [
     "write_big_data_csv",
     "write_classifier_model",
     "write_labels_csv",
-    "write_measurement_model",
     "write_population_csv",
     "write_sample_csv",
     "write_summary_csv",
-    "write_weights_csv",
 ]

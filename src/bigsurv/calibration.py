@@ -14,8 +14,9 @@ all span an intercept).
 
 ``build_controls`` assembles the control vectors and totals used by the
 data-integration estimators: membership indicators, membership-weighted
-outcomes, auxiliary covariates, duplication counts, proxy outcomes, and
-classifier-corrected totals.
+outcomes, auxiliary covariates, duplication counts, and proxy outcomes.
+``regdi_total`` is the one regression path: it calibrates, sums, and
+attaches the linearized variance.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .estimators import EstimateReport
 from .linalg import SingularControlsError, gram_solve
 from .population import ProbabilitySample
+from .variance import ht_variance_quadratic, regdi_residuals
 
 __all__ = [
     "SingularControlsError",
@@ -42,7 +44,6 @@ CONTROL_VARIANTS = (
     "with_aux_z",
     "duplication",
     "proxy_ystar",
-    "classifier_corrected",
 )
 
 
@@ -115,16 +116,23 @@ def regdi_total(sample: ProbabilitySample, y, spec: ControlSpec) -> EstimateRepo
     """Regression data-integration total: calibrate, then sum ``w_i y_i``.
 
     With the standard controls this reproduces the post-stratified
-    data-integration estimator exactly.
+    data-integration estimator exactly.  When the sample carries joint
+    inclusion probabilities the report's ``variance`` is the
+    Horvitz-Thompson variance of the residuals of ``y`` on the controls.
     """
     y = np.asarray(y, float)
     if y.shape[0] != sample.n:
         raise ValueError("y must have one entry per sampled unit")
     result = solve_weights(sample, spec.x, spec.totals, names=spec.names)
+    variance = None
+    if sample.joint_pi is not None:
+        resid = regdi_residuals(sample, y, spec.x)
+        variance = ht_variance_quadratic(sample, resid.e_hat)
     return EstimateReport(
         estimator="regdi",
         total=float(np.dot(result.w, y)),
         population_size=spec.population_size,
+        variance=variance,
         controls=spec.variant,
     )
 
@@ -150,8 +158,6 @@ def build_controls(
     T_b: float | None = None,
     z_totals=None,
     z_population_known: bool = False,
-    propensity_totals=None,
-    delta_hat=None,
 ) -> ControlSpec:
     """Assemble per-unit controls and known totals for one variant.
 
@@ -167,27 +173,11 @@ def build_controls(
     proxy_ystar
         ``(1 - delta, delta, delta * y_star)`` against
         ``(N - N_b, N_b, T_b)`` with ``T_b`` the big-data proxy total.
-    classifier_corrected
-        ``(1, delta_hat, delta_hat * y)`` against ``N`` and the
-        propensity-corrected big-data totals ``(N_b2_hat, T_b2_hat)``.
     """
     if variant not in CONTROL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {CONTROL_VARIANTS}")
     if N is None:
         raise ValueError("every variant needs the population size N")
-
-    if variant == "classifier_corrected":
-        if delta_hat is None:
-            raise ValueError("classifier_corrected needs delta_hat")
-        dh = np.asarray(delta_hat, float)
-        yv = _column(y, "y", dh.shape[0])
-        if propensity_totals is None:
-            raise ValueError("classifier_corrected needs propensity_totals (N_b2, T_b2)")
-        n_b2, t_b2 = (float(v) for v in propensity_totals)
-        x = np.column_stack([np.ones_like(yv), dh, dh * yv])
-        totals = np.array([float(N), n_b2, t_b2])
-        names = ("overall", "big_corrected", "big_y_corrected")
-        return ControlSpec(variant, x, totals, names, int(N))
 
     if delta is None:
         raise ValueError(f"{variant} needs delta")

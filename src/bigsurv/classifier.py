@@ -21,11 +21,11 @@ fitter enforces that invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import DegenerateStratumError, EstimateReport
+from .estimators import BigDataTotals, EstimateReport, pdi_total
 from .population import BigSample, ProbabilitySample
 
 __all__ = [
@@ -293,30 +293,18 @@ def pdi2_total(
 ) -> EstimateReport:
     """Post-stratified data integration with classified membership.
 
-    Replaces the unknown matched membership with model labels on the
-    design sample and the big-data totals with their
+    :func:`pdi_total` with the unknown matched membership replaced by
+    model labels on the design sample and the big-data totals by their
     inverse-propensity-corrected versions.  Valid when membership is
     ignorable given the matching variables.
     """
     if sample.z is None or sample.y is None:
         raise ValueError("sample must carry z rows and y values")
-    if N is None:
-        N = big.N
-    delta_hat = classify(posterior(model, sample.z))
     pt = propensity_totals(big, model)
-    # the corrected big-data size N_b2 is real-valued, so the
-    # post-stratified formula is applied directly here
-    out_mask = delta_hat == 0
-    denom = float(sample.d[out_mask].sum())
-    if denom <= 0.0:
-        raise DegenerateStratumError(
-            "no sampled units classified outside the big-data source"
-        )
-    out_weighted = float(np.dot(sample.d[out_mask], sample.y[out_mask]))
-    total = pt.T_b2 + (float(N) - pt.N_b2) * out_weighted / denom
-    return EstimateReport(
+    totals = BigDataTotals(T_b=pt.T_b2, N_b=pt.N_b2, N=big.N if N is None else N)
+    report = pdi_total(sample, classify(posterior(model, sample.z)), sample.y, totals)
+    return replace(
+        report,
         estimator="pdi2",
-        total=total,
-        population_size=int(N),
         notes=("assumes membership is ignorable given the matching variables",),
     )

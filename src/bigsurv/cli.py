@@ -44,9 +44,9 @@ from .classifier import (
     posterior,
 )
 from .estimators import BigDataTotals, ht_total, pdi_total, ratio_di_total
-from .measurement import fit_measurement_model, two_step_regdi
+from .measurement import two_step_regdi
 from .simulation import SimConfig, run_sim1, run_sim2, summary_rows
-from .variance import ht_variance_quadratic, regdi_residuals
+from .variance import ht_variance_quadratic
 
 __all__ = ["main"]
 
@@ -250,7 +250,11 @@ def cmd_simulate1(args, parser) -> int:
         regenerate_population=bool(args.regenerate_population),
         workers=args.workers,
     )
-    _emit_summary(run_sim1(config), args.out)
+    try:
+        summary = run_sim1(config)
+    except ValueError as exc:
+        raise SystemExit(f"simulate1: {exc}") from None
+    _emit_summary(summary, args.out)
     return 0
 
 
@@ -311,15 +315,6 @@ def _fit_mixture(sample, big, pi):
     return em_fit(sample, model0)
 
 
-def _linearized_variance(sample, outcome, variant, **controls) -> float | None:
-    """Total-scale calibration variance when joint probabilities exist."""
-    if sample.joint_pi is None:
-        return None
-    spec = build_controls(variant, **controls)
-    resid = regdi_residuals(sample, outcome, spec.x)
-    return ht_variance_quadratic(sample, resid.e_hat)
-
-
 def cmd_estimate(args, parser) -> int:
     _require(args, parser, "sample_a", "big_data", "method")
     sample = fileio.read_sample_csv(args.sample_a, N=args.pop_n)
@@ -340,41 +335,27 @@ def cmd_estimate(args, parser) -> int:
             raise SystemExit(f"{method} needs a y column in the sample")
         delta = _aligned_delta(sample, big)
         totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=sample.N)
+        known = {"delta": delta, "N": totals.N, "N_b": totals.N_b, "T_b": totals.T_b}
         if method == "pdi":
             report = pdi_total(sample, delta, sample.y, totals)
-            variance = _linearized_variance(
-                sample,
-                sample.y,
-                "standard",
-                delta=delta,
-                y=sample.y,
-                N=sample.N,
-                N_b=big.N_b,
-                T_b=big.total,
-            )
-            report = dataclasses.replace(report, variance=variance)
+            # the calibration form has the same total and supplies the
+            # variance; a fully covered design without joint
+            # probabilities keeps its total without calibrating
+            if sample.joint_pi is not None:
+                spec = build_controls("standard", y=sample.y, **known)
+                variance = regdi_total(sample, sample.y, spec).variance
+                report = dataclasses.replace(report, variance=variance)
         elif method == "ratio":
             report = ratio_di_total(sample, delta, sample.y, totals.T_b)
         else:
-            kwargs = {
-                "delta": delta,
-                "N": sample.N,
-                "N_b": big.N_b,
-                "T_b": big.total,
-            }
             if args.controls == "proxy_ystar":
                 if sample.y_star is None:
                     raise SystemExit("proxy_ystar controls need a y_star column")
-                kwargs["y_star"] = sample.y_star
+                known["y_star"] = sample.y_star
             else:
-                kwargs["y"] = sample.y
-            spec = build_controls(args.controls, **kwargs)
+                known["y"] = sample.y
+            spec = build_controls(args.controls, **known)
             report = regdi_total(sample, sample.y, spec)
-            variance = None
-            if sample.joint_pi is not None:
-                resid = regdi_residuals(sample, sample.y, spec.x)
-                variance = ht_variance_quadratic(sample, resid.e_hat)
-            report = dataclasses.replace(report, variance=variance)
     elif method == "two-step":
         if sample.y_star is None:
             raise SystemExit("two-step needs a y_star column in the sample")
@@ -388,25 +369,8 @@ def cmd_estimate(args, parser) -> int:
                 y=matched_y if sample.y is None else sample.y,
                 delta=found.astype(np.int64) if sample.delta is None else sample.delta,
             )
-        report = two_step_regdi(work, big, N=sample.N)
-        matched = work.delta > 0
-        if matched.sum() >= 2 and sample.joint_pi is not None:
-            model = fit_measurement_model(
-                work.y[matched], work.y_star[matched], work.d[matched]
-            )
-            y_hat = model.invert(work.y_star)
-            spec = build_controls(
-                "standard",
-                delta=work.delta,
-                y=work.y,
-                N=sample.N,
-                N_b=big.N_b,
-                T_b=big.total,
-            )
-            resid = regdi_residuals(sample, y_hat, spec.x, kind="two_step")
-            report = dataclasses.replace(
-                report, variance=ht_variance_quadratic(sample, resid.e_hat)
-            )
+        totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=sample.N)
+        report = two_step_regdi(work, totals)
     else:  # pdi2
         pi = args.pi if args.pi is not None else big.N_b / sample.N
         fitted, _ = _fit_mixture(sample, big, pi)

@@ -59,10 +59,14 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class BigDataTotals:
-    """Totals observed in (or about) the big-data source."""
+    """Totals observed in (or about) the big-data source.
+
+    ``N_b`` may be real-valued, as the inverse-propensity size of a
+    classified source is.
+    """
 
     T_b: float
-    N_b: int
+    N_b: float
     N: int
 
     def __post_init__(self):

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import ClassifierModel
-from .measurement import MeasurementModel
 from .population import (
     BigSample,
     FinitePopulation,
@@ -29,12 +28,9 @@ __all__ = [
     "read_sample_csv",
     "write_big_data_csv",
     "read_big_data_csv",
-    "write_weights_csv",
-    "read_weights_csv",
     "write_labels_csv",
     "write_classifier_model",
     "read_classifier_model",
-    "write_measurement_model",
     "write_summary_csv",
 ]
 
@@ -251,25 +247,6 @@ def read_big_data_csv(path, N: int) -> BigSample:
     )
 
 
-def write_weights_csv(path, unit_ids, d, w) -> None:
-    """Write calibrated weights as ``id,d,w``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "d", "w"])
-        for i in range(len(w)):
-            writer.writerow([str(int(unit_ids[i])), _fmt(d[i]), _fmt(w[i])])
-
-
-def read_weights_csv(path):
-    header, rows = _read_table(path)
-    cols = {name: i for i, name in enumerate(header)}
-    return (
-        _column(rows, cols["id"], int),
-        _column(rows, cols["d"]),
-        _column(rows, cols["w"]),
-    )
-
-
 def write_labels_csv(path, unit_ids, p_hat, delta_hat) -> None:
     """Write classification output as ``id,p_hat,delta_hat``."""
     with open(path, "w", newline="") as fh:
@@ -308,16 +285,6 @@ def read_classifier_model(path) -> ClassifierModel:
         )
 
     return ClassifierModel(pi=float(values["pi"]), m=tables("m"), u=tables("u"))
-
-
-def write_measurement_model(path, model: MeasurementModel) -> None:
-    """Dump a fitted linear distortion model as ``key=value`` lines."""
-    Path(path).write_text(
-        f"beta0={model.beta0!r}\n"
-        f"beta1={model.beta1!r}\n"
-        f"sigma2={model.sigma2!r}\n"
-        f"n_matched={model.n_fit}\n"
-    )
 
 
 def write_summary_csv(path, rows: list[dict]) -> None:

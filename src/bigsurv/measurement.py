@@ -6,28 +6,32 @@ by the design-weighted estimating equation
     sum_i d_i (y*_i - beta0 - beta1 y_i) (1, y_i) = (0, 0)
 
 over the units observed in both sources.  Once fitted, proxies are
-converted back to the outcome scale by inversion, and the two-step
+converted back to the outcome scale by inversion.  The two-step
 regression data-integration estimator calibrates the inverted values
-against the standard controls.
+against the standard controls; the mass-imputation estimator sums them
+with the design weights, and its variance corrects for the estimated
+model parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import build_controls, solve_weights
-from .estimators import EstimateReport
-from .population import BigSample, ProbabilitySample
+from .calibration import build_controls, regdi_total
+from .estimators import BigDataTotals, EstimateReport
+from .population import ProbabilitySample
+from .variance import ht_variance_quadratic
 
 __all__ = [
     "MeasurementFitError",
     "MeasurementModel",
     "LinearizationTerms",
     "fit_measurement_model",
-    "invert_measurement",
     "linearization_terms",
+    "mass_imputation_total",
+    "mass_imputation_variance",
     "two_step_regdi",
 ]
 
@@ -72,14 +76,10 @@ class LinearizationTerms:
 
     ``q`` is the inverted value per unit and ``q_dot`` its derivative in
     the model parameters, ``(-1/beta1, -q/beta1)`` for the linear model.
-    ``m_dot`` and ``h`` (both ``(1, y)`` rows) are present when the true
-    outcome was supplied.
     """
 
     q: np.ndarray
     q_dot: np.ndarray
-    m_dot: np.ndarray | None = None
-    h: np.ndarray | None = None
 
 
 def fit_measurement_model(y, y_star, d=None) -> MeasurementModel:
@@ -112,55 +112,93 @@ def fit_measurement_model(y, y_star, d=None) -> MeasurementModel:
     )
 
 
-def invert_measurement(y_star, model: MeasurementModel):
-    """Convert proxy values to the outcome scale (see ``MeasurementModel.invert``)."""
-    return model.invert(y_star)
-
-
-def linearization_terms(y_star, model: MeasurementModel, y=None) -> LinearizationTerms:
+def linearization_terms(y_star, model: MeasurementModel) -> LinearizationTerms:
     q = model.invert(y_star)
     q_dot = np.column_stack([np.full_like(q, -1.0 / model.beta1), -q / model.beta1])
-    if y is None:
-        return LinearizationTerms(q=q, q_dot=q_dot)
-    rows = model.regressors(y)
-    return LinearizationTerms(q=q, q_dot=q_dot, m_dot=rows, h=rows)
+    return LinearizationTerms(q=q, q_dot=q_dot)
 
 
-def two_step_regdi(
-    sample: ProbabilitySample, big: BigSample, N: int | None = None
+def mass_imputation_variance(
+    sample: ProbabilitySample,
+    model: MeasurementModel,
+    y_star,
+    y,
+    delta,
+    N: int | None = None,
+) -> float:
+    """Variance of the mean of measurement-inverted values.
+
+    Estimates the design variance of ``N^{-1} sum_A d_i q_i`` where
+    ``q_i`` inverts the fitted measurement model at ``y_star_i``.  The
+    residual is corrected for the estimated model parameters:
+
+        u_i = q_i + delta_i (y_star_i - m(y_i)) (kappa' h_i)
+
+    with ``kappa = (sum_A d delta m_dot h')^{-1} sum_A d q_dot`` and
+    ``h_i = m_dot_i = (1, y_i)`` for the linear model.  The
+    finite-population term of order ``n/N`` is dropped, which assumes a
+    small sampling fraction.
+    """
+    y_star = np.asarray(y_star, float)
+    delta = np.asarray(delta)
+    if N is None:
+        N = sample.N
+    matched = delta > 0
+    y_m = np.asarray(y, float)[matched]
+    terms = linearization_terms(y_star, model)
+    h_m = model.regressors(y_m)
+    d_m = sample.d[matched]
+    gram = (h_m * d_m[:, None]).T @ h_m
+    kappa = np.linalg.solve(gram, sample.d @ terms.q_dot)
+    resid = np.zeros(sample.n)
+    resid[matched] = (y_star[matched] - model.forward(y_m)) * (h_m @ kappa)
+    u = terms.q + resid
+    return ht_variance_quadratic(sample, u) / (N * N)
+
+
+def mass_imputation_total(
+    sample: ProbabilitySample, model: MeasurementModel, y_star, N: int | None = None
 ) -> EstimateReport:
+    """Total of measurement-inverted values, ``sum_A d_i q_i``."""
+    y_star = np.asarray(y_star, float)
+    if N is None:
+        N = sample.N
+    q = model.invert(y_star)
+    return EstimateReport(
+        estimator="mass_imputation",
+        total=float(np.dot(sample.d, q)),
+        population_size=int(N),
+        notes=("finite-population variance term omitted (small sampling fraction)",),
+    )
+
+
+def two_step_regdi(sample: ProbabilitySample, big: BigDataTotals) -> EstimateReport:
     """Two-step estimator for a proxy-measured probability sample.
 
     Step one fits the measurement model on the matched units (``delta
     == 1`` in the sample, true outcome known from the big source) and
-    inverts every sampled proxy.  Step two calibrates on the standard
-    controls -- which only involve the matched true outcomes -- and sums
-    the calibrated weights against the inverted values.
+    inverts every sampled proxy.  Step two is :func:`regdi_total` of the
+    inverted values on the standard controls -- which only involve the
+    matched true outcomes -- so the report carries its variance too.
     """
     if sample.y_star is None or sample.delta is None or sample.y is None:
         raise ValueError("sample must carry y_star, delta, and matched y values")
-    if N is None:
-        N = big.N
     matched = sample.delta > 0
     model = fit_measurement_model(
         sample.y[matched], sample.y_star[matched], sample.d[matched]
     )
-    y_hat = model.invert(sample.y_star)
     # the standard controls only touch delta * y, so unmatched entries
     # (which may be missing) are zeroed rather than propagating NaN
     spec = build_controls(
         "standard",
         delta=sample.delta,
         y=np.where(matched, sample.y, 0.0),
-        N=N,
+        N=big.N,
         N_b=big.N_b,
-        T_b=big.total,
+        T_b=big.T_b,
     )
-    result = solve_weights(sample, spec.x, spec.totals, names=spec.names)
-    return EstimateReport(
+    return replace(
+        regdi_total(sample, model.invert(sample.y_star), spec),
         estimator="two_step_regdi",
-        total=float(np.dot(result.w, y_hat)),
-        population_size=int(N),
-        controls=spec.variant,
         notes=(f"measurement model fitted on {model.n_fit} matched units",),
     )

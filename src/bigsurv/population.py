@@ -29,7 +29,6 @@ from .rng import substream
 __all__ = [
     "EmptyPopulationError",
     "InfeasibleSelectionError",
-    "UnitRecord",
     "FinitePopulation",
     "BigSample",
     "ProbabilitySample",
@@ -56,18 +55,6 @@ def _frozen(a, dtype) -> np.ndarray:
         out = out.copy()
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class UnitRecord:
-    """One population unit; mainly for inspection and file round-trips."""
-
-    id: int
-    y: float
-    y_star: float | None
-    z: tuple[int, ...]
-    delta: int
-    stratum: int | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,19 +129,6 @@ class FinitePopulation:
     def with_delta(self, delta) -> "FinitePopulation":
         """Copy of the population with a new membership column."""
         return replace(self, delta=np.asarray(delta, np.int64))
-
-    def unit(self, unit_id: int) -> UnitRecord:
-        i = int(unit_id) - 1
-        if not 0 <= i < self.N:
-            raise IndexError(f"unit id {unit_id} outside 1..{self.N}")
-        return UnitRecord(
-            id=int(unit_id),
-            y=float(self.y[i]),
-            y_star=None if self.y_star is None else float(self.y_star[i]),
-            z=() if self.z is None else tuple(int(v) for v in self.z[i]),
-            delta=int(self.delta[i]),
-            stratum=None if self.stratum is None else int(self.stratum[i]),
-        )
 
     def big_sample(self, value: str = "y") -> "BigSample":
         """View the ``delta >= 1`` units as a :class:`BigSample`.

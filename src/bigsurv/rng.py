@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | tuple[int, ...] | np.random.SeedSequence | np.random.Generator"
-
-
 def substream(seed, *path: int) -> np.random.Generator:
     """Return an independent PCG64 generator for ``seed`` plus a key path.
 

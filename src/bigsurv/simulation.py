@@ -24,22 +24,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import classifier
-from .calibration import build_controls, solve_weights
+from .calibration import build_controls, regdi_total
 from .estimators import BigDataTotals, DegenerateStratumError, pdi_total
 from .linalg import SingularControlsError
-from .measurement import MeasurementFitError, fit_measurement_model
+from .measurement import MeasurementFitError, two_step_regdi
 from .population import (
     BigSample,
     FinitePopulation,
-    ProbabilitySample,
-    SRSJointInclusion,
     _srs_positions,
     big_data_inclusion_probabilities,
+    draw_srs,
     generate_population_sim1,
     generate_population_sim2,
 )
 from .rng import substream
-from .variance import ht_variance_quadratic, regdi_residuals, variance_relative_bias
+from .variance import variance_relative_bias
 
 __all__ = [
     "SimConfig",
@@ -157,15 +156,16 @@ def _run_replicates(config: SimConfig, one_replicate):
 
 
 def _with_attempts(config: SimConfig, attempt_fn, rep: int):
-    failures = 0
+    failures, last = 0, None
     for attempt in range(config.max_attempts):
         try:
             return attempt_fn(rep, attempt), failures
-        except RETRYABLE:
-            failures += 1
+        except RETRYABLE as exc:
+            failures, last = failures + 1, exc
     raise RuntimeError(
-        f"replicate {rep} failed {config.max_attempts} times in a row"
-    )
+        f"replicate {rep} failed {config.max_attempts} times in a row; "
+        f"last error: {type(last).__name__}: {last}"
+    ) from last
 
 
 def _summaries(records, names, truths):
@@ -252,63 +252,38 @@ def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int
         _srs_positions(pool.size, n_h, rng_b)
         for pool, n_h in zip(frame.pools, config.stratum_sizes)
     ]
-    sample = _draw_srs_fast(
-        pop, config.n_a, substream(seed, 0), lambda idx: frame.membership(chosen, idx)
+    sample = draw_srs(pop, config.n_a, substream(seed, 0))
+    sample = replace(sample, delta=frame.membership(chosen, sample.indices))
+    N = pop.N
+    totals = BigDataTotals(
+        T_b=float(sum(vals[pos].sum() for vals, pos in zip(frame.big_values, chosen))),
+        N_b=int(sum(config.stratum_sizes)),
+        N=N,
     )
-    N, N_b = pop.N, int(sum(config.stratum_sizes))
-    T_b = float(sum(vals[pos].sum() for vals, pos in zip(frame.big_values, chosen)))
 
     if scen == 3:
-        matched = sample.delta > 0
-        model = fit_measurement_model(
-            sample.y[matched], sample.y_star[matched], sample.d[matched]
-        )
-        y_a, kind, observed_a = model.invert(sample.y_star), "two_step", sample.y_star
+        regdi = two_step_regdi(sample, totals)
     else:
-        y_a, kind, observed_a = sample.y, "regdi", sample.y
-    spec = build_controls(
-        "proxy_ystar" if scen == 2 else "standard",
-        delta=sample.delta,
-        y=sample.y,
-        y_star=sample.y_star,
-        N=N,
-        N_b=N_b,
-        T_b=T_b,
-    )
-    cal = solve_weights(sample, spec.x, spec.totals, names=spec.names)
-    regdi = float(np.dot(cal.w, y_a))
-    resid = regdi_residuals(sample, y_a, spec.x, kind=kind)
-    pdi = pdi_total(
-        sample, sample.delta, observed_a, BigDataTotals(T_b=T_b, N_b=N_b, N=N)
-    )
-
-    vhat_mean = ht_variance_quadratic(sample, resid.e_hat) / (N * N)
+        spec = build_controls(
+            "proxy_ystar" if scen == 2 else "standard",
+            delta=sample.delta,
+            y=sample.y,
+            y_star=sample.y_star,
+            N=N,
+            N_b=totals.N_b,
+            T_b=totals.T_b,
+        )
+        regdi = regdi_total(sample, sample.y, spec)
+    observed_a = sample.y_star if scen == 3 else sample.y
+    pdi = pdi_total(sample, sample.delta, observed_a, totals)
     return {
         "mean_a": float(observed_a.mean()),
-        "mean_b": T_b / N_b,
+        "mean_b": totals.T_b / totals.N_b,
         "pdi": pdi.mean,
-        "regdi": regdi / N,
-        "vhat_regdi": vhat_mean,
+        "regdi": regdi.mean,
+        "vhat_regdi": regdi.variance / N**2,
         "truth": frame.truth,
     }
-
-
-def _draw_srs_fast(pop, n, rng, membership):
-    """SRS draw whose ``delta`` column is ``membership(idx)``, ``idx`` being
-    the sorted indices of the drawn units."""
-    idx = np.sort(rng.choice(pop.N, size=n, replace=False))
-    return ProbabilitySample(
-        unit_ids=idx + 1,
-        d=np.full(n, pop.N / n),
-        pi=np.full(n, n / pop.N),
-        joint_pi=SRSJointInclusion(n=n, N=pop.N),
-        N=pop.N,
-        design="srs",
-        y=pop.y[idx],
-        y_star=None if pop.y_star is None else pop.y_star[idx],
-        delta=membership(idx),
-        z=None if pop.z is None else pop.z[idx],
-    )
 
 
 def run_sim1(config: SimConfig) -> MonteCarloSummary:
@@ -357,7 +332,8 @@ def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: in
     z_b = pop.z[mask]
     t_b = float(y_b.sum())
 
-    sample = _draw_srs_fast(pop, config.n_a, substream(seed, 0), delta.__getitem__)
+    sample = draw_srs(pop, config.n_a, substream(seed, 0))
+    sample = replace(sample, delta=delta[sample.indices])
     big = BigSample(
         unit_ids=np.flatnonzero(mask) + 1,
         values=y_b,

@@ -8,8 +8,9 @@ evaluated over the sampled pairs.  Under simple random sampling it
 collapses algebraically to ``N^2 (1 - n/N) s_r^2 / n`` with ``s_r^2``
 the sample variance of the residuals; both paths are implemented and
 cross-checked in the tests.  Calibration estimators plug in regression
-residuals; the mass-imputation estimator additionally corrects the
-residuals for the estimated measurement model.
+residuals (``calibration.regdi_total`` does so itself); the
+mass-imputation variance in ``measurement`` plugs in residuals corrected
+for the estimated measurement model.
 """
 
 from __future__ import annotations
@@ -18,17 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimateReport
 from .linalg import weighted_least_squares
-from .measurement import MeasurementModel, linearization_terms
 from .population import ProbabilitySample
 
 __all__ = [
     "ResidualSet",
     "ht_variance_quadratic",
     "regdi_residuals",
-    "mass_imputation_variance",
-    "mass_imputation_total",
     "variance_relative_bias",
 ]
 
@@ -39,7 +36,6 @@ class ResidualSet:
 
     e_hat: np.ndarray
     coefficients: np.ndarray
-    kind: str = "regdi"
 
 
 def _pairwise_matrix(sample: ProbabilitySample) -> np.ndarray:
@@ -91,7 +87,7 @@ def ht_variance_quadratic(sample: ProbabilitySample, residuals, method: str = "a
     return float(scaled @ coef @ scaled)
 
 
-def regdi_residuals(sample: ProbabilitySample, y, controls, kind: str = "regdi") -> ResidualSet:
+def regdi_residuals(sample: ProbabilitySample, y, controls) -> ResidualSet:
     """Residuals ``y - x' B_hat`` from the design-weighted regression.
 
     ``B_hat`` solves ``(sum d x x') B = sum d x y``, so the residuals
@@ -104,71 +100,15 @@ def regdi_residuals(sample: ProbabilitySample, y, controls, kind: str = "regdi")
     if x.shape[0] != sample.n or y.shape[0] != sample.n:
         raise ValueError("controls and y must have one row per sampled unit")
     beta, _ = weighted_least_squares(x, y, sample.d)
-    return ResidualSet(e_hat=y - x @ beta, coefficients=beta, kind=kind)
+    return ResidualSet(e_hat=y - x @ beta, coefficients=beta)
 
 
-def mass_imputation_variance(
-    sample: ProbabilitySample,
-    model: MeasurementModel,
-    y_star,
-    y,
-    delta,
-    N: int | None = None,
-) -> float:
-    """Variance of the mean of measurement-inverted values.
-
-    Estimates the design variance of ``N^{-1} sum_A d_i q_i`` where
-    ``q_i`` inverts the fitted measurement model at ``y_star_i``.  The
-    residual is corrected for the estimated model parameters:
-
-        u_i = q_i + delta_i (y_star_i - m(y_i)) (kappa' h_i)
-
-    with ``kappa = (sum_A d delta m_dot h')^{-1} sum_A d q_dot`` and
-    ``h_i = m_dot_i = (1, y_i)`` for the linear model.  The
-    finite-population term of order ``n/N`` is dropped, which assumes a
-    small sampling fraction.
-    """
-    y_star = np.asarray(y_star, float)
-    delta = np.asarray(delta)
-    if N is None:
-        N = sample.N
-    matched = delta > 0
-    y_m = np.asarray(y, float)[matched]
-    terms = linearization_terms(y_star, model)
-    h_m = model.regressors(y_m)
-    d_m = sample.d[matched]
-    gram = (h_m * d_m[:, None]).T @ h_m
-    kappa = np.linalg.solve(gram, sample.d @ terms.q_dot)
-    resid = np.zeros(sample.n)
-    resid[matched] = (y_star[matched] - model.forward(y_m)) * (h_m @ kappa)
-    u = terms.q + resid
-    return ht_variance_quadratic(sample, u) / (N * N)
-
-
-def mass_imputation_total(
-    sample: ProbabilitySample, model: MeasurementModel, y_star, N: int | None = None
-) -> EstimateReport:
-    """Total of measurement-inverted values, ``sum_A d_i q_i``."""
-    y_star = np.asarray(y_star, float)
-    if N is None:
-        N = sample.N
-    q = model.invert(y_star)
-    return EstimateReport(
-        estimator="mass_imputation",
-        total=float(np.dot(sample.d, q)),
-        population_size=int(N),
-        notes=("finite-population variance term omitted (small sampling fraction)",),
-    )
-
-
-def variance_relative_bias(replicates, truth: float | None = None) -> float:
+def variance_relative_bias(replicates) -> float:
     """Monte Carlo relative bias of a variance estimator.
 
     ``replicates`` is a sequence of ``(estimate, variance_estimate)``
     pairs; returns ``mean(variance_estimate) / Var_MC(estimate) - 1``
-    where ``Var_MC`` is the sample variance of the estimates.  ``truth``
-    is accepted for interface symmetry with the summary helpers but the
-    ratio itself does not use it.
+    where ``Var_MC`` is the sample variance of the estimates.
     """
     pairs = np.asarray(list(replicates), float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 2:

@@ -213,26 +213,11 @@ class TestBuildControls:
         assert spec.names[-1] == "z1"
         assert np.allclose(spec.x[:, 3], [3.0, 4.0])
 
-    def test_classifier_corrected_variant(self):
-        spec = build_controls(
-            "classifier_corrected",
-            delta_hat=[0, 1, 1],
-            y=[1.0, 2.0, 3.0],
-            N=10,
-            propensity_totals=(5.5, 12.5),
-        )
-        assert spec.names == ("overall", "big_corrected", "big_y_corrected")
-        assert np.allclose(spec.totals, [10.0, 5.5, 12.5])
-
     def test_missing_pieces_rejected(self):
         with pytest.raises(ValueError):
             build_controls("standard", delta=[0, 1], y=[1.0, 2.0], N=5, N_b=2)
         with pytest.raises(ValueError):
             build_controls("nonsense", delta=[0, 1], N=5)
-        with pytest.raises(ValueError):
-            build_controls(
-                "classifier_corrected", delta_hat=[0, 1], y=[1.0, 2.0], N=5
-            )
 
 
 class TestRegressionDataIntegration:

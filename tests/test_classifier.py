@@ -328,6 +328,23 @@ class TestPDI2:
         assert report.total == pytest.approx(8.0 + (10 - 8 / 3) * 2.0)
         assert report.estimator == "pdi2"
 
+    def test_corrected_size_above_universe_rejected(self):
+        """The corrected big-data size 8/3 (see above) exceeds a universe
+        of N = 2, which would leave a negative uncovered count."""
+        model = ClassifierModel(
+            pi=0.4, m=(np.array([0.9, 0.1]),), u=(np.array([0.2, 0.8]),)
+        )
+        big = BigSample(
+            unit_ids=np.array([1, 2]),
+            values=np.array([2.0, 4.0]),
+            multiplicity=np.ones(2, int),
+            N=2,
+            z=np.array([[1], [1]]),
+        )
+        sample = make_sample([[2], [1]], d=[1.0, 1.0], y=[1.0, 5.0])
+        with pytest.raises(ValueError, match="N_b cannot exceed"):
+            pdi2_total(sample, big, model)
+
     def test_no_outside_units_raises(self):
         model = ClassifierModel(
             pi=0.4, m=(np.array([0.9, 0.1]),), u=(np.array([0.2, 0.8]),)

@@ -3,11 +3,16 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bigsurv
 from bigsurv import (
     BigSample,
     ProbabilitySample,
@@ -422,6 +427,28 @@ class TestSimulateCommands:
             "proposed_di",
             "original_di",
         ]
+
+
+    def test_simulate1_oversized_stratum_exits_with_one_line(self):
+        """Asking a stratum for more units than it holds is bad input:
+        the command ends with a message naming the parameter, not a
+        traceback."""
+        src = Path(bigsurv.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "bigsurv.cli", "simulate1",
+                "--scenario", "1", "--seed", "3", "--pop-n", "2000",
+                "--big", "1500/10", "--reps", "5",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "stratum_sizes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestConfigFile:

@@ -13,22 +13,18 @@ from bigsurv import (
     BigSample,
     ClassifierModel,
     FinitePopulation,
-    MeasurementModel,
     ProbabilitySample,
     SRSJointInclusion,
     read_big_data_csv,
     read_classifier_model,
     read_population_csv,
     read_sample_csv,
-    read_weights_csv,
     write_big_data_csv,
     write_classifier_model,
     write_labels_csv,
-    write_measurement_model,
     write_population_csv,
     write_sample_csv,
     write_summary_csv,
-    write_weights_csv,
 )
 
 
@@ -192,18 +188,6 @@ class TestBigDataCSV:
 
 
 class TestWeightsAndLabels:
-    def test_weights_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(4)
-        ids = np.array([5, 9, 14])
-        d = rng.uniform(1.0, 9.0, 3)
-        w = d * rng.uniform(0.5, 1.5, 3)
-        path = tmp_path / "weights.csv"
-        write_weights_csv(path, ids, d, w)
-        back_ids, back_d, back_w = read_weights_csv(path)
-        assert np.array_equal(back_ids, ids)
-        assert np.array_equal(back_d, d)
-        assert np.array_equal(back_w, w)
-
     def test_labels_layout(self, tmp_path):
         path = tmp_path / "labels.csv"
         write_labels_csv(path, [7, 8], [0.25, 0.75], [0, 1])
@@ -249,16 +233,6 @@ class TestModelDumps:
         )
         back = read_classifier_model(path)
         assert back.pi == 0.5
-
-    def test_measurement_model_dump(self, tmp_path):
-        model = MeasurementModel(beta0=2.0, beta1=0.9, sigma2=0.25, n_fit=412)
-        path = tmp_path / "distortion.model.txt"
-        write_measurement_model(path, model)
-        text = path.read_text()
-        assert "beta0=2.0" in text
-        assert "beta1=0.9" in text
-        assert "sigma2=0.25" in text
-        assert "n_matched=412" in text
 
 
 class TestSummaryCSV:

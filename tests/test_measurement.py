@@ -1,18 +1,22 @@
 """Tests for the proxy measurement model: fitting, inversion,
 linearization pieces, and the two-step calibration estimator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bigsurv import (
-    BigSample,
+    BigDataTotals,
     MeasurementFitError,
     MeasurementModel,
     ProbabilitySample,
+    SRSJointInclusion,
     build_controls,
     fit_measurement_model,
-    invert_measurement,
+    ht_variance_quadratic,
     linearization_terms,
+    regdi_residuals,
     regdi_total,
     solve_weights,
     two_step_regdi,
@@ -123,11 +127,6 @@ class TestMeasurementModel:
         y = np.linspace(-4.0, 4.0, 9)
         assert np.allclose(model.invert(model.forward(y)), y, atol=1e-12)
 
-    def test_invert_matches_module_function(self):
-        model = MeasurementModel(beta0=2.0, beta1=0.9, sigma2=0.0, n_fit=2)
-        y_star = np.array([2.0, 2.9, 3.8])
-        assert np.array_equal(invert_measurement(y_star, model), model.invert(y_star))
-
     def test_near_zero_slope_refuses_to_invert(self):
         model = MeasurementModel(beta0=0.0, beta1=1e-9, sigma2=0.0, n_fit=2)
         with pytest.raises(MeasurementFitError, match="slope"):
@@ -157,37 +156,20 @@ class TestLinearizationTerms:
         terms = linearization_terms(y_star, model)
         assert np.array_equal(terms.q, model.invert(y_star))
 
-    def test_outcome_pieces_absent_without_y(self):
-        model = MeasurementModel(beta0=0.0, beta1=1.0, sigma2=0.0, n_fit=2)
-        terms = linearization_terms(np.array([1.0]), model)
-        assert terms.m_dot is None
-        assert terms.h is None
-
-    def test_outcome_pieces_are_regressor_rows(self):
-        model = MeasurementModel(beta0=0.0, beta1=2.0, sigma2=0.0, n_fit=2)
-        y = np.array([3.0, 4.0])
-        terms = linearization_terms(np.array([6.0, 8.0]), model, y=y)
-        expected = np.column_stack([np.ones(2), y])
-        assert np.array_equal(terms.m_dot, expected)
-        assert np.array_equal(terms.h, expected)
-
 
 class TestTwoStepRegDI:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_manual_composition(self, seed):
         """The estimator is exactly: fit on matched units, invert every
-        proxy, calibrate on standard controls, sum weighted inversions."""
+        proxy, calibrate on standard controls, sum weighted inversions;
+        its variance is that of the inversions' calibration residuals."""
         rng = np.random.default_rng(seed)
         N = 500
-        sample = make_sample(60, N, rng)
-        matched = sample.delta > 0
-        big_values = rng.normal(3.0, 1.0, 200)
-        big = BigSample(
-            unit_ids=np.arange(1, 201),
-            values=big_values,
-            multiplicity=np.ones(200, np.int64),
-            N=N,
+        sample = dataclasses.replace(
+            make_sample(60, N, rng), joint_pi=SRSJointInclusion(60, N), design="srs"
         )
+        matched = sample.delta > 0
+        big = BigDataTotals(T_b=float(rng.normal(3.0, 1.0, 200).sum()), N_b=200, N=N)
 
         report = two_step_regdi(sample, big)
 
@@ -200,14 +182,24 @@ class TestTwoStepRegDI:
             y=np.where(matched, sample.y, 0.0),
             N=N,
             N_b=big.N_b,
-            T_b=big.total,
+            T_b=big.T_b,
         )
         weights = solve_weights(sample, spec.x, spec.totals, names=spec.names)
-        expected = float(np.dot(weights.w, model.invert(sample.y_star)))
+        y_hat = model.invert(sample.y_star)
+        expected = float(np.dot(weights.w, y_hat))
         assert report.total == pytest.approx(expected, rel=1e-12)
+        assert report.variance == ht_variance_quadratic(
+            sample, regdi_residuals(sample, y_hat, spec.x).e_hat
+        )
         assert report.estimator == "two_step_regdi"
         assert report.population_size == N
         assert any(f"{model.n_fit} matched units" in note for note in report.notes)
+
+    def test_no_variance_without_joint_probabilities(self):
+        rng = np.random.default_rng(2)
+        sample = make_sample(40, 400, rng)
+        big = BigDataTotals(T_b=480.0, N_b=160, N=400)
+        assert two_step_regdi(sample, big).variance is None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_noiseless_proxy_reduces_to_direct_calibration(self, seed):
@@ -217,12 +209,7 @@ class TestTwoStepRegDI:
         rng = np.random.default_rng(seed)
         N = 400
         sample = make_sample(50, N, rng, noise=0.0)
-        big = BigSample(
-            unit_ids=np.arange(1, 161),
-            values=rng.normal(3.0, 1.0, 160),
-            multiplicity=np.ones(160, np.int64),
-            N=N,
-        )
+        big = BigDataTotals(T_b=float(rng.normal(3.0, 1.0, 160).sum()), N_b=160, N=N)
         report = two_step_regdi(sample, big)
         spec = build_controls(
             "standard",
@@ -230,7 +217,7 @@ class TestTwoStepRegDI:
             y=sample.y,
             N=N,
             N_b=big.N_b,
-            T_b=big.total,
+            T_b=big.T_b,
         )
         direct = regdi_total(sample, sample.y, spec)
         assert report.total == pytest.approx(direct.total, rel=1e-9)
@@ -238,25 +225,13 @@ class TestTwoStepRegDI:
     def test_population_size_defaults_to_big_source(self):
         rng = np.random.default_rng(3)
         sample = make_sample(40, 1000, rng)
-        big = BigSample(
-            unit_ids=np.arange(1, 301),
-            values=rng.normal(3.0, 1.0, 300),
-            multiplicity=np.ones(300, np.int64),
-            N=1000,
-        )
+        big = BigDataTotals(T_b=float(rng.normal(3.0, 1.0, 300).sum()), N_b=300, N=1000)
         assert two_step_regdi(sample, big).population_size == 1000
 
     def test_missing_columns_rejected(self):
         rng = np.random.default_rng(5)
         base = make_sample(30, 300, rng)
-        big = BigSample(
-            unit_ids=np.arange(1, 101),
-            values=rng.normal(3.0, 1.0, 100),
-            multiplicity=np.ones(100, np.int64),
-            N=300,
-        )
-        import dataclasses
-
+        big = BigDataTotals(T_b=float(rng.normal(3.0, 1.0, 100).sum()), N_b=100, N=300)
         for column in ("y", "y_star", "delta"):
             broken = dataclasses.replace(base, **{column: None})
             with pytest.raises(ValueError, match="must carry"):

@@ -35,27 +35,6 @@ class TestFinitePopulation:
         with pytest.raises(ValueError):
             pop.y[0] = 99.0
 
-    def test_unit_record_round_trip(self):
-        pop = FinitePopulation(
-            y=[1.5, 2.5],
-            y_star=[1.0, 2.0],
-            z=[[1, 2], [3, 4]],
-            delta=[0, 1],
-            stratum=[1, 2],
-        )
-        rec = pop.unit(2)
-        assert rec.id == 2
-        assert rec.y == 2.5
-        assert rec.y_star == 2.0
-        assert rec.z == (3, 4)
-        assert rec.delta == 1
-        assert rec.stratum == 2
-
-    def test_unit_id_out_of_range(self):
-        pop = FinitePopulation(y=[1.0])
-        with pytest.raises(IndexError):
-            pop.unit(2)
-
     def test_with_delta_keeps_original_untouched(self):
         pop = FinitePopulation(y=[1.0, 2.0])
         marked = pop.with_delta([1, 0])

@@ -7,12 +7,20 @@ reference drawn from the same substreams, and check that summaries do
 not depend on the number of workers.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigsurv import SimConfig, generate_population_sim1, run_sim1, substream
+from bigsurv import (
+    ProbabilitySample,
+    SimConfig,
+    generate_population_sim1,
+    run_sim1,
+    substream,
+)
 from bigsurv import simulation
 from bigsurv.population import _srs_positions
 
@@ -71,15 +79,23 @@ def test_replicate_matches_full_n_reference(case, scenario, n_a, rep):
         chosen.append(_srs_positions(m, k, rng))
         return chosen[-1]
 
-    real_draw = simulation._draw_srs_fast
+    class RecordedSample(ProbabilitySample):
+        """Records every instance, including the copy that ``replace``
+        makes when the replicate fills in ``delta``."""
+
+        def __post_init__(self):
+            super().__post_init__()
+            samples.append(self)
+
+    real_draw = simulation.draw_srs
 
     def recording_draw(*args):
-        samples.append(real_draw(*args))
-        return samples[-1]
+        drawn = real_draw(*args)
+        return RecordedSample(**{f.name: getattr(drawn, f.name) for f in fields(drawn)})
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "_srs_positions", recording_positions)
-        mp.setattr(simulation, "_draw_srs_fast", recording_draw)
+        mp.setattr(simulation, "draw_srs", recording_draw)
         try:
             record = simulation._sim1_replicate(frame, config, rep, 0)
         except simulation.RETRYABLE:
@@ -90,7 +106,7 @@ def test_replicate_matches_full_n_reference(case, scenario, n_a, rep):
     assert np.array_equal(np.sort(selected), np.flatnonzero(ref))
 
     idx = np.sort(substream((seed, rep, 0), 0).choice(pop.N, size=n_a, replace=False))
-    (sample,) = samples
+    _, sample = samples  # the draw, then the copy carrying membership
     assert np.array_equal(sample.unit_ids, idx + 1)
     assert np.array_equal(sample.delta, ref[idx])
 

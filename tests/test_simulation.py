@@ -9,6 +9,7 @@ from bigsurv import (
     DegenerateStratumError,
     MonteCarloSummary,
     SimConfig,
+    SingularControlsError,
     generate_population_sim1,
     generate_population_sim2,
     run_sim1,
@@ -109,6 +110,32 @@ class TestRetries:
 
         with pytest.raises(RuntimeError, match="failed 3 times"):
             _with_attempts(config, attempt, rep=0)
+
+    def test_exhaustion_names_and_chains_the_last_error(self):
+        config = SimConfig(max_attempts=2)
+
+        def attempt(rep, att):
+            raise DegenerateStratumError(f"attempt {att} empty")
+
+        with pytest.raises(RuntimeError) as excinfo:
+            _with_attempts(config, attempt, rep=4)
+        assert "DegenerateStratumError: attempt 1 empty" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, DegenerateStratumError)
+
+    def test_study_one_exhaustion_reports_singular_controls(self):
+        """One unit per stratum in the big source makes the big and
+        big_y controls collinear in every sample that meets it."""
+        config = SimConfig(
+            scenario=1,
+            pop_n=200,
+            n_a=30,
+            stratum_sizes=(1, 1),
+            replicates=3,
+            max_attempts=5,
+        )
+        with pytest.raises(RuntimeError, match="SingularControlsError") as excinfo:
+            run_sim1(config)
+        assert isinstance(excinfo.value.__cause__, SingularControlsError)
 
     def test_non_retryable_errors_propagate(self):
         config = SimConfig(max_attempts=3)

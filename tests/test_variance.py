@@ -188,12 +188,6 @@ class TestRegDIResiduals:
             ht_variance_quadratic(sample, shifted.e_hat)
         )
 
-    def test_kind_tag_recorded(self):
-        sample = srs_sample(4, 16)
-        x = np.column_stack([np.ones(4), np.arange(4.0)])
-        res = regdi_residuals(sample, np.arange(4.0), x, kind="two_step")
-        assert res.kind == "two_step"
-
     def test_row_count_mismatch_rejected(self):
         sample = srs_sample(4, 16)
         with pytest.raises(ValueError, match="one row per"):
@@ -265,10 +259,6 @@ class TestVarianceRelativeBias:
         v = float(np.var(estimates, ddof=1))
         pairs = np.column_stack([estimates, np.full(500, v)])
         assert variance_relative_bias(pairs) == pytest.approx(0.0, abs=1e-12)
-
-    def test_truth_argument_does_not_change_ratio(self):
-        pairs = [(1.0, 1.2), (2.0, 1.5), (3.0, 1.8)]
-        assert variance_relative_bias(pairs, truth=2.0) == variance_relative_bias(pairs)
 
     def test_single_pair_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
