@@ -24,7 +24,6 @@ flags override the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -250,11 +249,7 @@ def cmd_simulate1(args, parser) -> int:
         regenerate_population=bool(args.regenerate_population),
         workers=args.workers,
     )
-    try:
-        summary = run_sim1(config)
-    except ValueError as exc:
-        raise SystemExit(f"simulate1: {exc}") from None
-    _emit_summary(summary, args.out)
+    _emit_summary(run_sim1(config), args.out)
     return 0
 
 
@@ -273,27 +268,21 @@ def cmd_simulate2(args, parser) -> int:
     return 0
 
 
-def _aligned_delta(sample, big) -> np.ndarray:
-    """Membership indicator for sample units, derived from ids if absent."""
-    if sample.delta is not None:
-        return sample.delta
-    return np.isin(sample.unit_ids, big.unit_ids).astype(np.int64)
-
-
-def _join_big_values(sample, big) -> tuple[np.ndarray, np.ndarray]:
-    """Look up each sampled unit's big-data value by id.
-
-    Returns ``(values, found)`` where ``values`` is zero wherever
-    ``found`` is false.
-    """
+def _with_big_matches(sample, big):
+    """The sample with ``y`` and ``delta`` filled in from the big source
+    by unit id where the file lacks them: ``delta`` is 1 for a unit the
+    big source holds, and ``y`` its big-data value (0 elsewhere)."""
+    if sample.y is not None and sample.delta is not None:
+        return sample
     order = np.argsort(big.unit_ids)
-    sorted_ids = big.unit_ids[order]
-    pos = np.searchsorted(sorted_ids, sample.unit_ids)
-    pos = np.clip(pos, 0, sorted_ids.size - 1)
-    found = sorted_ids[pos] == sample.unit_ids
-    values = np.zeros(sample.n)
-    values[found] = big.values[order][pos[found]]
-    return values, found
+    pos = np.searchsorted(big.unit_ids, sample.unit_ids, sorter=order)
+    pos = order[np.minimum(pos, order.size - 1)]
+    found = big.unit_ids[pos] == sample.unit_ids
+    return dataclasses.replace(
+        sample,
+        y=np.where(found, big.values[pos], 0.0) if sample.y is None else sample.y,
+        delta=found.astype(np.int64) if sample.delta is None else sample.delta,
+    )
 
 
 def _fit_mixture(sample, big, pi):
@@ -333,7 +322,7 @@ def cmd_estimate(args, parser) -> int:
     elif method in ("pdi", "ratio", "regdi"):
         if sample.y is None:
             raise SystemExit(f"{method} needs a y column in the sample")
-        delta = _aligned_delta(sample, big)
+        delta = _with_big_matches(sample, big).delta
         totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=sample.N)
         known = {"delta": delta, "N": totals.N, "N_b": totals.N_b, "T_b": totals.T_b}
         if method == "pdi":
@@ -359,18 +348,8 @@ def cmd_estimate(args, parser) -> int:
     elif method == "two-step":
         if sample.y_star is None:
             raise SystemExit("two-step needs a y_star column in the sample")
-        if sample.y is not None and sample.delta is not None:
-            work = sample
-        else:
-            # pull the matched units' true values out of the big source
-            matched_y, found = _join_big_values(sample, big)
-            work = dataclasses.replace(
-                sample,
-                y=matched_y if sample.y is None else sample.y,
-                delta=found.astype(np.int64) if sample.delta is None else sample.delta,
-            )
         totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=sample.N)
-        report = two_step_regdi(work, totals)
+        report = two_step_regdi(_with_big_matches(sample, big), totals)
     else:  # pdi2
         pi = args.pi if args.pi is not None else big.N_b / sample.N
         fitted, _ = _fit_mixture(sample, big, pi)
@@ -391,23 +370,7 @@ def _emit_estimate(report, out) -> None:
     for note in report.notes:
         print(f"note:      {note}")
     if out:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["estimator", "total", "mean", "variance", "population_size",
-                 "controls", "notes"]
-            )
-            writer.writerow(
-                [
-                    report.estimator,
-                    repr(report.total),
-                    repr(report.mean),
-                    "" if report.variance is None else repr(report.variance),
-                    report.population_size,
-                    report.controls or "",
-                    "; ".join(report.notes),
-                ]
-            )
+        fileio.write_estimate_csv(out, report)
         print(f"wrote {out}")
 
 
@@ -454,7 +417,10 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    return args.func(args, commands[args.command])
+    try:
+        return args.func(args, commands[args.command])
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

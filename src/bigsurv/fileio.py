@@ -1,21 +1,33 @@
 """CSV and text serialisation for populations, samples, and results.
 
-All tabular formats are plain CSV with a header row.  Missing optional
-columns are written as empty fields and come back as ``None`` arrays.
-Floats are written with ``repr`` so a write/read cycle reproduces the
-array bit for bit.
+All tabular formats are plain CSV with a header row, written and read
+one column at a time.  A column's type follows from its name: ``id``,
+``delta``, ``stratum``, ``multiplicity``, ``delta_hat`` and ``z1..zK``
+hold int64, every other numeric column float64.  Floats are written with
+``repr`` so a write/read cycle reproduces the array bit for bit.
+
+An optional column is either absent or empty on every row, and comes
+back as ``None``; one that is empty on some rows only is an error.  The
+readers also reject non-finite floats, repeated ids in a sample or
+big-data file, short rows and a file with no data rows, and every such
+error names the file and the column.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .classifier import ClassifierModel
+from .estimators import EstimateReport
 from .population import (
     BigSample,
+    EmptyPopulationError,
     FinitePopulation,
     ProbabilitySample,
     SRSJointInclusion,
@@ -29,120 +41,144 @@ __all__ = [
     "write_big_data_csv",
     "read_big_data_csv",
     "write_labels_csv",
+    "write_estimate_csv",
     "write_classifier_model",
     "read_classifier_model",
     "write_summary_csv",
 ]
 
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+_INT_COLUMNS = {"id", "delta", "stratum", "multiplicity", "delta_hat"}
 
 
-def _z_names(k: int) -> list[str]:
-    return [f"z{j + 1}" for j in range(k)]
+def _write_table(path, columns: dict) -> None:
+    """Write ``{name: column}`` as CSV, one row per entry.
+
+    A column is an array (floats go out with ``repr``, integers with
+    ``str``), a list of cells for ``csv`` to format, or ``None`` for a
+    column left empty on every row.
+    """
+    n = max(len(col) for col in columns.values() if col is not None)
+    cells = []
+    for col in columns.values():
+        if col is None:
+            col = itertools.repeat("", n)
+        elif isinstance(col, np.ndarray):
+            col = map(repr if col.dtype.kind == "f" else str, col.tolist())
+        cells.append(col)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
+
+
+class _Table:
+    """A headered CSV file whose columns are read one at a time."""
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if not any(reader):  # stops at the first data row
+                raise EmptyPopulationError(f"{path}: no data rows")
+        self.names = [name.strip() for name in header]
+        self._index = {name: j for j, name in enumerate(self.names)}
+        z_names = (name for name in self.names if name[:1] == "z" and name[1:].isdigit())
+        self._z_names = sorted(z_names, key=lambda name: int(name[1:]))
+
+    def column(self, name: str, optional: bool = False) -> np.ndarray | None:
+        """Column ``name``, int64 or float64 by name.
+
+        An optional column that is absent or empty on every row comes
+        back as ``None``.
+        """
+        if name not in self._index:
+            if optional:
+                return None
+            raise ValueError(f"{self.path}: missing column {name!r}")
+        read = functools.partial(
+            np.loadtxt, self.path, delimiter=",", skiprows=1, comments=None,
+            quotechar='"', ndmin=1, usecols=self._index[name],
+        )
+        dtype = np.int64 if name in _INT_COLUMNS or name in self._z_names else np.float64
+        try:
+            values = read(dtype=dtype)
+        except ValueError as exc:
+            error = exc
+        else:
+            if dtype is np.int64 or np.isfinite(values).all():
+                return values
+            row = np.flatnonzero(~np.isfinite(values))[0] + 1
+            raise ValueError(
+                f"{self.path}: column {name!r} holds a non-finite value in data row {row}"
+            )
+        # find out why the column failed to parse
+        try:
+            with warnings.catch_warnings():
+                # a text read warns about blank lines, which the typed read skips
+                warnings.simplefilter("ignore", UserWarning)
+                empty = read(dtype=str) == ""
+        except ValueError:  # a short row fails as text too
+            empty = np.zeros(1, bool)
+        if optional and empty.all():
+            return None
+        if empty.any() and not empty.all():
+            raise ValueError(
+                f"{self.path}: column {name!r} mixes present and missing values"
+            )
+        raise ValueError(f"{self.path}: column {name!r}: {error}") from error
+
+    def ids(self) -> np.ndarray:
+        """The ``id`` column, each unit at most once."""
+        ids = self.column("id")
+        ordered = np.sort(ids)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ValueError(f"{self.path}: column 'id' repeats unit {repeated[0]}")
+        return ids
+
+    def z(self) -> np.ndarray | None:
+        """The ``z1..zK`` columns stacked in numeric order, or ``None``."""
+        if not self._z_names:
+            return None
+        return np.column_stack([self.column(name) for name in self._z_names])
+
+
+def _z_columns(z) -> dict:
+    """``{"z1": z[:, 0], ...}``, the columns :meth:`_Table.z` stacks back."""
+    return {} if z is None else {f"z{j + 1}": col for j, col in enumerate(z.T)}
 
 
 def write_population_csv(path, pop: FinitePopulation) -> None:
     """Write a population as ``id,y,y_star,z1..zK,delta,stratum``."""
-    k = 0 if pop.z is None else pop.z.shape[1]
-    header = ["id", "y", "y_star", *_z_names(k), "delta", "stratum"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        ids = pop.ids  # the property builds arange(N) on every access
-        for i in range(pop.N):
-            row = [str(ids[i]), _fmt(pop.y[i])]
-            row.append("" if pop.y_star is None else _fmt(pop.y_star[i]))
-            for j in range(k):
-                row.append(str(pop.z[i, j]))
-            row.append(str(pop.delta[i]))
-            row.append("" if pop.stratum is None else str(pop.stratum[i]))
-            writer.writerow(row)
-
-
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
-    return [h.strip() for h in header], rows
-
-
-def _column(rows, idx, kind=float):
-    return np.array([kind(row[idx]) for row in rows])
-
-
-def _optional_column(rows, idx, kind=float):
-    cells = [row[idx] for row in rows]
-    present = [c != "" for c in cells]
-    if not any(present):
-        return None
-    if not all(present):
-        raise ValueError("column mixes present and missing values")
-    return np.array([kind(c) for c in cells])
+    _write_table(path, {
+        "id": pop.ids, "y": pop.y, "y_star": pop.y_star, **_z_columns(pop.z),
+        "delta": pop.delta, "stratum": pop.stratum,
+    })
 
 
 def read_population_csv(path) -> FinitePopulation:
-    header, rows = _read_table(path)
-    cols = {name: i for i, name in enumerate(header)}
-    for required in ("id", "y"):
-        if required not in cols:
-            raise ValueError(f"{path}: missing column {required!r}")
-    z_cols = [name for name in header if name.startswith("z") and name[1:].isdigit()]
-    z_cols.sort(key=lambda name: int(name[1:]))
-    z = None
-    if z_cols:
-        z = np.column_stack(
-            [_column(rows, cols[name], int) for name in z_cols]
-        ).astype(np.int64)
-    ids = _column(rows, cols["id"], int)
-    if not np.array_equal(ids, np.arange(1, len(rows) + 1)):
+    table = _Table(path)
+    ids = table.column("id")
+    if not np.array_equal(ids, np.arange(1, ids.size + 1)):
         raise ValueError(f"{path}: ids must be 1..N in order")
-    delta = None
-    if "delta" in cols:
-        delta = _optional_column(rows, cols["delta"], int)
-    stratum = None
-    if "stratum" in cols:
-        stratum = _optional_column(rows, cols["stratum"], int)
-    y_star = None
-    if "y_star" in cols:
-        y_star = _optional_column(rows, cols["y_star"])
     return FinitePopulation(
-        y=_column(rows, cols["y"]),
-        y_star=y_star,
-        z=z,
-        delta=delta,
-        stratum=stratum,
+        y=table.column("y"),
+        y_star=table.column("y_star", optional=True),
+        z=table.z(),
+        delta=table.column("delta", optional=True),
+        stratum=table.column("stratum", optional=True),
     )
 
 
 def write_sample_csv(path, sample: ProbabilitySample) -> None:
     """Write a sample as ``id,d,pi,y,y_star,delta`` plus any z columns."""
-    k = 0 if sample.z is None else sample.z.shape[1]
-    header = ["id", "d", "pi", "y", "y_star", "delta", *_z_names(k)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(sample.n):
-            row = [
-                str(sample.unit_ids[i]),
-                _fmt(sample.d[i]),
-                _fmt(sample.pi[i]),
-                "" if sample.y is None else _fmt(sample.y[i]),
-                "" if sample.y_star is None else _fmt(sample.y_star[i]),
-                "" if sample.delta is None else str(sample.delta[i]),
-            ]
-            for j in range(k):
-                row.append(str(sample.z[i, j]))
-            writer.writerow(row)
+    _write_table(path, {
+        "id": sample.unit_ids, "d": sample.d, "pi": sample.pi, "y": sample.y,
+        "y_star": sample.y_star, "delta": sample.delta, **_z_columns(sample.z),
+    })
 
 
 def read_sample_csv(path, N: int | None = None) -> ProbabilitySample:
@@ -153,58 +189,34 @@ def read_sample_csv(path, N: int | None = None) -> ProbabilitySample:
     exact variance computation downstream.  ``N`` defaults to the
     rounded sum of the design weights.
     """
-    header, rows = _read_table(path)
-    cols = {name: i for i, name in enumerate(header)}
-    for required in ("id", "d", "pi"):
-        if required not in cols:
-            raise ValueError(f"{path}: missing column {required!r}")
-    d = _column(rows, cols["d"])
-    pi = _column(rows, cols["pi"])
-    n = len(rows)
+    table = _Table(path)
+    ids = table.ids()
+    d = table.column("d")
+    pi = table.column("pi")
+    n = ids.size
     if N is None:
         N = int(round(float(d.sum())))
-    z_cols = [name for name in header if name.startswith("z") and name[1:].isdigit()]
-    z_cols.sort(key=lambda name: int(name[1:]))
-    z = None
-    if z_cols:
-        z = np.column_stack(
-            [_column(rows, cols[name], int) for name in z_cols]
-        ).astype(np.int64)
-    joint = None
-    design = "generic"
-    if np.allclose(pi, n / N, rtol=1e-9, atol=0.0):
-        joint = SRSJointInclusion(n=n, N=N)
-        design = "srs"
-    delta = None
-    if "delta" in cols:
-        delta = _optional_column(rows, cols["delta"], int)
+    srs = np.allclose(pi, n / N, rtol=1e-9, atol=0.0)
     return ProbabilitySample(
-        unit_ids=_column(rows, cols["id"], int),
+        unit_ids=ids,
         d=d,
         pi=pi,
-        joint_pi=joint,
+        joint_pi=SRSJointInclusion(n=n, N=N) if srs else None,
         N=N,
-        design=design,
-        y=_optional_column(rows, cols["y"]) if "y" in cols else None,
-        y_star=_optional_column(rows, cols["y_star"]) if "y_star" in cols else None,
-        delta=delta,
-        z=z,
+        design="srs" if srs else "generic",
+        y=table.column("y", optional=True),
+        y_star=table.column("y_star", optional=True),
+        delta=table.column("delta", optional=True),
+        z=table.z(),
     )
 
 
 def write_big_data_csv(path, big: BigSample) -> None:
     """Write a big-data extract as ``id,y,z1..zK,multiplicity``."""
-    k = 0 if big.z is None else big.z.shape[1]
-    header = ["id", "y", *_z_names(k), "multiplicity"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(big.values)):
-            row = [str(int(big.unit_ids[i])), _fmt(big.values[i])]
-            for j in range(k):
-                row.append(str(big.z[i, j]))
-            row.append(str(int(big.multiplicity[i])))
-            writer.writerow(row)
+    _write_table(path, {
+        "id": big.unit_ids, "y": big.values, **_z_columns(big.z),
+        "multiplicity": big.multiplicity,
+    })
 
 
 def read_big_data_csv(path, N: int) -> BigSample:
@@ -215,47 +227,40 @@ def read_big_data_csv(path, N: int) -> BigSample:
     one per row.  ``N`` is the universe size the extract was drawn
     from, which the file itself cannot know.
     """
-    header, rows = _read_table(path)
-    cols = {name: i for i, name in enumerate(header)}
-    if "id" not in cols:
-        raise ValueError(f"{path}: missing column 'id'")
-    values = None
-    for candidate in ("y", "y_star"):
-        if candidate in cols:
-            values = _optional_column(rows, cols[candidate])
-            if values is not None:
-                break
+    table = _Table(path)
+    ids = table.ids()
+    values = table.column("y", optional=True)
+    if values is None:
+        values = table.column("y_star", optional=True)
     if values is None:
         raise ValueError(f"{path}: needs a non-empty 'y' or 'y_star' column")
-    z_cols = [name for name in header if name.startswith("z") and name[1:].isdigit()]
-    z_cols.sort(key=lambda name: int(name[1:]))
-    z = None
-    if z_cols:
-        z = np.column_stack(
-            [_column(rows, cols[name], int) for name in z_cols]
-        ).astype(np.int64)
-    if "multiplicity" in cols:
-        multiplicity = _column(rows, cols["multiplicity"], int)
-    else:
-        multiplicity = np.ones(len(rows), np.int64)
+    multiplicity = table.column("multiplicity", optional=True)
     return BigSample(
-        unit_ids=_column(rows, cols["id"], int),
+        unit_ids=ids,
         values=values,
-        multiplicity=multiplicity,
+        multiplicity=np.ones(ids.size, np.int64) if multiplicity is None else multiplicity,
         N=N,
-        z=z,
+        z=table.z(),
     )
 
 
 def write_labels_csv(path, unit_ids, p_hat, delta_hat) -> None:
     """Write classification output as ``id,p_hat,delta_hat``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "p_hat", "delta_hat"])
-        for i in range(len(p_hat)):
-            writer.writerow(
-                [str(int(unit_ids[i])), _fmt(p_hat[i]), str(int(delta_hat[i]))]
-            )
+    _write_table(path, {
+        "id": np.asarray(unit_ids, np.int64),
+        "p_hat": np.asarray(p_hat, np.float64),
+        "delta_hat": np.asarray(delta_hat, np.int64),
+    })
+
+
+def write_estimate_csv(path, report: EstimateReport) -> None:
+    """Write one estimate as a one-row CSV; an absent variance is empty."""
+    _write_table(path, {
+        "estimator": [report.estimator], "total": [report.total],
+        "mean": [report.mean], "variance": [report.variance],
+        "population_size": [report.population_size],
+        "controls": [report.controls], "notes": ["; ".join(report.notes)],
+    })
 
 
 def write_classifier_model(path, model: ClassifierModel) -> None:
@@ -289,18 +294,6 @@ def read_classifier_model(path) -> ClassifierModel:
 
 def write_summary_csv(path, rows: list[dict]) -> None:
     """Write Monte Carlo summary rows produced by ``summary_rows``."""
-    header = [
-        "study",
-        "scenario",
-        "estimator",
-        "bias",
-        "se",
-        "rmse",
-        "var_rel_bias",
-        "failures",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row.get(col, "") for col in header])
+    header = ("study", "scenario", "estimator", "bias", "se", "rmse",
+              "var_rel_bias", "failures")
+    _write_table(path, {col: [row.get(col, "") for row in rows] for col in header})

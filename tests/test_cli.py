@@ -326,6 +326,53 @@ class TestEstimate:
                 ]
             )
 
+    @pytest.mark.parametrize("method", ["pdi", "ratio", "regdi", "two-step"])
+    def test_inconsistent_files_exit_with_one_line(self, tmp_path, method):
+        """A generic-design sample whose weights sum to N = 96 against a
+        100-row big file: N_b > N is bad input, not a crash."""
+        sample_path = tmp_path / "sample.csv"
+        sample_path.write_text(
+            "id,d,pi,y,y_star,delta\n1,16.0,0.0625,1.0,1.5,1\n"
+            "2,16.0,0.0625,2.0,2.5,0\n3,32.0,0.03125,3.0,3.5,1\n"
+            "4,32.0,0.03125,1.5,2.0,0\n"
+        )
+        big_path = tmp_path / "big.csv"
+        big_path.write_text("id,y\n" + "".join(f"{i},1.0\n" for i in range(1, 101)))
+        argv = ["estimate", "--sample-a", str(sample_path), "--big-data",
+                str(big_path), "--method", method]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert message.startswith("estimate: N_b cannot exceed the universe size N")
+        assert "\n" not in message
+
+    def test_singular_two_step_controls_exit_with_one_line(
+        self, continuous_files, tmp_path
+    ):
+        """A proxy-only sample against a big file covering every unit
+        leaves the uncovered control empty."""
+        sample = continuous_files["obj"]
+        proxy_only = tmp_path / "proxy_only.csv"
+        proxy_only.write_text(
+            "id,d,pi,y_star\n"
+            + "".join(f"{i},10.0,0.1,{float(v)!r}\n"
+                      for i, v in zip(sample.unit_ids, sample.y_star))
+        )
+        big_path = tmp_path / "big_full.csv"
+        big_path.write_text("id,y\n" + "".join(f"{i},{i / 10}\n" for i in range(1, 101)))
+        with pytest.raises(SystemExit, match=r"^estimate: controls with zero weighted norm"):
+            main(["estimate", "--sample-a", str(proxy_only), "--big-data",
+                  str(big_path), "--method", "two-step"])
+
+    def test_bad_column_exits_with_one_line_naming_it(self, continuous_files, tmp_path):
+        sample_path = tmp_path / "sample.csv"
+        sample_path.write_text("id,d,pi,y\n1,5.0,0.2,1.0\n2,5.0,0.2,nan\n")
+        with pytest.raises(
+            SystemExit, match=r"^estimate: .*sample\.csv: column 'y' holds a non-finite"
+        ):
+            main(["estimate", "--sample-a", str(sample_path), "--big-data",
+                  str(continuous_files["big"]), "--method", "ht"])
+
     def test_missing_required_flag_exits_with_usage_error(self, continuous_files):
         with pytest.raises(SystemExit) as excinfo:
             main(["estimate", "--sample-a", str(continuous_files["sample"])])
@@ -447,6 +494,26 @@ class TestSimulateCommands:
         )
         assert proc.returncode == 1
         assert "stratum_sizes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_simulate2_infeasible_selection_exits_with_one_line(self):
+        """A big source as large as the universe needs an inclusion rate
+        above one: bad input, ended with one line."""
+        src = Path(bigsurv.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "bigsurv.cli", "simulate2",
+                "--n-a", "60", "--reps", "2", "--seed", "1", "--pop-n", "400",
+                "--big-n", "400",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("simulate2: target size 400 needs rate")
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 

@@ -5,6 +5,7 @@ checked for bit-exact equality, not approximate equality.
 """
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from bigsurv import (
     BigSample,
     ClassifierModel,
+    EmptyPopulationError,
     FinitePopulation,
     ProbabilitySample,
     SRSJointInclusion,
@@ -185,6 +187,105 @@ class TestBigDataCSV:
         path.write_text("id,z1\n1,2\n")
         with pytest.raises(ValueError, match="'y' or 'y_star'"):
             read_big_data_csv(path, N=10)
+
+
+class TestBoundaryChecks:
+    """Bad files fail in the reader with an error naming file and column."""
+
+    SAMPLE = "id,d,pi,y,y_star\n1,5.0,0.2,1.0,2.0\n2,5.0,0.2,1.5,2.5\n"
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("y", "nan"), ("y_star", "inf"), ("d", "-inf"), ("pi", "NaN")],
+    )
+    def test_non_finite_sample_value_rejected(self, tmp_path, column, value):
+        header, first, second = self.SAMPLE.splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index(column)] = value
+        path = tmp_path / "sample.csv"
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        with pytest.raises(ValueError, match=f"column '{column}' holds a non-finite"):
+            read_sample_csv(path)
+
+    @pytest.mark.parametrize("column", ["y", "y_star"])
+    def test_non_finite_big_data_value_rejected(self, tmp_path, column):
+        path = tmp_path / "big.csv"
+        path.write_text(f"id,{column}\n1,2.5\n2,inf\n")
+        with pytest.raises(ValueError, match=f"column '{column}' holds a non-finite"):
+            read_big_data_csv(path, N=10)
+
+    def test_non_finite_population_value_rejected(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,y\n1,nan\n2,1.0\n")
+        with pytest.raises(ValueError, match="pop.csv: column 'y' holds a non-finite"):
+            read_population_csv(path)
+
+    def test_duplicate_sample_ids_rejected(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("id,d,pi,y\n4,5.0,0.2,1.0\n9,5.0,0.2,2.0\n4,5.0,0.2,3.0\n")
+        with pytest.raises(ValueError, match="column 'id' repeats unit 4"):
+            read_sample_csv(path)
+
+    def test_duplicate_big_data_ids_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,y,multiplicity\n7,1.0,1\n7,2.0,2\n")
+        with pytest.raises(ValueError, match="big.csv: column 'id' repeats unit 7"):
+            read_big_data_csv(path, N=10)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("id,d,pi,y\n1,5.0,0.2,1.0\n2,5.0,0.2\n", "y"),
+            ("id,d,pi,y,delta\n1,5.0,0.2,1.0,1\n2,5.0,0.2,2.0\n", "delta"),
+        ],
+    )
+    def test_short_row_names_the_column(self, tmp_path, text, column):
+        path = tmp_path / "sample.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"sample.csv: column '{column}'"):
+            read_sample_csv(path)
+
+    def test_unparseable_value_names_the_column(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,y,z1\n1,1.0,2\n2,2.0,two\n")
+        with pytest.raises(ValueError, match="big.csv: column 'z1': could not convert"):
+            read_big_data_csv(path, N=10)
+
+    def test_partially_missing_column_is_named(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("id,d,pi,y,y_star\n1,5.0,0.2,1.0,\n2,5.0,0.2,1.5,2.5\n")
+        with pytest.raises(ValueError, match="column 'y_star' mixes present and missing"):
+            read_sample_csv(path)
+
+    def test_optional_column_absent_or_empty_reads_as_none(self, tmp_path):
+        absent = tmp_path / "absent.csv"
+        absent.write_text("id,d,pi\n1,5.0,0.2\n\n2,5.0,0.2\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,d,pi,y,delta\n1,5.0,0.2,,\n\n2,5.0,0.2,,\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path in (absent, empty):
+                back = read_sample_csv(path, N=10)
+                assert back.y is None and back.delta is None
+                assert np.array_equal(back.unit_ids, [1, 2])
+
+    @pytest.mark.parametrize(
+        "header, read",
+        [
+            ("id,y", read_population_csv),
+            ("id,d,pi,y", read_sample_csv),
+            ("id,y", lambda path: read_big_data_csv(path, N=10)),
+        ],
+    )
+    def test_header_only_file_is_empty_without_numpy_warning(
+        self, tmp_path, header, read
+    ):
+        path = tmp_path / "file.csv"
+        path.write_text(header + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyPopulationError, match="no data rows"):
+                read(path)
 
 
 class TestWeightsAndLabels:

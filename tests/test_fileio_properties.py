@@ -1,0 +1,180 @@
+"""Property test for the north-star identity "a CSV write/read round trip
+is bit-exact".
+
+Sample, big-data and population files are written with the package's
+writers and read back; every array must come back with the same dtype
+and the same bytes (so -0.0, subnormals and +-1e308 survive), and every
+optional column left out must come back as ``None``.  The written bytes
+must also equal a row-by-row ``csv.writer`` + ``repr`` reference kept
+here, so the columnar writer cannot drift from the documented format.
+"""
+
+import csv
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bigsurv import (
+    BigSample,
+    FinitePopulation,
+    ProbabilitySample,
+    read_big_data_csv,
+    read_population_csv,
+    read_sample_csv,
+    write_big_data_csv,
+    write_population_csv,
+    write_sample_csv,
+)
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]
+floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+ints = st.integers(-(2**62), 2**62)
+
+
+def float_col(draw, n, elements=floats):
+    return np.array(draw(st.lists(elements, min_size=n, max_size=n)), np.float64)
+
+
+def int_col(draw, n, elements=ints):
+    return np.array(draw(st.lists(elements, min_size=n, max_size=n)), np.int64)
+
+
+def maybe(draw, make):
+    """The column ``make()`` builds, or ``None`` (an absent optional column)."""
+    return make() if draw(st.booleans()) else None
+
+
+def z_matrix(draw, n):
+    k = draw(st.integers(0, 3))
+    if k == 0:
+        return None
+    return np.column_stack([int_col(draw, n) for _ in range(k)])
+
+
+@st.composite
+def samples(draw):
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(1, 2**62), min_size=n, max_size=n, unique=True))
+    pi = float_col(draw, n, st.floats(1e-300, 1.0))
+    return ProbabilitySample(
+        unit_ids=np.array(ids, np.int64),
+        d=1.0 / pi,
+        pi=pi,
+        joint_pi=None,
+        N=2**62,
+        y=maybe(draw, lambda: float_col(draw, n)),
+        y_star=maybe(draw, lambda: float_col(draw, n)),
+        delta=maybe(draw, lambda: int_col(draw, n)),
+        z=z_matrix(draw, n),
+    )
+
+
+@st.composite
+def big_extracts(draw):
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(1, 2**62), min_size=n, max_size=n, unique=True))
+    return BigSample(
+        unit_ids=np.array(ids, np.int64),
+        values=float_col(draw, n),
+        multiplicity=int_col(draw, n, st.integers(1, 2**62)),
+        N=2**62,
+        z=z_matrix(draw, n),
+    )
+
+
+@st.composite
+def populations(draw):
+    n = draw(st.integers(1, 12))
+    return FinitePopulation(
+        y=float_col(draw, n),
+        y_star=maybe(draw, lambda: float_col(draw, n)),
+        z=z_matrix(draw, n),
+        delta=int_col(draw, n, st.integers(0, 2**62)),
+        stratum=maybe(draw, lambda: int_col(draw, n)),
+    )
+
+
+def reference_bytes(columns: dict, n: int) -> bytes:
+    """What the format promises: one ``csv.writer`` row per unit, floats
+    by ``repr``, ints by ``str``, an absent column empty."""
+
+    def cell(col, i):
+        if col is None:
+            return ""
+        if col.dtype.kind == "f":
+            return repr(float(col[i]))
+        return str(int(col[i]))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for i in range(n):
+        writer.writerow([cell(col, i) for col in columns.values()])
+    return buf.getvalue().encode()
+
+
+def z_layout(z) -> dict:
+    k = 0 if z is None else z.shape[1]
+    return {f"z{j + 1}": z[:, j] for j in range(k)}
+
+
+def assert_same(back, original, names):
+    for name in names:
+        a, b = getattr(back, name), getattr(original, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples())
+def test_sample_round_trip_is_bit_exact(sample):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "sample.csv")
+        write_sample_csv(path, sample)
+        written = path.read_bytes()
+        back = read_sample_csv(path, N=sample.N)
+    layout = {
+        "id": sample.unit_ids, "d": sample.d, "pi": sample.pi, "y": sample.y,
+        "y_star": sample.y_star, "delta": sample.delta, **z_layout(sample.z),
+    }
+    assert written == reference_bytes(layout, sample.n)
+    assert_same(back, sample, ("unit_ids", "d", "pi", "y", "y_star", "delta", "z"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_extracts())
+def test_big_data_round_trip_is_bit_exact(big):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "big.csv")
+        write_big_data_csv(path, big)
+        written = path.read_bytes()
+        back = read_big_data_csv(path, N=big.N)
+    layout = {
+        "id": big.unit_ids, "y": big.values, **z_layout(big.z),
+        "multiplicity": big.multiplicity,
+    }
+    assert written == reference_bytes(layout, len(big))
+    assert_same(back, big, ("unit_ids", "values", "multiplicity", "z"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(populations())
+def test_population_round_trip_is_bit_exact(pop):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "pop.csv")
+        write_population_csv(path, pop)
+        written = path.read_bytes()
+        back = read_population_csv(path)
+    layout = {
+        "id": pop.ids, "y": pop.y, "y_star": pop.y_star, **z_layout(pop.z),
+        "delta": pop.delta, "stratum": pop.stratum,
+    }
+    assert written == reference_bytes(layout, pop.N)
+    assert_same(back, pop, ("y", "y_star", "z", "delta", "stratum"))
