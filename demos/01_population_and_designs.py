@@ -13,7 +13,6 @@ from bigsurv import (
     draw_srs,
     generate_population_sim1,
     ht_total,
-    ht_variance_quadratic,
     select_big_data_stratified,
 )
 
@@ -32,11 +31,10 @@ print(f"stratum sizes: {np.bincount(pop.stratum)[1:]}")
 sample = draw_srs(pop, n=1_000, seed=7)
 print(f"\nprobability sample: n = {sample.n}, weight = {sample.d[0]:.0f}")
 
-report = ht_total(sample, sample.y)
-variance = ht_variance_quadratic(sample, sample.y)
+report = ht_total(sample, sample.y)  # carries its variance: the sample has joint_pi
 print(f"design-weighted total: {report.total:,.0f}")
 print(f"as a mean:             {report.mean:.4f}")
-print(f"standard error (mean): {np.sqrt(variance) / pop.N:.4f}")
+print(f"standard error (mean): {np.sqrt(report.variance) / pop.N:.4f}")
 
 # A big-data selection: half the universe, but chosen by a mechanism
 # that over-represents one stratum.  We mark it with a membership

@@ -14,14 +14,11 @@ import numpy as np
 
 from bigsurv import (
     BigDataTotals,
-    ClassifierModel,
     big_data_inclusion_probabilities,
     classify,
     draw_srs,
-    em_fit,
-    estimate_m,
+    fit_membership,
     generate_population_sim2,
-    initial_u,
     pdi2_total,
     pdi_total,
     substream,
@@ -45,12 +42,7 @@ levels = tuple(int(pop.z[:, k].max()) for k in range(pop.z.shape[1]))
 # the non-member side starts from smoothed sample frequencies and is
 # refined by EM, which is guaranteed non-decreasing in the weighted
 # log-likelihood.
-model0 = ClassifierModel(
-    pi=big.N_b / pop.N,
-    m=estimate_m(big, levels),
-    u=initial_u(sample.z, sample.d, levels),
-)
-fitted, post = em_fit(sample, model0)
+fitted, post = fit_membership(sample, big, big.N_b / pop.N, levels)
 print(
     f"\nEM: {len(post.loglik_trace) - 1} iterations, "
     f"log-likelihood {post.loglik_trace[0]:.1f} -> {post.loglik_trace[-1]:.1f}"
@@ -67,7 +59,7 @@ print(f"true coverage:                     {marked.W_b:.3f}")
 # the true flags (an oracle available only in a simulation).
 totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=pop.N)
 naive = pdi_total(sample, labels, sample.y, totals)
-proposed = pdi2_total(sample, big, fitted, N=pop.N)
+proposed = pdi2_total(sample, big, fitted)
 oracle = pdi_total(sample, sample.delta, sample.y, totals)
 print(f"\nnaive integration (labels as truth): {naive.mean:.4f}")
 print(f"propensity-corrected integration:    {proposed.mean:.4f}")

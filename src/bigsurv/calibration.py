@@ -31,7 +31,7 @@ from .population import ProbabilitySample
 from .variance import ht_variance_quadratic, regdi_residuals
 
 __all__ = [
-    "SingularControlsError",
+    "CONTROL_VARIANTS",
     "ControlSpec",
     "CalibrationResult",
     "build_controls",

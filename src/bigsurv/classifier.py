@@ -39,6 +39,7 @@ __all__ = [
     "posterior",
     "classify",
     "em_fit",
+    "fit_membership",
     "propensity_totals",
     "pdi2_total",
 ]
@@ -226,8 +227,10 @@ def em_fit(
     levels = model.levels
 
     trace: list[float] = []
-    p_cells = None
-    for _ in range(max_iter):
+    converged = False
+    # max_iter M-steps at most, each followed by an E-step, so the
+    # returned posteriors match the returned tables
+    for iteration in range(max_iter + 1):
         p_cells, cell_lik = _posterior_from_products(model.pi, m_prod, _products(u, rows))
         ll = float(np.dot(w, np.log(cell_lik)))
         if trace and ll < trace[-1] - ASCENT_SLACK * max(1.0, abs(trace[-1])):
@@ -235,6 +238,8 @@ def em_fit(
                 f"log-likelihood decreased from {trace[-1]!r} to {ll!r}"
             )
         trace.append(ll)
+        if converged or iteration == max_iter:
+            break
         out_mass = w * (1.0 - p_cells)
         denom = out_mass.sum()
         if denom <= 0.0:
@@ -246,17 +251,7 @@ def em_fit(
             biggest = max(biggest, float(np.max(np.abs(table - u[k]))))
             new_u.append(table)
         u = new_u
-        if biggest <= tol:
-            break
-
-    # final E-step so the returned posteriors match the returned tables
-    p_cells, cell_lik = _posterior_from_products(model.pi, m_prod, _products(u, rows))
-    ll = float(np.dot(w, np.log(cell_lik)))
-    if trace and ll < trace[-1] - ASCENT_SLACK * max(1.0, abs(trace[-1])):
-        raise AscentViolationError(
-            f"log-likelihood decreased from {trace[-1]!r} to {ll!r}"
-        )
-    trace.append(ll)
+        converged = biggest <= tol
     p_hat = p_cells[inverse]
     fitted = ClassifierModel(pi=model.pi, m=model.m, u=tuple(u))
     posteriors = PosteriorSet(
@@ -266,6 +261,36 @@ def em_fit(
         design_weighted_mean=float(np.dot(sample.d, p_hat) / sample.d.sum()),
     )
     return fitted, posteriors
+
+
+def fit_membership(
+    sample: ProbabilitySample, big: BigSample, pi: float, levels=None
+) -> tuple[ClassifierModel, PosteriorSet]:
+    """Fit the membership mixture with prior ``pi`` on the two sources.
+
+    ``m`` comes from the big source's level frequencies and ``u`` from EM
+    on the design sample, started at :func:`initial_u`.  ``levels`` (the
+    domain sizes ``D_k``) default to the per-column maxima over both
+    sources.  Returns :func:`em_fit`'s fitted model and posteriors.
+    """
+    if sample.z is None:
+        raise ValueError("the probability sample has no z columns")
+    if big.z is None:
+        raise ValueError("the big source has no z columns")
+    width = sample.z.shape[1]
+    if big.z.shape[1] != width:
+        raise ValueError(
+            f"the big source has {big.z.shape[1]} z columns, "
+            f"the probability sample {width}"
+        )
+    if levels is None:
+        levels = tuple(
+            int(max(sample.z[:, k].max(), big.z[:, k].max())) for k in range(width)
+        )
+    model0 = ClassifierModel(
+        pi=pi, m=estimate_m(big, levels), u=initial_u(sample.z, sample.d, levels)
+    )
+    return em_fit(sample, model0)
 
 
 def propensity_totals(big: BigSample, model: ClassifierModel) -> PropensityTotals:
@@ -289,7 +314,7 @@ def propensity_totals(big: BigSample, model: ClassifierModel) -> PropensityTotal
 
 
 def pdi2_total(
-    sample: ProbabilitySample, big: BigSample, model: ClassifierModel, N: int | None = None
+    sample: ProbabilitySample, big: BigSample, model: ClassifierModel
 ) -> EstimateReport:
     """Post-stratified data integration with classified membership.
 
@@ -301,7 +326,7 @@ def pdi2_total(
     if sample.z is None or sample.y is None:
         raise ValueError("sample must carry z rows and y values")
     pt = propensity_totals(big, model)
-    totals = BigDataTotals(T_b=pt.T_b2, N_b=pt.N_b2, N=big.N if N is None else N)
+    totals = BigDataTotals(T_b=pt.T_b2, N_b=pt.N_b2, N=big.N)
     report = pdi_total(sample, classify(posterior(model, sample.z)), sample.y, totals)
     return replace(
         report,

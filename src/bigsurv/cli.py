@@ -33,19 +33,10 @@ import numpy as np
 
 from . import fileio
 from .calibration import build_controls, regdi_total
-from .classifier import (
-    ClassifierModel,
-    classify,
-    em_fit,
-    estimate_m,
-    initial_u,
-    pdi2_total,
-    posterior,
-)
+from .classifier import classify, fit_membership, pdi2_total, posterior
 from .estimators import BigDataTotals, ht_total, pdi_total, ratio_di_total
 from .measurement import two_step_regdi
 from .simulation import SimConfig, run_sim1, run_sim2, summary_rows
-from .variance import ht_variance_quadratic
 
 __all__ = ["main"]
 
@@ -285,25 +276,6 @@ def _with_big_matches(sample, big):
     )
 
 
-def _fit_mixture(sample, big, pi):
-    if sample.z is None:
-        raise SystemExit("the probability-sample CSV has no z columns")
-    if big.z is None:
-        raise SystemExit("the big-data CSV has no z columns")
-    if big.z.shape[1] != sample.z.shape[1]:
-        raise SystemExit("the two files carry different numbers of z columns")
-    levels = tuple(
-        int(max(sample.z[:, k].max(), big.z[:, k].max()))
-        for k in range(sample.z.shape[1])
-    )
-    model0 = ClassifierModel(
-        pi=pi,
-        m=estimate_m(big, levels),
-        u=initial_u(sample.z, sample.d, levels),
-    )
-    return em_fit(sample, model0)
-
-
 def cmd_estimate(args, parser) -> int:
     _require(args, parser, "sample_a", "big_data", "method")
     sample = fileio.read_sample_csv(args.sample_a, N=args.pop_n)
@@ -315,10 +287,6 @@ def cmd_estimate(args, parser) -> int:
         if value_col is None:
             raise SystemExit("ht needs a y or y_star column in the sample")
         report = ht_total(sample, value_col)
-        if sample.joint_pi is not None:
-            report = dataclasses.replace(
-                report, variance=ht_variance_quadratic(sample, value_col)
-            )
     elif method in ("pdi", "ratio", "regdi"):
         if sample.y is None:
             raise SystemExit(f"{method} needs a y column in the sample")
@@ -352,8 +320,8 @@ def cmd_estimate(args, parser) -> int:
         report = two_step_regdi(_with_big_matches(sample, big), totals)
     else:  # pdi2
         pi = args.pi if args.pi is not None else big.N_b / sample.N
-        fitted, _ = _fit_mixture(sample, big, pi)
-        report = pdi2_total(sample, big, fitted, N=sample.N)
+        fitted, _ = fit_membership(sample, big, pi)
+        report = pdi2_total(sample, big, fitted)
 
     _emit_estimate(report, args.out)
     return 0
@@ -378,7 +346,7 @@ def cmd_classify(args, parser) -> int:
     _require(args, parser, "sample_a", "big_data", "pi")
     sample = fileio.read_sample_csv(args.sample_a, N=args.pop_n)
     big = fileio.read_big_data_csv(args.big_data, N=sample.N)
-    fitted, post = _fit_mixture(sample, big, args.pi)
+    fitted, post = fit_membership(sample, big, args.pi)
 
     out = Path(args.out)
     fileio.write_labels_csv(out, sample.unit_ids, post.p_hat, post.delta_hat)

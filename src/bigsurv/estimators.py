@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .population import ProbabilitySample
+from .variance import ht_variance_quadratic
 
 __all__ = [
     "DegenerateStratumError",
@@ -90,13 +91,20 @@ def _check_lengths(sample: ProbabilitySample, *cols):
 
 
 def ht_total(sample: ProbabilitySample, values) -> EstimateReport:
-    """Horvitz-Thompson total ``sum_i d_i * values_i``."""
+    """Horvitz-Thompson total ``sum_i d_i * values_i``.
+
+    The report carries the quadratic-form variance whenever the sample
+    has joint inclusion probabilities.
+    """
     values = np.asarray(values, float)
     _check_lengths(sample, values)
     return EstimateReport(
         estimator="ht",
         total=float(np.dot(sample.d, values)),
         population_size=sample.N,
+        variance=(
+            None if sample.joint_pi is None else ht_variance_quadratic(sample, values)
+        ),
     )
 
 

@@ -196,7 +196,8 @@ def read_sample_csv(path, N: int | None = None) -> ProbabilitySample:
     n = ids.size
     if N is None:
         N = int(round(float(d.sum())))
-    srs = np.allclose(pi, n / N, rtol=1e-9, atol=0.0)
+    # N below n is no design at all; ProbabilitySample names the fault
+    srs = N >= n and np.allclose(pi, n / N, rtol=1e-9, atol=0.0)
     return ProbabilitySample(
         unit_ids=ids,
         d=d,

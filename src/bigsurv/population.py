@@ -197,11 +197,6 @@ class SRSJointInclusion:
     n: int
     N: int
 
-    def __call__(self, i: int, j: int) -> float:
-        if i == j:
-            return self.n / self.N
-        return self.n * (self.n - 1) / (self.N * (self.N - 1))
-
     def pairwise(self, unit_ids) -> np.ndarray:
         k = len(unit_ids)
         off = self.n * (self.n - 1) / (self.N * (self.N - 1))
@@ -214,11 +209,11 @@ class SRSJointInclusion:
 class ProbabilitySample:
     """Design sample: unit ids, weights, and joint inclusion metadata.
 
-    ``joint_pi`` maps a pair of unit ids to their joint inclusion
-    probability; it may also expose ``pairwise(unit_ids)`` returning the
-    full matrix, which the variance code prefers.  Observed columns
-    (``y``, ``y_star``, ``delta``, ``z``) are optional views of the
-    parent population restricted to the drawn units.
+    ``joint_pi`` supplies the joint inclusion probabilities through
+    ``pairwise(unit_ids)``, the matrix over the given units.  Observed
+    columns (``y``, ``y_star``, ``delta``, ``z``) are optional views of
+    the parent population restricted to the drawn units, one row per
+    drawn unit.
     """
 
     unit_ids: np.ndarray
@@ -245,14 +240,18 @@ class ProbabilitySample:
             raise ValueError("inclusion probabilities must lie in (0, 1]")
         if np.max(np.abs(self.d * self.pi - 1.0)) > 1e-9:
             raise ValueError("design weights must be reciprocal inclusion probabilities")
-        for name in ("y", "y_star"):
+        if self.N < k:
+            raise ValueError(f"universe size N = {self.N} is below the sample size {k}")
+        for name, dtype in (
+            ("y", np.float64), ("y_star", np.float64), ("delta", np.int64), ("z", np.int64)
+        ):
             col = getattr(self, name)
-            if col is not None:
-                object.__setattr__(self, name, _frozen(col, np.float64))
-        if self.delta is not None:
-            object.__setattr__(self, "delta", _frozen(self.delta, np.int64))
-        if self.z is not None:
-            object.__setattr__(self, "z", _frozen(self.z, np.int64))
+            if col is None:
+                continue
+            col = _frozen(col, dtype)
+            if col.shape[:1] != (k,):
+                raise ValueError(f"{name} must have one row per sampled unit ({k})")
+            object.__setattr__(self, name, col)
 
     @property
     def n(self) -> int:
@@ -377,28 +376,50 @@ def _srs_positions(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.argpartition(keys, k)[:k]
 
 
+def _stratum_pools(stratum: np.ndarray, labels, sizes) -> tuple[np.ndarray, ...]:
+    """Sorted unit indices of each stratum in ``labels``, in that order.
+
+    ``sizes[h]`` units are asked of stratum ``labels[h]``.  Raises
+    ``ValueError`` naming ``stratum_sizes`` unless there is one size per
+    label, each lies in 0..the stratum's size, and they ask at least one
+    unit in all.
+    """
+    if len(sizes) != len(labels) or sum(sizes) < 1:
+        raise ValueError(
+            f"stratum_sizes needs one size per stratum {tuple(labels)}, "
+            "selecting at least one unit in all"
+        )
+    pools = tuple(np.flatnonzero(stratum == label) for label in labels)
+    for label, pool, n_h in zip(labels, pools, sizes):
+        if not 0 <= n_h <= pool.size:
+            raise ValueError(
+                f"stratum_sizes asks {n_h} units of stratum {label}, "
+                f"which holds {pool.size}"
+            )
+    return pools
+
+
+def _select_strata(pools, sizes, rng: np.random.Generator) -> list[np.ndarray]:
+    """Positions of a simple random selection of ``sizes[h]`` units within
+    each ``pools[h]``, drawn from ``rng`` one stratum after another."""
+    return [_srs_positions(pool.size, n_h, rng) for pool, n_h in zip(pools, sizes)]
+
+
 def select_big_data_stratified(
     pop: FinitePopulation, sizes: Mapping[int, int], seed
 ) -> FinitePopulation:
     """Mark a stratified simple random selection as the big-data source.
 
     ``sizes`` maps stratum label to the number of units selected within
-    that stratum.  Returns a population copy whose ``delta`` column is 1
-    exactly on the selected units.
+    that stratum; strata are drawn in label order.  Returns a population
+    copy whose ``delta`` column is 1 exactly on the selected units.
     """
     if pop.stratum is None:
         raise ValueError("population has no stratum column")
-    rng = substream(seed)
+    labels = sorted(sizes)
+    counts = [int(sizes[label]) for label in labels]
+    pools = _stratum_pools(pop.stratum, labels, counts)
     delta = np.zeros(pop.N, np.int64)
-    for label in sorted(sizes):
-        n_h = int(sizes[label])
-        pool = np.flatnonzero(pop.stratum == label)
-        if pool.size == 0:
-            raise ValueError(f"stratum {label} has no units")
-        if not 0 <= n_h <= pool.size:
-            raise ValueError(
-                f"stratum {label}: requested {n_h} of {pool.size} units"
-            )
-        if n_h:
-            delta[pool[_srs_positions(pool.size, n_h, rng)]] = 1
+    for pool, pos in zip(pools, _select_strata(pools, counts, substream(seed))):
+        delta[pool[pos]] = 1
     return pop.with_delta(delta)

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["substream"]
+
+
 def substream(seed, *path: int) -> np.random.Generator:
     """Return an independent PCG64 generator for ``seed`` plus a key path.
 

@@ -29,9 +29,9 @@ from .estimators import BigDataTotals, DegenerateStratumError, pdi_total
 from .linalg import SingularControlsError
 from .measurement import MeasurementFitError, two_step_regdi
 from .population import (
-    BigSample,
     FinitePopulation,
-    _srs_positions,
+    _select_strata,
+    _stratum_pools,
     big_data_inclusion_probabilities,
     draw_srs,
     generate_population_sim1,
@@ -215,22 +215,10 @@ class _Sim1Frame:
 def _sim1_frame(pop: FinitePopulation, config: SimConfig) -> _Sim1Frame:
     """Stratum pools, big-source column and truth of one population.
 
-    Raises ``ValueError`` naming ``stratum_sizes`` when a stratum holds
-    fewer units than it is asked to contribute.
+    Raises ``ValueError`` naming ``stratum_sizes`` when the sizes do not
+    fit the population's strata.
     """
-    sizes = config.stratum_sizes
-    if len(sizes) != len(SIM1_STRATA) or sum(sizes) < 1:
-        raise ValueError(
-            f"stratum_sizes needs one size per stratum {SIM1_STRATA}, "
-            "selecting at least one unit in all"
-        )
-    pools = tuple(np.flatnonzero(pop.stratum == label) for label in SIM1_STRATA)
-    for label, pool, n_h in zip(SIM1_STRATA, pools, sizes):
-        if not 0 <= n_h <= pool.size:
-            raise ValueError(
-                f"stratum_sizes asks {n_h} units of stratum {label}, "
-                f"which holds {pool.size}"
-            )
+    pools = _stratum_pools(pop.stratum, SIM1_STRATA, config.stratum_sizes)
     column = pop.y_star if config.scenario == 2 else pop.y
     return _Sim1Frame(
         pop=pop,
@@ -248,10 +236,7 @@ def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int
         )
     pop, scen = frame.pop, config.scenario
     rng_b = substream(seed, 1)
-    chosen = [
-        _srs_positions(pool.size, n_h, rng_b)
-        for pool, n_h in zip(frame.pools, config.stratum_sizes)
-    ]
+    chosen = _select_strata(frame.pools, config.stratum_sizes, rng_b)
     sample = draw_srs(pop, config.n_a, substream(seed, 0))
     sample = replace(sample, delta=frame.membership(chosen, sample.indices))
     N = pop.N
@@ -327,35 +312,19 @@ def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: in
     N_b = int(delta.sum())
     if N_b == 0 or N_b == pop.N:
         raise DegenerateStratumError("membership draw covered none or all units")
-    mask = delta.astype(bool)
-    y_b = pop.y[mask]
-    z_b = pop.z[mask]
-    t_b = float(y_b.sum())
-
+    big = pop.with_delta(delta).big_sample()
     sample = draw_srs(pop, config.n_a, substream(seed, 0))
     sample = replace(sample, delta=delta[sample.indices])
-    big = BigSample(
-        unit_ids=np.flatnonzero(mask) + 1,
-        values=y_b,
-        multiplicity=delta[mask],
-        N=pop.N,
-        z=z_b,
-    )
+    fitted, post = classifier.fit_membership(sample, big, N_b / pop.N, levels)
 
-    m_tables = classifier.estimate_m(big, levels)
-    u0 = classifier.initial_u(sample.z, sample.d, levels)
-    fitted, post = classifier.em_fit(
-        sample, classifier.ClassifierModel(pi=N_b / pop.N, m=m_tables, u=u0)
-    )
-
-    big_totals = BigDataTotals(T_b=t_b, N_b=N_b, N=pop.N)
+    big_totals = BigDataTotals(T_b=float(big.values.sum()), N_b=N_b, N=pop.N)
     naive = pdi_total(sample, post.delta_hat, sample.y, big_totals)
     original = pdi_total(sample, sample.delta, sample.y, big_totals)
-    proposed = classifier.pdi2_total(sample, big, fitted, N=pop.N)
+    proposed = classifier.pdi2_total(sample, big, fitted)
 
     return {
         "mean_a": float(sample.y.mean()),
-        "mean_b": float(y_b.mean()),
+        "mean_b": float(big.values.mean()),
         "naive_di": naive.mean,
         "proposed_di": proposed.mean,
         "original_di": original.mean,

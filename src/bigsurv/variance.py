@@ -6,8 +6,9 @@ The workhorse is the Horvitz-Thompson quadratic form
 
 evaluated over the sampled pairs.  Under simple random sampling it
 collapses algebraically to ``N^2 (1 - n/N) s_r^2 / n`` with ``s_r^2``
-the sample variance of the residuals; both paths are implemented and
-cross-checked in the tests.  Calibration estimators plug in regression
+the sample variance of the residuals.  The sample's ``design`` tag picks
+the form: the closed form for ``"srs"``, the double sum otherwise; the
+tests cross-check the two.  Calibration estimators plug in regression
 residuals (``calibration.regdi_total`` does so itself); the
 mass-imputation variance in ``measurement`` plugs in residuals corrected
 for the estimated measurement model.
@@ -38,49 +39,35 @@ class ResidualSet:
     coefficients: np.ndarray
 
 
-def _pairwise_matrix(sample: ProbabilitySample) -> np.ndarray:
-    provider = sample.joint_pi
-    if provider is None:
-        raise ValueError(
-            "the double-sum variance needs joint inclusion probabilities, "
-            "but the sample's joint_pi is None"
-        )
-    ids = sample.unit_ids
-    if hasattr(provider, "pairwise"):
-        return np.asarray(provider.pairwise(ids), float)
-    k = ids.size
-    out = np.empty((k, k))
-    for a in range(k):
-        for b in range(k):
-            out[a, b] = provider(int(ids[a]), int(ids[b]))
-    return out
-
-
-def ht_variance_quadratic(sample: ProbabilitySample, residuals, method: str = "auto") -> float:
+def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float:
     """Variance of a Horvitz-Thompson total of ``residuals``.
 
-    ``method`` is ``"auto"`` (closed form when the sample is tagged as
-    SRS, the generic double sum otherwise), ``"closed_form"``, or
-    ``"double_sum"``.  The double sum is O(n^2) and meant for designs
-    with an arbitrary joint-inclusion provider.
+    A sample tagged ``design="srs"`` takes the closed form; any other
+    design takes the O(n^2) double sum over the matrix that its
+    ``joint_pi`` provider returns from ``pairwise(unit_ids)``.
     """
     r = np.asarray(residuals, float)
     if r.shape[0] != sample.n:
         raise ValueError("residuals must have one entry per sampled unit")
-    if method == "auto":
-        method = "closed_form" if sample.design == "srs" else "double_sum"
-    if method == "closed_form":
-        if sample.design != "srs":
-            raise ValueError("closed form applies to simple random samples only")
+    provider = sample.joint_pi
+    if provider is None:
+        raise ValueError(
+            "the variance needs joint inclusion probabilities, "
+            "but the sample's joint_pi is None"
+        )
+    if sample.design == "srs":
         n, N = sample.n, sample.N
         if n == N:
             return 0.0
         if n < 2:
             raise ValueError("need at least two sampled units")
         return N * N * (1.0 - n / N) * float(np.var(r, ddof=1)) / n
-    if method != "double_sum":
-        raise ValueError(f"unknown method {method!r}")
-    pj = _pairwise_matrix(sample)
+    if not hasattr(provider, "pairwise"):
+        raise ValueError(
+            "joint_pi must expose pairwise(unit_ids), the matrix of joint "
+            "inclusion probabilities of the sampled units"
+        )
+    pj = np.asarray(provider.pairwise(sample.unit_ids), float)
     pi = sample.pi
     coef = (pj - np.outer(pi, pi)) / pj
     scaled = r / pi

@@ -22,3 +22,12 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"bigsurv.{name}")
     exported = getattr(module, "__all__", ())
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_package_exports_every_library_module_list():
+    """The package ``__all__`` is the union of the library modules'
+    lists; the command-line front end is not re-exported."""
+    library = [
+        importlib.import_module(f"bigsurv.{name}") for name in SUBMODULES if name != "cli"
+    ]
+    assert set(bigsurv.__all__) == {name for m in library for name in m.__all__}

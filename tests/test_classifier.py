@@ -1,5 +1,7 @@
 """Tests for the naive-Bayes membership mixture fitted by EM."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from bigsurv import (
     classify,
     em_fit,
     estimate_m,
+    fit_membership,
     initial_u,
     pdi2_total,
     posterior,
@@ -266,6 +269,70 @@ class TestEMFit:
         assert np.all(post.p_hat > 0.99)
 
 
+    @pytest.mark.parametrize("max_iter", [0, 1, 3])
+    def test_max_iter_bounds_the_m_steps(self, max_iter):
+        """With ``tol=0`` the fit runs ``max_iter`` M-steps, each
+        followed by an E-step after the starting one."""
+        rng = np.random.default_rng(5)
+        z = rng.integers(1, 4, size=(40, 2))
+        sample = make_sample(z)
+        m = (np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5]))
+        u0 = initial_u(z, sample.d, (3, 3))
+        fitted, post = em_fit(
+            sample, ClassifierModel(pi=0.5, m=m, u=u0), tol=0.0, max_iter=max_iter
+        )
+        assert len(post.loglik_trace) == max_iter + 1
+        assert np.array_equal(post.p_hat, posterior(fitted, z))
+        if max_iter == 0:
+            assert all(np.array_equal(a, b) for a, b in zip(fitted.u, u0))
+
+
+class TestFitMembership:
+    def sources(self, seed=3):
+        rng = np.random.default_rng(seed)
+        sample = make_sample(rng.integers(1, 4, size=(30, 2)), d=rng.uniform(1, 3, 30))
+        big = BigSample(
+            unit_ids=np.arange(1, 21),
+            values=np.ones(20),
+            multiplicity=np.ones(20, int),
+            N=100,
+            z=np.column_stack([rng.integers(1, 5, 20), rng.integers(1, 3, 20)]),
+        )
+        return sample, big
+
+    @pytest.mark.parametrize("levels", [None, (4, 3), (6, 5)])
+    def test_equals_the_fit_built_by_hand(self, levels):
+        """``levels`` default to the per-column maxima over both sources."""
+        sample, big = self.sources()
+        fitted, post = fit_membership(sample, big, 0.3, levels)
+        start = (4, 3) if levels is None else levels
+        want, want_post = em_fit(
+            sample,
+            ClassifierModel(
+                pi=0.3, m=estimate_m(big, start), u=initial_u(sample.z, sample.d, start)
+            ),
+        )
+        assert fitted.levels == start
+        assert all(np.array_equal(a, b) for a, b in zip(fitted.u, want.u))
+        assert np.array_equal(post.p_hat, want_post.p_hat)
+        assert post.loglik_trace == want_post.loglik_trace
+
+    def test_missing_z_names_the_side(self):
+        sample, big = self.sources()
+        with pytest.raises(ValueError, match="^the probability sample has no z"):
+            fit_membership(replace(sample, z=None), big, 0.3)
+        with pytest.raises(ValueError, match="^the big source has no z"):
+            fit_membership(sample, replace(big, z=None), 0.3)
+
+    def test_width_mismatch_names_both_sides(self):
+        sample, big = self.sources()
+        narrow = make_sample(sample.z[:, :1], d=sample.d)
+        with pytest.raises(
+            ValueError, match="big source has 2 z columns, the probability sample 1"
+        ):
+            fit_membership(narrow, big, 0.3)
+
+
 class TestPropensityTotals:
     def test_hand_computed(self):
         """Members at level 1 have posterior 0.75 (see the Bayes-rule
@@ -324,7 +391,7 @@ class TestPDI2:
             d=[2.5, 2.5, 2.5, 2.5],
             y=[1.0, 3.0, 5.0, 7.0],
         )
-        report = pdi2_total(sample, big, model, N=10)
+        report = pdi2_total(sample, big, model)
         assert report.total == pytest.approx(8.0 + (10 - 8 / 3) * 2.0)
         assert report.estimator == "pdi2"
 
@@ -360,4 +427,4 @@ class TestPDI2:
         from bigsurv import DegenerateStratumError
 
         with pytest.raises(DegenerateStratumError):
-            pdi2_total(sample, big, model, N=10)
+            pdi2_total(sample, big, model)

@@ -373,6 +373,30 @@ class TestEstimate:
             main(["estimate", "--sample-a", str(sample_path), "--big-data",
                   str(continuous_files["big"]), "--method", "ht"])
 
+    @pytest.mark.parametrize(
+        "text, extra, message",
+        [
+            # the weights round to N = 0
+            ("id,d,pi,y\n1,0.2,5.0,1.0\n", [], "inclusion probabilities"),
+            (
+                "id,d,pi,y\n1,2.0,0.5,1.0\n2,2.0,0.5,2.0\n3,2.0,0.5,3.0\n",
+                ["--pop-n", "2"],
+                "universe size N = 2 is below the sample size 3",
+            ),
+        ],
+    )
+    def test_sample_larger_than_universe_exits_with_one_line(
+        self, continuous_files, tmp_path, text, extra, message
+    ):
+        sample_path = tmp_path / "sample.csv"
+        sample_path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--sample-a", str(sample_path), "--big-data",
+                  str(continuous_files["big"]), "--method", "ht", *extra])
+        text = str(excinfo.value.code)
+        assert text.startswith(f"estimate: {message}")
+        assert "\n" not in text
+
     def test_missing_required_flag_exits_with_usage_error(self, continuous_files):
         with pytest.raises(SystemExit) as excinfo:
             main(["estimate", "--sample-a", str(continuous_files["sample"])])
@@ -411,6 +435,20 @@ class TestClassify:
         model = read_classifier_model(model_path)
         assert model.pi == pytest.approx(categorical_files["pi"])
         assert model.levels == (4, 3)
+
+
+    @pytest.mark.parametrize("side", ["probability sample", "big source"])
+    def test_missing_trait_columns_exit_with_one_line(
+        self, categorical_files, tmp_path, side
+    ):
+        files = {"probability sample": categorical_files["sample"],
+                 "big source": categorical_files["big"]}
+        files[side] = tmp_path / "no_z.csv"
+        files[side].write_text("id,d,pi,y\n1,5.0,0.2,1.0\n2,5.0,0.2,2.0\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["classify", "--sample-a", str(files["probability sample"]),
+                  "--big-data", str(files["big source"]), "--pi", "0.5"])
+        assert str(excinfo.value.code) == f"classify: the {side} has no z columns"
 
 
 class TestSimulateCommands:

@@ -149,6 +149,20 @@ class TestSampleCSV:
         write_sample_csv(path, sample)
         assert read_sample_csv(path).N == 10
 
+    def test_weights_summing_below_one_half_name_pi(self, tmp_path):
+        """The weights round to N = 0, which must not be divided by
+        before ProbabilitySample rejects the probabilities."""
+        path = tmp_path / "sample.csv"
+        path.write_text("id,d,pi,y\n1,0.2,5.0,1.0\n")
+        with pytest.raises(ValueError, match="inclusion probabilities"):
+            read_sample_csv(path)
+
+    def test_universe_below_sample_size_names_N(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("id,d,pi,y\n1,2.0,0.5,1.0\n2,2.0,0.5,2.0\n3,2.0,0.5,3.0\n")
+        with pytest.raises(ValueError, match="universe size N = 2"):
+            read_sample_csv(path, N=2)
+
     def test_missing_design_column_rejected(self, tmp_path):
         path = tmp_path / "sample.csv"
         path.write_text("id,d\n1,2.0\n")

@@ -83,20 +83,52 @@ class TestProbabilitySampleValidation:
             )
 
 
+    def test_universe_below_sample_size_rejected(self):
+        with pytest.raises(ValueError, match="universe size N = 2"):
+            ProbabilitySample(
+                unit_ids=np.array([1, 2, 3]),
+                d=np.full(3, 2.0),
+                pi=np.full(3, 0.5),
+                joint_pi=None,
+                N=2,
+            )
+
+    @pytest.mark.parametrize(
+        "name, column",
+        [
+            ("y", [1.0, 2.0]),
+            ("y_star", [1.0, 2.0, 3.0, 4.0]),
+            ("delta", [1, 0]),
+            ("z", [[1, 2], [2, 1]]),
+            ("y", 1.0),
+        ],
+    )
+    def test_observed_column_needs_one_row_per_unit(self, name, column):
+        with pytest.raises(ValueError, match=rf"^{name} must have one row per sampled unit"):
+            ProbabilitySample(
+                unit_ids=np.array([1, 2, 3]),
+                d=np.full(3, 2.0),
+                pi=np.full(3, 0.5),
+                joint_pi=None,
+                N=6,
+                **{name: column},
+            )
+
+
 class TestSRSJointInclusion:
     def test_hand_computed_pairs(self):
         """n=2 of N=4: pi_i = 1/2, pi_ij = n(n-1)/(N(N-1)) = 1/6."""
         joint = SRSJointInclusion(n=2, N=4)
-        assert joint(1, 1) == pytest.approx(0.5)
-        assert joint(1, 3) == pytest.approx(1 / 6)
+        mat = joint.pairwise(np.array([1, 3]))
+        assert mat == pytest.approx(np.array([[0.5, 1 / 6], [1 / 6, 0.5]]))
 
-    def test_pairwise_matrix_matches_scalar(self):
+    def test_pairwise_matrix_of_three_units(self):
+        """n=3 of N=10: pi_i = 3/10 on the diagonal, pi_ij = 6/90 off it."""
         joint = SRSJointInclusion(n=3, N=10)
-        ids = np.array([2, 5, 9])
-        mat = joint.pairwise(ids)
-        for a in range(3):
-            for b in range(3):
-                assert mat[a, b] == pytest.approx(joint(ids[a], ids[b]))
+        mat = joint.pairwise(np.array([2, 5, 9]))
+        assert mat.shape == (3, 3)
+        assert np.diag(mat) == pytest.approx(np.full(3, 0.3))
+        assert mat[~np.eye(3, dtype=bool)] == pytest.approx(np.full(6, 6 / 90))
 
 
 class TestContinuousPopulation:
@@ -235,8 +267,31 @@ class TestStratifiedSelection:
 
     def test_oversized_request_rejected(self):
         pop = FinitePopulation(y=np.zeros(4), stratum=[1, 1, 2, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="stratum_sizes asks 3 units of stratum 1, which holds 2"
+        ):
             select_big_data_stratified(pop, {1: 3}, 0)
+
+    def test_nothing_asked_rejected(self):
+        pop = FinitePopulation(y=np.zeros(4), stratum=[1, 1, 2, 2])
+        with pytest.raises(ValueError, match="at least one unit in all"):
+            select_big_data_stratified(pop, {1: 0, 2: 0}, 0)
+
+    def test_stratum_asked_for_none_still_draws_its_keys(self):
+        """Strata are drawn in label order from one stream, and every
+        stratum draws its uniform keys, even one asked for no units."""
+        pop = FinitePopulation(y=np.zeros(7), stratum=[1, 1, 1, 2, 2, 2, 2])
+        marked = select_big_data_stratified(pop, {2: 2, 1: 0}, 5)
+        rng = substream(5)
+        rng.random(3)  # stratum 1's keys
+        expected = np.zeros(7, np.int64)
+        expected[3 + np.argpartition(rng.random(4), 2)[:2]] = 1
+        assert np.array_equal(marked.delta, expected)
+
+    def test_empty_stratum_asked_for_none_accepted(self):
+        pop = FinitePopulation(y=np.zeros(3), stratum=[1, 1, 1])
+        marked = select_big_data_stratified(pop, {1: 2, 2: 0}, 0)
+        assert marked.N_b == 2
 
     def test_requires_stratum_column(self):
         pop = FinitePopulation(y=np.zeros(4))

@@ -21,7 +21,7 @@ from bigsurv import (
     run_sim1,
     substream,
 )
-from bigsurv import simulation
+from bigsurv import population, simulation
 from bigsurv.population import _srs_positions
 
 seeds = st.integers(0, 2**32 - 1)
@@ -94,7 +94,7 @@ def test_replicate_matches_full_n_reference(case, scenario, n_a, rep):
         return RecordedSample(**{f.name: getattr(drawn, f.name) for f in fields(drawn)})
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation, "_srs_positions", recording_positions)
+        mp.setattr(population, "_srs_positions", recording_positions)
         mp.setattr(simulation, "draw_srs", recording_draw)
         try:
             record = simulation._sim1_replicate(frame, config, rep, 0)

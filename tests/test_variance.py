@@ -2,6 +2,8 @@
 Horvitz-Thompson quadratic form, calibration residuals, the
 mass-imputation corrector, and the Monte Carlo relative-bias helper."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,12 @@ def srs_sample(n, N, rng=None, **columns):
     )
 
 
+def generic(sample):
+    """The same sample without its SRS tag, so the variance takes the
+    double sum over ``joint_pi.pairwise``."""
+    return replace(sample, design="generic")
+
+
 class TestHTVarianceQuadratic:
     def test_closed_form_hand_computed(self):
         """n = 2 of N = 4, residuals (1, 3): sample variance 2, so
@@ -45,8 +53,8 @@ class TestHTVarianceQuadratic:
         """Same design expanded term by term: diagonal contributions
         0.5 (2 r_i)^2 give 2 + 18, the two cross terms give
         ((1/6 - 1/4) / (1/6)) * 2 * 6 = -6 each, and 20 - 12 = 8."""
-        sample = srs_sample(2, 4)
-        v = ht_variance_quadratic(sample, [1.0, 3.0], method="double_sum")
+        sample = generic(srs_sample(2, 4))
+        v = ht_variance_quadratic(sample, [1.0, 3.0])
         assert v == pytest.approx(8.0)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -56,84 +64,51 @@ class TestHTVarianceQuadratic:
         N = n + int(rng.integers(1, 200))
         sample = srs_sample(n, N, rng)
         r = rng.normal(size=n) * rng.uniform(0.5, 20.0)
-        closed = ht_variance_quadratic(sample, r, method="closed_form")
-        double = ht_variance_quadratic(sample, r, method="double_sum")
+        closed = ht_variance_quadratic(sample, r)
+        double = ht_variance_quadratic(generic(sample), r)
         assert double == pytest.approx(closed, rel=1e-10)
 
     def test_census_variance_is_zero_both_paths(self):
         sample = srs_sample(5, 5)
         r = np.arange(5.0)
-        assert ht_variance_quadratic(sample, r, method="closed_form") == 0.0
-        assert ht_variance_quadratic(sample, r, method="double_sum") == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert ht_variance_quadratic(sample, r) == 0.0
+        assert ht_variance_quadratic(generic(sample), r) == pytest.approx(0.0, abs=1e-12)
 
-    def test_callable_joint_provider(self):
-        """A bare callable (no pairwise method) is evaluated pair by
-        pair and must reproduce the matrix-provider answer."""
-        sample = srs_sample(2, 4)
-        plain = ProbabilitySample(
-            unit_ids=sample.unit_ids,
-            d=sample.d,
-            pi=sample.pi,
-            joint_pi=lambda i, j: 0.5 if i == j else 1.0 / 6.0,
-            N=4,
+    def test_provider_without_pairwise_named(self):
+        """A provider must hand over the whole matrix; a bare per-pair
+        callable is rejected with an error naming ``joint_pi``."""
+        sample = replace(
+            generic(srs_sample(2, 4)), joint_pi=lambda i, j: 0.5 if i == j else 1.0 / 6.0
         )
-        v = ht_variance_quadratic(plain, [1.0, 3.0], method="double_sum")
-        assert v == pytest.approx(8.0)
+        with pytest.raises(ValueError, match="joint_pi must expose pairwise"):
+            ht_variance_quadratic(sample, [1.0, 3.0])
 
-    def test_missing_joint_provider_named(self):
-        """A non-SRS sample without joint inclusion probabilities fails
-        with an error naming ``joint_pi``, not inside the pair loop."""
-        sample = srs_sample(2, 4)
-        bare = ProbabilitySample(
-            unit_ids=sample.unit_ids, d=sample.d, pi=sample.pi, joint_pi=None, N=4
-        )
-        with pytest.raises(ValueError, match="joint_pi"):
+    @pytest.mark.parametrize("design", ["srs", "generic"])
+    def test_missing_joint_provider_named(self, design):
+        """A sample without joint inclusion probabilities fails with an
+        error naming ``joint_pi``, whatever its design tag."""
+        bare = replace(srs_sample(2, 4), joint_pi=None, design=design)
+        with pytest.raises(ValueError, match="joint_pi is None"):
             ht_variance_quadratic(bare, [1.0, 3.0])
 
     def test_auto_dispatches_on_design_tag(self):
+        """The SRS tag takes the closed form N^2 (1 - f) s^2 / n exactly;
+        the same sample untagged takes the double sum."""
         tagged = srs_sample(3, 9)
         r = [1.0, 2.0, 4.0]
-        assert ht_variance_quadratic(tagged, r) == ht_variance_quadratic(
-            tagged, r, method="closed_form"
-        )
-        generic = ProbabilitySample(
-            unit_ids=tagged.unit_ids,
-            d=tagged.d,
-            pi=tagged.pi,
-            joint_pi=SRSJointInclusion(3, 9),
-            N=9,
-        )
-        assert ht_variance_quadratic(generic, r) == pytest.approx(
-            ht_variance_quadratic(tagged, r, method="double_sum")
-        )
-
-    def test_closed_form_requires_srs_tag(self):
-        sample = ProbabilitySample(
-            unit_ids=np.array([1, 2]),
-            d=np.array([2.0, 2.0]),
-            pi=np.array([0.5, 0.5]),
-            joint_pi=SRSJointInclusion(2, 4),
-            N=4,
-        )
-        with pytest.raises(ValueError, match="simple random"):
-            ht_variance_quadratic(sample, [1.0, 2.0], method="closed_form")
+        closed = 81 * (1 - 3 / 9) * float(np.var(r, ddof=1)) / 3
+        assert ht_variance_quadratic(tagged, r) == closed
+        assert ht_variance_quadratic(generic(tagged), r) == pytest.approx(closed)
 
     def test_single_unit_closed_form_rejected(self):
         sample = srs_sample(1, 4)
         with pytest.raises(ValueError, match="two sampled"):
-            ht_variance_quadratic(sample, [1.0], method="closed_form")
+            ht_variance_quadratic(sample, [1.0])
 
     def test_residual_length_checked(self):
         sample = srs_sample(3, 9)
         with pytest.raises(ValueError, match="one entry per"):
             ht_variance_quadratic(sample, [1.0, 2.0])
-
-    def test_unknown_method_rejected(self):
-        sample = srs_sample(2, 4)
-        with pytest.raises(ValueError, match="unknown method"):
-            ht_variance_quadratic(sample, [1.0, 2.0], method="bootstrap")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_unbiased_for_ht_total_under_srs(self, seed):

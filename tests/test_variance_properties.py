@@ -1,0 +1,36 @@
+"""Property test for the variance identity: under simple random sampling
+the Horvitz-Thompson double sum over ``joint_pi.pairwise`` equals the
+closed form ``N^2 (1 - n/N) s_r^2 / n``."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bigsurv import ProbabilitySample, SRSJointInclusion, ht_variance_quadratic
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 80),
+    extra=st.integers(1, 5000),
+    log_scale=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_double_sum_equals_srs_closed_form(n, extra, log_scale, seed):
+    N = n + extra
+    rng = np.random.default_rng(seed)
+    sample = ProbabilitySample(
+        unit_ids=np.sort(rng.choice(np.arange(1, N + 1), size=n, replace=False)),
+        d=np.full(n, N / n),
+        pi=np.full(n, n / N),
+        joint_pi=SRSJointInclusion(n, N),
+        N=N,
+        design="srs",
+    )
+    r = rng.normal(size=n) * 10.0**log_scale
+    closed = ht_variance_quadratic(sample, r)
+    double = ht_variance_quadratic(replace(sample, design="generic"), r)
+    assert double == pytest.approx(closed, rel=1e-9)
