@@ -11,6 +11,8 @@ matched exactly; and a Monte Carlo harness with a command-line front
 end.
 """
 
+import logging
+
 from . import calibration, classifier, estimators, fileio, linalg, measurement
 from . import population, rng, simulation, variance
 from .calibration import *  # noqa: F403
@@ -25,6 +27,10 @@ from .simulation import *  # noqa: F403
 from .variance import *  # noqa: F403
 
 __version__ = "0.1.0"
+
+# a library logs but leaves output to the application: without this,
+# Python prints WARNING records to stderr when nothing is configured
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 # every library module's public names; the command-line front end
 # (``bigsurv.cli``) is not re-exported

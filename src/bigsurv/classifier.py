@@ -21,6 +21,7 @@ fitter enforces that invariant.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +47,8 @@ __all__ = [
 
 # tolerated floating-point slack when asserting log-likelihood ascent
 ASCENT_SLACK = 1e-10
+
+_log = logging.getLogger(__name__)
 
 
 class DegenerateFitError(RuntimeError):
@@ -97,12 +100,17 @@ class ClassifierModel:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorSet:
-    """Per-unit membership posteriors and hard labels."""
+    """Per-unit membership posteriors and hard labels.
+
+    ``converged`` is false when the fit stopped at its iteration limit
+    before the tables settled.
+    """
 
     p_hat: np.ndarray
     delta_hat: np.ndarray
     loglik_trace: tuple[float, ...] = ()
     design_weighted_mean: float | None = None
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,9 @@ def em_fit(
 
     ``model`` supplies the fixed prior ``pi``, the fixed inside tables
     ``m``, and the starting ``u``.  Iterates until the largest ``u``
-    change falls below ``tol`` or ``max_iter`` is reached.  Raises
+    change falls below ``tol`` or ``max_iter`` is reached; in the second
+    case the posteriors say ``converged=False`` and a WARNING goes to the
+    ``bigsurv.classifier`` logger.  Raises
     :class:`AscentViolationError` if the design-weighted log-likelihood
     ever decreases beyond floating slack, and
     :class:`DegenerateFitError` if the posterior mass outside the big
@@ -252,6 +262,11 @@ def em_fit(
             new_u.append(table)
         u = new_u
         converged = biggest <= tol
+    if not converged:
+        _log.warning(
+            "EM stopped at max_iter = %d before the largest u change fell "
+            "below tol = %g", max_iter, tol,
+        )
     p_hat = p_cells[inverse]
     fitted = ClassifierModel(pi=model.pi, m=model.m, u=tuple(u))
     posteriors = PosteriorSet(
@@ -259,6 +274,7 @@ def em_fit(
         delta_hat=classify(p_hat),
         loglik_trace=tuple(trace),
         design_weighted_mean=float(np.dot(sample.d, p_hat) / sample.d.sum()),
+        converged=converged,
     )
     return fitted, posteriors
 

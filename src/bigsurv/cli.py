@@ -361,6 +361,8 @@ def cmd_classify(args, parser) -> int:
         f"fitted mixture in {iters} iterations; "
         f"final log-likelihood {post.loglik_trace[-1]:.6f}"
     )
+    if not post.converged:
+        print("EM did not converge: it stopped at its iteration limit")
     print(
         f"labelled {int(post.delta_hat.sum())}/{sample.n} sampled units as members "
         f"(design-weighted member share {post.design_weighted_mean:.4f})"

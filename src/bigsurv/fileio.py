@@ -1,10 +1,12 @@
 """CSV and text serialisation for populations, samples, and results.
 
-All tabular formats are plain CSV with a header row, written and read
-one column at a time.  A column's type follows from its name: ``id``,
-``delta``, ``stratum``, ``multiplicity``, ``delta_hat`` and ``z1..zK``
-hold int64, every other numeric column float64.  Floats are written with
-``repr`` so a write/read cycle reproduces the array bit for bit.
+All tabular formats are plain CSV with a header row.  A file is read in
+one pass over its rows where it can be, and written in blocks of rows, so
+memory stays bounded for a 10^6-row file.  A column's type follows from
+its name: ``id``, ``delta``, ``stratum``, ``multiplicity``, ``delta_hat``
+and ``z1..zK`` hold int64, every other numeric column float64.  Floats are
+written with ``repr`` so a write/read cycle reproduces the array bit for
+bit.
 
 An optional column is either absent or empty on every row, and comes
 back as ``None``; one that is empty on some rows only is an error.  The
@@ -50,29 +52,75 @@ __all__ = [
 _INT_COLUMNS = {"id", "delta", "stratum", "multiplicity", "delta_hat"}
 
 
+# rows formatted and written at a time: large enough that NumPy does the
+# per-row work, small enough that a block's strings stay a few MB
+_BLOCK_ROWS = 1 << 16
+
+
+def _cells(col, start: int, stop: int):
+    """Rows ``start:stop`` of one :func:`_write_table` column as cells.
+
+    An array's distinct values are formatted once each, floats with
+    ``repr`` and integers with ``str``; float values are told apart by
+    bit pattern, so ``-0.0`` and ``0.0`` keep their own text.
+    """
+    if col is None:
+        return itertools.repeat("", stop - start)
+    if not isinstance(col, np.ndarray):
+        return col[start:stop]
+    block = col[start:stop]
+    if block.dtype.kind == "f":
+        keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        text = map(repr, keys.view(np.float64).tolist())
+    else:
+        keys, inverse = np.unique(block, return_inverse=True)
+        text = map(str, keys.tolist())
+    return np.array(list(text), dtype=object)[inverse]
+
+
 def _write_table(path, columns: dict) -> None:
     """Write ``{name: column}`` as CSV, one row per entry.
 
-    A column is an array (floats go out with ``repr``, integers with
-    ``str``), a list of cells for ``csv`` to format, or ``None`` for a
-    column left empty on every row.
+    A column is a float64 or integer array, a list of cells for ``csv``
+    to format, or ``None`` for a column left empty on every row.  Rows go
+    out in blocks of ``_BLOCK_ROWS``.  A table of arrays is joined
+    directly, since numbers never need quoting; a table with list cells
+    goes through ``csv.writer`` and keeps its minimal quoting.  The bytes
+    are those of one ``csv.writer`` row per entry either way.
     """
     n = max(len(col) for col in columns.values() if col is not None)
-    cells = []
-    for col in columns.values():
-        if col is None:
-            col = itertools.repeat("", n)
-        elif isinstance(col, np.ndarray):
-            col = map(repr if col.dtype.kind == "f" else str, col.tolist())
-        cells.append(col)
+    quoted = any(isinstance(col, list) for col in columns.values())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(zip(*cells, strict=True))
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            rows = zip(*(_cells(col, start, stop) for col in columns.values()), strict=True)
+            if quoted:
+                writer.writerows(rows)
+            else:
+                fh.write("\r\n".join(map(",".join, rows)))
+                fh.write("\r\n")  # csv.writer's line terminator
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 class _Table:
-    """A headered CSV file whose columns are read one at a time."""
+    """A headered CSV file, read in one pass where it can be.
+
+    The constructor reads every column that holds a number in the first
+    data row with one structured ``np.loadtxt`` pass, so a text column no
+    reader asks for costs nothing.  A column empty there, or every column
+    when that pass fails, is read on its own when asked for, which tells
+    an all-empty optional column from a bad one and names the column at
+    fault.
+    """
 
     def __init__(self, path):
         self.path = path
@@ -81,15 +129,40 @@ class _Table:
             header = next(reader, None)
             if header is None:
                 raise ValueError(f"{path}: empty file")
-            if not any(reader):  # stops at the first data row
+            first = next(filter(None, reader), None)  # blank lines hold no row
+            if first is None:
                 raise EmptyPopulationError(f"{path}: no data rows")
         self.names = [name.strip() for name in header]
         self._index = {name: j for j, name in enumerate(self.names)}
         z_names = (name for name in self.names if name[:1] == "z" and name[1:].isdigit())
         self._z_names = sorted(z_names, key=lambda name: int(name[1:]))
+        self._read = functools.partial(
+            np.loadtxt, path, delimiter=",", skiprows=1, comments=None,
+            quotechar='"', ndmin=1,
+        )
+        self._values = self._read_together(first)
+
+    def _read_together(self, first: list[str]) -> dict:
+        """Every column holding a number in ``first``, the first data row,
+        by one structured pass; ``{}`` when that pass fails."""
+        present = sorted(
+            (j, name) for name, j in self._index.items()
+            if j < len(first) and _is_number(first[j])
+        )
+        if not present:
+            return {}
+        dtype = np.dtype([(f"c{j}", self._dtype(name)) for j, name in present])
+        try:
+            records = self._read(usecols=[j for j, _ in present], dtype=dtype)
+        except ValueError:
+            return {}  # column() then reads each column alone and names the fault
+        return {name: np.ascontiguousarray(records[f"c{j}"]) for j, name in present}
+
+    def _dtype(self, name: str):
+        return np.int64 if name in _INT_COLUMNS or name in self._z_names else np.float64
 
     def column(self, name: str, optional: bool = False) -> np.ndarray | None:
-        """Column ``name``, int64 or float64 by name.
+        """Column ``name``, int64 or float64 by name, and read-only.
 
         An optional column that is absent or empty on every row comes
         back as ``None``.
@@ -98,23 +171,27 @@ class _Table:
             if optional:
                 return None
             raise ValueError(f"{self.path}: missing column {name!r}")
-        read = functools.partial(
-            np.loadtxt, self.path, delimiter=",", skiprows=1, comments=None,
-            quotechar='"', ndmin=1, usecols=self._index[name],
-        )
-        dtype = np.int64 if name in _INT_COLUMNS or name in self._z_names else np.float64
-        try:
-            values = read(dtype=dtype)
-        except ValueError as exc:
-            error = exc
-        else:
-            if dtype is np.int64 or np.isfinite(values).all():
-                return values
+        values = self._values.get(name)
+        if values is None:
+            values = self._read_alone(name, optional)
+            if values is None:
+                return None
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
             row = np.flatnonzero(~np.isfinite(values))[0] + 1
             raise ValueError(
                 f"{self.path}: column {name!r} holds a non-finite value in data row {row}"
             )
-        # find out why the column failed to parse
+        values.setflags(write=False)
+        return values
+
+    def _read_alone(self, name: str, optional: bool) -> np.ndarray | None:
+        """Column ``name`` by a pass of its own, ``None`` if it is optional
+        and empty on every row; else say why it does not parse."""
+        read = functools.partial(self._read, usecols=self._index[name])
+        try:
+            return read(dtype=self._dtype(name))
+        except ValueError as exc:
+            error = exc
         try:
             with warnings.catch_warnings():
                 # a text read warns about blank lines, which the typed read skips
@@ -140,10 +217,13 @@ class _Table:
         return ids
 
     def z(self) -> np.ndarray | None:
-        """The ``z1..zK`` columns stacked in numeric order, or ``None``."""
+        """The ``z1..zK`` columns stacked in numeric order, read-only, or
+        ``None``."""
         if not self._z_names:
             return None
-        return np.column_stack([self.column(name) for name in self._z_names])
+        z = np.column_stack([self.column(name) for name in self._z_names])
+        z.setflags(write=False)
+        return z
 
 
 def _z_columns(z) -> dict:

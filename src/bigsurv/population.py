@@ -49,12 +49,23 @@ class InfeasibleSelectionError(ValueError):
     """Raised when requested big-data inclusion rates leave ``(0, 1]``."""
 
 
+# the design tags a ProbabilitySample accepts
+_DESIGNS = ("srs", "generic")
+
+
 def _frozen(a, dtype) -> np.ndarray:
     out = np.asarray(a, dtype=dtype)
     if out is a and out.flags.writeable:
         out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` marked read-only: a freshly built array that :func:`_frozen`
+    then keeps without a copy."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +113,7 @@ class FinitePopulation:
                 raise ValueError(f"{name} must have {n} rows")
             object.__setattr__(self, name, col)
         if self.delta is None:
-            object.__setattr__(self, "delta", _frozen(np.zeros(n, np.int64), np.int64))
+            object.__setattr__(self, "delta", _read_only(np.zeros(n, np.int64)))
         if (self.delta < 0).any():
             raise ValueError("delta entries must be non-negative")
 
@@ -198,11 +209,22 @@ class SRSJointInclusion:
     N: int
 
     def pairwise(self, unit_ids) -> np.ndarray:
+        if self.n < 2:
+            raise ValueError(
+                f"joint_pi: an SRS of n = {self.n} holds no pair of units, so every "
+                "pi_ij is 0 and the variance has no unbiased estimator"
+            )
         k = len(unit_ids)
         off = self.n * (self.n - 1) / (self.N * (self.N - 1))
         out = np.full((k, k), off)
         np.fill_diagonal(out, self.n / self.N)
         return out
+
+    def row_sums(self, unit_ids) -> np.ndarray:
+        """``sum_j (pi_ij - pi_i pi_j) / pi_ij`` for each of the ``n``
+        sampled units: exactly zero, since each row holds ``1 - f`` once
+        and ``-(1 - f) / (n - 1)`` for each of the other ``n - 1`` units."""
+        return np.zeros(len(unit_ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +235,8 @@ class ProbabilitySample:
     ``pairwise(unit_ids)``, the matrix over the given units.  Observed
     columns (``y``, ``y_star``, ``delta``, ``z``) are optional views of
     the parent population restricted to the drawn units, one row per
-    drawn unit.
+    drawn unit.  ``design`` is ``"srs"`` for simple random sampling and
+    ``"generic"`` for any other design.
     """
 
     unit_ids: np.ndarray
@@ -242,6 +265,8 @@ class ProbabilitySample:
             raise ValueError("design weights must be reciprocal inclusion probabilities")
         if self.N < k:
             raise ValueError(f"universe size N = {self.N} is below the sample size {k}")
+        if self.design not in _DESIGNS:
+            raise ValueError(f"design must be one of {_DESIGNS}, not {self.design!r}")
         for name, dtype in (
             ("y", np.float64), ("y_star", np.float64), ("delta", np.int64), ("z", np.int64)
         ):
@@ -285,7 +310,9 @@ def generate_population_sim1(N: int, seed) -> FinitePopulation:
     u = rng.normal(0.0, 0.5, N)
     y_star = 2.0 + 0.9 * (y - 3.0) + u
     stratum = np.where(x <= 2.0, 1, 2).astype(np.int64)
-    return FinitePopulation(y=y, y_star=y_star, stratum=stratum)
+    return FinitePopulation(
+        y=_read_only(y), y_star=_read_only(y_star), stratum=_read_only(stratum)
+    )
 
 
 def big_data_inclusion_probabilities(z1, target_size: int) -> np.ndarray:
@@ -333,7 +360,7 @@ def generate_population_sim2(N: int, N_B: int, seed) -> FinitePopulation:
     probs = big_data_inclusion_probabilities(z1, N_B)
     delta = (rng.random(N) < probs).astype(np.int64)
     z = np.column_stack([z1, z2])
-    return FinitePopulation(y=y, z=z, delta=delta)
+    return FinitePopulation(y=_read_only(y), z=_read_only(z), delta=_read_only(delta))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,9 @@ def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float:
 
     A sample tagged ``design="srs"`` takes the closed form; any other
     design takes the O(n^2) double sum over the matrix that its
-    ``joint_pi`` provider returns from ``pairwise(unit_ids)``.
+    ``joint_pi`` provider returns from ``pairwise(unit_ids)``, evaluated
+    in the Sen-Yates-Grundy difference form plus the row-sum term, which
+    the provider may supply as ``row_sums(unit_ids)``.
     """
     r = np.asarray(residuals, float)
     if r.shape[0] != sample.n:
@@ -70,8 +72,20 @@ def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float:
     pj = np.asarray(provider.pairwise(sample.unit_ids), float)
     pi = sample.pi
     coef = (pj - np.outer(pi, pi)) / pj
-    scaled = r / pi
-    return float(scaled @ coef @ scaled)
+    a = r / pi
+    # a'Ca = -1/2 sum_ij C_ij (a_i - a_j)^2 + sum_i a_i^2 rho_i with
+    # rho_i = sum_j C_ij.  The first term is built from differences, so it
+    # does not cancel when the a_i lie far from zero but close together;
+    # a provider that knows its rows sum to zero (SRS) says so exactly,
+    # where sums of rounded entries would leave about eps * a_i^2 each
+    if hasattr(provider, "row_sums"):
+        rho = np.asarray(provider.row_sums(sample.unit_ids), float)
+    else:
+        rho = coef.sum(axis=1)
+    squares = np.subtract.outer(a, a)
+    squares *= squares
+    squares *= coef
+    return float(-0.5 * squares.sum() + np.dot(a * a, rho))
 
 
 def regdi_residuals(sample: ProbabilitySample, y, controls) -> ResidualSet:

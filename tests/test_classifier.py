@@ -1,5 +1,6 @@
 """Tests for the naive-Bayes membership mixture fitted by EM."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +286,31 @@ class TestEMFit:
         assert np.array_equal(post.p_hat, posterior(fitted, z))
         if max_iter == 0:
             assert all(np.array_equal(a, b) for a, b in zip(fitted.u, u0))
+
+    def em_problem(self):
+        rng = np.random.default_rng(5)
+        z = rng.integers(1, 4, size=(40, 2))
+        sample = make_sample(z)
+        m = (np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5]))
+        return sample, ClassifierModel(pi=0.5, m=m, u=initial_u(z, sample.d, (3, 3)))
+
+    def test_stopping_at_max_iter_is_reported(self, caplog):
+        """A fit cut off by its iteration limit says so: ``converged`` is
+        false and one WARNING goes to the ``bigsurv.classifier`` logger."""
+        sample, model = self.em_problem()
+        with caplog.at_level(logging.WARNING, logger="bigsurv.classifier"):
+            _, post = em_fit(sample, model, max_iter=1)
+        assert post.converged is False
+        records = [r for r in caplog.records if r.name == "bigsurv.classifier"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert "max_iter = 1" in records[0].getMessage()
+
+    def test_converged_fit_logs_nothing(self, caplog):
+        sample, model = self.em_problem()
+        with caplog.at_level(logging.DEBUG, logger="bigsurv.classifier"):
+            _, post = em_fit(sample, model)
+        assert post.converged is True
+        assert not [r for r in caplog.records if r.name == "bigsurv.classifier"]
 
 
 class TestFitMembership:

@@ -2,6 +2,7 @@
 ``main(argv)`` with files in a temporary directory."""
 
 import csv
+import functools
 import json
 import os
 import re
@@ -424,6 +425,7 @@ class TestClassify:
         out = capsys.readouterr().out
         assert code == 0
         assert "fitted mixture" in out
+        assert "did not converge" not in out
         big_labels = tmp_path / "labels_big.csv"
         model_path = tmp_path / "labels.model.txt"
         assert out_path.exists() and big_labels.exists() and model_path.exists()
@@ -436,6 +438,22 @@ class TestClassify:
         assert model.pi == pytest.approx(categorical_files["pi"])
         assert model.levels == (4, 3)
 
+    def test_unconverged_fit_is_printed(
+        self, categorical_files, tmp_path, capsys, monkeypatch
+    ):
+        """A fit that stops at its iteration limit says so on stdout."""
+        monkeypatch.setattr(
+            bigsurv.classifier, "em_fit",
+            functools.partial(bigsurv.classifier.em_fit, max_iter=1),
+        )
+        code = main(["classify", "--sample-a", str(categorical_files["sample"]),
+                     "--big-data", str(categorical_files["big"]),
+                     "--pi", str(categorical_files["pi"]),
+                     "--out", str(tmp_path / "labels.csv")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "fitted mixture in 1 iterations" in out
+        assert "EM did not converge: it stopped at its iteration limit" in out
 
     @pytest.mark.parametrize("side", ["probability sample", "big source"])
     def test_missing_trait_columns_exit_with_one_line(

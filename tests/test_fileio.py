@@ -265,6 +265,30 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match="big.csv: column 'z1': could not convert"):
             read_big_data_csv(path, N=10)
 
+    def test_bad_cell_late_in_last_column_is_named(self, tmp_path):
+        """The one-pass read fails on the last column of row 500, and the
+        column-by-column diagnosis that follows names that column."""
+        rows = [f"{i},{i / 4!r},1,{1 + i % 3}" for i in range(1, 501)]
+        rows[-1] = "500,125.0,1,x"
+        path = tmp_path / "big.csv"
+        path.write_text("id,y,multiplicity,z1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="big.csv: column 'z1': could not convert"):
+            read_big_data_csv(path, N=1000)
+
+    def test_empty_column_between_present_ones_reads_as_none(self, tmp_path):
+        """An optional column empty on every row is left out of the
+        one-pass read; its neighbours come back exactly."""
+        path = tmp_path / "sample.csv"
+        path.write_text(
+            "id,d,pi,y,y_star,delta\n"
+            "3,4.0,0.25,-0.0,,1\n9,4.0,0.25,0.1,,0\n12,4.0,0.25,1e-300,,1\n"
+        )
+        back = read_sample_csv(path, N=12)
+        assert back.y_star is None
+        assert back.y.tobytes() == np.array([-0.0, 0.1, 1e-300]).tobytes()
+        assert back.delta.dtype == np.int64 and back.delta.tolist() == [1, 0, 1]
+        assert back.unit_ids.tolist() == [3, 9, 12]
+
     def test_partially_missing_column_is_named(self, tmp_path):
         path = tmp_path / "sample.csv"
         path.write_text("id,d,pi,y,y_star\n1,5.0,0.2,1.0,\n2,5.0,0.2,1.5,2.5\n")

@@ -6,7 +6,8 @@ writers and read back; every array must come back with the same dtype
 and the same bytes (so -0.0, subnormals and +-1e308 survive), and every
 optional column left out must come back as ``None``.  The written bytes
 must also equal a row-by-row ``csv.writer`` + ``repr`` reference kept
-here, so the columnar writer cannot drift from the documented format.
+here, so the block writer, which formats each distinct value once, cannot
+drift from the documented format.
 """
 
 import csv
@@ -15,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,12 +28,16 @@ from bigsurv import (
     read_population_csv,
     read_sample_csv,
     write_big_data_csv,
+    write_labels_csv,
     write_population_csv,
     write_sample_csv,
 )
+from bigsurv.fileio import _BLOCK_ROWS, _Table
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]
 floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+# a posterior takes one value per z cell, so a labels column repeats a few
+few_floats = st.sampled_from([-0.0, 0.0, 0.5, 0.1 + 0.2, 5e-324, 1.0, 1 - 2**-53])
 ints = st.integers(-(2**62), 2**62)
 
 
@@ -96,6 +102,18 @@ def populations(draw):
         delta=int_col(draw, n, st.integers(0, 2**62)),
         stratum=maybe(draw, lambda: int_col(draw, n)),
     )
+
+
+@st.composite
+def label_sets(draw):
+    """``(ids, p_hat, delta_hat)`` with few distinct ``p_hat`` values,
+    ``-0.0`` and ``0.0`` among them."""
+    n = draw(st.integers(0, 30))
+    p_hat = np.array(
+        draw(st.permutations([-0.0, 0.0, *draw(st.lists(few_floats, min_size=n, max_size=n))]))
+    )
+    ids = draw(st.lists(ints, min_size=n + 2, max_size=n + 2, unique=True))
+    return np.array(ids, np.int64), p_hat, (p_hat > 0.5).astype(np.int64)
 
 
 def reference_bytes(columns: dict, n: int) -> bytes:
@@ -178,3 +196,54 @@ def test_population_round_trip_is_bit_exact(pop):
     }
     assert written == reference_bytes(layout, pop.N)
     assert_same(back, pop, ("y", "y_star", "z", "delta", "stratum"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_sets())
+def test_labels_round_trip_keeps_signed_zeros(labels):
+    ids, p_hat, delta_hat = labels
+    layout = {"id": ids, "p_hat": p_hat, "delta_hat": delta_hat}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "labels.csv")
+        write_labels_csv(path, ids, p_hat, delta_hat)
+        written = path.read_bytes()
+        table = _Table(path)
+        back = {name: table.column(name) for name in layout}
+    assert written == reference_bytes(layout, ids.size)
+    for name, col in layout.items():
+        assert back[name].dtype == col.dtype and back[name].tobytes() == col.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["labels", "sample"])
+def test_file_longer_than_one_block_matches_reference(tmp_path, kind):
+    """70,000 rows cross a block boundary; the bytes must still be one
+    ``csv.writer`` row per unit."""
+    n = 70_000
+    assert n > _BLOCK_ROWS
+    rng = np.random.default_rng(6)
+    ids = np.arange(1, n + 1, dtype=np.int64) * 3
+    pool = np.concatenate([[-0.0, 0.0, 5e-324, -1e308], rng.normal(size=196)])
+    values = pool[rng.integers(0, pool.size, n)]
+    path = tmp_path / f"{kind}.csv"
+    if kind == "labels":
+        layout = {"id": ids, "p_hat": values, "delta_hat": (values > 0.5).astype(np.int64)}
+        write_labels_csv(path, *layout.values())
+    else:
+        z = rng.integers(1, 21, size=(n, 2))
+        sample = ProbabilitySample(
+            unit_ids=ids, d=np.full(n, 4.0), pi=np.full(n, 0.25), joint_pi=None,
+            N=4 * n, y=values, y_star=None, delta=rng.integers(0, 2, n), z=z,
+        )
+        write_sample_csv(path, sample)
+        layout = {
+            "id": ids, "d": sample.d, "pi": sample.pi, "y": values, "y_star": None,
+            "delta": sample.delta, **z_layout(z),
+        }
+    assert path.read_bytes() == reference_bytes(layout, n)
+    table = _Table(path)
+    for name, col in layout.items():
+        back = table.column(name, optional=True)
+        if col is None:
+            assert back is None, name
+        else:
+            assert back.dtype == col.dtype and back.tobytes() == col.tobytes(), name

@@ -114,6 +114,20 @@ class TestProbabilitySampleValidation:
                 **{name: column},
             )
 
+    @pytest.mark.parametrize("design", ["Srs", "poisson", ""])
+    def test_unknown_design_tag_rejected(self, design):
+        """Only the tags the variance code knows are accepted, so a
+        misspelt ``"Srs"`` cannot silently take the double sum."""
+        with pytest.raises(ValueError, match=r"^design must be one of \('srs', 'generic'\)"):
+            ProbabilitySample(
+                unit_ids=np.array([1, 2]),
+                d=np.full(2, 2.0),
+                pi=np.full(2, 0.5),
+                joint_pi=SRSJointInclusion(2, 4),
+                N=4,
+                design=design,
+            )
+
 
 class TestSRSJointInclusion:
     def test_hand_computed_pairs(self):
@@ -129,6 +143,12 @@ class TestSRSJointInclusion:
         assert mat.shape == (3, 3)
         assert np.diag(mat) == pytest.approx(np.full(3, 0.3))
         assert mat[~np.eye(3, dtype=bool)] == pytest.approx(np.full(6, 6 / 90))
+
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_single_unit_design_has_no_pairs(self, N):
+        """n = 1 makes every pi_ij zero, so no matrix is handed out."""
+        with pytest.raises(ValueError, match="^joint_pi: an SRS of n = 1 holds no pair"):
+            SRSJointInclusion(n=1, N=N).pairwise(np.array([1]))
 
 
 class TestContinuousPopulation:

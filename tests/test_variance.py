@@ -74,6 +74,16 @@ class TestHTVarianceQuadratic:
         assert ht_variance_quadratic(sample, r) == 0.0
         assert ht_variance_quadratic(generic(sample), r) == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_unit_raises_under_both_tags(self):
+        """n = 1 of N = 4 holds no sampled pair, so neither form has an
+        unbiased variance: the closed form and the double sum both raise,
+        the double sum naming ``joint_pi``."""
+        sample = srs_sample(1, 4)
+        with pytest.raises(ValueError, match="need at least two sampled units"):
+            ht_variance_quadratic(sample, [2.0])
+        with pytest.raises(ValueError, match="^joint_pi: "):
+            ht_variance_quadratic(generic(sample), [2.0])
+
     def test_provider_without_pairwise_named(self):
         """A provider must hand over the whole matrix; a bare per-pair
         callable is rejected with an error naming ``joint_pi``."""

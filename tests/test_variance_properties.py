@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bigsurv import ProbabilitySample, SRSJointInclusion, ht_variance_quadratic
@@ -19,6 +19,10 @@ from bigsurv import ProbabilitySample, SRSJointInclusion, ht_variance_quadratic
     log_scale=st.floats(-6.0, 6.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# two residuals far from zero but close together, where the plain
+# quadratic form missed the bound by cancellation
+@example(n=2, extra=8, log_scale=2.0, seed=81834)
+@example(n=2, extra=84, log_scale=0.0, seed=92)
 def test_double_sum_equals_srs_closed_form(n, extra, log_scale, seed):
     N = n + extra
     rng = np.random.default_rng(seed)
