@@ -1,12 +1,12 @@
 """CSV and text serialisation for populations, samples, and results.
 
 All tabular formats are plain CSV with a header row.  A file is read in
-one pass over its rows where it can be, and written in blocks of rows, so
-memory stays bounded for a 10^6-row file.  A column's type follows from
-its name: ``id``, ``delta``, ``stratum``, ``multiplicity``, ``delta_hat``
-and ``z1..zK`` hold int64, every other numeric column float64.  Floats are
-written with ``repr`` so a write/read cycle reproduces the array bit for
-bit.
+one pass over its rows where it can be.  It is written in blocks of rows,
+so a write takes bounded memory however long the file is.  A column's
+type follows from its name: ``id``, ``delta``, ``stratum``,
+``multiplicity``, ``delta_hat`` and ``z1..zK`` hold int64, every other
+numeric column float64.  Floats are written with ``repr`` so a write/read
+cycle reproduces the array bit for bit.
 
 An optional column is either absent or empty on every row, and comes
 back as ``None``; one that is empty on some rows only is an error.  The
@@ -103,23 +103,14 @@ def _write_table(path, columns: dict) -> None:
                 fh.write("\r\n")  # csv.writer's line terminator
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
 class _Table:
     """A headered CSV file, read in one pass where it can be.
 
-    The constructor reads every column that holds a number in the first
-    data row with one structured ``np.loadtxt`` pass, so a text column no
-    reader asks for costs nothing.  A column empty there, or every column
-    when that pass fails, is read on its own when asked for, which tells
-    an all-empty optional column from a bad one and names the column at
-    fault.
+    The constructor reads every column that is non-empty in the first
+    data row with one structured ``np.loadtxt`` pass.  A column empty
+    there, or every column when that pass fails, is read on its own when
+    asked for, which tells an all-empty optional column from a bad one and
+    names the column at fault.
     """
 
     def __init__(self, path):
@@ -143,11 +134,11 @@ class _Table:
         self._values = self._read_together(first)
 
     def _read_together(self, first: list[str]) -> dict:
-        """Every column holding a number in ``first``, the first data row,
-        by one structured pass; ``{}`` when that pass fails."""
+        """Every column non-empty in ``first``, the first data row, by one
+        structured pass; ``{}`` when that pass fails."""
         present = sorted(
             (j, name) for name, j in self._index.items()
-            if j < len(first) and _is_number(first[j])
+            if j < len(first) and first[j] != ""
         )
         if not present:
             return {}

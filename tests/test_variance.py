@@ -68,6 +68,33 @@ class TestHTVarianceQuadratic:
         double = ht_variance_quadratic(generic(sample), r)
         assert double == pytest.approx(closed, rel=1e-10)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_double_sum_without_row_sums(self, seed):
+        """A provider that gives only ``pairwise`` gets its row sums
+        summed from the matrix.  Under Poisson sampling pi_ij = pi_i pi_j
+        off the diagonal, so the double sum is sum_i (1 - pi_i) (r_i / pi_i)^2
+        and every row sum 1 - pi_i is non-zero."""
+
+        class PoissonPairwise:
+            def __init__(self, pi):
+                self.pi = pi
+
+            def pairwise(self, unit_ids):
+                out = np.outer(self.pi, self.pi)
+                np.fill_diagonal(out, self.pi)
+                return out
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 51))
+        pi = rng.uniform(0.05, 0.9, n)
+        sample = ProbabilitySample(
+            unit_ids=np.arange(1, n + 1), d=1.0 / pi, pi=pi,
+            joint_pi=PoissonPairwise(pi), N=10 * n, design="generic",
+        )
+        r = rng.normal(size=n) * rng.uniform(0.5, 20.0)
+        expected = float(np.sum((1.0 - pi) * (r / pi) ** 2))
+        assert ht_variance_quadratic(sample, r) == pytest.approx(expected, rel=1e-10)
+
     def test_census_variance_is_zero_both_paths(self):
         sample = srs_sample(5, 5)
         r = np.arange(5.0)
