@@ -52,7 +52,8 @@ print(f"ratio-adjusted       {ratio.mean:.4f}")
 s_full = float(np.var(pop.y, ddof=1))
 s_out = float(np.var(pop.y[marked.delta == 0], ddof=1))
 approx = pdi_variance_approx(W_b=marked.W_b, S_c2=s_out, N=pop.N, n=sample.n)
-print(f"\napprox SE (mean):    {np.sqrt(approx) / pop.N:.4f}")
+print(f"\napprox SE (mean):    {np.sqrt(approx) / pop.N:.4f}  (planning formula)")
+print(f"estimated SE (mean): {np.sqrt(pdi.variance) / pop.N:.4f}  (pdi_total's own)")
 n_star = effective_sample_size(n=sample.n, W_b=marked.W_b, S2=s_full, S_c2=s_out)
 print(f"effective n:         {n_star:.0f}  (from n = {sample.n})")
 

@@ -153,23 +153,19 @@ def estimate_m(big: BigSample, levels=None) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def initial_u(z, d, levels, jitter_seed=None) -> tuple[np.ndarray, ...]:
+def initial_u(z, d, levels) -> tuple[np.ndarray, ...]:
     """Starting tables for EM: smoothed design-weighted frequencies.
 
     Each cell receives ``1 / (2 n)`` before normalisation so every
-    enumerated level starts with support.  ``jitter_seed`` perturbs the
-    start multiplicatively for multi-start exploration.
+    enumerated level starts with support.
     """
     z = _validate_z(z, levels)
     d = np.asarray(d, float)
     n = z.shape[0]
-    rng = None if jitter_seed is None else np.random.default_rng(jitter_seed)
     out = []
     for k, D in enumerate(levels):
         freq = np.bincount(z[:, k] - 1, weights=d, minlength=D)
         freq = freq / freq.sum() + 1.0 / (2 * n)
-        if rng is not None:
-            freq = freq * rng.uniform(0.8, 1.2, D)
         out.append(freq / freq.sum())
     return tuple(out)
 
@@ -337,7 +333,9 @@ def pdi2_total(
     :func:`pdi_total` with the unknown matched membership replaced by
     model labels on the design sample and the big-data totals by their
     inverse-propensity-corrected versions.  Valid when membership is
-    ignorable given the matching variables.
+    ignorable given the matching variables.  The variance is
+    :func:`pdi_total`'s plug-in one: it leaves out the error of the
+    fitted classifier.
     """
     if sample.z is None or sample.y is None:
         raise ValueError("sample must carry z rows and y values")
@@ -347,5 +345,8 @@ def pdi2_total(
     return replace(
         report,
         estimator="pdi2",
-        notes=("assumes membership is ignorable given the matching variables",),
+        notes=(
+            "assumes membership is ignorable given the matching variables",
+            "variance treats the classified labels as known",
+        ),
     )

@@ -40,25 +40,6 @@ from .simulation import SimConfig, run_sim1, run_sim2, summary_rows
 
 __all__ = ["main"]
 
-CONFIG_KEYS = {
-    "scenario",
-    "reps",
-    "seed",
-    "n_a",
-    "pop_n",
-    "big",
-    "big_n",
-    "out",
-    "sample_a",
-    "big_data",
-    "method",
-    "controls",
-    "pi",
-    "workers",
-    "regenerate_population",
-}
-
-
 def _coerce(text: str):
     lowered = text.strip().lower()
     if lowered in ("true", "false"):
@@ -71,7 +52,7 @@ def _coerce(text: str):
     return text.strip()
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys) -> dict:
     raw = Path(path).read_text()
     if raw.lstrip().startswith("{"):
         values = json.loads(raw)
@@ -88,7 +69,7 @@ def _load_config(path: str) -> dict:
     normalized = {}
     for key, value in values.items():
         key = key.strip().replace("-", "_")
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise SystemExit(f"unknown config key: {key!r}")
         normalized[key] = value
     return normalized
@@ -218,6 +199,8 @@ def _print_summary(summary) -> None:
         print(f"variance relative bias (regdi): {summary.var_rel_bias:+.4f}")
     if summary.failures:
         print(f"replicate failures redrawn: {summary.failures}")
+    if summary.unconverged:
+        print(f"EM fits stopped at max_iter: {summary.unconverged}")
 
 
 def _emit_summary(summary, out) -> None:
@@ -292,19 +275,12 @@ def cmd_estimate(args, parser) -> int:
             raise SystemExit(f"{method} needs a y column in the sample")
         delta = _with_big_matches(sample, big).delta
         totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=sample.N)
-        known = {"delta": delta, "N": totals.N, "N_b": totals.N_b, "T_b": totals.T_b}
         if method == "pdi":
             report = pdi_total(sample, delta, sample.y, totals)
-            # the calibration form has the same total and supplies the
-            # variance; a fully covered design without joint
-            # probabilities keeps its total without calibrating
-            if sample.joint_pi is not None:
-                spec = build_controls("standard", y=sample.y, **known)
-                variance = regdi_total(sample, sample.y, spec).variance
-                report = dataclasses.replace(report, variance=variance)
         elif method == "ratio":
             report = ratio_di_total(sample, delta, sample.y, totals.T_b)
         else:
+            known = {"delta": delta, "N": totals.N, "N_b": totals.N_b, "T_b": totals.T_b}
             if args.controls == "proxy_ystar":
                 if sample.y_star is None:
                     raise SystemExit("proxy_ystar controls need a y_star column")
@@ -379,7 +355,9 @@ def main(argv=None) -> int:
     peek.add_argument("--config")
     known, _ = peek.parse_known_args(argv)
     if known.config:
-        overrides = _load_config(known.config)
+        # every destination a subcommand parses is a config key
+        keys = {dest for sub in commands.values() for dest in vars(sub.parse_args([]))}
+        overrides = _load_config(known.config, keys - {"func", "config"})
         for sub in commands.values():
             sub.set_defaults(**overrides)
 

@@ -109,11 +109,7 @@ def ht_total(sample: ProbabilitySample, values) -> EstimateReport:
 
 
 def pdi_total(
-    sample: ProbabilitySample,
-    delta,
-    y,
-    big: BigDataTotals,
-    population_size_known: bool = True,
+    sample: ProbabilitySample, delta, y, big: BigDataTotals
 ) -> EstimateReport:
     """Post-stratified data-integration total.
 
@@ -122,25 +118,28 @@ def pdi_total(
 
         T_b + (N - N_b) * sum_A d (1-delta) y / sum_A d (1-delta)
 
-    With ``population_size_known=False`` the unadjusted variant
-    ``T_b + sum_A d (1-delta) y`` is returned instead (tag ``"di"``),
-    which does not need ``N - N_b``.
+    All of its sampling variance comes from the uncovered stratum.  When
+    the sample has joint inclusion probabilities the report carries the
+    Horvitz-Thompson variance of the linearized residual
+    ``(1-delta) (y - ybar_c)``, with ``ybar_c`` the ratio mean above; for
+    SRS that is the post-stratification variance of Särndal, Swensson &
+    Wretman (1992).  Under full coverage no sampled value enters the
+    estimate, and the variance is zero.
     """
     delta = np.asarray(delta)
     y = np.asarray(y, float)
     _check_lengths(sample, delta, y)
-    out_mask = delta == 0
-    out_weighted = float(np.dot(sample.d[out_mask], y[out_mask]))
-    if not population_size_known:
-        return EstimateReport(
-            estimator="di",
-            total=big.T_b + out_weighted,
-            population_size=big.N,
-            notes=("uncovered stratum expanded by design weights alone",),
-        )
+    has_variance = sample.joint_pi is not None
     if big.N_b == big.N:
         # full coverage: the big source already is the universe
-        return EstimateReport(estimator="pdi", total=big.T_b, population_size=big.N)
+        return EstimateReport(
+            estimator="pdi",
+            total=big.T_b,
+            population_size=big.N,
+            variance=0.0 if has_variance else None,
+        )
+    out_mask = delta == 0
+    out_weighted = float(np.dot(sample.d[out_mask], y[out_mask]))
     denom = float(sample.d[out_mask].sum())
     if denom <= 0.0:
         raise DegenerateStratumError(
@@ -148,7 +147,13 @@ def pdi_total(
             "the uncovered post-stratum mean is not estimable"
         )
     total = big.T_b + (big.N - big.N_b) * out_weighted / denom
-    return EstimateReport(estimator="pdi", total=total, population_size=big.N)
+    variance = None
+    if has_variance:
+        residuals = np.where(out_mask, y - out_weighted / denom, 0.0)
+        variance = ht_variance_quadratic(sample, residuals)
+    return EstimateReport(
+        estimator="pdi", total=total, population_size=big.N, variance=variance
+    )
 
 
 def ratio_di_total(sample: ProbabilitySample, delta, y, T_b: float) -> EstimateReport:

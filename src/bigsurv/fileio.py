@@ -10,9 +10,9 @@ cycle reproduces the array bit for bit.
 
 An optional column is either absent or empty on every row, and comes
 back as ``None``; one that is empty on some rows only is an error.  The
-readers also reject non-finite floats, repeated ids in a sample or
-big-data file, short rows and a file with no data rows, and every such
-error names the file and the column.
+readers also reject repeated column names, non-finite floats, repeated
+ids in a sample or big-data file, short rows and a file with no data
+rows, and every such error names the file and the column.
 """
 
 from __future__ import annotations
@@ -125,6 +125,11 @@ class _Table:
                 raise EmptyPopulationError(f"{path}: no data rows")
         self.names = [name.strip() for name in header]
         self._index = {name: j for j, name in enumerate(self.names)}
+        if len(self._index) < len(self.names):
+            # the index keeps a name's last position, so the first name
+            # whose position differs is the first repeated one
+            repeated = next(n for j, n in enumerate(self.names) if self._index[n] != j)
+            raise ValueError(f"{path}: column {repeated!r} appears more than once")
         z_names = (name for name in self.names if name[:1] == "z" and name[1:].isdigit())
         self._z_names = sorted(z_names, key=lambda name: int(name[1:]))
         self._read = functools.partial(

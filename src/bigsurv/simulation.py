@@ -120,6 +120,8 @@ class MonteCarloSummary:
     rows: tuple[EstimatorSummary, ...]
     var_rel_bias: float | None
     failures: int
+    # study two's EM fits that stopped at max_iter before converging
+    unconverged: int = 0
 
     def row(self, estimator: str) -> EstimatorSummary:
         for r in self.rows:
@@ -330,6 +332,7 @@ def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: in
         "original_di": original.mean,
         "truth": float(pop.y.mean()),
         "em_iterations": len(post.loglik_trace) - 1,
+        "converged": post.converged,
     }
 
 
@@ -358,6 +361,7 @@ def run_sim2(config: SimConfig) -> MonteCarloSummary:
         rows=rows,
         var_rel_bias=None,
         failures=failures,
+        unconverged=sum(not rec["converged"] for rec in records),
     )
 
 

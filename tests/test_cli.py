@@ -15,15 +15,17 @@ import pytest
 
 import bigsurv
 from bigsurv import (
+    BigDataTotals,
     BigSample,
     ProbabilitySample,
     SRSJointInclusion,
     ht_total,
+    pdi_total,
     read_classifier_model,
     write_big_data_csv,
     write_sample_csv,
 )
-from bigsurv.cli import main
+from bigsurv.cli import build_parser, main
 
 
 def printed_value(out, label):
@@ -147,6 +149,60 @@ class TestEstimate:
         assert printed_value(pdi_out, "variance") == pytest.approx(
             printed_value(regdi_out, "variance"), rel=1e-6
         )
+
+    @staticmethod
+    def _srs_files(tmp_path, y, big_values):
+        """An SRS of units 1..n from N = 20 with outcomes ``y``, and a big
+        file holding units 1..len(big_values)."""
+        n = len(y)
+        sample = ProbabilitySample(
+            unit_ids=np.arange(1, n + 1),
+            d=np.full(n, 20 / n),
+            pi=np.full(n, n / 20),
+            joint_pi=SRSJointInclusion(n, 20),
+            N=20,
+            design="srs",
+            y=np.asarray(y, float),
+        )
+        big = BigSample(
+            unit_ids=np.arange(1, len(big_values) + 1),
+            values=np.asarray(big_values, float),
+            multiplicity=np.ones(len(big_values), np.int64),
+            N=20,
+        )
+        write_sample_csv(tmp_path / "sample.csv", sample)
+        write_big_data_csv(tmp_path / "big.csv", big)
+        argv = ["estimate", "--sample-a", str(tmp_path / "sample.csv"),
+                "--big-data", str(tmp_path / "big.csv"), "--method", "pdi"]
+        return sample, big, argv
+
+    def test_pdi_on_full_coverage_prints_big_total_and_zero_variance(
+        self, tmp_path, capsys
+    ):
+        """A big file holding every unit is the universe: the estimate is
+        its total and no sampled value adds variance."""
+        y = [1.5, 2.5, 0.5, 4.0, 3.0]
+        big_values = np.arange(1.0, 21.0)
+        big_values[:5] = y
+        _, big, argv = self._srs_files(tmp_path, y, big_values)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert printed_value(out, "total") == big.total
+        assert "variance:  0.0 (total scale)" in out
+
+    def test_pdi_with_collinear_matched_outcomes(self, tmp_path, capsys):
+        """The three matched units share y = 2, so (delta, delta * y) is
+        collinear, which calibration cannot take; the post-stratified
+        estimate needs no calibration."""
+        sample, big, argv = self._srs_files(
+            tmp_path, [2.0, 2.0, 2.0, 5.0, 1.0, 3.5], [2.0, 2.0, 2.0]
+        )
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        delta = np.array([1, 1, 1, 0, 0, 0])
+        expected = pdi_total(sample, delta, sample.y, BigDataTotals(6.0, 3, 20))
+        assert printed_value(out, "total") == expected.total
+        assert printed_value(out, "variance") == expected.variance
 
     def test_ratio_method_runs(self, continuous_files, capsys):
         code = main(
@@ -312,6 +368,8 @@ class TestEstimate:
         assert "pdi2" in out
         total = printed_value(out, "total")
         assert np.isfinite(total)
+        assert printed_value(out, "variance") > 0.0
+        assert "note:      variance treats the classified labels as known" in out
 
     def test_pdi2_requires_trait_columns(self, continuous_files):
         with pytest.raises(SystemExit, match="z columns"):
@@ -532,6 +590,16 @@ class TestSimulateCommands:
         ]
 
 
+    def test_simulate2_prints_fits_stopped_at_max_iter(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            bigsurv.classifier, "em_fit",
+            functools.partial(bigsurv.classifier.em_fit, max_iter=1),
+        )
+        code = main(["simulate2", "--n-a", "60", "--reps", "4", "--seed", "6",
+                     "--pop-n", "400", "--big-n", "200"])
+        assert code == 0
+        assert "EM fits stopped at max_iter: 4" in capsys.readouterr().out
+
     def test_simulate1_oversized_stratum_exits_with_one_line(self):
         """Asking a stratum for more units than it holds is bad input:
         the command ends with a message naming the parameter, not a
@@ -611,6 +679,21 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert code == 0
         assert "estimator: ht" in out
+
+    @pytest.mark.parametrize(
+        "flag",
+        sorted({
+            option[2:]
+            for command in build_parser()[1].values()
+            for action in command._actions
+            for option in action.option_strings
+            if option.startswith("--") and option not in ("--help", "--config")
+        }),
+    )
+    def test_every_subcommand_flag_is_a_config_key(self, tmp_path, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = 1\n")
+        assert main(["--config", str(cfg)]) == 2  # no command: help, not a key error
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -4,6 +4,8 @@ The small oracles are fully hand-computed; the docstrings carry the
 arithmetic so a reviewer can re-derive every expected number.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from bigsurv import (
     DegenerateStratumError,
     FinitePopulation,
     ProbabilitySample,
+    SRSJointInclusion,
     cost_effective,
     draw_srs,
     effective_sample_size,
@@ -87,9 +90,16 @@ class TestPDITotal:
         assert pdi_total(sample, sample.delta, sample.y, big).total == 18.0
 
     def test_full_coverage_returns_big_total(self):
+        """No sampled value enters a fully covered estimate, so its
+        variance is zero; without joint inclusion probabilities there is
+        none to report."""
         sample = toy_sample(y=[1.0, 5.0], delta=[1, 1], N=6)
         big = BigDataTotals(T_b=21.0, N_b=6, N=6)
-        assert pdi_total(sample, sample.delta, sample.y, big).total == 21.0
+        report = pdi_total(sample, sample.delta, sample.y, big)
+        assert report.total == 21.0
+        assert report.variance is None
+        srs = replace(sample, joint_pi=SRSJointInclusion(2, 6), design="srs")
+        assert pdi_total(srs, srs.delta, srs.y, big).variance == 0.0
 
     def test_no_uncovered_units_raises(self):
         sample = toy_sample(y=[1.0, 5.0], delta=[1, 1], N=6)
@@ -97,15 +107,20 @@ class TestPDITotal:
         with pytest.raises(DegenerateStratumError):
             pdi_total(sample, sample.delta, sample.y, big)
 
-    def test_unknown_population_size_variant(self):
-        """T_b + sum d(1-delta)y = 6 + 3*1 = 9 here, with a 'di' tag."""
-        sample = toy_sample(y=[1.0, 5.0], delta=[0, 1], N=6)
-        big = BigDataTotals(T_b=6.0, N_b=3, N=6)
-        report = pdi_total(
-            sample, sample.delta, sample.y, big, population_size_known=False
+    def test_hand_computed_srs_variance(self):
+        """SRS of n = 4 from N = 12, y = (1, 2, 6, 9), only the last unit
+        covered: the uncovered mean is 3, so the residuals are
+        (-2, -1, 3, 0) with s^2 = 14/3, and the variance is
+        N^2 (1 - n/N) s^2 / n = 144 * (2/3) * (14/3) / 4 = 112."""
+        sample = replace(
+            toy_sample(y=[1.0, 2.0, 6.0, 9.0], delta=[0, 0, 0, 1], N=12),
+            joint_pi=SRSJointInclusion(4, 12),
+            design="srs",
         )
-        assert report.estimator == "di"
-        assert report.total == pytest.approx(9.0)
+        big = BigDataTotals(T_b=30.0, N_b=3, N=12)
+        report = pdi_total(sample, sample.delta, sample.y, big)
+        assert report.total == pytest.approx(30.0 + 9 * 3.0)
+        assert report.variance == pytest.approx(112.0)
 
     def test_shift_equivariance(self):
         """Adding c to every y (and c*N_b to the big total) must move

@@ -234,6 +234,12 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match="pop.csv: column 'y' holds a non-finite"):
             read_population_csv(path)
 
+    def test_repeated_column_name_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,y,y\n1,2.0,3.0\n2,4.0,5.0\n")
+        with pytest.raises(ValueError, match="big.csv: column 'y' appears more than once"):
+            read_big_data_csv(path, N=10)
+
     def test_duplicate_sample_ids_rejected(self, tmp_path):
         path = tmp_path / "sample.csv"
         path.write_text("id,d,pi,y\n4,5.0,0.2,1.0\n9,5.0,0.2,2.0\n4,5.0,0.2,3.0\n")

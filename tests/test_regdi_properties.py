@@ -2,9 +2,9 @@
 
 Calibration on the standard controls ``(1 - delta, delta, delta * y)``
 is the post-stratified estimator: ``regdi_total`` must reproduce
-``pdi_total``, its variance must be the post-stratified SRS variance,
-and that variance must be the one the command line prints for
-``--method pdi``.
+``pdi_total``, total and variance, the variance must be the
+post-stratified SRS variance, and ``pdi_total``'s must be the one the
+command line prints for ``--method pdi``.
 """
 
 import contextlib
@@ -91,6 +91,7 @@ def test_standard_controls_reproduce_post_stratified_total(case):
     n, N = sample.n, sample.N
     expected = N * N * (1 - n / N) * float(np.var(e, ddof=1)) / n
     assert reg.variance == pytest.approx(expected, rel=1e-9, abs=1e-12 * scale**2)
+    assert pdi.variance == pytest.approx(reg.variance, rel=1e-9, abs=1e-12 * scale**2)
 
     with tempfile.TemporaryDirectory() as tmp:
         sample_path, big_path = Path(tmp, "sample.csv"), Path(tmp, "big.csv")
@@ -104,4 +105,4 @@ def test_standard_controls_reproduce_post_stratified_total(case):
             ])
     assert code == 0
     assert printed(out.getvalue(), "total") == pdi.total
-    assert printed(out.getvalue(), "variance") == reg.variance
+    assert printed(out.getvalue(), "variance") == pdi.variance

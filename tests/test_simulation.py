@@ -2,6 +2,9 @@
 defaults, deterministic seeding, parallel equivalence, and
 directionally correct study output at desk scale."""
 
+import functools
+import logging
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from bigsurv import (
     summarize,
     summary_rows,
 )
-from bigsurv import simulation
+from bigsurv import classifier, simulation
 from bigsurv.simulation import SIM1_ESTIMATORS, SIM2_ESTIMATORS, _with_attempts
 
 
@@ -187,6 +190,7 @@ class TestStudyOneHarness:
         assert summary.scenario == "1"
         assert summary.replicates == 8
         assert summary.failures == 0
+        assert summary.unconverged == 0
         assert summary.var_rel_bias is not None
 
     def test_truth_is_the_population_mean(self):
@@ -283,6 +287,22 @@ class TestStudyTwoHarness:
         assert summary.scenario == "n_a=60"
         assert summary.var_rel_bias is None
         assert summary.failures == 0
+
+    def test_fits_stopped_at_max_iter_are_counted(self, monkeypatch, caplog):
+        """Capped at one iteration, every fit stops short: the summary
+        counts as many as the classifier logs, and its rows keep their
+        columns."""
+        monkeypatch.setattr(
+            classifier, "em_fit", functools.partial(classifier.em_fit, max_iter=1)
+        )
+        with caplog.at_level(logging.WARNING, logger="bigsurv.classifier"):
+            summary = run_sim2(small_sim2())
+        logged = [r for r in caplog.records if r.name == "bigsurv.classifier"]
+        assert summary.unconverged == len(logged) == summary.replicates
+        assert list(summary_rows(summary)[0]) == [
+            "study", "scenario", "estimator", "bias", "se", "rmse",
+            "var_rel_bias", "failures",
+        ]
 
     def test_truth_is_the_population_mean(self):
         summary = run_sim2(small_sim2())
