@@ -18,7 +18,6 @@ from bigsurv import (
     generate_population_sim1,
     ht_total,
     mass_imputation_total,
-    mass_imputation_variance,
     select_big_data_stratified,
     two_step_regdi,
 )
@@ -46,14 +45,11 @@ print(f"residual variance:     {model.sigma2:.3f}")
 
 # Inverting the fitted map takes every sampled proxy back to the true
 # scale; the design-weighted mean of the inversions is the
-# mass-imputation estimator, with a variance that accounts for the
-# estimated coefficients.
-imputed = mass_imputation_total(sample, model, sample.y_star)
-v_hat = mass_imputation_variance(
-    sample, model, sample.y_star, sample.y, sample.delta
-)
+# mass-imputation estimator.  It makes the same fit itself, and its
+# report carries a variance that accounts for the estimated coefficients.
+imputed = mass_imputation_total(sample)
 print(f"\nmass-imputation mean:  {imputed.mean:.4f}")
-print(f"standard error:        {np.sqrt(v_hat):.4f}")
+print(f"standard error:        {np.sqrt(imputed.variance) / imputed.population_size:.4f}")
 
 # Step two: calibrate the inverted values on the standard controls so
 # the big stratum is also pinned to its exact total.  Only the big

@@ -146,6 +146,7 @@ def estimate_m(big: BigSample, levels=None) -> tuple[np.ndarray, ...]:
     z = big.z[:, None] if big.z.ndim == 1 else big.z
     if levels is None:
         levels = tuple(int(z[:, k].max()) for k in range(z.shape[1]))
+    z = _validate_z(z, levels)
     out = []
     for k, D in enumerate(levels):
         counts = np.bincount(z[:, k] - 1, minlength=D).astype(float)

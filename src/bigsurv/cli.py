@@ -53,9 +53,17 @@ def _coerce(text: str):
 
 
 def _load_config(path: str, keys) -> dict:
-    raw = Path(path).read_text()
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"--config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"--config {path}: not UTF-8 text: {exc.reason}") from None
     if raw.lstrip().startswith("{"):
-        values = json.loads(raw)
+        try:
+            values = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise SystemExit(f"--config {path}: not valid JSON: {exc}") from None
     else:
         values = {}
         for line in raw.splitlines():
@@ -64,13 +72,13 @@ def _load_config(path: str, keys) -> dict:
                 continue
             key, sep, rest = line.partition("=")
             if not sep:
-                raise SystemExit(f"config line is not 'key = value': {line!r}")
+                raise SystemExit(f"--config {path}: line is not 'key = value': {line!r}")
             values[key.strip()] = _coerce(rest)
     normalized = {}
     for key, value in values.items():
         key = key.strip().replace("-", "_")
         if key not in keys:
-            raise SystemExit(f"unknown config key: {key!r}")
+            raise SystemExit(f"--config {path}: unknown config key: {key!r}")
         normalized[key] = value
     return normalized
 

@@ -1,11 +1,11 @@
-"""CSV and text serialisation for populations, samples, and results.
+"""CSV and text serialisation for samples, big-data extracts, and results.
 
 All tabular formats are plain CSV with a header row.  A file is read in
 one pass over its rows where it can be.  It is written in blocks of rows,
 so a write takes bounded memory however long the file is.  A column's
-type follows from its name: ``id``, ``delta``, ``stratum``,
-``multiplicity``, ``delta_hat`` and ``z1..zK`` hold int64, every other
-numeric column float64.  Floats are written with ``repr`` so a write/read
+type follows from its name: ``id``, ``delta``, ``multiplicity``,
+``delta_hat`` and ``z1..zK`` hold int64, every other numeric column
+float64.  Floats are written with ``repr`` so a write/read
 cycle reproduces the array bit for bit.
 
 An optional column is either absent or empty on every row, and comes
@@ -30,14 +30,11 @@ from .estimators import EstimateReport
 from .population import (
     BigSample,
     EmptyPopulationError,
-    FinitePopulation,
     ProbabilitySample,
     SRSJointInclusion,
 )
 
 __all__ = [
-    "write_population_csv",
-    "read_population_csv",
     "write_sample_csv",
     "read_sample_csv",
     "write_big_data_csv",
@@ -49,7 +46,7 @@ __all__ = [
     "write_summary_csv",
 ]
 
-_INT_COLUMNS = {"id", "delta", "stratum", "multiplicity", "delta_hat"}
+_INT_COLUMNS = {"id", "delta", "multiplicity", "delta_hat"}
 
 
 # rows formatted and written at a time: large enough that NumPy does the
@@ -225,28 +222,6 @@ class _Table:
 def _z_columns(z) -> dict:
     """``{"z1": z[:, 0], ...}``, the columns :meth:`_Table.z` stacks back."""
     return {} if z is None else {f"z{j + 1}": col for j, col in enumerate(z.T)}
-
-
-def write_population_csv(path, pop: FinitePopulation) -> None:
-    """Write a population as ``id,y,y_star,z1..zK,delta,stratum``."""
-    _write_table(path, {
-        "id": pop.ids, "y": pop.y, "y_star": pop.y_star, **_z_columns(pop.z),
-        "delta": pop.delta, "stratum": pop.stratum,
-    })
-
-
-def read_population_csv(path) -> FinitePopulation:
-    table = _Table(path)
-    ids = table.column("id")
-    if not np.array_equal(ids, np.arange(1, ids.size + 1)):
-        raise ValueError(f"{path}: ids must be 1..N in order")
-    return FinitePopulation(
-        y=table.column("y"),
-        y_star=table.column("y_star", optional=True),
-        z=table.z(),
-        delta=table.column("delta", optional=True),
-        stratum=table.column("stratum", optional=True),
-    )
 
 
 def write_sample_csv(path, sample: ProbabilitySample) -> None:

@@ -6,11 +6,12 @@ by the design-weighted estimating equation
     sum_i d_i (y*_i - beta0 - beta1 y_i) (1, y_i) = (0, 0)
 
 over the units observed in both sources.  Once fitted, proxies are
-converted back to the outcome scale by inversion.  The two-step
-regression data-integration estimator calibrates the inverted values
-against the standard controls; the mass-imputation estimator sums them
-with the design weights, and its variance corrects for the estimated
-model parameters.
+converted back to the outcome scale by inversion.  Two estimators fit
+the model on a sample's matched units themselves and report their own
+linearized variance: the two-step regression data-integration estimator
+calibrates the inverted values against the standard controls, and the
+mass-imputation estimator sums them with the design weights, its
+variance corrected for the estimated model parameters.
 """
 
 from __future__ import annotations
@@ -27,11 +28,8 @@ from .variance import ht_variance_quadratic
 __all__ = [
     "MeasurementFitError",
     "MeasurementModel",
-    "LinearizationTerms",
     "fit_measurement_model",
-    "linearization_terms",
     "mass_imputation_total",
-    "mass_imputation_variance",
     "two_step_regdi",
 ]
 
@@ -52,10 +50,6 @@ class MeasurementModel:
     sigma2: float
     n_fit: int
 
-    def forward(self, y):
-        """Proxy-scale prediction ``beta0 + beta1 * y``."""
-        return self.beta0 + self.beta1 * np.asarray(y, float)
-
     def invert(self, y_star):
         """Outcome-scale value solving ``y* = beta0 + beta1 * y``."""
         if abs(self.beta1) < MIN_SLOPE:
@@ -63,23 +57,6 @@ class MeasurementModel:
                 f"slope {self.beta1:.2e} too close to zero to invert"
             )
         return (np.asarray(y_star, float) - self.beta0) / self.beta1
-
-    def regressors(self, y) -> np.ndarray:
-        """Estimating-equation regressors ``(1, y)`` as rows."""
-        y = np.asarray(y, float)
-        return np.column_stack([np.ones_like(y), y])
-
-
-@dataclass(frozen=True, eq=False)
-class LinearizationTerms:
-    """Pieces needed to linearize estimators built on inverted proxies.
-
-    ``q`` is the inverted value per unit and ``q_dot`` its derivative in
-    the model parameters, ``(-1/beta1, -q/beta1)`` for the linear model.
-    """
-
-    q: np.ndarray
-    q_dot: np.ndarray
 
 
 def fit_measurement_model(y, y_star, d=None) -> MeasurementModel:
@@ -112,81 +89,68 @@ def fit_measurement_model(y, y_star, d=None) -> MeasurementModel:
     )
 
 
-def linearization_terms(y_star, model: MeasurementModel) -> LinearizationTerms:
-    q = model.invert(y_star)
-    q_dot = np.column_stack([np.full_like(q, -1.0 / model.beta1), -q / model.beta1])
-    return LinearizationTerms(q=q, q_dot=q_dot)
-
-
-def mass_imputation_variance(
-    sample: ProbabilitySample,
-    model: MeasurementModel,
-    y_star,
-    y,
-    delta,
-    N: int | None = None,
-) -> float:
-    """Variance of the mean of measurement-inverted values.
-
-    Estimates the design variance of ``N^{-1} sum_A d_i q_i`` where
-    ``q_i`` inverts the fitted measurement model at ``y_star_i``.  The
-    residual is corrected for the estimated model parameters:
-
-        u_i = q_i + delta_i (y_star_i - m(y_i)) (kappa' h_i)
-
-    with ``kappa = (sum_A d delta m_dot h')^{-1} sum_A d q_dot`` and
-    ``h_i = m_dot_i = (1, y_i)`` for the linear model.  The
-    finite-population term of order ``n/N`` is dropped, which assumes a
-    small sampling fraction.
-    """
-    y_star = np.asarray(y_star, float)
-    delta = np.asarray(delta)
-    if N is None:
-        N = sample.N
-    matched = delta > 0
-    y_m = np.asarray(y, float)[matched]
-    terms = linearization_terms(y_star, model)
-    h_m = model.regressors(y_m)
-    d_m = sample.d[matched]
-    gram = (h_m * d_m[:, None]).T @ h_m
-    kappa = np.linalg.solve(gram, sample.d @ terms.q_dot)
-    resid = np.zeros(sample.n)
-    resid[matched] = (y_star[matched] - model.forward(y_m)) * (h_m @ kappa)
-    u = terms.q + resid
-    return ht_variance_quadratic(sample, u) / (N * N)
-
-
-def mass_imputation_total(
-    sample: ProbabilitySample, model: MeasurementModel, y_star, N: int | None = None
-) -> EstimateReport:
-    """Total of measurement-inverted values, ``sum_A d_i q_i``."""
-    y_star = np.asarray(y_star, float)
-    if N is None:
-        N = sample.N
-    q = model.invert(y_star)
-    return EstimateReport(
-        estimator="mass_imputation",
-        total=float(np.dot(sample.d, q)),
-        population_size=int(N),
-        notes=("finite-population variance term omitted (small sampling fraction)",),
-    )
-
-
-def two_step_regdi(sample: ProbabilitySample, big: BigDataTotals) -> EstimateReport:
-    """Two-step estimator for a proxy-measured probability sample.
-
-    Step one fits the measurement model on the matched units (``delta
-    == 1`` in the sample, true outcome known from the big source) and
-    inverts every sampled proxy.  Step two is :func:`regdi_total` of the
-    inverted values on the standard controls -- which only involve the
-    matched true outcomes -- so the report carries its variance too.
-    """
+def _fit_on_matched(sample: ProbabilitySample) -> tuple[MeasurementModel, np.ndarray]:
+    """The model fitted with design weights on the sample's matched units
+    (``delta > 0``, true outcome known from the big source), and their mask."""
     if sample.y_star is None or sample.delta is None or sample.y is None:
         raise ValueError("sample must carry y_star, delta, and matched y values")
     matched = sample.delta > 0
     model = fit_measurement_model(
         sample.y[matched], sample.y_star[matched], sample.d[matched]
     )
+    return model, matched
+
+
+def mass_imputation_total(sample: ProbabilitySample) -> EstimateReport:
+    """Total of measurement-inverted proxies, ``sum_A d_i q_i``.
+
+    The model is fitted on the matched units and ``q_i`` inverts it at
+    ``y*_i``.  With joint inclusion probabilities the report carries the
+    linearized variance, the quadratic form of the residual corrected for
+    the estimated model parameters:
+
+        u_i = q_i + delta_i (y*_i - (beta0 + beta1 y_i)) (kappa' h_i)
+
+    with ``h_i = (1, y_i)``, ``q_dot_i = (-1/beta1, -q_i/beta1)`` and
+    ``kappa = (sum_A d delta h h')^{-1} sum_A d q_dot``.  The
+    finite-population term of order ``n/N`` is dropped, which assumes a
+    small sampling fraction.
+    """
+    model, matched = _fit_on_matched(sample)
+    q = model.invert(sample.y_star)
+    variance = None
+    if sample.joint_pi is not None:
+        y_m = sample.y[matched]
+        h_m = np.column_stack([np.ones_like(y_m), y_m])
+        gram = (h_m * sample.d[matched][:, None]).T @ h_m
+        q_dot = np.column_stack([np.full_like(q, -1.0 / model.beta1), -q / model.beta1])
+        kappa = np.linalg.solve(gram, sample.d @ q_dot)
+        e_m = sample.y_star[matched] - (model.beta0 + model.beta1 * y_m)
+        u = q.copy()
+        u[matched] += e_m * (h_m @ kappa)
+        variance = ht_variance_quadratic(sample, u)
+    return EstimateReport(
+        estimator="mass_imputation",
+        total=float(np.dot(sample.d, q)),
+        population_size=sample.N,
+        variance=variance,
+        notes=(
+            f"measurement model fitted on {model.n_fit} matched units",
+            "finite-population variance term omitted (small sampling fraction)",
+        ),
+    )
+
+
+def two_step_regdi(sample: ProbabilitySample, big: BigDataTotals) -> EstimateReport:
+    """Two-step estimator for a proxy-measured probability sample.
+
+    Step one fits the measurement model on the matched units, as
+    :func:`mass_imputation_total` does, and inverts every sampled proxy.
+    Step two is :func:`regdi_total` of the inverted values on the
+    standard controls -- which only involve the matched true outcomes --
+    so the report carries its variance too.
+    """
+    model, matched = _fit_on_matched(sample)
     # the standard controls only touch delta * y, so unmatched entries
     # (which may be missing) are zeroed rather than propagating NaN
     spec = build_controls(

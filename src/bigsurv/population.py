@@ -183,6 +183,11 @@ class BigSample:
             raise ValueError("big-sample columns must have equal length")
         if (self.multiplicity < 1).any():
             raise ValueError("multiplicities must be >= 1")
+        outside = (self.unit_ids < 1) | (self.unit_ids > self.N)
+        if outside.any():
+            raise ValueError(
+                f"unit_ids must lie in 1..{self.N}; found {self.unit_ids[outside][0]}"
+            )
 
     def __len__(self) -> int:
         return self.unit_ids.size

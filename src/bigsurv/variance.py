@@ -9,9 +9,9 @@ collapses algebraically to ``N^2 (1 - n/N) s_r^2 / n`` with ``s_r^2``
 the sample variance of the residuals.  The sample's ``design`` tag picks
 the form: the closed form for ``"srs"``, the double sum otherwise; the
 tests cross-check the two.  Calibration estimators plug in regression
-residuals (``calibration.regdi_total`` does so itself); the
-mass-imputation variance in ``measurement`` plugs in residuals corrected
-for the estimated measurement model.
+residuals (``calibration.regdi_total`` does so itself), and
+``measurement.mass_imputation_total`` plugs in residuals corrected for
+the estimated measurement model.
 """
 
 from __future__ import annotations

@@ -140,6 +140,20 @@ class TestEstimateM:
         (m1,) = estimate_m(big, levels=(3,))
         assert np.allclose(m1, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("level", [5, 0])
+    def test_level_outside_levels_rejected(self, level):
+        """A level above the domain would widen the table and a level 0
+        would index before it; both are named as out of range."""
+        big = BigSample(
+            unit_ids=np.array([1, 2]),
+            values=np.zeros(2),
+            multiplicity=np.ones(2, int),
+            N=10,
+            z=np.array([[1], [level]]),
+        )
+        with pytest.raises(ValueError, match=r"z column 1 outside 1\.\.3"):
+            estimate_m(big, levels=(3,))
+
 
 class TestInitialU:
     def test_weighted_frequencies_with_smoothing(self):

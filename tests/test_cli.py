@@ -388,7 +388,8 @@ class TestEstimate:
     @pytest.mark.parametrize("method", ["pdi", "ratio", "regdi", "two-step"])
     def test_inconsistent_files_exit_with_one_line(self, tmp_path, method):
         """A generic-design sample whose weights sum to N = 96 against a
-        100-row big file: N_b > N is bad input, not a crash."""
+        big file of units 1..50, each counted twice: N_b = 100 > N is bad
+        input, not a crash."""
         sample_path = tmp_path / "sample.csv"
         sample_path.write_text(
             "id,d,pi,y,y_star,delta\n1,16.0,0.0625,1.0,1.5,1\n"
@@ -396,7 +397,9 @@ class TestEstimate:
             "4,32.0,0.03125,1.5,2.0,0\n"
         )
         big_path = tmp_path / "big.csv"
-        big_path.write_text("id,y\n" + "".join(f"{i},1.0\n" for i in range(1, 101)))
+        big_path.write_text(
+            "id,y,multiplicity\n" + "".join(f"{i},1.0,2\n" for i in range(1, 51))
+        )
         argv = ["estimate", "--sample-a", str(sample_path), "--big-data",
                 str(big_path), "--method", method]
         with pytest.raises(SystemExit) as excinfo:
@@ -422,6 +425,14 @@ class TestEstimate:
         with pytest.raises(SystemExit, match=r"^estimate: controls with zero weighted norm"):
             main(["estimate", "--sample-a", str(proxy_only), "--big-data",
                   str(big_path), "--method", "two-step"])
+
+    def test_big_data_id_outside_universe_exits_with_one_line(self, tmp_path):
+        _, _, argv = self._srs_files(tmp_path, [1.5, 2.5, 0.5, 4.0, 3.0], [1.0])
+        (tmp_path / "big.csv").write_text("id,y\n1,1.5\n0,2.0\n99,3.0\n-3,4.0\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert message == "estimate: unit_ids must lie in 1..20; found 0"
 
     def test_bad_column_exits_with_one_line_naming_it(self, continuous_files, tmp_path):
         sample_path = tmp_path / "sample.csv"
@@ -520,7 +531,8 @@ class TestClassify:
         files = {"probability sample": categorical_files["sample"],
                  "big source": categorical_files["big"]}
         files[side] = tmp_path / "no_z.csv"
-        files[side].write_text("id,d,pi,y\n1,5.0,0.2,1.0\n2,5.0,0.2,2.0\n")
+        # weights summing to the fixture's N = 200, so every big-data id fits
+        files[side].write_text("id,d,pi,y\n1,100.0,0.01,1.0\n2,100.0,0.01,2.0\n")
         with pytest.raises(SystemExit) as excinfo:
             main(["classify", "--sample-a", str(files["probability sample"]),
                   "--big-data", str(files["big source"]), "--pi", "0.5"])
@@ -700,6 +712,24 @@ class TestConfigFile:
         cfg.write_text("bootstrap = yes\n")
         with pytest.raises(SystemExit, match="unknown config key"):
             main(["simulate1", "--config", str(cfg)])
+
+    def test_missing_config_file_exits_with_one_line(self, tmp_path):
+        cfg = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate1", "--config", str(cfg)])
+        assert excinfo.value.code == f"--config {cfg}: No such file or directory"
+
+    @pytest.mark.parametrize(
+        "content, reason", [(b"{oops", "not valid JSON"), (b"\xff{", "not UTF-8 text")]
+    )
+    def test_unreadable_config_exits_with_one_line(self, tmp_path, content, reason):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate1", "--config", str(cfg)])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"--config {cfg}: {reason}: ")
+        assert "\n" not in message
 
     def test_malformed_config_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -14,82 +14,17 @@ from bigsurv import (
     BigSample,
     ClassifierModel,
     EmptyPopulationError,
-    FinitePopulation,
     ProbabilitySample,
     SRSJointInclusion,
     read_big_data_csv,
     read_classifier_model,
-    read_population_csv,
     read_sample_csv,
     write_big_data_csv,
     write_classifier_model,
     write_labels_csv,
-    write_population_csv,
     write_sample_csv,
     write_summary_csv,
 )
-
-
-def full_population(n=7, seed=0):
-    rng = np.random.default_rng(seed)
-    return FinitePopulation(
-        y=rng.normal(3.0, 1.0, n),
-        y_star=rng.normal(2.0, 1.0, n),
-        z=rng.integers(1, 5, size=(n, 2)),
-        delta=rng.integers(0, 2, n),
-        stratum=rng.integers(1, 3, n),
-    )
-
-
-class TestPopulationCSV:
-    def test_full_round_trip_is_bit_exact(self, tmp_path):
-        pop = full_population()
-        path = tmp_path / "pop.csv"
-        write_population_csv(path, pop)
-        back = read_population_csv(path)
-        assert np.array_equal(back.y, pop.y)
-        assert np.array_equal(back.y_star, pop.y_star)
-        assert np.array_equal(back.z, pop.z)
-        assert np.array_equal(back.delta, pop.delta)
-        assert np.array_equal(back.stratum, pop.stratum)
-
-    def test_large_round_trip_is_bit_exact(self, tmp_path):
-        """20,000 rows: the writer stays linear in N and exact."""
-        pop = full_population(n=20_000, seed=3)
-        path = tmp_path / "pop.csv"
-        write_population_csv(path, pop)
-        back = read_population_csv(path)
-        assert back.N == pop.N
-        for name in ("y", "y_star", "z", "delta", "stratum"):
-            assert np.array_equal(getattr(back, name), getattr(pop, name))
-
-    def test_minimal_population_round_trip(self, tmp_path):
-        pop = FinitePopulation(y=np.array([1.5, 2.5, 3.5]))
-        path = tmp_path / "pop.csv"
-        write_population_csv(path, pop)
-        back = read_population_csv(path)
-        assert np.array_equal(back.y, pop.y)
-        assert back.y_star is None
-        assert back.z is None
-        assert back.stratum is None
-
-    def test_missing_outcome_column_rejected(self, tmp_path):
-        path = tmp_path / "pop.csv"
-        path.write_text("id,delta\n1,0\n")
-        with pytest.raises(ValueError, match="missing column 'y'"):
-            read_population_csv(path)
-
-    def test_out_of_order_ids_rejected(self, tmp_path):
-        path = tmp_path / "pop.csv"
-        path.write_text("id,y\n2,1.0\n1,2.0\n")
-        with pytest.raises(ValueError, match="1..N in order"):
-            read_population_csv(path)
-
-    def test_partially_missing_optional_column_rejected(self, tmp_path):
-        path = tmp_path / "pop.csv"
-        path.write_text("id,y,y_star\n1,1.0,2.0\n2,1.5,\n")
-        with pytest.raises(ValueError, match="mixes present and missing"):
-            read_population_csv(path)
 
 
 class TestSampleCSV:
@@ -196,6 +131,18 @@ class TestBigDataCSV:
         assert np.array_equal(back.values, [2.5, 3.5])
         assert np.array_equal(back.multiplicity, [1, 1])
 
+    def test_missing_id_column_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("y,multiplicity\n1.0,1\n")
+        with pytest.raises(ValueError, match="big.csv: missing column 'id'"):
+            read_big_data_csv(path, N=10)
+
+    def test_partially_missing_multiplicity_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,y,multiplicity\n1,1.0,2\n2,1.5,\n")
+        with pytest.raises(ValueError, match="column 'multiplicity' mixes present and missing"):
+            read_big_data_csv(path, N=10)
+
     def test_value_column_required(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("id,z1\n1,2\n")
@@ -228,11 +175,11 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match=f"column '{column}' holds a non-finite"):
             read_big_data_csv(path, N=10)
 
-    def test_non_finite_population_value_rejected(self, tmp_path):
-        path = tmp_path / "pop.csv"
-        path.write_text("id,y\n1,nan\n2,1.0\n")
-        with pytest.raises(ValueError, match="pop.csv: column 'y' holds a non-finite"):
-            read_population_csv(path)
+    def test_non_finite_value_in_first_row_names_the_file(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("id,d,pi,y\n1,5.0,0.2,nan\n2,5.0,0.2,1.0\n")
+        with pytest.raises(ValueError, match="sample.csv: column 'y' holds a non-finite"):
+            read_sample_csv(path)
 
     def test_repeated_column_name_rejected(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -316,7 +263,7 @@ class TestBoundaryChecks:
     @pytest.mark.parametrize(
         "header, read",
         [
-            ("id,y", read_population_csv),
+            ("id,y_star,multiplicity", lambda path: read_big_data_csv(path, N=10)),
             ("id,d,pi,y", read_sample_csv),
             ("id,y", lambda path: read_big_data_csv(path, N=10)),
         ],

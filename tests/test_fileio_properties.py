@@ -1,7 +1,7 @@
 """Property test for the north-star identity "a CSV write/read round trip
 is bit-exact".
 
-Sample, big-data and population files are written with the package's
+Sample and big-data files are written with the package's
 writers and read back; every array must come back with the same dtype
 and the same bytes (so -0.0, subnormals and +-1e308 survive), and every
 optional column left out must come back as ``None``.  The written bytes
@@ -22,14 +22,11 @@ from hypothesis import strategies as st
 
 from bigsurv import (
     BigSample,
-    FinitePopulation,
     ProbabilitySample,
     read_big_data_csv,
-    read_population_csv,
     read_sample_csv,
     write_big_data_csv,
     write_labels_csv,
-    write_population_csv,
     write_sample_csv,
 )
 from bigsurv.fileio import _BLOCK_ROWS, _Table
@@ -89,18 +86,6 @@ def big_extracts(draw):
         multiplicity=int_col(draw, n, st.integers(1, 2**62)),
         N=2**62,
         z=z_matrix(draw, n),
-    )
-
-
-@st.composite
-def populations(draw):
-    n = draw(st.integers(1, 12))
-    return FinitePopulation(
-        y=float_col(draw, n),
-        y_star=maybe(draw, lambda: float_col(draw, n)),
-        z=z_matrix(draw, n),
-        delta=int_col(draw, n, st.integers(0, 2**62)),
-        stratum=maybe(draw, lambda: int_col(draw, n)),
     )
 
 
@@ -180,22 +165,6 @@ def test_big_data_round_trip_is_bit_exact(big):
     }
     assert written == reference_bytes(layout, len(big))
     assert_same(back, big, ("unit_ids", "values", "multiplicity", "z"))
-
-
-@settings(max_examples=150, deadline=None)
-@given(populations())
-def test_population_round_trip_is_bit_exact(pop):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "pop.csv")
-        write_population_csv(path, pop)
-        written = path.read_bytes()
-        back = read_population_csv(path)
-    layout = {
-        "id": pop.ids, "y": pop.y, "y_star": pop.y_star, **z_layout(pop.z),
-        "delta": pop.delta, "stratum": pop.stratum,
-    }
-    assert written == reference_bytes(layout, pop.N)
-    assert_same(back, pop, ("y", "y_star", "z", "delta", "stratum"))
 
 
 @settings(max_examples=150, deadline=None)

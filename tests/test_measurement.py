@@ -1,5 +1,5 @@
-"""Tests for the proxy measurement model: fitting, inversion,
-linearization pieces, and the two-step calibration estimator."""
+"""Tests for the proxy measurement model: fitting, inversion, and the
+two-step calibration estimator."""
 
 import dataclasses
 
@@ -15,7 +15,6 @@ from bigsurv import (
     build_controls,
     fit_measurement_model,
     ht_variance_quadratic,
-    linearization_terms,
     regdi_residuals,
     regdi_total,
     solve_weights,
@@ -118,43 +117,15 @@ class TestFitMeasurementModel:
 
 
 class TestMeasurementModel:
-    def test_forward_hand_computed(self):
-        model = MeasurementModel(beta0=2.0, beta1=0.5, sigma2=0.0, n_fit=2)
-        assert np.allclose(model.forward([0.0, 2.0]), [2.0, 3.0])
-
     def test_invert_round_trips_forward(self):
         model = MeasurementModel(beta0=-1.5, beta1=0.8, sigma2=0.0, n_fit=2)
         y = np.linspace(-4.0, 4.0, 9)
-        assert np.allclose(model.invert(model.forward(y)), y, atol=1e-12)
+        assert np.allclose(model.invert(-1.5 + 0.8 * y), y, atol=1e-12)
 
     def test_near_zero_slope_refuses_to_invert(self):
         model = MeasurementModel(beta0=0.0, beta1=1e-9, sigma2=0.0, n_fit=2)
         with pytest.raises(MeasurementFitError, match="slope"):
             model.invert([1.0])
-
-    def test_regressors_are_intercept_and_outcome(self):
-        model = MeasurementModel(beta0=0.0, beta1=1.0, sigma2=0.0, n_fit=2)
-        rows = model.regressors([4.0, 5.0])
-        assert rows.shape == (2, 2)
-        assert np.array_equal(rows[:, 0], [1.0, 1.0])
-        assert np.array_equal(rows[:, 1], [4.0, 5.0])
-
-
-class TestLinearizationTerms:
-    def test_hand_computed_pieces(self):
-        """Model (beta0, beta1) = (2, 0.5): y* = 3 inverts to q = 2 and
-        y* = 2 to q = 0.  The parameter gradient of q is
-        (-1/beta1, -q/beta1) = (-2, -2q)."""
-        model = MeasurementModel(beta0=2.0, beta1=0.5, sigma2=0.0, n_fit=2)
-        terms = linearization_terms(np.array([3.0, 2.0]), model)
-        assert np.allclose(terms.q, [2.0, 0.0])
-        assert np.allclose(terms.q_dot, [[-2.0, -4.0], [-2.0, 0.0]])
-
-    def test_q_matches_inversion(self):
-        model = MeasurementModel(beta0=1.0, beta1=0.9, sigma2=0.0, n_fit=2)
-        y_star = np.array([0.5, 1.0, 2.5])
-        terms = linearization_terms(y_star, model)
-        assert np.array_equal(terms.q, model.invert(y_star))
 
 
 class TestTwoStepRegDI:

@@ -60,6 +60,14 @@ class TestFinitePopulation:
         assert big.N_b == 3
         assert big.total == 2 * 1.0 + 2.0
 
+    @pytest.mark.parametrize("ids, bad", [([1, 0, 99, -3], 0), ([4, 21], 21)])
+    def test_big_sample_ids_outside_universe_rejected(self, ids, bad):
+        with pytest.raises(ValueError, match=rf"unit_ids must lie in 1\.\.20; found {bad}$"):
+            BigSample(
+                unit_ids=ids, values=np.ones(len(ids)),
+                multiplicity=np.ones(len(ids), np.int64), N=20,
+            )
+
 
 class TestProbabilitySampleValidation:
     def test_weight_probability_consistency_enforced(self):

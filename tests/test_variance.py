@@ -8,13 +8,10 @@ import numpy as np
 import pytest
 
 from bigsurv import (
-    MeasurementModel,
     ProbabilitySample,
     SRSJointInclusion,
-    fit_measurement_model,
     ht_variance_quadratic,
     mass_imputation_total,
-    mass_imputation_variance,
     regdi_residuals,
     variance_relative_bias,
 )
@@ -208,19 +205,25 @@ class TestRegDIResiduals:
 
 class TestMassImputation:
     def test_total_hand_computed(self):
-        """Model y* = 1 + y: proxies (3, 5) invert to (2, 4), and with
-        weights (2, 2) the total is 12."""
-        sample = srs_sample(2, 4)
-        model = MeasurementModel(beta0=1.0, beta1=1.0, sigma2=0.0, n_fit=2)
-        report = mass_imputation_total(sample, model, [3.0, 5.0])
+        """Proxies (3, 5) of outcomes (2, 4), both matched: the fit is
+        y* = 1 + y, the inversions are (2, 4), and with weights (2, 2)
+        the total is 12.  The model is exact, so the variance is that of
+        the outcomes: 16 (1 - 1/2) 2 / 2 = 8."""
+        sample = srs_sample(
+            2, 4, y=np.array([2.0, 4.0]), y_star=np.array([3.0, 5.0]),
+            delta=np.array([1, 1]),
+        )
+        report = mass_imputation_total(sample)
         assert report.total == pytest.approx(12.0)
+        assert report.variance == pytest.approx(8.0)
         assert report.population_size == 4
+        assert any("fitted on 2 matched units" in note for note in report.notes)
         assert any("omitted" in note for note in report.notes)
 
     def test_exact_model_reduces_to_outcome_variance(self):
         """With a perfectly fitted model and noiseless proxies the
         corrected residual vanishes, so the estimator is exactly the
-        design variance of the mean of the true outcomes."""
+        design variance of the total of the true outcomes."""
         rng = np.random.default_rng(6)
         n, N = 40, 400
         y = rng.normal(3.0, 1.0, n)
@@ -228,10 +231,8 @@ class TestMassImputation:
         delta = (rng.random(n) < 0.5).astype(np.int64)
         delta[:2] = 1
         sample = srs_sample(n, N, y=y, y_star=y_star, delta=delta)
-        model = fit_measurement_model(y[delta > 0], y_star[delta > 0])
-        v = mass_imputation_variance(sample, model, y_star, y, delta)
-        direct = ht_variance_quadratic(sample, y) / (N * N)
-        assert v == pytest.approx(direct, rel=1e-9)
+        v = mass_imputation_total(sample).variance
+        assert v == pytest.approx(ht_variance_quadratic(sample, y), rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_nonnegative_under_srs(self, seed):
@@ -241,21 +242,30 @@ class TestMassImputation:
         y_star = 2.0 + 0.9 * y + rng.normal(0.0, 0.5, n)
         delta = (rng.random(n) < 0.6).astype(np.int64)
         delta[:2] = 1
-        sample = srs_sample(n, N)
-        model = fit_measurement_model(y[delta > 0], y_star[delta > 0])
-        assert mass_imputation_variance(sample, model, y_star, y, delta) >= 0.0
+        sample = srs_sample(n, N, y=y, y_star=y_star, delta=delta)
+        assert mass_imputation_total(sample).variance >= 0.0
 
-    def test_explicit_population_size_scales_result(self):
-        rng = np.random.default_rng(9)
-        n = 30
-        y = rng.normal(size=n)
-        y_star = 1.0 + 2.0 * y + rng.normal(0.0, 0.1, n)
-        delta = np.ones(n, np.int64)
-        sample = srs_sample(n, 300)
-        model = fit_measurement_model(y, y_star)
-        v_default = mass_imputation_variance(sample, model, y_star, y, delta)
-        v_double = mass_imputation_variance(sample, model, y_star, y, delta, N=600)
-        assert v_double == pytest.approx(v_default / 4.0)
+    def test_no_variance_without_joint_probabilities(self):
+        """The matched pairs (1, 2) and (2, 3.5) fit y* = 0.5 + 1.5 y, so
+        the proxies (2, 3.5, 5) invert to (1, 2, 3); weights 10 give 60."""
+        sample = replace(
+            srs_sample(
+                3, 30, y=np.array([1.0, 2.0, 4.0]), y_star=np.array([2.0, 3.5, 5.0]),
+                delta=np.array([1, 1, 0]),
+            ),
+            joint_pi=None, design="generic",
+        )
+        report = mass_imputation_total(sample)
+        assert report.variance is None
+        assert report.total == pytest.approx(60.0)
+
+    @pytest.mark.parametrize("column", ["y", "y_star", "delta"])
+    def test_missing_column_rejected(self, column):
+        sample = srs_sample(
+            3, 30, y=np.ones(3), y_star=np.ones(3), delta=np.ones(3, np.int64)
+        )
+        with pytest.raises(ValueError, match="must carry"):
+            mass_imputation_total(replace(sample, **{column: None}))
 
 
 class TestVarianceRelativeBias:
