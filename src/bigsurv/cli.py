@@ -267,10 +267,20 @@ def _with_big_matches(sample, big):
     )
 
 
+def _read_inputs(args):
+    """Read both input files; an id outside a default 1..N names --pop-n."""
+    sample = fileio.read_sample_csv(args.sample_a, N=args.pop_n)
+    try:
+        return sample, fileio.read_big_data_csv(args.big_data, N=sample.N)
+    except ValueError as exc:
+        if args.pop_n is None and str(exc).startswith("unit_ids"):
+            exc.args = (f"{exc} (N is the rounded weight sum; pass --pop-n)",)
+        raise
+
+
 def cmd_estimate(args, parser) -> int:
     _require(args, parser, "sample_a", "big_data", "method")
-    sample = fileio.read_sample_csv(args.sample_a, N=args.pop_n)
-    big = fileio.read_big_data_csv(args.big_data, N=sample.N)
+    sample, big = _read_inputs(args)
     value_col = sample.y if sample.y is not None else sample.y_star
     method = args.method
 
@@ -328,8 +338,7 @@ def _emit_estimate(report, out) -> None:
 
 def cmd_classify(args, parser) -> int:
     _require(args, parser, "sample_a", "big_data", "pi")
-    sample = fileio.read_sample_csv(args.sample_a, N=args.pop_n)
-    big = fileio.read_big_data_csv(args.big_data, N=sample.N)
+    sample, big = _read_inputs(args)
     fitted, post = fit_membership(sample, big, args.pi)
 
     out = Path(args.out)

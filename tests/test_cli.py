@@ -432,7 +432,29 @@ class TestEstimate:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         message = str(excinfo.value.code)
-        assert message == "estimate: unit_ids must lie in 1..20; found 0"
+        assert message == (
+            "estimate: unit_ids must lie in 1..20; found 0 "
+            "(N is the rounded weight sum; pass --pop-n)"
+        )
+
+    def test_big_data_id_above_weight_sum_names_pop_n(self, tmp_path, capsys):
+        """Under a generic design the weight sum only estimates N, so an id
+        above it is an error that points at --pop-n, which settles it."""
+        (tmp_path / "sample.csv").write_text(
+            "id,d,pi,y\n1,20.0,0.05,1.0\n2,32.0,0.03125,2.0\n"
+            "3,25.0,0.04,3.0\n4,16.0,0.0625,4.0\n"
+        )
+        (tmp_path / "big.csv").write_text("id,y\n1,1.0\n2,2.0\n97,5.0\n")
+        argv = ["estimate", "--sample-a", str(tmp_path / "sample.csv"),
+                "--big-data", str(tmp_path / "big.csv"), "--method", "pdi"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value.code) == (
+            "estimate: unit_ids must lie in 1..93; found 97 "
+            "(N is the rounded weight sum; pass --pop-n)"
+        )
+        assert main([*argv, "--pop-n", "100"]) == 0
+        assert printed_value(capsys.readouterr().out, "total") > 0
 
     def test_bad_column_exits_with_one_line_naming_it(self, continuous_files, tmp_path):
         sample_path = tmp_path / "sample.csv"
