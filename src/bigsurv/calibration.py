@@ -16,7 +16,7 @@ all span an intercept).
 data-integration estimators: membership indicators, membership-weighted
 outcomes, auxiliary covariates, duplication counts, and proxy outcomes.
 ``regdi_total`` is the one regression path: it calibrates, sums, and
-attaches the linearized variance.
+attaches the linearized variance of its own regression residuals.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .estimators import EstimateReport
 from .linalg import SingularControlsError, gram_solve
 from .population import ProbabilitySample
-from .variance import ht_variance_quadratic, regdi_residuals
+from .variance import ht_variance_quadratic
 
 __all__ = [
     "CONTROL_VARIANTS",
@@ -118,7 +118,10 @@ def regdi_total(sample: ProbabilitySample, y, spec: ControlSpec) -> EstimateRepo
     With the standard controls this reproduces the post-stratified
     data-integration estimator exactly.  When the sample carries joint
     inclusion probabilities the report's ``variance`` is the
-    Horvitz-Thompson variance of the residuals of ``y`` on the controls.
+    Horvitz-Thompson variance of the residuals ``y - x' B`` with ``B``
+    solving ``(sum d x x') B = sum d x y``: they are design-orthogonal to
+    every control column, which makes the quadratic form a variance
+    estimator for the calibration estimator on the same controls.
     """
     y = np.asarray(y, float)
     if y.shape[0] != sample.n:
@@ -126,8 +129,10 @@ def regdi_total(sample: ProbabilitySample, y, spec: ControlSpec) -> EstimateRepo
     result = solve_weights(sample, spec.x, spec.totals, names=spec.names)
     variance = None
     if sample.joint_pi is not None:
-        resid = regdi_residuals(sample, y, spec.x)
-        variance = ht_variance_quadratic(sample, resid.e_hat)
+        beta, _ = gram_solve(
+            spec.x, sample.d, (spec.x * sample.d[:, None]).T @ y, names=spec.names
+        )
+        variance = ht_variance_quadratic(sample, y - spec.x @ beta)
     return EstimateReport(
         estimator="regdi",
         total=float(np.dot(result.w, y)),
@@ -178,37 +183,20 @@ def build_controls(
         raise ValueError(f"unknown variant {variant!r}; expected one of {CONTROL_VARIANTS}")
     if N is None:
         raise ValueError("every variant needs the population size N")
-
     if delta is None:
         raise ValueError(f"{variant} needs delta")
+    if N_b is None or T_b is None:
+        raise ValueError(f"{variant} needs N_b and T_b")
     dv = np.asarray(delta, float)
     n = dv.shape[0]
 
-    if variant == "duplication":
-        yv = _column(y, "y", n)
-        if N_b is None or T_b is None:
-            raise ValueError("duplication needs N_b = sum_U delta and T_b")
-        x = np.column_stack([np.ones(n), dv, dv * yv])
-        totals = np.array([float(N), float(N_b), float(T_b)])
-        return ControlSpec(variant, x, totals, ("overall", "big_count", "big_y"), int(N))
-
-    if variant == "proxy_ystar":
-        pv = _column(y_star, "y_star", n)
-        if N_b is None or T_b is None:
-            raise ValueError("proxy_ystar needs N_b and the big-data proxy total T_b")
-        x = np.column_stack([1.0 - dv, dv, dv * pv])
-        totals = np.array([float(N) - float(N_b), float(N_b), float(T_b)])
-        return ControlSpec(
-            variant, x, totals, ("uncovered", "big", "big_y_star"), int(N)
-        )
-
-    # standard / with_aux_z share the base block
-    yv = _column(y, "y", n)
-    if N_b is None or T_b is None:
-        raise ValueError(f"{variant} needs N_b and T_b")
-    cols = [1.0 - dv, dv, dv * yv]
+    value, column = ("y_star", y_star) if variant == "proxy_ystar" else ("y", y)
+    vv = _column(column, value, n)
+    cols = [1.0 - dv, dv, dv * vv]
     totals = [float(N) - float(N_b), float(N_b), float(T_b)]
-    names = ["uncovered", "big", "big_y"]
+    names = ["uncovered", "big", f"big_{value}"]
+    if variant == "duplication":
+        cols[0], totals[0], names[:2] = np.ones(n), float(N), ["overall", "big_count"]
     if variant == "with_aux_z":
         zv = _column(z, "z", n)
         zv = zv[:, None] if zv.ndim == 1 else zv

@@ -1,10 +1,12 @@
-"""Small shared linear-algebra helpers for weighted Gram systems."""
+"""The scaled, refined solve of weighted Gram systems shared by the
+calibration and regression estimators, and the error that names
+collinear controls when the system is not solvable."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SingularControlsError", "gram_solve", "weighted_least_squares"]
+__all__ = ["SingularControlsError", "gram_solve"]
 
 # beyond this the control set is treated as collinear rather than solvable
 CONDITION_LIMIT = 1e12
@@ -59,9 +61,3 @@ def gram_solve(x: np.ndarray, d: np.ndarray, rhs: np.ndarray, names=None):
     sol_s += np.linalg.solve(scaled, rhs_s - scaled @ sol_s)
     return sol_s / scale, condition
 
-
-def weighted_least_squares(x: np.ndarray, values: np.ndarray, d: np.ndarray, names=None):
-    """Coefficients minimising ``sum_i d_i (values_i - x_i' b)^2``."""
-    xd = np.asarray(x, float) * np.asarray(d, float)[:, None]
-    rhs = xd.T @ np.asarray(values, float)
-    return gram_solve(x, d, rhs, names=names)

@@ -240,8 +240,9 @@ class ProbabilitySample:
     ``pairwise(unit_ids)``, the matrix over the given units.  Observed
     columns (``y``, ``y_star``, ``delta``, ``z``) are optional views of
     the parent population restricted to the drawn units, one row per
-    drawn unit.  ``design`` is ``"srs"`` for simple random sampling and
-    ``"generic"`` for any other design.
+    drawn unit.  ``design`` is ``"srs"`` for simple random sampling, which
+    needs every ``pi`` equal to ``n / N``, and ``"generic"`` for any other
+    design.
     """
 
     unit_ids: np.ndarray
@@ -272,6 +273,8 @@ class ProbabilitySample:
             raise ValueError(f"universe size N = {self.N} is below the sample size {k}")
         if self.design not in _DESIGNS:
             raise ValueError(f"design must be one of {_DESIGNS}, not {self.design!r}")
+        if self.design == "srs" and not np.allclose(self.pi, k / self.N, rtol=1e-9, atol=0.0):
+            raise ValueError(f"design 'srs' needs every pi equal to n / N = {k / self.N!r}")
         for name, dtype in (
             ("y", np.float64), ("y_star", np.float64), ("delta", np.int64), ("z", np.int64)
         ):

@@ -275,6 +275,8 @@ def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int
 
 def run_sim1(config: SimConfig) -> MonteCarloSummary:
     """Run study one and summarise every estimator against the truth."""
+    if config.study != "sim1":
+        raise ValueError(f"run_sim1 needs study='sim1', not {config.study!r}")
     config = config.resolved()
     frame = _sim1_frame(
         generate_population_sim1(config.pop_n, substream(config.master_seed, 9)),
@@ -316,7 +318,10 @@ def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: in
         raise DegenerateStratumError("membership draw covered none or all units")
     big = pop.with_delta(delta).big_sample()
     sample = draw_srs(pop, config.n_a, substream(seed, 0))
-    sample = replace(sample, delta=delta[sample.indices])
+    # no summary reads a study-two variance, so dropping joint_pi spares
+    # pdi_total and pdi2_total three O(n) variances per replicate; a
+    # var_rel_bias for proposed_di (ROADMAP item 3) would restore it
+    sample = replace(sample, delta=delta[sample.indices], joint_pi=None)
     fitted, post = classifier.fit_membership(sample, big, N_b / pop.N, levels)
 
     big_totals = BigDataTotals(T_b=float(big.values.sum()), N_b=N_b, N=pop.N)
@@ -338,6 +343,8 @@ def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: in
 
 def run_sim2(config: SimConfig) -> MonteCarloSummary:
     """Run study two: classify membership, then integrate."""
+    if config.study != "sim2":
+        raise ValueError(f"run_sim2 needs study='sim2', not {config.study!r}")
     config = config.resolved()
     pop = generate_population_sim2(
         config.pop_n, config.big_n, substream(config.master_seed, 9)

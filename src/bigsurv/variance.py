@@ -7,36 +7,23 @@ The workhorse is the Horvitz-Thompson quadratic form
 evaluated over the sampled pairs.  Under simple random sampling it
 collapses algebraically to ``N^2 (1 - n/N) s_r^2 / n`` with ``s_r^2``
 the sample variance of the residuals.  The sample's ``design`` tag picks
-the form: the closed form for ``"srs"``, the double sum otherwise; the
-tests cross-check the two.  Calibration estimators plug in regression
-residuals (``calibration.regdi_total`` does so itself), and
-``measurement.mass_imputation_total`` plugs in residuals corrected for
-the estimated measurement model.
+the form: the closed form for ``"srs"`` (which ``ProbabilitySample``
+admits only when every ``pi`` equals ``n / N``), the double sum
+otherwise; the tests cross-check the two.  The estimators supply their
+own residuals: ``calibration.regdi_total`` its design-weighted regression
+residuals, ``estimators.pdi_total`` its uncovered-stratum deviations, and
+``measurement.mass_imputation_total`` residuals corrected for the
+estimated measurement model.  ``variance_relative_bias`` scores a
+variance estimator against Monte Carlo replicates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import weighted_least_squares
 from .population import ProbabilitySample
 
-__all__ = [
-    "ResidualSet",
-    "ht_variance_quadratic",
-    "regdi_residuals",
-    "variance_relative_bias",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class ResidualSet:
-    """Residuals from a design-weighted regression, plus coefficients."""
-
-    e_hat: np.ndarray
-    coefficients: np.ndarray
+__all__ = ["ht_variance_quadratic", "variance_relative_bias"]
 
 
 def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float:
@@ -86,22 +73,6 @@ def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float:
     squares *= squares
     squares *= coef
     return float(-0.5 * squares.sum() + np.dot(a * a, rho))
-
-
-def regdi_residuals(sample: ProbabilitySample, y, controls) -> ResidualSet:
-    """Residuals ``y - x' B_hat`` from the design-weighted regression.
-
-    ``B_hat`` solves ``(sum d x x') B = sum d x y``, so the residuals
-    are design-orthogonal to every control column -- which is what makes
-    the quadratic form above a variance estimator for the calibration
-    estimator that uses the same controls.
-    """
-    x = np.atleast_2d(np.asarray(controls, float))
-    y = np.asarray(y, float)
-    if x.shape[0] != sample.n or y.shape[0] != sample.n:
-        raise ValueError("controls and y must have one row per sampled unit")
-    beta, _ = weighted_least_squares(x, y, sample.d)
-    return ResidualSet(e_hat=y - x @ beta, coefficients=beta)
 
 
 def variance_relative_bias(replicates) -> float:

@@ -14,8 +14,6 @@ from bigsurv import (
     SRSJointInclusion,
     build_controls,
     fit_measurement_model,
-    ht_variance_quadratic,
-    regdi_residuals,
     regdi_total,
     solve_weights,
     two_step_regdi,
@@ -159,9 +157,7 @@ class TestTwoStepRegDI:
         y_hat = model.invert(sample.y_star)
         expected = float(np.dot(weights.w, y_hat))
         assert report.total == pytest.approx(expected, rel=1e-12)
-        assert report.variance == ht_variance_quadratic(
-            sample, regdi_residuals(sample, y_hat, spec.x).e_hat
-        )
+        assert report.variance == regdi_total(sample, y_hat, spec).variance
         assert report.estimator == "two_step_regdi"
         assert report.population_size == N
         assert any(f"{model.n_fit} matched units" in note for note in report.notes)

@@ -13,6 +13,7 @@ from bigsurv import (
     draw_srs,
     generate_population_sim1,
     generate_population_sim2,
+    ht_variance_quadratic,
     select_big_data_stratified,
     substream,
 )
@@ -135,6 +136,22 @@ class TestProbabilitySampleValidation:
                 N=4,
                 design=design,
             )
+
+    def test_srs_tag_needs_equal_probabilities(self):
+        """An SRS tag on unequal pi would send the variance to the SRS
+        closed form (54.44 for residuals (1, 2, 4) here) where the
+        double sum over the same pairs gives -7.22."""
+        columns = dict(
+            unit_ids=np.array([1, 2, 3]),
+            d=1.0 / np.array([0.1, 0.2, 0.3]),
+            pi=np.array([0.1, 0.2, 0.3]),
+            joint_pi=SRSJointInclusion(3, 10),
+            N=10,
+        )
+        with pytest.raises(ValueError, match=r"design 'srs' needs every pi equal to n / N"):
+            ProbabilitySample(design="srs", **columns)
+        generic = ProbabilitySample(design="generic", **columns)
+        assert ht_variance_quadratic(generic, [1.0, 2.0, 4.0]) == pytest.approx(-7.22, abs=0.005)
 
 
 class TestSRSJointInclusion:

@@ -88,6 +88,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="scenario"):
             SimConfig(scenario=4).resolved()
 
+    def test_study_two_config_rejected_by_study_one_runner(self):
+        with pytest.raises(ValueError, match="study='sim1'"):
+            run_sim1(SimConfig(study="sim2"))
+
+    def test_study_one_config_rejected_by_study_two_runner(self):
+        with pytest.raises(ValueError, match="study='sim2'"):
+            run_sim2(SimConfig(study="sim1"))
+
 
 class TestRetries:
     def test_retryable_failures_are_counted_and_recovered(self):

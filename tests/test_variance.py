@@ -1,6 +1,7 @@
 """Tests for the linearization variance estimators: the
-Horvitz-Thompson quadratic form, calibration residuals, the
-mass-imputation corrector, and the Monte Carlo relative-bias helper."""
+Horvitz-Thompson quadratic form, the regression estimator's residual
+variance, the mass-imputation corrector, and the Monte Carlo
+relative-bias helper."""
 
 from dataclasses import replace
 
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 
 from bigsurv import (
+    ControlSpec,
     ProbabilitySample,
     SRSJointInclusion,
     ht_variance_quadratic,
     mass_imputation_total,
-    regdi_residuals,
+    regdi_total,
     variance_relative_bias,
 )
 
@@ -160,27 +162,39 @@ class TestHTVarianceQuadratic:
         assert np.mean(estimates) == pytest.approx(true_var, rel=0.1)
 
 
-class TestRegDIResiduals:
-    def test_exact_linear_outcome_gives_zero_residuals(self):
+def regdi_variance(sample, y, x):
+    """``regdi_total``'s variance on controls ``x`` whose totals the
+    design weights already meet."""
+    names = tuple(f"x{j}" for j in range(x.shape[1]))
+    spec = ControlSpec("standard", x, x.T @ sample.d, names, sample.N)
+    return regdi_total(sample, y, spec).variance
+
+
+class TestRegDIVariance:
+    def test_exact_linear_outcome_gives_zero_variance(self):
         rng = np.random.default_rng(2)
         sample = srs_sample(20, 100, rng)
         x = np.column_stack([np.ones(20), rng.normal(size=20)])
         y = x @ np.array([2.0, 3.0])
-        res = regdi_residuals(sample, y, x)
-        assert np.allclose(res.coefficients, [2.0, 3.0], atol=1e-10)
-        assert np.allclose(res.e_hat, 0.0, atol=1e-10)
-        assert ht_variance_quadratic(sample, res.e_hat) == pytest.approx(0.0, abs=1e-16)
+        assert regdi_variance(sample, y, x) == pytest.approx(0.0, abs=1e-16)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_residuals_design_orthogonal_to_controls(self, seed):
+    def test_variance_of_design_orthogonal_residuals(self, seed):
+        """The variance is the quadratic form of the weighted
+        least-squares residuals, which are design-orthogonal to every
+        control column."""
         rng = np.random.default_rng(seed)
         n = 30
         sample = srs_sample(n, 150, rng)
         x = np.column_stack([np.ones(n), rng.normal(size=n), rng.integers(0, 2, n)])
         y = rng.normal(size=n) * 4.0
-        res = regdi_residuals(sample, y, x)
-        moments = x.T @ (sample.d * res.e_hat)
-        assert np.allclose(moments, 0.0, atol=1e-8 * np.abs(y).sum())
+        root_d = np.sqrt(sample.d)
+        beta = np.linalg.lstsq(x * root_d[:, None], y * root_d, rcond=None)[0]
+        resid = y - x @ beta
+        assert np.allclose(x.T @ (sample.d * resid), 0.0, atol=1e-8 * np.abs(y).sum())
+        assert regdi_variance(sample, y, x) == pytest.approx(
+            ht_variance_quadratic(sample, resid), rel=1e-9
+        )
 
     def test_intercept_absorbs_location_shifts(self):
         """With an intercept column the residuals -- hence the variance
@@ -190,17 +204,14 @@ class TestRegDIResiduals:
         sample = srs_sample(n, 125, rng)
         x = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.normal(size=n)
-        base = regdi_residuals(sample, y, x)
-        shifted = regdi_residuals(sample, y + 17.5, x)
-        assert np.allclose(base.e_hat, shifted.e_hat, atol=1e-10)
-        assert ht_variance_quadratic(sample, base.e_hat) == pytest.approx(
-            ht_variance_quadratic(sample, shifted.e_hat)
+        assert regdi_variance(sample, y + 17.5, x) == pytest.approx(
+            regdi_variance(sample, y, x)
         )
 
-    def test_row_count_mismatch_rejected(self):
+    def test_outcome_length_mismatch_rejected(self):
         sample = srs_sample(4, 16)
-        with pytest.raises(ValueError, match="one row per"):
-            regdi_residuals(sample, np.arange(4.0), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="one entry per"):
+            regdi_variance(sample, np.arange(3.0), np.ones((4, 1)))
 
 
 class TestMassImputation:
