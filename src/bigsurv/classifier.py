@@ -178,9 +178,9 @@ def _products(tables, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _posterior_from_products(pi: float, m_prod: np.ndarray, u_prod: np.ndarray):
-    a = pi * m_prod
-    b = (1.0 - pi) * u_prod
+def _posterior_from_mixture(a: np.ndarray, b: np.ndarray):
+    """Posterior ``a / (a + b)`` and likelihood ``a + b`` of the inside part
+    ``a = pi * prod m`` against the outside part ``b = (1 - pi) * prod u``."""
     denom = a + b
     if (denom <= 0.0).any():
         raise DegenerateFitError(
@@ -192,10 +192,37 @@ def _posterior_from_products(pi: float, m_prod: np.ndarray, u_prod: np.ndarray):
 def posterior(model: ClassifierModel, z) -> np.ndarray:
     """Membership posterior for each row of ``z`` under ``model``."""
     z = _validate_z(z, model.levels)
-    p, _ = _posterior_from_products(
-        model.pi, _products(model.m, z), _products(model.u, z)
+    p, _ = _posterior_from_mixture(
+        model.pi * _products(model.m, z), (1.0 - model.pi) * _products(model.u, z)
     )
     return p
+
+
+# running radix product above which the partial cell code is re-ranked, so
+# that a code times the next domain size stays inside int64
+_CODE_LIMIT = 2**62
+
+
+def _cells(z: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``z`` in lexicographic order, and each row's cell.
+
+    Rows are coded as the mixed-radix integer
+    ``((z1-1)·D2 + (z2-1))·D3 + ...``, which orders like the rows, so a
+    1-D ``np.unique`` replaces a row sort.  When the radix product would
+    pass ``_CODE_LIMIT`` the partial code is replaced by its rank, which
+    keeps the order and stays below ``n``.
+    """
+    code = z[:, 0] - 1
+    radix = levels[0]
+    for k in range(1, len(levels)):
+        D = levels[k]
+        if radix * D > _CODE_LIMIT:
+            code = np.unique(code, return_inverse=True)[1]
+            radix = int(code.max()) + 1
+        code = code * D + (z[:, k] - 1)
+        radix *= D
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return z[first], inverse
 
 
 def classify(posteriors) -> np.ndarray:
@@ -222,23 +249,39 @@ def em_fit(
     :class:`DegenerateFitError` if the posterior mass outside the big
     source vanishes.
     """
+    integral = isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
+    if not integral or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, not {max_iter!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, not {tol!r}")
     if sample.z is None:
         raise ValueError("sample must carry z rows")
-    z = _validate_z(sample.z, model.levels)
-    # collapse to unique z rows: the posterior is a function of the cell,
-    # so EM cost scales with distinct cells rather than sample size
-    rows, inverse = np.unique(z, axis=0, return_inverse=True)
-    w = np.bincount(inverse, weights=sample.d)
-    m_prod = _products(model.m, rows)
-    u = [t.copy() for t in model.u]
     levels = model.levels
+    z = _validate_z(sample.z, levels)
+    # collapse to distinct z cells: the posterior is a function of the cell,
+    # so EM cost scales with distinct cells rather than sample size
+    rows, inverse = _cells(z, levels)
+    w = np.bincount(inverse, weights=sample.d)
+    a = model.pi * _products(model.m, rows)
+    out_prior = 1.0 - model.pi
+    # u is one flat vector: column k's table sits at offsets[k]:offsets[k+1]
+    # and cell j's level of column k at flat[k, j]
+    offsets = np.cumsum((0,) + levels)
+    flat = np.ascontiguousarray((rows - 1 + offsets[:-1]).T)
+    flat_all = flat.ravel()
+    mass = np.empty(flat.shape)
+    mass_all = mass.reshape(-1)
+    u = np.concatenate(model.u)
 
     trace: list[float] = []
     converged = False
     # max_iter M-steps at most, each followed by an E-step, so the
     # returned posteriors match the returned tables
     for iteration in range(max_iter + 1):
-        p_cells, cell_lik = _posterior_from_products(model.pi, m_prod, _products(u, rows))
+        u_prod = u[flat[0]]
+        for k in range(1, len(levels)):
+            u_prod *= u[flat[k]]
+        p_cells, cell_lik = _posterior_from_mixture(a, out_prior * u_prod)
         ll = float(np.dot(w, np.log(cell_lik)))
         if trace and ll < trace[-1] - ASCENT_SLACK * max(1.0, abs(trace[-1])):
             raise AscentViolationError(
@@ -251,21 +294,21 @@ def em_fit(
         denom = out_mass.sum()
         if denom <= 0.0:
             raise DegenerateFitError("no design weight left outside the big source")
-        biggest = 0.0
-        new_u = []
-        for k, D in enumerate(levels):
-            table = np.bincount(rows[:, k] - 1, weights=out_mass, minlength=D) / denom
-            biggest = max(biggest, float(np.max(np.abs(table - u[k]))))
-            new_u.append(table)
+        # every column's level sums in one bincount: each bin adds the
+        # same cells in the same order as a per-column bincount would
+        mass[...] = out_mass
+        new_u = np.bincount(flat_all, weights=mass_all, minlength=offsets[-1]) / denom
+        converged = float(np.abs(new_u - u).max()) <= tol
         u = new_u
-        converged = biggest <= tol
     if not converged:
         _log.warning(
             "EM stopped at max_iter = %d before the largest u change fell "
             "below tol = %g", max_iter, tol,
         )
     p_hat = p_cells[inverse]
-    fitted = ClassifierModel(pi=model.pi, m=model.m, u=tuple(u))
+    fitted = ClassifierModel(
+        pi=model.pi, m=model.m, u=tuple(np.split(u, offsets[1:-1]))
+    )
     posteriors = PosteriorSet(
         p_hat=p_hat,
         delta_hat=classify(p_hat),

@@ -267,6 +267,10 @@ class ProbabilitySample:
             raise EmptyPopulationError("sample must hold at least one unit")
         if (self.pi <= 0).any() or (self.pi > 1).any():
             raise ValueError("inclusion probabilities must lie in (0, 1]")
+        # a NaN passes every comparison above and below
+        for name in ("d", "pi"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must hold finite values")
         if np.max(np.abs(self.d * self.pi - 1.0)) > 1e-9:
             raise ValueError("design weights must be reciprocal inclusion probabilities")
         if self.N < k:

@@ -45,11 +45,11 @@ def make_sample(z, d=None, y=None, N=None):
 
 
 @st.composite
-def em_problems(draw):
+def em_problems(draw, max_level=5):
     """A design sample on one to three categorical traits, with inside
     tables ``m``, a starting ``u`` and a prior ``pi`` drawn on their own
     rather than fitted, so EM starts anywhere in the parameter space."""
-    levels = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    levels = draw(st.lists(st.integers(2, max_level), min_size=1, max_size=3))
     n = draw(st.integers(2, 60))
     z = np.column_stack(
         [draw(st.lists(st.integers(1, D), min_size=n, max_size=n)) for D in levels]
@@ -94,6 +94,55 @@ def reference_em(z, d, pi, m, u0, iters=500, tol=1e-10):
         if biggest <= tol:
             break
     return u
+
+
+def row_sort_em(sample, model, tol=1e-8, max_iter=1000):
+    """EM on cells from a row sort, ``np.unique(z, axis=0)``, with one
+    table per column: the loop ``em_fit`` ran before its cells came from
+    an integer code and its tables from one flat vector.  Returns the
+    tables, the posteriors, the log-likelihood trace and ``converged``."""
+
+    def products(tables, rows):
+        out = tables[0][rows[:, 0] - 1].copy()
+        for k in range(1, rows.shape[1]):
+            out *= tables[k][rows[:, k] - 1]
+        return out
+
+    z = np.asarray(sample.z, np.int64)
+    rows, inverse = np.unique(z, axis=0, return_inverse=True)
+    w = np.bincount(inverse, weights=sample.d)
+    m_prod = products(model.m, rows)
+    u = [t.copy() for t in model.u]
+    trace, converged = [], False
+    for iteration in range(max_iter + 1):
+        a = model.pi * m_prod
+        cell_lik = a + (1.0 - model.pi) * products(u, rows)
+        p_cells = a / cell_lik
+        trace.append(float(np.dot(w, np.log(cell_lik))))
+        if converged or iteration == max_iter:
+            break
+        out_mass = w * (1.0 - p_cells)
+        denom = out_mass.sum()
+        biggest = 0.0
+        new_u = []
+        for k, D in enumerate(model.levels):
+            table = np.bincount(rows[:, k] - 1, weights=out_mass, minlength=D) / denom
+            biggest = max(biggest, float(np.max(np.abs(table - u[k]))))
+            new_u.append(table)
+        u = new_u
+        converged = biggest <= tol
+    return u, p_cells[inverse], trace, converged
+
+
+def assert_same_fit_bits(sample, model, **kwargs):
+    fitted, post = em_fit(sample, model, **kwargs)
+    u, p_hat, trace, converged = row_sort_em(sample, model, **kwargs)
+    assert np.array(post.loglik_trace).tobytes() == np.array(trace).tobytes()
+    assert post.p_hat.tobytes() == p_hat.tobytes()
+    assert len(fitted.u) == len(u)
+    for got, want in zip(fitted.u, u):
+        assert got.tobytes() == want.tobytes()
+    assert post.converged is converged
 
 
 class TestModelValidation:
@@ -313,6 +362,47 @@ class TestEMFit:
         assert np.array_equal(post.p_hat, posterior(fitted, z))
         if max_iter == 0:
             assert all(np.array_equal(a, b) for a, b in zip(fitted.u, u0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        problem=em_problems(max_level=8),
+        max_iter=st.integers(0, 200),
+        tol=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]),
+    )
+    def test_bit_identical_to_row_sort_loop(self, problem, max_iter, tol):
+        """Cells from the integer code and the one-vector tables give the
+        same trace, posteriors, tables and ``converged`` to the last bit
+        as the row-sort, per-column loop."""
+        sample, model = problem
+        assert_same_fit_bits(sample, model, tol=tol, max_iter=max_iter)
+
+    def test_bit_identical_on_64_binary_columns(self):
+        """2^64 cells overflow an int64 code; the partial code is
+        re-ranked on the way, and the fit still matches bit for bit."""
+        rng = np.random.default_rng(64)
+        n, levels = 300, (2,) * 64
+        z = rng.integers(1, 3, size=(n, 64))
+        z[n // 2:, :40] = z[: n - n // 2, :40]  # cells that share a long prefix
+        sample = make_sample(z, d=rng.uniform(1.0, 50.0, n))
+
+        def tables():
+            t = rng.uniform(0.2, 1.0, size=(len(levels), 2))
+            return tuple(t / t.sum(axis=1, keepdims=True))
+
+        model = ClassifierModel(pi=0.4, m=tables(), u=tables())
+        assert_same_fit_bits(sample, model)
+
+    @pytest.mark.parametrize("max_iter", [-1, 2.0, True, "10"])
+    def test_bad_max_iter_rejected(self, max_iter):
+        sample, model = self.em_problem()
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer >= 0"):
+            em_fit(sample, model, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [-1e-8, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        sample, model = self.em_problem()
+        with pytest.raises(ValueError, match=r"^tol must be a number >= 0"):
+            em_fit(sample, model, tol=tol)
 
     def em_problem(self):
         rng = np.random.default_rng(5)

@@ -91,6 +91,21 @@ class TestProbabilitySampleValidation:
                 N=2,
             )
 
+    @pytest.mark.parametrize(
+        "d, pi, name",
+        [((np.nan, 2.0), (np.nan, 0.5), "d"), ((2.0, 2.0), (np.nan, 0.5), "pi")],
+    )
+    def test_non_finite_weights_rejected(self, d, pi, name):
+        """A NaN passes every range and reciprocity comparison, so it is
+        rejected on its own, naming the column."""
+        with pytest.raises(ValueError, match=rf"^{name} must hold finite values"):
+            ProbabilitySample(
+                unit_ids=np.array([1, 2]),
+                d=np.array(d),
+                pi=np.array(pi),
+                joint_pi=None,
+                N=4,
+            )
 
     def test_universe_below_sample_size_rejected(self):
         with pytest.raises(ValueError, match="universe size N = 2"):
