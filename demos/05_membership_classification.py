@@ -40,11 +40,11 @@ levels = tuple(int(pop.z[:, k].max()) for k in range(pop.z.shape[1]))
 
 # Fit the mixture: member-side trait tables come from the big source;
 # the non-member side starts from smoothed sample frequencies and is
-# refined by EM, which is guaranteed non-decreasing in the weighted
-# log-likelihood.
+# refined by SQUAREM-accelerated EM, which is guaranteed non-decreasing
+# in the weighted log-likelihood.
 fitted, post = fit_membership(sample, big, big.N_b / pop.N, levels)
 print(
-    f"\nEM: {len(post.loglik_trace) - 1} iterations, "
+    f"\nEM: {post.iterations} map evaluations, "
     f"log-likelihood {post.loglik_trace[0]:.1f} -> {post.loglik_trace[-1]:.1f}"
 )
 

@@ -14,14 +14,16 @@ The E-step posterior for a unit with levels ``z`` is
                                    + (1 - pi) * prod_k u_k[z_k])
 
 and the M-step re-estimates each ``u_k`` as the design-weighted,
-posterior-(1-p)-weighted level frequencies.  The design-weighted
-observed-data log-likelihood is non-decreasing across iterations; the
-fitter enforces that invariant.
+posterior-(1-p)-weighted level frequencies.  SQUAREM extrapolates this
+map; the design-weighted observed-data log-likelihood is non-decreasing
+across accepted iterates, and the fitter enforces that invariant.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +67,8 @@ def _check_tables(tables, what: str):
         t = np.asarray(t, float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError(f"{what}[{k}] must be a non-empty vector")
+        if not np.isfinite(t).all():
+            raise ValueError(f"{what}[{k}] entries must be finite")
         if (t < -1e-12).any() or (t > 1 + 1e-12).any():
             raise ValueError(f"{what}[{k}] entries must lie in [0, 1]")
         if abs(t.sum() - 1.0) > 1e-10:
@@ -103,7 +107,8 @@ class PosteriorSet:
     """Per-unit membership posteriors and hard labels.
 
     ``converged`` is false when the fit stopped at its iteration limit
-    before the tables settled.
+    before the tables settled; ``iterations`` counts the EM map
+    evaluations the fit made after scoring its start.
     """
 
     p_hat: np.ndarray
@@ -111,6 +116,7 @@ class PosteriorSet:
     loglik_trace: tuple[float, ...] = ()
     design_weighted_mean: float | None = None
     converged: bool = True
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,74 @@ def classify(posteriors) -> np.ndarray:
     return (p > 0.5).astype(np.int64)
 
 
+def _em_map(sample: ProbabilitySample, model: ClassifierModel):
+    """The plain EM map of ``model`` on ``sample``'s distinct z cells.
+
+    Returns ``(step, inverse, offsets)``.  ``step(u) -> (F(u), p_cells,
+    loglik)`` is one E-step and one M-step: the cell posteriors and the
+    design-weighted log-likelihood at ``u``, and ``F(u)``, the
+    posterior-(1-p)-weighted level frequencies.  ``u`` is one flat vector
+    in which column k's table sits at ``offsets[k]:offsets[k+1]``, and
+    ``inverse`` maps each unit to its cell.
+    """
+    levels = model.levels
+    z = _validate_z(sample.z, levels)
+    # collapse to distinct z cells: the posterior is a function of the cell,
+    # so EM cost scales with distinct cells rather than sample size
+    rows, inverse = _cells(z, levels)
+    w = np.bincount(inverse, weights=sample.d)
+    a = model.pi * _products(model.m, rows)
+    out_prior = 1.0 - model.pi
+    # cell j's level of column k sits at flat[k, j]
+    offsets = np.cumsum((0,) + levels)
+    flat = np.ascontiguousarray((rows - 1 + offsets[:-1]).T)
+    flat_all = flat.ravel()
+    mass = np.empty(flat.shape)
+    mass_all = mass.reshape(-1)
+
+    def step(u):
+        u_prod = u[flat[0]]
+        for k in range(1, len(levels)):
+            u_prod *= u[flat[k]]
+        p_cells, cell_lik = _posterior_from_mixture(a, out_prior * u_prod)
+        ll = float(np.dot(w, np.log(cell_lik)))
+        out_mass = w * (1.0 - p_cells)
+        denom = out_mass.sum()
+        if denom <= 0.0:
+            raise DegenerateFitError("no design weight left outside the big source")
+        # every column's level sums in one bincount: each bin adds the
+        # same cells in the same order as a per-column bincount would
+        mass[...] = out_mass
+        new_u = np.bincount(flat_all, weights=mass_all, minlength=offsets[-1]) / denom
+        return new_u, p_cells, ll
+
+    return step, inverse, offsets
+
+
+def _squarem_point(u0, u1, u2, column):
+    """SQUAREM's extrapolation from the plain steps ``u0 -> u1 -> u2``.
+
+    With ``r = u1 - u0``, ``v = u2 - 2 u1 + u0`` and the S3 step length
+    ``alpha = min(-|r| / |v|, -1)`` the point is
+    ``u0 - 2 alpha r + alpha^2 v``, each column's block renormalised
+    (``column`` names each entry's block).  ``alpha = -1`` gives ``u2``.
+    Returns None when ``v`` is zero or the point has a negative or
+    non-finite entry.
+    """
+    r = u1 - u0
+    v = u2 - 2.0 * u1 + u0
+    v_norm = math.sqrt(v @ v)
+    if v_norm == 0.0:
+        return None
+    alpha = min(-math.sqrt(r @ r) / v_norm, -1.0)
+    x = u0 - 2.0 * alpha * r + alpha * alpha * v
+    sums = np.bincount(column, weights=x)
+    # a NaN fails the first test and an infinite entry the last
+    if not (x.min() >= 0.0 and sums.min() > 0.0 and sums.max() < math.inf):
+        return None
+    return x / sums[column]
+
+
 def em_fit(
     sample: ProbabilitySample,
     model: ClassifierModel,
@@ -240,12 +314,21 @@ def em_fit(
     """Estimate the outside-source tables ``u`` by EM on the design sample.
 
     ``model`` supplies the fixed prior ``pi``, the fixed inside tables
-    ``m``, and the starting ``u``.  Iterates until the largest ``u``
-    change falls below ``tol`` or ``max_iter`` is reached; in the second
-    case the posteriors say ``converged=False`` and a WARNING goes to the
-    ``bigsurv.classifier`` logger.  Raises
-    :class:`AscentViolationError` if the design-weighted log-likelihood
-    ever decreases beyond floating slack, and
+    ``m``, and the starting ``u``.  The EM map is accelerated by SQUAREM
+    (Varadhan & Roland 2008, step length S3): each cycle takes two plain
+    steps ``u1 = F(u0)``, ``u2 = F(u1)`` and extrapolates along them, and
+    falls back to ``u2`` when the extrapolated point has a negative entry,
+    makes the posterior degenerate or lowers the log-likelihood.  The fit
+    converges when one plain step moves no entry of ``u`` by more than
+    ``tol``, and returns that step's tables with their posteriors.
+
+    ``max_iter`` bounds the map evaluations (one E-step and one M-step
+    each) after the one that scores the starting tables; a fit that
+    reaches it says ``converged=False`` and sends a WARNING to the
+    ``bigsurv.classifier`` logger.  ``loglik_trace`` holds the
+    log-likelihood of each accepted iterate and ``iterations`` the map
+    evaluations.  Raises :class:`AscentViolationError` if a plain step
+    lowers the design-weighted log-likelihood beyond floating slack, and
     :class:`DegenerateFitError` if the posterior mass outside the big
     source vanishes.
     """
@@ -256,50 +339,46 @@ def em_fit(
         raise ValueError(f"tol must be a number >= 0, not {tol!r}")
     if sample.z is None:
         raise ValueError("sample must carry z rows")
-    levels = model.levels
-    z = _validate_z(sample.z, levels)
-    # collapse to distinct z cells: the posterior is a function of the cell,
-    # so EM cost scales with distinct cells rather than sample size
-    rows, inverse = _cells(z, levels)
-    w = np.bincount(inverse, weights=sample.d)
-    a = model.pi * _products(model.m, rows)
-    out_prior = 1.0 - model.pi
-    # u is one flat vector: column k's table sits at offsets[k]:offsets[k+1]
-    # and cell j's level of column k at flat[k, j]
-    offsets = np.cumsum((0,) + levels)
-    flat = np.ascontiguousarray((rows - 1 + offsets[:-1]).T)
-    flat_all = flat.ravel()
-    mass = np.empty(flat.shape)
-    mass_all = mass.reshape(-1)
-    u = np.concatenate(model.u)
+    em_step, inverse, offsets = _em_map(sample, model)
+    column = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    budget = max_iter + 1
+    evaluations = 0
 
-    trace: list[float] = []
-    converged = False
-    # max_iter M-steps at most, each followed by an E-step, so the
-    # returned posteriors match the returned tables
-    for iteration in range(max_iter + 1):
-        u_prod = u[flat[0]]
-        for k in range(1, len(levels)):
-            u_prod *= u[flat[k]]
-        p_cells, cell_lik = _posterior_from_mixture(a, out_prior * u_prod)
-        ll = float(np.dot(w, np.log(cell_lik)))
-        if trace and ll < trace[-1] - ASCENT_SLACK * max(1.0, abs(trace[-1])):
+    def evaluate(x, ll_from=None):
+        # one map evaluation; ``ll_from`` is the log-likelihood of the point
+        # whose plain step gave ``x``, so the ascent guard applies to it
+        nonlocal evaluations
+        evaluations += 1
+        fx, p, ll = em_step(x)
+        if ll_from is not None and ll < ll_from - ASCENT_SLACK * max(1.0, abs(ll_from)):
             raise AscentViolationError(
-                f"log-likelihood decreased from {trace[-1]!r} to {ll!r}"
+                f"log-likelihood decreased from {ll_from!r} to {ll!r}"
             )
+        return x, fx, p, ll
+
+    # the accepted iterate, F of it, its cell posteriors and log-likelihood
+    u, fu, p_cells, ll = evaluate(np.concatenate(model.u))
+    trace = [ll]
+    converged = False
+    while not converged and evaluations < budget:
+        # the plain step u1 = F(u); a converged one is scored and returned
+        converged = float(np.abs(fu - u).max()) <= tol
+        step = evaluate(fu, ll)
+        u1, u2, _, ll1 = step
+        # while evaluations remain and u1 -> u2 does not converge, try the
+        # extrapolated point, then u2; otherwise u1 is the accepted iterate
+        if not converged and evaluations < budget and float(np.abs(u2 - u1).max()) > tol:
+            squared = None
+            x = _squarem_point(u, u1, u2, column)
+            if x is not None:
+                with contextlib.suppress(DegenerateFitError):
+                    squared = evaluate(x)
+            if squared is not None and squared[3] >= ll:
+                step = squared
+            elif evaluations < budget:
+                step = evaluate(u2, ll1)
+        u, fu, p_cells, ll = step
         trace.append(ll)
-        if converged or iteration == max_iter:
-            break
-        out_mass = w * (1.0 - p_cells)
-        denom = out_mass.sum()
-        if denom <= 0.0:
-            raise DegenerateFitError("no design weight left outside the big source")
-        # every column's level sums in one bincount: each bin adds the
-        # same cells in the same order as a per-column bincount would
-        mass[...] = out_mass
-        new_u = np.bincount(flat_all, weights=mass_all, minlength=offsets[-1]) / denom
-        converged = float(np.abs(new_u - u).max()) <= tol
-        u = new_u
     if not converged:
         _log.warning(
             "EM stopped at max_iter = %d before the largest u change fell "
@@ -315,6 +394,7 @@ def em_fit(
         loglik_trace=tuple(trace),
         design_weighted_mean=float(np.dot(sample.d, p_hat) / sample.d.sum()),
         converged=converged,
+        iterations=evaluations - 1,
     )
     return fitted, posteriors
 
@@ -379,7 +459,8 @@ def pdi2_total(
     inverse-propensity-corrected versions.  Valid when membership is
     ignorable given the matching variables.  The variance is
     :func:`pdi_total`'s plug-in one: it leaves out the error of the
-    fitted classifier.
+    fitted classifier, and is far too small.  Over the 1,000 default-seed
+    replicates of study two its relative bias is about -0.7.
     """
     if sample.z is None or sample.y is None:
         raise ValueError("sample must carry z rows and y values")

@@ -209,6 +209,11 @@ def _print_summary(summary) -> None:
         print(f"replicate failures redrawn: {summary.failures}")
     if summary.unconverged:
         print(f"EM fits stopped at max_iter: {summary.unconverged}")
+    if summary.em_iterations_max:
+        print(
+            f"EM map evaluations per fit: median {summary.em_iterations_p50:g}, "
+            f"p90 {summary.em_iterations_p90}, max {summary.em_iterations_max}"
+        )
 
 
 def _emit_summary(summary, out) -> None:
@@ -349,9 +354,8 @@ def cmd_classify(args, parser) -> int:
     model_path = out.with_suffix(".model.txt")
     fileio.write_classifier_model(model_path, fitted)
 
-    iters = len(post.loglik_trace) - 1
     print(
-        f"fitted mixture in {iters} iterations; "
+        f"fitted mixture in {post.iterations} iterations; "
         f"final log-likelihood {post.loglik_trace[-1]:.6f}"
     )
     if not post.converged:

@@ -120,8 +120,12 @@ class MonteCarloSummary:
     rows: tuple[EstimatorSummary, ...]
     var_rel_bias: float | None
     failures: int
-    # study two's EM fits that stopped at max_iter before converging
+    # study two's EM fits that stopped at max_iter before converging, and
+    # the median, 90th percentile and maximum of their map evaluations
     unconverged: int = 0
+    em_iterations_p50: float = 0.0
+    em_iterations_p90: int = 0
+    em_iterations_max: int = 0
 
     def row(self, estimator: str) -> EstimatorSummary:
         for r in self.rows:
@@ -320,7 +324,7 @@ def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: in
     sample = draw_srs(pop, config.n_a, substream(seed, 0))
     # no summary reads a study-two variance, so dropping joint_pi spares
     # pdi_total and pdi2_total three O(n) variances per replicate; a
-    # var_rel_bias for proposed_di (ROADMAP item 3) would restore it
+    # var_rel_bias for proposed_di (ROADMAP item 2) would restore it
     sample = replace(sample, delta=delta[sample.indices], joint_pi=None)
     fitted, post = classifier.fit_membership(sample, big, N_b / pop.N, levels)
 
@@ -336,7 +340,7 @@ def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: in
         "proposed_di": proposed.mean,
         "original_di": original.mean,
         "truth": float(pop.y.mean()),
-        "em_iterations": len(post.loglik_trace) - 1,
+        "em_iterations": post.iterations,
         "converged": post.converged,
     }
 
@@ -360,6 +364,7 @@ def run_sim2(config: SimConfig) -> MonteCarloSummary:
     )
     truths = np.array([rec["truth"] for rec in records])
     rows = _summaries(records, SIM2_ESTIMATORS, truths)
+    iterations = np.sort([rec["em_iterations"] for rec in records])
     return MonteCarloSummary(
         study="sim2",
         scenario=f"n_a={config.n_a}",
@@ -369,6 +374,10 @@ def run_sim2(config: SimConfig) -> MonteCarloSummary:
         var_rel_bias=None,
         failures=failures,
         unconverged=sum(not rec["converged"] for rec in records),
+        em_iterations_p50=float(np.median(iterations)),
+        # nearest rank: np.percentile would load numpy.ma for this one value
+        em_iterations_p90=int(iterations[math.ceil(0.9 * iterations.size) - 1]),
+        em_iterations_max=int(iterations[-1]),
     )
 
 

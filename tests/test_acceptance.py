@@ -155,7 +155,8 @@ def test_criterion_2_variance_relative_bias(sim1_full):
 def test_criterion_3_second_study_table(sim2_full):
     """Classified-membership study: the naive integrator shows the
     expected overstatement, the corrected integrator is unbiased, the
-    SE ordering holds at both sample sizes, and both runs finish fast."""
+    SE ordering holds at both sample sizes, every EM fit converges, and
+    both runs finish fast."""
     runs, elapsed = sim2_full
     failures = []
     for n in (1000, 2000):
@@ -176,6 +177,8 @@ def test_criterion_3_second_study_table(sim2_full):
         mean_b = summary.row("mean_b").bias
         if abs(mean_b + 0.14) > 0.02:
             failures.append(f"n={n} mean_b {mean_b:+.4f}")
+        if summary.unconverged:
+            failures.append(f"n={n} {summary.unconverged} EM fits stopped at max_iter")
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f}s")
     report(3, failures, f"both sample sizes in band in {elapsed:.1f}s")

@@ -24,7 +24,7 @@ from bigsurv import (
     posterior,
     propensity_totals,
 )
-from bigsurv.classifier import ASCENT_SLACK
+from bigsurv.classifier import ASCENT_SLACK, _em_map, _squarem_point
 
 
 def make_sample(z, d=None, y=None, N=None):
@@ -45,11 +45,13 @@ def make_sample(z, d=None, y=None, N=None):
 
 
 @st.composite
-def em_problems(draw, max_level=5):
-    """A design sample on one to three categorical traits, with inside
-    tables ``m``, a starting ``u`` and a prior ``pi`` drawn on their own
-    rather than fitted, so EM starts anywhere in the parameter space."""
-    levels = draw(st.lists(st.integers(2, max_level), min_size=1, max_size=3))
+def em_problems(draw, max_level=5, max_traits=3):
+    """A design sample on one to ``max_traits`` categorical traits, with
+    inside tables ``m``, a starting ``u`` and a prior ``pi`` drawn on their
+    own rather than fitted, so EM starts anywhere in the parameter space."""
+    levels = draw(
+        st.lists(st.integers(2, max_level), min_size=1, max_size=max_traits)
+    )
     n = draw(st.integers(2, 60))
     z = np.column_stack(
         [draw(st.lists(st.integers(1, D), min_size=n, max_size=n)) for D in levels]
@@ -134,21 +136,39 @@ def row_sort_em(sample, model, tol=1e-8, max_iter=1000):
     return u, p_cells[inverse], trace, converged
 
 
-def assert_same_fit_bits(sample, model, **kwargs):
-    fitted, post = em_fit(sample, model, **kwargs)
-    u, p_hat, trace, converged = row_sort_em(sample, model, **kwargs)
-    assert np.array(post.loglik_trace).tobytes() == np.array(trace).tobytes()
-    assert post.p_hat.tobytes() == p_hat.tobytes()
-    assert len(fitted.u) == len(u)
-    for got, want in zip(fitted.u, u):
-        assert got.tobytes() == want.tobytes()
-    assert post.converged is converged
+def assert_map_steps_match_row_sort(sample, model, steps):
+    """Iterate the private EM map ``steps`` times from ``model.u`` and check
+    each step against one iteration of ``row_sort_em`` from the same
+    tables, to the last bit: the log-likelihood and posteriors at ``u``
+    and the next tables ``F(u)``."""
+    step, inverse, offsets = _em_map(sample, model)
+    u = np.concatenate(model.u)
+    want = row_sort_em(sample, model, tol=0.0, max_iter=0)
+    for _ in range(steps + 1):
+        new_u, p_cells, ll = step(u)
+        _, p_hat, trace, _ = want
+        assert np.float64(ll).tobytes() == np.float64(trace[-1]).tobytes()
+        assert p_cells[inverse].tobytes() == p_hat.tobytes()
+        start = replace(model, u=tuple(np.split(u, offsets[1:-1])))
+        want = row_sort_em(sample, start, tol=0.0, max_iter=1)
+        assert np.concatenate(want[0]).tobytes() == new_u.tobytes()
+        u = new_u
 
 
 class TestModelValidation:
     def test_tables_must_normalise(self):
         with pytest.raises(ValueError):
             ClassifierModel(pi=0.5, m=(np.array([0.7, 0.7]),), u=(np.array([0.5, 0.5]),))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["m", "u"])
+    def test_non_finite_entries_rejected(self, side, bad):
+        """A NaN entry passes every range and sum test, so it is named as
+        non-finite rather than building a model whose posterior is NaN."""
+        tables = {"m": (np.array([0.5, 0.5]),), "u": (np.array([0.5, 0.5]),)}
+        tables[side] = (np.array([bad, 1.0]),)
+        with pytest.raises(ValueError, match=rf"^{side}\[0\] entries must be finite$"):
+            ClassifierModel(pi=0.5, **tables)
 
     def test_pi_must_be_probability(self):
         with pytest.raises(ValueError):
@@ -314,6 +334,21 @@ class TestEMFit:
         slack = ASCENT_SLACK * np.maximum(1.0, np.abs(trace[:-1]))
         assert np.all(np.diff(trace) >= -slack)
 
+    @settings(max_examples=60, deadline=None)
+    @given(problem=em_problems(max_level=8, max_traits=1))
+    def test_reaches_the_plain_loop_loglik(self, problem):
+        """Run to a tight ``tol``, the accelerated fit ends no lower than
+        the plain loop, up to the ascent slack.  One trait keeps the
+        log-likelihood concave in ``u`` (a weighted sum of logs of terms
+        affine in ``u``), so both climb to the same maximum; with several
+        traits the mixture can have more than one stationary point, and
+        the two loops may stop at different ones."""
+        sample, model = problem
+        _, post = em_fit(sample, model, tol=1e-12, max_iter=20_000)
+        _, _, trace, _ = row_sort_em(sample, model, tol=1e-12, max_iter=20_000)
+        plain = trace[-1]
+        assert post.loglik_trace[-1] >= plain - ASCENT_SLACK * max(1.0, abs(plain))
+
     def test_returned_posteriors_match_returned_model_bitwise(self):
         rng = np.random.default_rng(77)
         z = rng.integers(1, 4, size=(50, 2))
@@ -348,8 +383,8 @@ class TestEMFit:
 
     @pytest.mark.parametrize("max_iter", [0, 1, 3])
     def test_max_iter_bounds_the_m_steps(self, max_iter):
-        """With ``tol=0`` the fit runs ``max_iter`` M-steps, each
-        followed by an E-step after the starting one."""
+        """With ``tol=0`` the fit makes ``max_iter`` map evaluations after
+        the one that scores its start."""
         rng = np.random.default_rng(5)
         z = rng.integers(1, 4, size=(40, 2))
         sample = make_sample(z)
@@ -358,27 +393,23 @@ class TestEMFit:
         fitted, post = em_fit(
             sample, ClassifierModel(pi=0.5, m=m, u=u0), tol=0.0, max_iter=max_iter
         )
-        assert len(post.loglik_trace) == max_iter + 1
+        assert post.iterations == max_iter
         assert np.array_equal(post.p_hat, posterior(fitted, z))
         if max_iter == 0:
             assert all(np.array_equal(a, b) for a, b in zip(fitted.u, u0))
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        problem=em_problems(max_level=8),
-        max_iter=st.integers(0, 200),
-        tol=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]),
-    )
-    def test_bit_identical_to_row_sort_loop(self, problem, max_iter, tol):
+    @given(problem=em_problems(max_level=8), steps=st.integers(0, 200))
+    def test_bit_identical_to_row_sort_loop(self, problem, steps):
         """Cells from the integer code and the one-vector tables give the
-        same trace, posteriors, tables and ``converged`` to the last bit
-        as the row-sort, per-column loop."""
+        same log-likelihood, posteriors and next tables to the last bit as
+        the row-sort, per-column loop, step after step."""
         sample, model = problem
-        assert_same_fit_bits(sample, model, tol=tol, max_iter=max_iter)
+        assert_map_steps_match_row_sort(sample, model, steps)
 
     def test_bit_identical_on_64_binary_columns(self):
         """2^64 cells overflow an int64 code; the partial code is
-        re-ranked on the way, and the fit still matches bit for bit."""
+        re-ranked on the way, and the map still matches bit for bit."""
         rng = np.random.default_rng(64)
         n, levels = 300, (2,) * 64
         z = rng.integers(1, 3, size=(n, 64))
@@ -390,7 +421,7 @@ class TestEMFit:
             return tuple(t / t.sum(axis=1, keepdims=True))
 
         model = ClassifierModel(pi=0.4, m=tables(), u=tables())
-        assert_same_fit_bits(sample, model)
+        assert_map_steps_match_row_sort(sample, model, 50)
 
     @pytest.mark.parametrize("max_iter", [-1, 2.0, True, "10"])
     def test_bad_max_iter_rejected(self, max_iter):
@@ -428,6 +459,60 @@ class TestEMFit:
             _, post = em_fit(sample, model)
         assert post.converged is True
         assert not [r for r in caplog.records if r.name == "bigsurv.classifier"]
+
+
+class TestSquaremFallback:
+    """Cases whose first extrapolated point is unusable, so the fit takes
+    the second plain step ``u2 = F(F(u0))`` in its place."""
+
+    def plain_steps(self, sample, model):
+        step, inverse, _ = _em_map(sample, model)
+        u0 = np.concatenate(model.u)
+        u1, _, ll0 = step(u0)
+        u2, _, _ = step(u1)
+        _, p2, ll2 = step(u2)
+        return u0, u1, u2, (ll0, ll2), p2[inverse]
+
+    def assert_took_u2(self, sample, model, max_iter, plain):
+        _, _, u2, trace, p_hat = plain
+        fitted, post = em_fit(sample, model, max_iter=max_iter)
+        assert fitted.u[0].tobytes() == u2.tobytes()
+        assert post.loglik_trace == trace
+        assert post.p_hat.tobytes() == p_hat.tobytes()
+        assert post.iterations == max_iter
+        assert post.converged is False
+
+    def test_negative_point(self):
+        """Units at levels 1 and 2, pi = 0.9, m = u = (0.6, 0.4): the
+        log-likelihood 4 log(0.54 + 0.1 u_1) + 4 log(0.36 + 0.1 u_2) peaks
+        off the simplex at u = (-0.4, 1.4), where the extrapolation lands.
+        Budget: the start, u1 and u2."""
+        sample = make_sample([[1], [2]])
+        model = ClassifierModel(
+            pi=0.9, m=(np.array([0.6, 0.4]),), u=(np.array([0.6, 0.4]),)
+        )
+        plain = self.plain_steps(sample, model)
+        u0, u1, u2 = plain[:3]
+        assert _squarem_point(u0, u1, u2, np.zeros(2, np.int64)) is None
+        self.assert_took_u2(sample, model, 2, plain)
+
+    def test_lower_loglik_point(self):
+        """Units at levels 2 and 1, pi = 0.9, m = (0.5, 0.5): the
+        log-likelihood is symmetric and concave with its peak at
+        u = (0.5, 0.5).  From u = (0.25, 0.75) the extrapolation overshoots
+        to about (0.80, 0.20), below the start.  Budget: the start, u1,
+        the rejected point and u2."""
+        sample = make_sample([[2], [1]])
+        model = ClassifierModel(
+            pi=0.9, m=(np.array([0.5, 0.5]),), u=(np.array([0.25, 0.75]),)
+        )
+        plain = self.plain_steps(sample, model)
+        u0, u1, u2 = plain[:3]
+        x = _squarem_point(u0, u1, u2, np.zeros(2, np.int64))
+        assert x is not None
+        _, _, ll_x = _em_map(sample, model)[0](x)
+        assert ll_x < plain[3][0]
+        self.assert_took_u2(sample, model, 3, plain)
 
 
 class TestFitMembership:

@@ -624,6 +624,18 @@ class TestSimulateCommands:
         ]
 
 
+    def test_simulate2_prints_em_map_evaluations(self, capsys, monkeypatch):
+        """Capped at one map evaluation, every fit's count is 1."""
+        monkeypatch.setattr(
+            bigsurv.classifier, "em_fit",
+            functools.partial(bigsurv.classifier.em_fit, max_iter=1),
+        )
+        code = main(["simulate2", "--n-a", "60", "--reps", "4", "--seed", "6",
+                     "--pop-n", "400", "--big-n", "200"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "EM map evaluations per fit: median 1, p90 1, max 1\n" in out
+
     def test_simulate2_prints_fits_stopped_at_max_iter(self, capsys, monkeypatch):
         monkeypatch.setattr(
             bigsurv.classifier, "em_fit",

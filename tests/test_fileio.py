@@ -326,6 +326,14 @@ class TestModelDumps:
         back = read_classifier_model(path)
         assert back.pi == 0.5
 
+    def test_nan_table_entry_rejected(self, tmp_path):
+        """A NaN entry passes every range and sum test, so it is named
+        as non-finite instead of loading a model whose posterior is NaN."""
+        path = tmp_path / "mixture.model.txt"
+        path.write_text("pi=0.5\nlevels=2\nm1=nan,1.0\nu1=0.5,0.5\n")
+        with pytest.raises(ValueError, match=r"^m\[0\] entries must be finite$"):
+            read_classifier_model(path)
+
 
 class TestSummaryCSV:
     def test_columns_and_blanks_preserved(self, tmp_path):

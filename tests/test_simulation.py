@@ -4,6 +4,7 @@ directionally correct study output at desk scale."""
 
 import functools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -295,6 +296,25 @@ class TestStudyTwoHarness:
         assert summary.scenario == "n_a=60"
         assert summary.var_rel_bias is None
         assert summary.failures == 0
+
+    def test_em_iterations_summarise_every_fit(self, monkeypatch):
+        """The summary's median, 90th percentile (nearest rank) and
+        maximum are those of the map evaluations each replicate's fit
+        reports."""
+        seen, fit = [], classifier.em_fit
+
+        def recording(*args, **kwargs):
+            fitted, post = fit(*args, **kwargs)
+            seen.append(post.iterations)
+            return fitted, post
+
+        monkeypatch.setattr(classifier, "em_fit", recording)
+        summary = run_sim2(small_sim2())
+        assert summary.failures == 0
+        assert len(seen) == summary.replicates
+        assert summary.em_iterations_p50 == np.median(seen)
+        assert summary.em_iterations_p90 == sorted(seen)[math.ceil(0.9 * len(seen)) - 1]
+        assert summary.em_iterations_max == max(seen) > 0
 
     def test_fits_stopped_at_max_iter_are_counted(self, monkeypatch, caplog):
         """Capped at one iteration, every fit stops short: the summary
