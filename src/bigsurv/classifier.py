@@ -472,6 +472,7 @@ def pdi2_total(
         estimator="pdi2",
         notes=(
             "assumes membership is ignorable given the matching variables",
-            "variance treats the classified labels as known",
+            "variance treats the classified labels as known, so it is far too "
+            "small: its relative bias is about -0.7 in study two",
         ),
     )

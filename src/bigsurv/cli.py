@@ -322,6 +322,12 @@ def cmd_estimate(args, parser) -> int:
         fitted, _ = fit_membership(sample, big, pi)
         report = pdi2_total(sample, big, fitted)
 
+    # ratio_di carries no variance under any design
+    if report.variance is None and sample.joint_pi is None and method != "ratio":
+        report = dataclasses.replace(report, notes=report.notes + (
+            "no variance: the pi are not all n/N, so the joint inclusion "
+            "probabilities are unknown",
+        ))
     _emit_estimate(report, args.out)
     return 0
 

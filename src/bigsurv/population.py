@@ -405,14 +405,42 @@ def draw_srs(pop: FinitePopulation, n: int, seed) -> ProbabilitySample:
     )
 
 
-def _srs_positions(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Positions of a uniform k-subset of range(m)."""
+def _srs_mask(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Boolean mask over range(m) of a uniform k-subset.
+
+    Keeping the k smallest of m iid uniform keys is an exact SRS.  The keys
+    are drawn even when ``k`` is 0 and not at all when ``k`` is ``m``, so
+    the stream a caller reads next does not depend on the sizes asked.
+    The mask holds every key below the k-th smallest and then the first
+    keys tied with it: the set ``argpartition(keys, k)[:k]`` picks when, as
+    almost surely, no key ties.
+    """
     if k == m:
-        return np.arange(m)
-    # keeping the k smallest of iid uniform keys is an exact SRS and is
-    # cheaper than a full permutation when k is a large share of m
+        return np.ones(m, bool)
     keys = rng.random(m)
-    return np.argpartition(keys, k)[:k]
+    if k == 0:
+        return np.zeros(m, bool)
+    # the k-th smallest of m uniform keys lies within a few binomial SDs of
+    # k / m (Floyd & Rivest 1975), so only the keys within six SDs are
+    # partitioned; at the studies' stratum sizes the band misses with
+    # probability about 2e-9
+    p = k / m
+    half = 6.0 * math.sqrt(p * (1.0 - p) / m)
+    below = keys < p - half
+    n_below = np.count_nonzero(below)
+    band = keys[(keys < p + half) ^ below]
+    if not n_below < k <= n_below + band.size:
+        # the band missed the k-th key: partition every key
+        band, n_below = keys, 0
+    j = k - 1 - n_below
+    t = np.partition(band, j)[j]
+    hit = keys <= t
+    extra = n_below + np.count_nonzero(band <= t) - k
+    if extra:
+        # keys tied with t past the k-th: keep only the first ones
+        tied = np.flatnonzero(keys == t)
+        hit[tied[tied.size - extra:]] = False
+    return hit
 
 
 def _stratum_pools(stratum: np.ndarray, labels, sizes) -> tuple[np.ndarray, ...]:
@@ -439,9 +467,9 @@ def _stratum_pools(stratum: np.ndarray, labels, sizes) -> tuple[np.ndarray, ...]
 
 
 def _select_strata(pools, sizes, rng: np.random.Generator) -> list[np.ndarray]:
-    """Positions of a simple random selection of ``sizes[h]`` units within
-    each ``pools[h]``, drawn from ``rng`` one stratum after another."""
-    return [_srs_positions(pool.size, n_h, rng) for pool, n_h in zip(pools, sizes)]
+    """Masks over each ``pools[h]`` of a simple random selection of
+    ``sizes[h]`` of its units, drawn from ``rng`` one stratum after another."""
+    return [_srs_mask(pool.size, n_h, rng) for pool, n_h in zip(pools, sizes)]
 
 
 def select_big_data_stratified(
@@ -450,8 +478,9 @@ def select_big_data_stratified(
     """Mark a stratified simple random selection as the big-data source.
 
     ``sizes`` maps stratum label to the number of units selected within
-    that stratum; strata are drawn in label order.  Returns a population
-    copy whose ``delta`` column is 1 exactly on the selected units.
+    that stratum; strata are drawn in label order, each as the units with
+    the smallest of one uniform key per unit.  Returns a population copy
+    whose ``delta`` column is 1 exactly on the selected units.
     """
     if pop.stratum is None:
         raise ValueError("population has no stratum column")
@@ -459,6 +488,6 @@ def select_big_data_stratified(
     counts = [int(sizes[label]) for label in labels]
     pools = _stratum_pools(pop.stratum, labels, counts)
     delta = np.zeros(pop.N, np.int64)
-    for pool, pos in zip(pools, _select_strata(pools, counts, substream(seed))):
-        delta[pool[pos]] = 1
-    return pop.with_delta(delta)
+    for pool, hit in zip(pools, _select_strata(pools, counts, substream(seed))):
+        delta[pool] = hit
+    return pop.with_delta(_read_only(delta))

@@ -204,15 +204,15 @@ class _Sim1Frame:
     big_values: tuple[np.ndarray, ...]
     truth: float
 
-    def membership(self, chosen, idx) -> np.ndarray:
+    def membership(self, hits, idx) -> np.ndarray:
         """Big-data ``delta`` of the sorted unit indices ``idx``, given the
-        selected pool positions ``chosen`` of every stratum."""
+        selection mask ``hits[h]`` over each pool."""
         delta = np.zeros(idx.size, np.int64)
-        for pool, pos in zip(self.pools, chosen):
-            if pos.size == 0:
+        for pool, hit in zip(self.pools, hits):
+            # a stratum with no unit selected marks none; skipping it also
+            # spares an empty pool the clipped lookup of its last unit
+            if not hit.any():
                 continue
-            hit = np.zeros(pool.size, bool)
-            hit[pos] = True
             at = np.minimum(np.searchsorted(pool, idx), pool.size - 1)
             delta[(pool[at] == idx) & hit[at]] = 1
         return delta
@@ -242,12 +242,16 @@ def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int
         )
     pop, scen = frame.pop, config.scenario
     rng_b = substream(seed, 1)
-    chosen = _select_strata(frame.pools, config.stratum_sizes, rng_b)
+    hits = _select_strata(frame.pools, config.stratum_sizes, rng_b)
     sample = draw_srs(pop, config.n_a, substream(seed, 0))
-    sample = replace(sample, delta=frame.membership(chosen, sample.indices))
+    sample = replace(sample, delta=frame.membership(hits, sample.indices))
     N = pop.N
     totals = BigDataTotals(
-        T_b=float(sum(vals[pos].sum() for vals, pos in zip(frame.big_values, chosen))),
+        # einsum, not np.dot: BLAS's own threads make the dots of concurrent
+        # replicate threads several times slower
+        T_b=float(sum(
+            np.einsum("i,i->", vals, hit) for vals, hit in zip(frame.big_values, hits)
+        )),
         N_b=int(sum(config.stratum_sizes)),
         N=N,
     )

@@ -629,7 +629,10 @@ class TestPDI2:
         assert report.total == pytest.approx(8.0 + (10 - 8 / 3) * 2.0)
         assert report.estimator == "pdi2"
         assert report.variance == pytest.approx(10.0)
-        assert "variance treats the classified labels as known" in report.notes
+        assert report.notes[-1] == (
+            "variance treats the classified labels as known, so it is far too "
+            "small: its relative bias is about -0.7 in study two"
+        )
 
     def test_corrected_size_above_universe_rejected(self):
         """The corrected big-data size 8/3 (see above) exceeds a universe

@@ -369,7 +369,10 @@ class TestEstimate:
         total = printed_value(out, "total")
         assert np.isfinite(total)
         assert printed_value(out, "variance") > 0.0
-        assert "note:      variance treats the classified labels as known" in out
+        assert (
+            "note:      variance treats the classified labels as known, so it is "
+            "far too small: its relative bias is about -0.7 in study two\n"
+        ) in out
 
     def test_pdi2_requires_trait_columns(self, continuous_files):
         with pytest.raises(SystemExit, match="z columns"):
@@ -455,6 +458,31 @@ class TestEstimate:
         )
         assert main([*argv, "--pop-n", "100"]) == 0
         assert printed_value(capsys.readouterr().out, "total") > 0
+
+    @pytest.mark.parametrize("method", ["ht", "pdi", "regdi", "two-step"])
+    def test_generic_design_says_why_no_variance(self, tmp_path, capsys, method):
+        """Unequal pi attach no joint inclusion probabilities, so no
+        variance is printed, and one note says why."""
+        (tmp_path / "sample.csv").write_text(
+            "id,d,pi,y,y_star\n1,20.0,0.05,1.0,1.5\n2,32.0,0.03125,2.0,2.5\n"
+            "3,25.0,0.04,3.0,3.5\n4,16.0,0.0625,4.0,4.5\n5,10.0,0.1,2.5,3.5\n"
+        )
+        (tmp_path / "big.csv").write_text("id,y\n1,1.0\n2,2.0\n50,5.0\n")
+        argv = ["estimate", "--sample-a", str(tmp_path / "sample.csv"),
+                "--big-data", str(tmp_path / "big.csv"), "--method", method]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "variance:  " not in out
+        no_variance = [line for line in out.splitlines() if "no variance" in line]
+        assert no_variance == [
+            "note:      no variance: the pi are not all n/N, so the joint "
+            "inclusion probabilities are unknown"
+        ]
+
+    def test_srs_design_prints_no_missing_variance_note(self, tmp_path, capsys):
+        _, _, argv = self._srs_files(tmp_path, [1.5, 2.5, 0.5, 4.0, 3.0], [1.5])
+        assert main(argv) == 0
+        assert "no variance" not in capsys.readouterr().out
 
     def test_bad_column_exits_with_one_line_naming_it(self, continuous_files, tmp_path):
         sample_path = tmp_path / "sample.csv"

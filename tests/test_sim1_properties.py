@@ -1,8 +1,9 @@
-"""Property tests for study one's replicate.
+"""Property tests for study one's replicate and its big-data selection.
 
-The replicate selects the big source from stratum pools cached once per
-population and looks up the sampled units' membership instead of
-building a full-N column.  These tests check it against a full-N
+The replicate selects the big source as a mask over each stratum pool
+cached once per population and looks up the sampled units' membership
+instead of building a full-N column.  These tests check the mask against
+``argpartition`` over the same keys, check the replicate against a full-N
 reference drawn from the same substreams, and check that summaries do
 not depend on the number of workers.
 """
@@ -11,7 +12,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bigsurv import (
@@ -19,10 +20,11 @@ from bigsurv import (
     SimConfig,
     generate_population_sim1,
     run_sim1,
+    select_big_data_stratified,
     substream,
 )
 from bigsurv import population, simulation
-from bigsurv.population import _srs_positions
+from bigsurv.population import _srs_mask
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -42,6 +44,81 @@ def reference_delta(pop, sizes, rng):
     return delta
 
 
+def argpartition_mask(m, k, rng):
+    """The k units with the smallest of m uniform keys, by ``argpartition``;
+    all m units, with no draw, when k is m."""
+    hit = np.zeros(m, bool)
+    if k == m:
+        hit[:] = True
+    else:
+        hit[np.argpartition(rng.random(m), k)[:k]] = True
+    return hit
+
+
+@st.composite
+def pool_and_size(draw):
+    m = draw(st.integers(1, 5000))
+    return m, draw(st.integers(0, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pool_and_size(), seed=seeds)
+@example(case=(1, 0), seed=0)
+@example(case=(1, 1), seed=0)
+@example(case=(300, 0), seed=1)
+@example(case=(300, 300), seed=1)
+@example(case=(300_000, 150_000), seed=2)
+def test_mask_matches_argpartition_and_leaves_same_stream(case, seed):
+    m, k = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    hit = _srs_mask(m, k, rng)
+    assert hit.dtype == bool and hit.shape == (m,)
+    assert np.array_equal(hit, argpartition_mask(m, k, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class StubGenerator:
+    """Hands out fixed keys in place of uniform draws."""
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, float)
+
+    def random(self, m):
+        assert m == self.keys.size
+        return self.keys.copy()
+
+
+def test_mask_keeps_the_first_keys_tied_at_the_threshold():
+    keys = [0.5, 0.1, 0.5, 0.7, 0.5, 0.2]
+    hit = _srs_mask(6, 3, StubGenerator(keys))
+    # 0.1 and 0.2 lie below the third-smallest key 0.5, and of the three
+    # keys tied at 0.5 only the first is kept
+    assert hit.tolist() == [True, True, False, False, False, True]
+    picked = np.argpartition(keys, 3)[:3]
+    assert np.array_equal(np.sort(np.asarray(keys)[hit]), np.sort(np.take(keys, picked)))
+
+
+@pytest.mark.parametrize("low", [True, False])
+def test_mask_partitions_every_key_when_the_band_misses(low, monkeypatch):
+    """Keys bunched far from k / m put every key below the band around
+    it (low) or leave the band and the keys below it empty (high), so
+    every key is partitioned."""
+    m, k = 2000, 1000
+    keys = np.linspace(0.0, 0.1, m) if low else np.linspace(0.9, 1.0, m)
+    keys = np.random.default_rng(3).permutation(keys)
+    partitioned = []
+    real_partition = np.partition
+
+    def recording_partition(a, kth):
+        partitioned.append(np.asarray(a).size)
+        return real_partition(a, kth)
+
+    monkeypatch.setattr(np, "partition", recording_partition)
+    hit = _srs_mask(m, k, StubGenerator(keys))
+    assert partitioned == [m]
+    assert np.array_equal(np.flatnonzero(hit), np.sort(np.argpartition(keys, k)[:k]))
+
+
 @st.composite
 def sim1_cases(draw, min_share=0.0, max_share=1.0):
     """A population and stratum sizes that fit it."""
@@ -54,6 +131,14 @@ def sim1_cases(draw, min_share=0.0, max_share=1.0):
         for size in pools
     )
     return pop, seed, sizes
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=sim1_cases())
+def test_select_big_data_stratified_matches_full_n_reference(case):
+    pop, seed, sizes = case
+    marked = select_big_data_stratified(pop, dict(zip((1, 2), sizes)), (seed, 8))
+    assert np.array_equal(marked.delta, reference_delta(pop, sizes, substream(seed, 8)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,8 +160,8 @@ def test_replicate_matches_full_n_reference(case, scenario, n_a, rep):
     frame = simulation._sim1_frame(pop, config)
     chosen, samples = [], []
 
-    def recording_positions(m, k, rng):
-        chosen.append(_srs_positions(m, k, rng))
+    def recording_mask(m, k, rng):
+        chosen.append(_srs_mask(m, k, rng))
         return chosen[-1]
 
     class RecordedSample(ProbabilitySample):
@@ -94,7 +179,7 @@ def test_replicate_matches_full_n_reference(case, scenario, n_a, rep):
         return RecordedSample(**{f.name: getattr(drawn, f.name) for f in fields(drawn)})
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(population, "_srs_positions", recording_positions)
+        mp.setattr(population, "_srs_mask", recording_mask)
         mp.setattr(simulation, "draw_srs", recording_draw)
         try:
             record = simulation._sim1_replicate(frame, config, rep, 0)
@@ -102,7 +187,7 @@ def test_replicate_matches_full_n_reference(case, scenario, n_a, rep):
             record = None  # the draws made before the failure are still checked
 
     ref = reference_delta(pop, sizes, substream((seed, rep, 0), 1))
-    selected = np.concatenate([pool[pos] for pool, pos in zip(frame.pools, chosen)])
+    selected = np.concatenate([pool[hit] for pool, hit in zip(frame.pools, chosen)])
     assert np.array_equal(np.sort(selected), np.flatnonzero(ref))
 
     idx = np.sort(substream((seed, rep, 0), 0).choice(pop.N, size=n_a, replace=False))

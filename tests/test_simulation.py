@@ -11,6 +11,7 @@ import pytest
 
 from bigsurv import (
     DegenerateStratumError,
+    FinitePopulation,
     MonteCarloSummary,
     SimConfig,
     SingularControlsError,
@@ -283,6 +284,45 @@ class TestStudyOneStratumSizes:
         summary = run_sim1(small_sim1(stratum_sizes=(pool1, 10)))
         assert summary.failures == 0
         assert all(np.isfinite([r.bias, r.se]).all() for r in summary.rows)
+
+    def test_stratum_asked_for_none(self):
+        """A stratum asked for no units still draws its keys, and none of
+        its sampled units is marked."""
+        pool1, _ = sim1_pool_sizes()
+        config = small_sim1(stratum_sizes=(pool1 // 2, 0), replicates=4)
+        summary = run_sim1(config)
+        assert all(np.isfinite([r.bias, r.se]).all() for r in summary.rows)
+
+        config = config.resolved()
+        pop = generate_population_sim1(config.pop_n, substream(101, 9))
+        frame = simulation._sim1_frame(pop, config)
+        hits = simulation._select_strata(frame.pools, config.stratum_sizes, substream(0))
+        idx = np.arange(pop.N)
+        delta = frame.membership(hits, idx)
+        assert delta.sum() == pool1 // 2
+        assert not delta[pop.stratum == 2].any()
+
+    def test_empty_stratum(self):
+        """A population without stratum 2 units: its pool is empty, so
+        the membership lookup has no unit to read there."""
+        pop = generate_population_sim1(600, substream(7, 9))
+        one = pop.stratum == 1
+        pop = FinitePopulation(
+            y=pop.y[one], y_star=pop.y_star[one], stratum=pop.stratum[one]
+        )
+        config = small_sim1(
+            pop_n=pop.N, n_a=40, stratum_sizes=(pop.N // 2, 0)
+        ).resolved()
+        frame = simulation._sim1_frame(pop, config)
+        assert frame.pools[1].size == 0
+        record = simulation._sim1_replicate(frame, config, 0, 0)
+        assert np.isfinite(record["regdi"]) and np.isfinite(record["pdi"])
+        hits = simulation._select_strata(
+            frame.pools, config.stratum_sizes, substream((101, 0, 0), 1)
+        )
+        delta = frame.membership(hits, np.arange(pop.N))
+        assert np.array_equal(delta, hits[0].astype(np.int64))
+        assert record["mean_b"] == pytest.approx(pop.y[hits[0]].mean(), rel=1e-12)
 
 
 class TestStudyTwoHarness:
