@@ -24,8 +24,10 @@ def show(summary):
     print(f"  {'estimator':<14}{'bias':>9}{'se':>9}{'rmse':>9}")
     for row in summary.rows:
         print(f"  {row.estimator:<14}{row.bias:>+9.4f}{row.se:>9.4f}{row.rmse:>9.4f}")
-    if summary.var_rel_bias is not None:
-        print(f"  variance relative bias (regdi): {summary.var_rel_bias:+.4f}")
+    # each estimator whose replicates carry a variance reports its bias
+    for row in summary.rows:
+        if row.var_rel_bias is not None:
+            print(f"  variance relative bias ({row.estimator}): {row.var_rel_bias:+.4f}")
 
 
 # Study one at one-twentieth scale: 200 replicates on a universe of

@@ -116,8 +116,7 @@ def regdi_total(sample: ProbabilitySample, y, spec: ControlSpec) -> EstimateRepo
     """Regression data-integration total: calibrate, then sum ``w_i y_i``.
 
     With the standard controls this reproduces the post-stratified
-    data-integration estimator exactly.  When the sample carries joint
-    inclusion probabilities the report's ``variance`` is the
+    data-integration estimator exactly.  The report's ``variance`` is the
     Horvitz-Thompson variance of the residuals ``y - x' B`` with ``B``
     solving ``(sum d x x') B = sum d x y``: they are design-orthogonal to
     every control column, which makes the quadratic form a variance
@@ -127,17 +126,14 @@ def regdi_total(sample: ProbabilitySample, y, spec: ControlSpec) -> EstimateRepo
     if y.shape[0] != sample.n:
         raise ValueError("y must have one entry per sampled unit")
     result = solve_weights(sample, spec.x, spec.totals, names=spec.names)
-    variance = None
-    if sample.joint_pi is not None:
-        beta, _ = gram_solve(
-            spec.x, sample.d, (spec.x * sample.d[:, None]).T @ y, names=spec.names
-        )
-        variance = ht_variance_quadratic(sample, y - spec.x @ beta)
+    beta, _ = gram_solve(
+        spec.x, sample.d, (spec.x * sample.d[:, None]).T @ y, names=spec.names
+    )
     return EstimateReport(
         estimator="regdi",
         total=float(np.dot(result.w, y)),
         population_size=spec.population_size,
-        variance=variance,
+        variance=ht_variance_quadratic(sample, y - spec.x @ beta),
         controls=spec.variant,
     )
 

@@ -203,8 +203,9 @@ def _print_summary(summary) -> None:
         print(
             f"{row.estimator:<14}{row.bias:>10.4f}{row.se:>10.4f}{row.rmse:>10.4f}"
         )
-    if summary.var_rel_bias is not None:
-        print(f"variance relative bias (regdi): {summary.var_rel_bias:+.4f}")
+    for row in summary.rows:
+        if row.var_rel_bias is not None:
+            print(f"variance relative bias ({row.estimator}): {row.var_rel_bias:+.4f}")
     if summary.failures:
         print(f"replicate failures redrawn: {summary.failures}")
     if summary.unconverged:
@@ -323,7 +324,7 @@ def cmd_estimate(args, parser) -> int:
         report = pdi2_total(sample, big, fitted)
 
     # ratio_di carries no variance under any design
-    if report.variance is None and sample.joint_pi is None and method != "ratio":
+    if report.variance is None and method != "ratio":
         report = dataclasses.replace(report, notes=report.notes + (
             "no variance: the pi are not all n/N, so the joint inclusion "
             "probabilities are unknown",

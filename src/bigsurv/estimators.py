@@ -93,8 +93,8 @@ def _check_lengths(sample: ProbabilitySample, *cols):
 def ht_total(sample: ProbabilitySample, values) -> EstimateReport:
     """Horvitz-Thompson total ``sum_i d_i * values_i``.
 
-    The report carries the quadratic-form variance whenever the sample
-    has joint inclusion probabilities.
+    The report carries the quadratic-form variance of ``values``, which
+    is ``None`` when the sample has no joint inclusion probabilities.
     """
     values = np.asarray(values, float)
     _check_lengths(sample, values)
@@ -102,9 +102,7 @@ def ht_total(sample: ProbabilitySample, values) -> EstimateReport:
         estimator="ht",
         total=float(np.dot(sample.d, values)),
         population_size=sample.N,
-        variance=(
-            None if sample.joint_pi is None else ht_variance_quadratic(sample, values)
-        ),
+        variance=ht_variance_quadratic(sample, values),
     )
 
 
@@ -118,25 +116,23 @@ def pdi_total(
 
         T_b + (N - N_b) * sum_A d (1-delta) y / sum_A d (1-delta)
 
-    All of its sampling variance comes from the uncovered stratum.  When
-    the sample has joint inclusion probabilities the report carries the
-    Horvitz-Thompson variance of the linearized residual
-    ``(1-delta) (y - ybar_c)``, with ``ybar_c`` the ratio mean above; for
-    SRS that is the post-stratification variance of Särndal, Swensson &
-    Wretman (1992).  Under full coverage no sampled value enters the
-    estimate, and the variance is zero.
+    All of its sampling variance comes from the uncovered stratum.  The
+    report carries the Horvitz-Thompson variance of the linearized
+    residual ``(1-delta) (y - ybar_c)``, with ``ybar_c`` the ratio mean
+    above; for SRS that is the post-stratification variance of Särndal,
+    Swensson & Wretman (1992).  Under full coverage no sampled value
+    enters the estimate: the residual is zero, and so is the variance.
     """
     delta = np.asarray(delta)
     y = np.asarray(y, float)
     _check_lengths(sample, delta, y)
-    has_variance = sample.joint_pi is not None
     if big.N_b == big.N:
         # full coverage: the big source already is the universe
         return EstimateReport(
             estimator="pdi",
             total=big.T_b,
             population_size=big.N,
-            variance=0.0 if has_variance else None,
+            variance=ht_variance_quadratic(sample, np.zeros(sample.n)),
         )
     out_mask = delta == 0
     out_weighted = float(np.dot(sample.d[out_mask], y[out_mask]))
@@ -147,12 +143,12 @@ def pdi_total(
             "the uncovered post-stratum mean is not estimable"
         )
     total = big.T_b + (big.N - big.N_b) * out_weighted / denom
-    variance = None
-    if has_variance:
-        residuals = np.where(out_mask, y - out_weighted / denom, 0.0)
-        variance = ht_variance_quadratic(sample, residuals)
+    residuals = np.where(out_mask, y - out_weighted / denom, 0.0)
     return EstimateReport(
-        estimator="pdi", total=total, population_size=big.N, variance=variance
+        estimator="pdi",
+        total=total,
+        population_size=big.N,
+        variance=ht_variance_quadratic(sample, residuals),
     )
 
 

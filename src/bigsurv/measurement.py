@@ -105,9 +105,8 @@ def mass_imputation_total(sample: ProbabilitySample) -> EstimateReport:
     """Total of measurement-inverted proxies, ``sum_A d_i q_i``.
 
     The model is fitted on the matched units and ``q_i`` inverts it at
-    ``y*_i``.  With joint inclusion probabilities the report carries the
-    linearized variance, the quadratic form of the residual corrected for
-    the estimated model parameters:
+    ``y*_i``.  The report carries the linearized variance, the quadratic
+    form of the residual corrected for the estimated model parameters:
 
         u_i = q_i + delta_i (y*_i - (beta0 + beta1 y_i)) (kappa' h_i)
 
@@ -118,22 +117,19 @@ def mass_imputation_total(sample: ProbabilitySample) -> EstimateReport:
     """
     model, matched = _fit_on_matched(sample)
     q = model.invert(sample.y_star)
-    variance = None
-    if sample.joint_pi is not None:
-        y_m = sample.y[matched]
-        h_m = np.column_stack([np.ones_like(y_m), y_m])
-        gram = (h_m * sample.d[matched][:, None]).T @ h_m
-        q_dot = np.column_stack([np.full_like(q, -1.0 / model.beta1), -q / model.beta1])
-        kappa = np.linalg.solve(gram, sample.d @ q_dot)
-        e_m = sample.y_star[matched] - (model.beta0 + model.beta1 * y_m)
-        u = q.copy()
-        u[matched] += e_m * (h_m @ kappa)
-        variance = ht_variance_quadratic(sample, u)
+    y_m = sample.y[matched]
+    h_m = np.column_stack([np.ones_like(y_m), y_m])
+    gram = (h_m * sample.d[matched][:, None]).T @ h_m
+    q_dot = np.column_stack([np.full_like(q, -1.0 / model.beta1), -q / model.beta1])
+    kappa = np.linalg.solve(gram, sample.d @ q_dot)
+    e_m = sample.y_star[matched] - (model.beta0 + model.beta1 * y_m)
+    u = q.copy()
+    u[matched] += e_m * (h_m @ kappa)
     return EstimateReport(
         estimator="mass_imputation",
         total=float(np.dot(sample.d, q)),
         population_size=sample.N,
-        variance=variance,
+        variance=ht_variance_quadratic(sample, u),
         notes=(
             f"measurement model fitted on {model.n_fit} matched units",
             "finite-population variance term omitted (small sampling fraction)",

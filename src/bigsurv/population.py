@@ -279,6 +279,12 @@ class ProbabilitySample:
             raise ValueError(f"design must be one of {_DESIGNS}, not {self.design!r}")
         if self.design == "srs" and not np.allclose(self.pi, k / self.N, rtol=1e-9, atol=0.0):
             raise ValueError(f"design 'srs' needs every pi equal to n / N = {k / self.N!r}")
+        joint = self.joint_pi
+        if isinstance(joint, SRSJointInclusion) and (joint.n, joint.N) != (k, self.N):
+            raise ValueError(
+                f"joint_pi is an SRS of (n, N) = ({joint.n}, {joint.N}), "
+                f"but the sample has (n, N) = ({k}, {self.N})"
+            )
         for name, dtype in (
             ("y", np.float64), ("y_star", np.float64), ("delta", np.int64), ("z", np.int64)
         ):

@@ -85,9 +85,13 @@ class SimConfig:
     max_attempts: int = 100
 
     def resolved(self) -> "SimConfig":
-        """Fill study-specific defaults."""
+        """Fill study-specific defaults; reject settings no study can run."""
         if self.study not in ("sim1", "sim2"):
             raise ValueError("study must be 'sim1' or 'sim2'")
+        if self.replicates < 2:
+            raise ValueError(f"replicates must be at least 2, not {self.replicates}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, not {self.workers}")
         pop_n = self.pop_n or (1_000_000 if self.study == "sim1" else 10_000)
         changes = {"pop_n": pop_n}
         if self.study == "sim1":
@@ -105,10 +109,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class EstimatorSummary:
+    """Monte Carlo bias, SE and RMSE of one estimator, and the relative
+    bias of its variance estimator when the replicates carry one."""
+
     estimator: str
     bias: float
     se: float
     rmse: float
+    var_rel_bias: float | None = None
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,6 @@ class MonteCarloSummary:
     truth: float
     replicates: int
     rows: tuple[EstimatorSummary, ...]
-    var_rel_bias: float | None
     failures: int
     # study two's EM fits that stopped at max_iter before converging, and
     # the median, 90th percentile and maximum of their map evaluations
@@ -148,19 +155,6 @@ def summarize(estimates, truth: float) -> tuple[float, float, float]:
     return bias, se, math.sqrt(bias * bias + se * se)
 
 
-def _run_replicates(config: SimConfig, one_replicate):
-    """Evaluate ``one_replicate(rep) -> (record, failures)`` for every rep."""
-    reps = range(config.replicates)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(one_replicate, reps))
-    else:
-        results = [one_replicate(r) for r in reps]
-    records = [r for r, _ in results]
-    failures = sum(f for _, f in results)
-    return records, failures
-
-
 def _with_attempts(config: SimConfig, attempt_fn, rep: int):
     failures, last = 0, None
     for attempt in range(config.max_attempts):
@@ -174,13 +168,44 @@ def _with_attempts(config: SimConfig, attempt_fn, rep: int):
     ) from last
 
 
-def _summaries(records, names, truths):
+def _run_study(config: SimConfig, attempt, names, scenario: str):
+    """Run every replicate of ``attempt(rep, att) -> record`` and summarise.
+
+    Each record holds an estimate under every name in ``names`` and the
+    replicate's ``truth``; a record that also holds ``vhat_<name>``, the
+    estimate's variance on the same scale, gives that estimator's row a
+    ``var_rel_bias``.  Returns the records and the summary.
+    """
+
+    def one_replicate(rep):
+        return _with_attempts(config, attempt, rep)
+
+    reps = range(config.replicates)
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(one_replicate, reps))
+    else:
+        results = [one_replicate(r) for r in reps]
+    records = [r for r, _ in results]
+    truths = np.array([rec["truth"] for rec in records])
     rows = []
     for name in names:
-        errors = np.array([rec[name] for rec in records]) - truths
-        bias, se, rmse = summarize(errors, 0.0)
-        rows.append(EstimatorSummary(name, bias, se, rmse))
-    return tuple(rows)
+        estimates = np.array([rec[name] for rec in records])
+        bias, se, rmse = summarize(estimates - truths, 0.0)
+        vhat = f"vhat_{name}"
+        rb = None
+        if vhat in records[0]:
+            rb = variance_relative_bias([(rec[name], rec[vhat]) for rec in records])
+        rows.append(EstimatorSummary(name, bias, se, rmse, rb))
+    summary = MonteCarloSummary(
+        study=config.study,
+        scenario=scenario,
+        truth=float(truths.mean()),
+        replicates=config.replicates,
+        rows=tuple(rows),
+        failures=sum(f for _, f in results),
+    )
+    return records, summary
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +319,8 @@ def run_sim1(config: SimConfig) -> MonteCarloSummary:
     def attempt(rep, att):
         return _sim1_replicate(frame, config, rep, att)
 
-    records, failures = _run_replicates(
-        config, lambda rep: _with_attempts(config, attempt, rep)
-    )
-    truths = np.array([rec["truth"] for rec in records])
-    rows = _summaries(records, SIM1_ESTIMATORS, truths)
-    rb = variance_relative_bias(
-        [(rec["regdi"], rec["vhat_regdi"]) for rec in records]
-    )
-    return MonteCarloSummary(
-        study="sim1",
-        scenario=str(config.scenario),
-        truth=float(truths.mean()),
-        replicates=config.replicates,
-        rows=rows,
-        var_rel_bias=rb,
-        failures=failures,
-    )
+    _, summary = _run_study(config, attempt, SIM1_ESTIMATORS, str(config.scenario))
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +373,12 @@ def run_sim2(config: SimConfig) -> MonteCarloSummary:
     def attempt(rep, att):
         return _sim2_replicate(pop, probs, levels, config, rep, att)
 
-    records, failures = _run_replicates(
-        config, lambda rep: _with_attempts(config, attempt, rep)
+    records, summary = _run_study(
+        config, attempt, SIM2_ESTIMATORS, f"n_a={config.n_a}"
     )
-    truths = np.array([rec["truth"] for rec in records])
-    rows = _summaries(records, SIM2_ESTIMATORS, truths)
     iterations = np.sort([rec["em_iterations"] for rec in records])
-    return MonteCarloSummary(
-        study="sim2",
-        scenario=f"n_a={config.n_a}",
-        truth=float(truths.mean()),
-        replicates=config.replicates,
-        rows=rows,
-        var_rel_bias=None,
-        failures=failures,
+    return replace(
+        summary,
         unconverged=sum(not rec["converged"] for rec in records),
         em_iterations_p50=float(np.median(iterations)),
         # nearest rank: np.percentile would load numpy.ma for this one value
@@ -397,11 +399,7 @@ def summary_rows(summary: MonteCarloSummary) -> list[dict]:
                 "bias": row.bias,
                 "se": row.se,
                 "rmse": row.rmse,
-                "var_rel_bias": (
-                    summary.var_rel_bias
-                    if row.estimator == "regdi" and summary.var_rel_bias is not None
-                    else ""
-                ),
+                "var_rel_bias": "" if row.var_rel_bias is None else row.var_rel_bias,
                 "failures": summary.failures,
             }
         )

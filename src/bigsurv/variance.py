@@ -9,12 +9,15 @@ collapses algebraically to ``N^2 (1 - n/N) s_r^2 / n`` with ``s_r^2``
 the sample variance of the residuals.  The sample's ``design`` tag picks
 the form: the closed form for ``"srs"`` (which ``ProbabilitySample``
 admits only when every ``pi`` equals ``n / N``), the double sum
-otherwise; the tests cross-check the two.  The estimators supply their
-own residuals: ``calibration.regdi_total`` its design-weighted regression
-residuals, ``estimators.pdi_total`` its uncovered-stratum deviations, and
-``measurement.mass_imputation_total`` residuals corrected for the
-estimated measurement model.  ``variance_relative_bias`` scores a
-variance estimator against Monte Carlo replicates.
+otherwise; the tests cross-check the two.  It is also the one place
+that decides whether a sample has a variance at all: without joint
+inclusion probabilities it returns ``None``.  The estimators supply their
+own residuals and pass them straight through: ``calibration.regdi_total``
+its design-weighted regression residuals, ``estimators.pdi_total`` its
+uncovered-stratum deviations, and ``measurement.mass_imputation_total``
+residuals corrected for the estimated measurement model.
+``variance_relative_bias`` scores a variance estimator against Monte
+Carlo replicates.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ from .population import ProbabilitySample
 __all__ = ["ht_variance_quadratic", "variance_relative_bias"]
 
 
-def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float:
+def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float | None:
     """Variance of a Horvitz-Thompson total of ``residuals``.
 
-    A sample tagged ``design="srs"`` takes the closed form; any other
-    design takes the O(n^2) double sum over the matrix that its
+    ``None`` when the sample has no joint inclusion probabilities
+    (``joint_pi is None``), and zero for an all-zero residual under any
+    design.  A sample tagged ``design="srs"`` takes the closed form; any
+    other design takes the O(n^2) double sum over the matrix that its
     ``joint_pi`` provider returns from ``pairwise(unit_ids)``, evaluated
     in the Sen-Yates-Grundy difference form plus the row-sum term, which
     the provider may supply as ``row_sums(unit_ids)``.
@@ -40,10 +45,11 @@ def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float:
         raise ValueError("residuals must have one entry per sampled unit")
     provider = sample.joint_pi
     if provider is None:
-        raise ValueError(
-            "the variance needs joint inclusion probabilities, "
-            "but the sample's joint_pi is None"
-        )
+        return None
+    if not r.any():
+        # no sampled value moves the estimate, even where n = 1 leaves
+        # no pair to estimate a variance from
+        return 0.0
     if sample.design == "srs":
         n, N = sample.n, sample.N
         if n == N:

@@ -145,7 +145,7 @@ def test_criterion_2_variance_relative_bias(sim1_full):
     failures = []
     values = []
     for s in (1, 2, 3):
-        rb = sim1_full[s].var_rel_bias
+        rb = sim1_full[s].row("regdi").var_rel_bias
         values.append(f"S{s} {rb:+.4f}")
         if abs(rb - RB_TARGETS[s]) > 0.03:
             failures.append(f"S{s} rb {rb:+.4f} vs {RB_TARGETS[s]:+.4f}")

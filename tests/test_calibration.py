@@ -238,6 +238,8 @@ class TestRegressionDataIntegration:
         big = BigDataTotals(T_b=T_b, N_b=N_b, N=N)
         pdi = pdi_total(sample, delta, y, big)
         assert regdi.total == pytest.approx(pdi.total, rel=1e-11)
+        # the sample has no joint inclusion probabilities
+        assert regdi.variance is None and pdi.variance is None
 
     def test_report_carries_controls_tag(self):
         y = [1.0, 3.0, 2.0, 4.0]

@@ -633,6 +633,8 @@ class TestPDI2:
             "variance treats the classified labels as known, so it is far too "
             "small: its relative bias is about -0.7 in study two"
         )
+        bare = replace(sample, joint_pi=None, design="generic")
+        assert pdi2_total(bare, big, model).variance is None
 
     def test_corrected_size_above_universe_rejected(self):
         """The corrected big-data size 8/3 (see above) exceeds a universe

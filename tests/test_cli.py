@@ -695,6 +695,25 @@ class TestSimulateCommands:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--reps", "1"], "replicates must be at least 2, not 1"),
+            (["--reps", "0"], "replicates must be at least 2, not 0"),
+            (["--reps", "4", "--workers", "0"], "workers must be at least 1, not 0"),
+            (["--reps", "4", "--workers", "-1"], "workers must be at least 1, not -1"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate1", "simulate2"])
+    def test_unrunnable_study_settings_end_in_one_line(self, command, flags, message):
+        """Too few replicates or no worker ends the command with one line
+        naming the setting, before any replicate runs."""
+        argv = [command, "--seed", "1", "--pop-n", "400", *flags]
+        argv += ["--scenario", "1"] if command == "simulate1" else ["--n-a", "60"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value) == f"{command}: {message}"
+
     def test_simulate2_infeasible_selection_exits_with_one_line(self):
         """A big source as large as the universe needs an inclusion rate
         above one: bad input, ended with one line."""

@@ -53,6 +53,17 @@ class TestHTTotal:
         report = ht_total(sample, [3.0, 5.0])
         assert report.total == pytest.approx(26.0)
         assert report.mean == pytest.approx(26.0 / 6)
+        assert report.variance is None
+
+    def test_hand_computed_srs_variance(self):
+        """SRS of n = 4 from N = 12, y = (1, 2, 6, 9): s^2 = 41/3, so the
+        variance is N^2 (1 - n/N) s^2 / n = 144 * (2/3) * (41/3) / 4 = 328."""
+        sample = replace(
+            toy_sample(y=[1.0, 2.0, 6.0, 9.0], delta=[0, 0, 0, 1], N=12),
+            joint_pi=SRSJointInclusion(4, 12),
+            design="srs",
+        )
+        assert ht_total(sample, sample.y).variance == pytest.approx(328.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_unbiased_over_repeated_draws(self, seed):
@@ -89,17 +100,21 @@ class TestPDITotal:
         big = BigDataTotals(T_b=0.0, N_b=0, N=6)
         assert pdi_total(sample, sample.delta, sample.y, big).total == 18.0
 
-    def test_full_coverage_returns_big_total(self):
+    @pytest.mark.parametrize("y", [[1.0, 5.0], [3.0]])
+    def test_full_coverage_returns_big_total(self, y):
         """No sampled value enters a fully covered estimate, so its
-        variance is zero; without joint inclusion probabilities there is
-        none to report."""
-        sample = toy_sample(y=[1.0, 5.0], delta=[1, 1], N=6)
+        variance is zero, even from one sampled unit, which holds no pair
+        to estimate a variance from; without joint inclusion
+        probabilities there is none to report."""
+        n = len(y)
+        sample = toy_sample(y=y, delta=[1] * n, N=6)
         big = BigDataTotals(T_b=21.0, N_b=6, N=6)
         report = pdi_total(sample, sample.delta, sample.y, big)
         assert report.total == 21.0
         assert report.variance is None
-        srs = replace(sample, joint_pi=SRSJointInclusion(2, 6), design="srs")
-        assert pdi_total(srs, srs.delta, srs.y, big).variance == 0.0
+        for design in ("srs", "generic"):
+            srs = replace(sample, joint_pi=SRSJointInclusion(n, 6), design=design)
+            assert pdi_total(srs, srs.delta, srs.y, big).variance == 0.0
 
     def test_no_uncovered_units_raises(self):
         sample = toy_sample(y=[1.0, 5.0], delta=[1, 1], N=6)
@@ -121,6 +136,8 @@ class TestPDITotal:
         report = pdi_total(sample, sample.delta, sample.y, big)
         assert report.total == pytest.approx(30.0 + 9 * 3.0)
         assert report.variance == pytest.approx(112.0)
+        bare = replace(sample, joint_pi=None, design="generic")
+        assert pdi_total(bare, bare.delta, bare.y, big).variance is None
 
     def test_shift_equivariance(self):
         """Adding c to every y (and c*N_b to the big total) must move

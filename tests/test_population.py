@@ -169,6 +169,26 @@ class TestProbabilitySampleValidation:
         assert ht_variance_quadratic(generic, [1.0, 2.0, 4.0]) == pytest.approx(-7.22, abs=0.005)
 
 
+    @pytest.mark.parametrize("design", ["srs", "generic"])
+    def test_srs_joint_pi_must_match_the_sample(self, design):
+        """A 2-of-4 sample with the joint probabilities of a 3-of-10 SRS
+        would give the double sum 44 for residuals (1, 3) where the right
+        value is 8, and the closed form would never read them."""
+        with pytest.raises(
+            ValueError,
+            match=r"^joint_pi is an SRS of \(n, N\) = \(3, 10\), "
+            r"but the sample has \(n, N\) = \(2, 4\)$",
+        ):
+            ProbabilitySample(
+                unit_ids=np.array([1, 3]),
+                d=np.full(2, 2.0),
+                pi=np.full(2, 0.5),
+                joint_pi=SRSJointInclusion(3, 10),
+                N=4,
+                design=design,
+            )
+
+
 class TestSRSJointInclusion:
     def test_hand_computed_pairs(self):
         """n=2 of N=4: pi_i = 1/2, pi_ij = n(n-1)/(N(N-1)) = 1/6."""

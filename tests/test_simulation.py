@@ -90,6 +90,32 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="scenario"):
             SimConfig(scenario=4).resolved()
 
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        [
+            ("replicates", 1, "replicates must be at least 2, not 1"),
+            ("replicates", 0, "replicates must be at least 2, not 0"),
+            ("workers", 0, "workers must be at least 1, not 0"),
+            ("workers", -1, "workers must be at least 1, not -1"),
+        ],
+    )
+    @pytest.mark.parametrize("study", ["sim1", "sim2"])
+    def test_unrunnable_settings_rejected_before_any_replicate(
+        self, study, setting, value, message, monkeypatch
+    ):
+        """Too few replicates for a standard error, or no worker, is
+        refused by name before the population is built."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(simulation, f"generate_population_{study}", unreachable)
+        config = SimConfig(study=study, **{setting: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config.resolved()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            (run_sim1 if study == "sim1" else run_sim2)(config)
+
     def test_study_two_config_rejected_by_study_one_runner(self):
         with pytest.raises(ValueError, match="study='sim1'"):
             run_sim1(SimConfig(study="sim2"))
@@ -201,7 +227,9 @@ class TestStudyOneHarness:
         assert summary.replicates == 8
         assert summary.failures == 0
         assert summary.unconverged == 0
-        assert summary.var_rel_bias is not None
+        assert [r.var_rel_bias is not None for r in summary.rows] == [
+            name == "regdi" for name in SIM1_ESTIMATORS
+        ]
 
     def test_truth_is_the_population_mean(self):
         config = small_sim1()
@@ -334,7 +362,7 @@ class TestStudyTwoHarness:
         assert tuple(r.estimator for r in summary.rows) == SIM2_ESTIMATORS
         assert summary.study == "sim2"
         assert summary.scenario == "n_a=60"
-        assert summary.var_rel_bias is None
+        assert all(r.var_rel_bias is None for r in summary.rows)
         assert summary.failures == 0
 
     def test_em_iterations_summarise_every_fit(self, monkeypatch):
@@ -399,9 +427,32 @@ class TestSummaryRows:
         rows = summary_rows(summary)
         assert [r["estimator"] for r in rows] == list(SIM1_ESTIMATORS)
         by_name = {r["estimator"]: r for r in rows}
-        assert by_name["regdi"]["var_rel_bias"] == summary.var_rel_bias
+        assert by_name["regdi"]["var_rel_bias"] == summary.row("regdi").var_rel_bias
         for name in ("mean_a", "mean_b", "pdi"):
             assert by_name[name]["var_rel_bias"] == ""
+
+    def test_every_estimator_with_a_variance_gets_its_own_ratio(self):
+        """Two stub estimators whose records both carry ``vhat_<name>``:
+        each row scores its own variance against its own estimates.
+        ``a`` takes (1, 3, 5) with variances (4, 4, 4), Var_MC 4, so 0;
+        ``b`` takes (0, 2, 0) with variances (1, 2, 3), Var_MC 4/3, so
+        2 / (4/3) - 1 = 0.5; ``c`` carries no variance."""
+        a, b, c = (1.0, 3.0, 5.0), (0.0, 2.0, 0.0), (7.0, 8.0, 9.0)
+        vhat_b = (1.0, 2.0, 3.0)
+
+        def attempt(rep, att):
+            return {"a": a[rep], "vhat_a": 4.0, "b": b[rep], "vhat_b": vhat_b[rep],
+                    "c": c[rep], "truth": 0.0}
+
+        config = SimConfig(replicates=3)
+        _, summary = simulation._run_study(config, attempt, ("a", "b", "c"), "stub")
+        assert summary.row("a").var_rel_bias == pytest.approx(0.0)
+        assert summary.row("b").var_rel_bias == pytest.approx(0.5)
+        assert summary.row("c").var_rel_bias is None
+        rows = summary_rows(summary)
+        assert [r["var_rel_bias"] for r in rows] == [
+            summary.row("a").var_rel_bias, summary.row("b").var_rel_bias, ""
+        ]
 
     def test_study_two_rows_have_no_variance_ratio(self):
         rows = summary_rows(run_sim2(small_sim2()))

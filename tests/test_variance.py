@@ -9,12 +9,20 @@ import numpy as np
 import pytest
 
 from bigsurv import (
+    BigDataTotals,
+    BigSample,
+    ClassifierModel,
     ControlSpec,
     ProbabilitySample,
     SRSJointInclusion,
+    build_controls,
+    ht_total,
     ht_variance_quadratic,
     mass_imputation_total,
+    pdi2_total,
+    pdi_total,
     regdi_total,
+    two_step_regdi,
     variance_relative_bias,
 )
 
@@ -121,11 +129,19 @@ class TestHTVarianceQuadratic:
 
     @pytest.mark.parametrize("design", ["srs", "generic"])
     def test_missing_joint_provider_named(self, design):
-        """A sample without joint inclusion probabilities fails with an
-        error naming ``joint_pi``, whatever its design tag."""
+        """A sample without joint inclusion probabilities has no variance,
+        whatever its design tag: the rule returns ``None``."""
         bare = replace(srs_sample(2, 4), joint_pi=None, design=design)
-        with pytest.raises(ValueError, match="joint_pi is None"):
-            ht_variance_quadratic(bare, [1.0, 3.0])
+        assert ht_variance_quadratic(bare, [1.0, 3.0]) is None
+
+    @pytest.mark.parametrize("design", ["srs", "generic"])
+    def test_zero_residuals_have_zero_variance(self, design):
+        """A residual of zeros is zero under either form, even for n = 1,
+        where a non-zero residual has no variance estimator."""
+        sample = srs_sample(1, 4)
+        if design == "generic":
+            sample = generic(sample)
+        assert ht_variance_quadratic(sample, [0.0]) == 0.0
 
     def test_auto_dispatches_on_design_tag(self):
         """The SRS tag takes the closed form N^2 (1 - f) s^2 / n exactly;
@@ -277,6 +293,76 @@ class TestMassImputation:
         )
         with pytest.raises(ValueError, match="must carry"):
             mass_imputation_total(replace(sample, **{column: None}))
+
+
+def _estimators():
+    """Every estimator that reports a variance, each applied to a
+    12-of-60 SRS with y, a proxy y*, membership flags and one trait."""
+    big = BigDataTotals(T_b=100.0, N_b=30, N=60)
+    source = BigSample(
+        unit_ids=np.arange(1, 31),
+        values=np.linspace(2.0, 4.0, 30),
+        multiplicity=np.ones(30, np.int64),
+        N=60,
+        z=np.ones((30, 1), np.int64),
+    )
+    model = ClassifierModel(pi=0.5, m=(np.array([0.9, 0.1]),), u=(np.array([0.2, 0.8]),))
+
+    def regdi(s):
+        spec = build_controls("standard", delta=s.delta, y=s.y, N=60, N_b=30, T_b=100.0)
+        return regdi_total(s, s.y, spec)
+
+    return {
+        "ht_total": lambda s: ht_total(s, s.y),
+        "pdi_total": lambda s: pdi_total(s, s.delta, s.y, big),
+        "pdi_total_full_coverage": lambda s: pdi_total(
+            s, s.delta, s.y, BigDataTotals(T_b=100.0, N_b=60, N=60)
+        ),
+        "regdi_total": regdi,
+        "two_step_regdi": lambda s: two_step_regdi(s, big),
+        "mass_imputation_total": mass_imputation_total,
+        "pdi2_total": lambda s: pdi2_total(s, source, model),
+    }
+
+
+class TestEveryEstimatorDefersToOneRule:
+    """Each estimator passes its residual to ``ht_variance_quadratic``
+    unchecked, so the rule alone decides whether a report has a variance.
+    The SRS figures pin the variances these estimators reported when each
+    still checked ``joint_pi`` itself."""
+
+    SRS_VARIANCE = {
+        "ht_total": 411.7404215812689,
+        "pdi_total": 199.8693015680764,
+        "pdi_total_full_coverage": 0.0,
+        "regdi_total": 199.8693015680764,
+        "two_step_regdi": 253.4269094357986,
+        "mass_imputation_total": 616.7262421270924,
+        # the labels (z = 1 inside) reproduce delta, and so pdi_total's value
+        "pdi2_total": 199.8693015680764,
+    }
+
+    @staticmethod
+    def sample():
+        rng = np.random.default_rng(13)
+        y = rng.normal(3.0, 1.0, 12)
+        return srs_sample(
+            12, 60, y=y, y_star=2.0 + 0.9 * y + rng.normal(0.0, 0.3, 12),
+            delta=np.array([1, 0] * 6), z=np.array([[1], [2]] * 6),
+        )
+
+    @pytest.mark.parametrize("name", sorted(SRS_VARIANCE))
+    def test_srs_variance_unchanged(self, name):
+        report = _estimators()[name](self.sample())
+        assert report.variance == pytest.approx(self.SRS_VARIANCE[name], rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SRS_VARIANCE))
+    @pytest.mark.parametrize("design", ["srs", "generic"])
+    def test_no_variance_without_joint_pi(self, name, design):
+        bare = replace(self.sample(), joint_pi=None, design=design)
+        report = _estimators()[name](bare)
+        assert report.variance is None
+        assert report.total == _estimators()[name](self.sample()).total
 
 
 class TestVarianceRelativeBias:
