@@ -273,11 +273,12 @@ def _with_big_matches(sample, big):
     )
 
 
-def _read_inputs(args):
-    """Read both input files; an id outside a default 1..N names --pop-n."""
+def _read_inputs(args, values=True):
+    """Read both input files; an id outside a default 1..N names --pop-n.
+    ``values`` says whether the big file's value column is read."""
     sample = fileio.read_sample_csv(args.sample_a, N=args.pop_n)
     try:
-        return sample, fileio.read_big_data_csv(args.big_data, N=sample.N)
+        return sample, fileio.read_big_data_csv(args.big_data, N=sample.N, values=values)
     except ValueError as exc:
         if args.pop_n is None and str(exc).startswith("unit_ids"):
             exc.args = (f"{exc} (N is the rounded weight sum; pass --pop-n)",)
@@ -350,7 +351,8 @@ def _emit_estimate(report, out) -> None:
 
 def cmd_classify(args, parser) -> int:
     _require(args, parser, "sample_a", "big_data", "pi")
-    sample, big = _read_inputs(args)
+    # the mixture uses the big file's ids, z and multiplicities only
+    sample, big = _read_inputs(args, values=False)
     fitted, post = fit_membership(sample, big, args.pi)
 
     out = Path(args.out)

@@ -1,9 +1,12 @@
 """CSV and text serialisation for samples, big-data extracts, and results.
 
 All tabular formats are plain CSV with a header row.  A file is read in
-one pass over its rows where it can be.  It is written in blocks of rows,
-so a write takes bounded memory however long the file is.  A column's
-type follows from its name: ``id``, ``delta``, ``multiplicity``,
+one pass over the columns its reader uses, where it can be; a big-data
+extract read for classification leaves its value column out.  A table of
+arrays is written in blocks of rows, so a write takes bounded memory
+however long the file is, and each block is assembled as bytes in NumPy;
+the one-row estimate and summary tables go through ``csv.writer``.  A
+column's type follows from its name: ``id``, ``delta``, ``multiplicity``,
 ``delta_hat`` and ``z1..zK`` hold int64, every other numeric column
 float64.  Floats are written with ``repr`` so a write/read
 cycle reproduces the array bit for bit.
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import warnings
 from pathlib import Path
 
@@ -50,67 +52,101 @@ _INT_COLUMNS = {"id", "delta", "multiplicity", "delta_hat"}
 
 
 # rows formatted and written at a time: large enough that NumPy does the
-# per-row work, small enough that a block's strings stay a few MB
+# per-row work, small enough that a block's bytes stay a few MB
 _BLOCK_ROWS = 1 << 16
 
+# a float block is probed at about this many evenly spaced rows to decide
+# whether formatting each distinct value once pays for the np.unique
+_PROBE_ROWS = 512
 
-def _cells(col, start: int, stop: int):
-    """Rows ``start:stop`` of one :func:`_write_table` column as cells.
 
-    An array's distinct values are formatted once each, floats with
-    ``repr`` and integers with ``str``; float values are told apart by
-    bit pattern, so ``-0.0`` and ``0.0`` keep their own text.
+def _text_cells(text) -> np.ndarray:
+    """ASCII strings as a rows x width ``uint8`` matrix padded with NULs."""
+    cells = np.array(text, dtype="S")
+    return cells.view(np.uint8).reshape(cells.size, cells.itemsize)
+
+
+def _int_cells(block: np.ndarray) -> np.ndarray:
+    """``str`` of each int64 as a :func:`_text_cells` matrix.
+
+    Integers in 0..10^18-1 are cut into digits by one ``//`` and one ``%``
+    over a rows x digits grid, right-aligned; any other block goes through
+    ``str``.
     """
-    if col is None:
-        return itertools.repeat("", stop - start)
-    if not isinstance(col, np.ndarray):
-        return col[start:stop]
-    block = col[start:stop]
-    if block.dtype.kind == "f":
-        keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        text = map(repr, keys.view(np.float64).tolist())
-    else:
-        keys, inverse = np.unique(block, return_inverse=True)
-        text = map(str, keys.tolist())
-    return np.array(list(text), dtype=object)[inverse]
+    if block.min() < 0 or block.max() >= 10**18:
+        return _text_cells(list(map(str, block.tolist())))
+    width = len(str(block.max()))
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    q = block[:, None] // powers
+    cells = (q % 10 + ord("0")).astype(np.uint8)
+    cells[:, :-1][q[:, :-1] == 0] = 0  # leading zeros; a 0 keeps its last digit
+    return cells
+
+
+def _float_cells(block: np.ndarray) -> np.ndarray:
+    """``repr`` of each float as a :func:`_text_cells` matrix.
+
+    When a strided probe of the block finds at least a quarter of its
+    values repeated, each distinct value is formatted once; otherwise each
+    row is.  Values are told apart by bit pattern, so ``-0.0`` and ``0.0``
+    keep their own text.
+    """
+    bits = block.view(np.int64)
+    probe = np.sort(bits[:: max(1, block.size // _PROBE_ROWS)])
+    if 4 * np.count_nonzero(probe[1:] == probe[:-1]) < probe.size:
+        return _text_cells(list(map(repr, block.tolist())))
+    keys, inverse = np.unique(bits, return_inverse=True)
+    return _text_cells(list(map(repr, keys.view(np.float64).tolist())))[inverse.ravel()]
 
 
 def _write_table(path, columns: dict) -> None:
     """Write ``{name: column}`` as CSV, one row per entry.
 
-    A column is a float64 or integer array, a list of cells for ``csv``
-    to format, or ``None`` for a column left empty on every row.  Rows go
-    out in blocks of ``_BLOCK_ROWS``.  A table of arrays is joined
-    directly, since numbers never need quoting; a table with list cells
-    goes through ``csv.writer`` and keeps its minimal quoting.  The bytes
-    are those of one ``csv.writer`` row per entry either way.
+    A column is a float64 or integer array, or ``None`` for a column left
+    empty on every row.  Rows go out in blocks of ``_BLOCK_ROWS``: each
+    column of a block becomes a NUL-padded ``uint8`` matrix of its cells,
+    the matrices are stacked side by side with the separators, and the
+    NULs are dropped.  Numbers never need quoting, so the bytes are those
+    of one ``csv.writer`` row per entry.
     """
     n = max(len(col) for col in columns.values() if col is not None)
-    quoted = any(isinstance(col, list) for col in columns.values())
+    seps = [b","] * (len(columns) - 1) + [b"\r\n"]  # csv.writer's line terminator
+    with open(path, "wb") as fh:
+        fh.write(",".join(columns).encode() + b"\r\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n - start)
+            parts = []
+            for col, sep in zip(columns.values(), seps):
+                if col is not None:
+                    block = col[start:start + rows]
+                    cells = _float_cells if block.dtype.kind == "f" else _int_cells
+                    parts.append(cells(block))
+                parts.append(np.broadcast_to(np.frombuffer(sep, np.uint8), (rows, len(sep))))
+            table = np.hstack(parts).ravel()
+            fh.write(table[table != 0])
+
+
+def _write_cells(path, columns: dict) -> None:
+    """Write ``{name: list of cells}`` through ``csv.writer``, which
+    formats each cell and quotes where it must."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for start in range(0, n, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n)
-            rows = zip(*(_cells(col, start, stop) for col in columns.values()), strict=True)
-            if quoted:
-                writer.writerows(rows)
-            else:
-                fh.write("\r\n".join(map(",".join, rows)))
-                fh.write("\r\n")  # csv.writer's line terminator
+        writer.writerows(zip(*columns.values(), strict=True))
 
 
 class _Table:
     """A headered CSV file, read in one pass where it can be.
 
     The constructor reads every column that is non-empty in the first
-    data row with one structured ``np.loadtxt`` pass.  A column empty
-    there, or every column when that pass fails, is read on its own when
-    asked for, which tells an all-empty optional column from a bad one and
-    names the column at fault.
+    data row, except those named in ``skip``, with one structured
+    ``np.loadtxt`` pass.  A column left out of it, or every column when
+    that pass fails, is read on its own when asked for, which tells an
+    all-empty optional column from a bad one and names the column at
+    fault.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, skip=()):
         self.path = path
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -133,14 +169,14 @@ class _Table:
             np.loadtxt, path, delimiter=",", skiprows=1, comments=None,
             quotechar='"', ndmin=1,
         )
-        self._values = self._read_together(first)
+        self._values = self._read_together(first, skip)
 
-    def _read_together(self, first: list[str]) -> dict:
-        """Every column non-empty in ``first``, the first data row, by one
-        structured pass; ``{}`` when that pass fails."""
+    def _read_together(self, first: list[str], skip) -> dict:
+        """Every column non-empty in ``first``, the first data row, and not
+        in ``skip``, by one structured pass; ``{}`` when that pass fails."""
         present = sorted(
             (j, name) for name, j in self._index.items()
-            if j < len(first) and first[j] != ""
+            if j < len(first) and first[j] != "" and name not in skip
         )
         if not present:
             return {}
@@ -203,6 +239,8 @@ class _Table:
     def ids(self) -> np.ndarray:
         """The ``id`` column, each unit at most once."""
         ids = self.column("id")
+        if (ids[1:] > ids[:-1]).all():
+            return ids  # strictly increasing, as the package writes them
         ordered = np.sort(ids)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
@@ -271,25 +309,30 @@ def write_big_data_csv(path, big: BigSample) -> None:
     })
 
 
-def read_big_data_csv(path, N: int) -> BigSample:
+def read_big_data_csv(path, N: int, *, values: bool = True) -> BigSample:
     """Read a big-data extract.
 
     The value column is ``y`` when present and non-empty, else
-    ``y_star`` (a proxy-valued source).  ``multiplicity`` defaults to
-    one per row.  ``N`` is the universe size the extract was drawn
-    from, which the file itself cannot know.
+    ``y_star`` (a proxy-valued source).  With ``values=False`` neither is
+    read or checked, and the extract's ``values`` is ``None``: a caller
+    that uses only ids, ``z`` and multiplicities skips parsing the one
+    float column.  ``multiplicity`` defaults to one per row.  ``N`` is
+    the universe size the extract was drawn from, which the file itself
+    cannot know.
     """
-    table = _Table(path)
+    table = _Table(path, skip=() if values else ("y", "y_star"))
     ids = table.ids()
-    values = table.column("y", optional=True)
-    if values is None:
-        values = table.column("y_star", optional=True)
-    if values is None:
-        raise ValueError(f"{path}: needs a non-empty 'y' or 'y_star' column")
+    value_col = None
+    if values:
+        value_col = table.column("y", optional=True)
+        if value_col is None:
+            value_col = table.column("y_star", optional=True)
+        if value_col is None:
+            raise ValueError(f"{path}: needs a non-empty 'y' or 'y_star' column")
     multiplicity = table.column("multiplicity", optional=True)
     return BigSample(
         unit_ids=ids,
-        values=values,
+        values=value_col,
         multiplicity=np.ones(ids.size, np.int64) if multiplicity is None else multiplicity,
         N=N,
         z=table.z(),
@@ -307,7 +350,7 @@ def write_labels_csv(path, unit_ids, p_hat, delta_hat) -> None:
 
 def write_estimate_csv(path, report: EstimateReport) -> None:
     """Write one estimate as a one-row CSV; an absent variance is empty."""
-    _write_table(path, {
+    _write_cells(path, {
         "estimator": [report.estimator], "total": [report.total],
         "mean": [report.mean], "variance": [report.variance],
         "population_size": [report.population_size],
@@ -326,6 +369,11 @@ def write_classifier_model(path, model: ClassifierModel) -> None:
 
 
 def read_classifier_model(path) -> ClassifierModel:
+    """Read a mixture written by :func:`write_classifier_model`.
+
+    A missing key, or a table whose length is not its ``levels`` entry,
+    is a ``ValueError`` that names the file and the key.
+    """
     values = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -333,19 +381,31 @@ def read_classifier_model(path) -> ClassifierModel:
             continue
         key, _, rest = line.partition("=")
         values[key.strip()] = rest.strip()
-    levels = tuple(int(v) for v in values["levels"].split(","))
+
+    def entry(key):
+        if key not in values:
+            raise ValueError(f"{path}: missing key {key!r}")
+        return values[key]
+
+    levels = tuple(int(v) for v in entry("levels").split(","))
 
     def tables(name):
-        return tuple(
-            np.array([float(v) for v in values[f"{name}{k + 1}"].split(",")])
-            for k in range(len(levels))
-        )
+        out = []
+        for k, level in enumerate(levels):
+            key = f"{name}{k + 1}"
+            table = np.array([float(v) for v in entry(key).split(",")])
+            if table.size != level:
+                raise ValueError(
+                    f"{path}: {key} has {table.size} entries, but levels gives {level}"
+                )
+            out.append(table)
+        return tuple(out)
 
-    return ClassifierModel(pi=float(values["pi"]), m=tables("m"), u=tables("u"))
+    return ClassifierModel(pi=float(entry("pi")), m=tables("m"), u=tables("u"))
 
 
 def write_summary_csv(path, rows: list[dict]) -> None:
     """Write Monte Carlo summary rows produced by ``summary_rows``."""
     header = ("study", "scenario", "estimator", "bias", "se", "rmse",
               "var_rel_bias", "failures")
-    _write_table(path, {col: [row.get(col, "") for row in rows] for col in header})
+    _write_cells(path, {col: [row.get(col, "") for row in rows] for col in header})

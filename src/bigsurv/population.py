@@ -164,22 +164,29 @@ class FinitePopulation:
 
 @dataclass(frozen=True, eq=False)
 class BigSample:
-    """Non-probability source: observed units with no design weights."""
+    """Non-probability source: observed units with no design weights.
+
+    ``values`` is ``None`` for a source read without its value column,
+    which serves membership classification but has no :attr:`total`.
+    """
 
     unit_ids: np.ndarray
-    values: np.ndarray
+    values: np.ndarray | None
     multiplicity: np.ndarray
     N: int
     z: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "unit_ids", _frozen(self.unit_ids, np.int64))
-        object.__setattr__(self, "values", _frozen(self.values, np.float64))
+        if self.values is not None:
+            object.__setattr__(self, "values", _frozen(self.values, np.float64))
         object.__setattr__(self, "multiplicity", _frozen(self.multiplicity, np.int64))
         if self.z is not None:
             object.__setattr__(self, "z", _frozen(self.z, np.int64))
         k = self.unit_ids.size
-        if self.values.size != k or self.multiplicity.size != k:
+        if self.multiplicity.size != k or (
+            self.values is not None and self.values.size != k
+        ):
             raise ValueError("big-sample columns must have equal length")
         if (self.multiplicity < 1).any():
             raise ValueError("multiplicities must be >= 1")
@@ -203,6 +210,8 @@ class BigSample:
     @property
     def total(self) -> float:
         """Multiplicity-weighted total of the observed values."""
+        if self.values is None:
+            raise ValueError("the big source was read without its value column ('y' or 'y_star')")
         return float(np.dot(self.multiplicity, self.values))
 
 

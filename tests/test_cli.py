@@ -574,6 +574,41 @@ class TestClassify:
         assert "fitted mixture in 1 iterations" in out
         assert "EM did not converge: it stopped at its iteration limit" in out
 
+    @staticmethod
+    def _classify_outputs(sample, big, pi, out_dir):
+        out_dir.mkdir()
+        out = out_dir / "labels.csv"
+        assert main(["classify", "--sample-a", str(sample), "--big-data", str(big),
+                     "--pi", str(pi), "--out", str(out)]) == 0
+        return [path.read_bytes() for path in
+                (out, out_dir / "labels_big.csv", out_dir / "labels.model.txt")]
+
+    @pytest.mark.parametrize("value_cell", [None, "n/a"])
+    def test_big_file_value_column_is_not_read(
+        self, categorical_files, tmp_path, capsys, value_cell
+    ):
+        """classify uses the big file's ids and z only: without a ``y``
+        column, or with one that does not parse, it writes the same bytes."""
+        with open(categorical_files["big"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        lean = tmp_path / "lean.csv"
+        with open(lean, "w", newline="") as fh:
+            names = ["id", "z1", "z2"] if value_cell is None else ["id", "y", "z1", "z2"]
+            writer = csv.DictWriter(fh, names, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows({**r, "y": value_cell} for r in rows)
+        sample, pi = categorical_files["sample"], categorical_files["pi"]
+        full = self._classify_outputs(sample, categorical_files["big"], pi, tmp_path / "full")
+        assert self._classify_outputs(sample, lean, pi, tmp_path / "lean") == full
+
+    def test_estimate_still_needs_the_big_value_column(self, categorical_files, tmp_path):
+        lean = tmp_path / "lean.csv"
+        lean.write_text("id,z1,z2\n1,1,1\n2,2,2\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--sample-a", str(categorical_files["sample"]),
+                  "--big-data", str(lean), "--method", "regdi"])
+        assert str(excinfo.value.code).endswith("needs a non-empty 'y' or 'y_star' column")
+
     @pytest.mark.parametrize("side", ["probability sample", "big source"])
     def test_missing_trait_columns_exit_with_one_line(
         self, categorical_files, tmp_path, side

@@ -5,6 +5,7 @@ checked for bit-exact equality, not approximate equality.
 """
 
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -148,6 +149,28 @@ class TestBigDataCSV:
         path.write_text("id,z1\n1,2\n")
         with pytest.raises(ValueError, match="'y' or 'y_star'"):
             read_big_data_csv(path, N=10)
+
+    @pytest.mark.parametrize("header, row", [("id,z1", "2"), ("id,y,z1", "oops,2")])
+    def test_read_without_values_skips_the_value_column(
+        self, tmp_path, monkeypatch, header, row
+    ):
+        """``values=False`` neither parses nor requires ``y``/``y_star``:
+        the one pass reads ``id`` and ``z1`` only."""
+        path = tmp_path / "big.csv"
+        path.write_text(f"{header}\n1,{row}\n")
+        passes = []
+        loadtxt = np.loadtxt
+
+        def recording(*args, **kwargs):
+            passes.append(kwargs.get("usecols"))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        back = read_big_data_csv(path, N=10, values=False)
+        assert passes == [[header.split(",").index(name) for name in ("id", "z1")]]
+        assert back.values is None
+        assert np.array_equal(back.unit_ids, [1])
+        assert np.array_equal(back.z, [[2]])
 
 
 class TestBoundaryChecks:
@@ -325,6 +348,29 @@ class TestModelDumps:
         )
         back = read_classifier_model(path)
         assert back.pi == 0.5
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("levels=2\nm1=0.5,0.5\nu1=0.25,0.75\n", "missing key 'pi'"),
+            ("pi=0.5\nm1=0.5,0.5\nu1=0.25,0.75\n", "missing key 'levels'"),
+            ("pi=0.5\nlevels=2,3\nm1=0.5,0.5\nu1=0.25,0.75\n", "missing key 'm2'"),
+            (
+                "pi=0.5\nlevels=3\nm1=0.5,0.5\nu1=0.25,0.75\n",
+                "m1 has 2 entries, but levels gives 3",
+            ),
+            (
+                "pi=0.5\nlevels=2\nm1=0.5,0.5\nu1=0.2,0.3,0.5\n",
+                "u1 has 3 entries, but levels gives 2",
+            ),
+        ],
+        ids=["no-pi", "no-levels", "no-m2", "short-m1", "long-u1"],
+    )
+    def test_incomplete_model_file_names_the_key(self, tmp_path, text, message):
+        path = tmp_path / "mixture.model.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+            read_classifier_model(path)
 
     def test_nan_table_entry_rejected(self, tmp_path):
         """A NaN entry passes every range and sum test, so it is named

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bigsurv import (
@@ -35,7 +35,9 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e
 floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 # a posterior takes one value per z cell, so a labels column repeats a few
 few_floats = st.sampled_from([-0.0, 0.0, 0.5, 0.1 + 0.2, 5e-324, 1.0, 1 - 2**-53])
-ints = st.integers(-(2**62), 2**62)
+# the ends of the digit-grid range 0..10^18-1, just past them, and int64's own
+EDGE_INTS = [0, 9, 10, 10**18 - 1, 10**18, -1, -(2**63), 2**63 - 1]
+ints = st.integers(-(2**62), 2**62) | st.integers(0, 10**18) | st.sampled_from(EDGE_INTS)
 
 
 def float_col(draw, n, elements=floats):
@@ -167,8 +169,18 @@ def test_big_data_round_trip_is_bit_exact(big):
     assert_same(back, big, ("unit_ids", "values", "multiplicity", "z"))
 
 
+def edge_labels(ids):
+    """``(ids, p_hat, delta_hat)`` for fixed ids, ``p_hat`` all signed zeros."""
+    ids = np.array(ids, np.int64)
+    return ids, np.where(ids % 2 == 0, 0.0, -0.0), ids % 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(label_sets())
+@example(edge_labels([0, 9, 10, 10**18 - 1]))  # the widest digit grid
+@example(edge_labels([10**18, 1]))  # one cell too wide for it
+@example(edge_labels([-1, 0]))
+@example(edge_labels([-(2**63), 2**63 - 1]))
 def test_labels_round_trip_keeps_signed_zeros(labels):
     ids, p_hat, delta_hat = labels
     layout = {"id": ids, "p_hat": p_hat, "delta_hat": delta_hat}
@@ -183,18 +195,24 @@ def test_labels_round_trip_keeps_signed_zeros(labels):
         assert back[name].dtype == col.dtype and back[name].tobytes() == col.tobytes(), name
 
 
-@pytest.mark.parametrize("kind", ["labels", "sample"])
+@pytest.mark.parametrize("kind", ["labels", "sample", "distinct", "distinct-then-repeated"])
 def test_file_longer_than_one_block_matches_reference(tmp_path, kind):
     """70,000 rows cross a block boundary; the bytes must still be one
-    ``csv.writer`` row per unit."""
+    ``csv.writer`` row per unit.  Floats repeat a few values, take a new
+    value on every row, or switch from the one to the other at the block
+    boundary."""
     n = 70_000
     assert n > _BLOCK_ROWS
     rng = np.random.default_rng(6)
     ids = np.arange(1, n + 1, dtype=np.int64) * 3
     pool = np.concatenate([[-0.0, 0.0, 5e-324, -1e308], rng.normal(size=196)])
     values = pool[rng.integers(0, pool.size, n)]
+    if kind == "distinct":
+        values = rng.normal(size=n)
+    elif kind == "distinct-then-repeated":
+        values[:_BLOCK_ROWS] = rng.normal(size=_BLOCK_ROWS)
     path = tmp_path / f"{kind}.csv"
-    if kind == "labels":
+    if kind != "sample":
         layout = {"id": ids, "p_hat": values, "delta_hat": (values > 0.5).astype(np.int64)}
         write_labels_csv(path, *layout.values())
     else:

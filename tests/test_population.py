@@ -61,6 +61,14 @@ class TestFinitePopulation:
         assert big.N_b == 3
         assert big.total == 2 * 1.0 + 2.0
 
+    def test_big_sample_without_values_has_no_total(self):
+        big = BigSample(
+            unit_ids=[1, 2], values=None, multiplicity=np.ones(2, np.int64), N=5,
+        )
+        assert big.N_b == 2
+        with pytest.raises(ValueError, match=r"without its value column \('y' or 'y_star'\)"):
+            big.total
+
     @pytest.mark.parametrize("ids, bad", [([1, 0, 99, -3], 0), ([4, 21], 21)])
     def test_big_sample_ids_outside_universe_rejected(self, ids, bad):
         with pytest.raises(ValueError, match=rf"unit_ids must lie in 1\.\.20; found {bad}$"):
