@@ -21,7 +21,6 @@ across accepted iterates, and the fitter enforces that invariant.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -29,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import BigDataTotals, EstimateReport, pdi_total
-from .population import BigSample, ProbabilitySample
+from .population import BigSample, ProbabilitySample, _max, _min, _sum, _whole
 
 __all__ = [
     "DegenerateFitError",
@@ -64,16 +63,16 @@ class AscentViolationError(RuntimeError):
 def _check_tables(tables, what: str):
     out = []
     for k, t in enumerate(tables):
-        t = np.asarray(t, float)
+        t = np.array(t, float)  # a copy of its own, frozen below
         if t.ndim != 1 or t.size == 0:
             raise ValueError(f"{what}[{k}] must be a non-empty vector")
-        if not np.isfinite(t).all():
-            raise ValueError(f"{what}[{k}] entries must be finite")
-        if (t < -1e-12).any() or (t > 1 + 1e-12).any():
+        # a NaN fails the range test too, so finiteness is asked only then
+        if not (_min(t) >= -1e-12 and _max(t) <= 1 + 1e-12):
+            if not np.isfinite(t).all():
+                raise ValueError(f"{what}[{k}] entries must be finite")
             raise ValueError(f"{what}[{k}] entries must lie in [0, 1]")
-        if abs(t.sum() - 1.0) > 1e-10:
+        if abs(_sum(t) - 1.0) > 1e-10:
             raise ValueError(f"{what}[{k}] must sum to one")
-        t = t.copy()
         t.setflags(write=False)
         out.append(t)
     return tuple(out)
@@ -128,16 +127,26 @@ class PropensityTotals:
     classified: int
 
 
-def _validate_z(z, levels) -> np.ndarray:
-    z = np.asarray(z, np.int64)
+def _level_index(z, levels) -> list[np.ndarray]:
+    """Zero-based level of each row of ``z``, one int64 vector per column.
+
+    Every table looked up at a column shares its vector.  Raises
+    ``ValueError`` when ``z`` does not have one column per entry of
+    ``levels``, and one naming the column when a level lies outside
+    ``1..D_k`` or is not a whole number (:func:`~bigsurv.population._whole`).
+    """
+    z = _whole(z)
     z = z[:, None] if z.ndim == 1 else z
     if z.shape[1] != len(levels):
         raise ValueError(f"z has {z.shape[1]} columns, model has {len(levels)}")
-    for k, D in enumerate(levels):
-        col = z[:, k]
-        if col.min() < 1 or col.max() > D:
+    # one C-ordered pass gives each column's levels as a contiguous row
+    index = list(np.subtract(z.astype(np.int64, copy=False).T, 1, order="C"))
+    for k, (col, D) in enumerate(zip(index, levels)):
+        # as unsigned, a level below zero is above every D: one reduction
+        # checks both ends
+        if _max(col.view(np.uint64)) >= D:
             raise ValueError(f"z column {k + 1} outside 1..{D}")
-    return z
+    return index
 
 
 def estimate_m(big: BigSample, levels=None) -> tuple[np.ndarray, ...]:
@@ -152,12 +161,11 @@ def estimate_m(big: BigSample, levels=None) -> tuple[np.ndarray, ...]:
     z = big.z[:, None] if big.z.ndim == 1 else big.z
     if levels is None:
         levels = tuple(int(z[:, k].max()) for k in range(z.shape[1]))
-    z = _validate_z(z, levels)
-    out = []
-    for k, D in enumerate(levels):
-        counts = np.bincount(z[:, k] - 1, minlength=D).astype(float)
-        out.append(counts / z.shape[0])
-    return tuple(out)
+    index = _level_index(z, levels)
+    return tuple(
+        np.bincount(col, minlength=D).astype(float) / z.shape[0]
+        for col, D in zip(index, levels)
+    )
 
 
 def initial_u(z, d, levels) -> tuple[np.ndarray, ...]:
@@ -166,21 +174,22 @@ def initial_u(z, d, levels) -> tuple[np.ndarray, ...]:
     Each cell receives ``1 / (2 n)`` before normalisation so every
     enumerated level starts with support.
     """
-    z = _validate_z(z, levels)
+    index = _level_index(z, levels)
     d = np.asarray(d, float)
-    n = z.shape[0]
+    n = index[0].size
     out = []
-    for k, D in enumerate(levels):
-        freq = np.bincount(z[:, k] - 1, weights=d, minlength=D)
+    for col, D in zip(index, levels):
+        freq = np.bincount(col, weights=d, minlength=D)
         freq = freq / freq.sum() + 1.0 / (2 * n)
         out.append(freq / freq.sum())
     return tuple(out)
 
 
-def _products(tables, z: np.ndarray) -> np.ndarray:
-    out = tables[0][z[:, 0] - 1].copy()
-    for k in range(1, z.shape[1]):
-        out *= tables[k][z[:, k] - 1]
+def _products(tables, index) -> np.ndarray:
+    """``prod_k tables[k][index[k]]``, one entry per row of the index."""
+    out = tables[0][index[0]]  # fancy indexing already copies
+    for table, col in zip(tables[1:], index[1:]):
+        out *= table[col]
     return out
 
 
@@ -188,7 +197,7 @@ def _posterior_from_mixture(a: np.ndarray, b: np.ndarray):
     """Posterior ``a / (a + b)`` and likelihood ``a + b`` of the inside part
     ``a = pi * prod m`` against the outside part ``b = (1 - pi) * prod u``."""
     denom = a + b
-    if (denom <= 0.0).any():
+    if _min(denom) <= 0.0:
         raise DegenerateFitError(
             "posterior undefined: a level has zero frequency in both sources"
         )
@@ -197,9 +206,9 @@ def _posterior_from_mixture(a: np.ndarray, b: np.ndarray):
 
 def posterior(model: ClassifierModel, z) -> np.ndarray:
     """Membership posterior for each row of ``z`` under ``model``."""
-    z = _validate_z(z, model.levels)
+    index = _level_index(z, model.levels)
     p, _ = _posterior_from_mixture(
-        model.pi * _products(model.m, z), (1.0 - model.pi) * _products(model.u, z)
+        model.pi * _products(model.m, index), (1.0 - model.pi) * _products(model.u, index)
     )
     return p
 
@@ -209,26 +218,49 @@ def posterior(model: ClassifierModel, z) -> np.ndarray:
 _CODE_LIMIT = 2**62
 
 
-def _cells(z: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of ``z`` in lexicographic order, and each row's cell.
+def _rank(code: np.ndarray, radix: int) -> tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of ``code``, all in
+    ``0..radix-1``, and the number of distinct values.
+
+    When ``radix`` is at most four times the length, the ranks come from a
+    cumulative count over a table of every code, with no sort; otherwise
+    from ``np.unique``.  Both give the same ranks.
+    """
+    if radix <= 4 * code.size:
+        seen = np.zeros(radix, np.intp)
+        seen[code] = 1
+        np.cumsum(seen, out=seen)
+        return seen[code] - 1, int(seen[-1])
+    distinct, inverse = np.unique(code, return_inverse=True)
+    return inverse, distinct.size
+
+
+def _cells(index, levels) -> tuple[list[np.ndarray], np.ndarray]:
+    """Distinct rows of the level index in lexicographic order, and each
+    row's cell.
 
     Rows are coded as the mixed-radix integer
-    ``((z1-1)·D2 + (z2-1))·D3 + ...``, which orders like the rows, so a
-    1-D ``np.unique`` replaces a row sort.  When the radix product would
-    pass ``_CODE_LIMIT`` the partial code is replaced by its rank, which
-    keeps the order and stays below ``n``.
+    ``(l1·D2 + l2)·D3 + ...`` of their zero-based levels, which orders like
+    the rows, so ranking the codes replaces a row sort.  When the radix
+    product would pass ``_CODE_LIMIT`` the partial code is replaced by its
+    rank, which keeps the order and stays below ``n``.  Returns one vector
+    per column holding each cell's level, and the cell of each row.
     """
-    code = z[:, 0] - 1
+    code = index[0]
     radix = levels[0]
     for k in range(1, len(levels)):
         D = levels[k]
         if radix * D > _CODE_LIMIT:
-            code = np.unique(code, return_inverse=True)[1]
-            radix = int(code.max()) + 1
-        code = code * D + (z[:, k] - 1)
+            code, radix = _rank(code, radix)
+        code = code * D + index[k]
         radix *= D
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    return z[first], inverse
+    inverse, count = _rank(code, radix)
+    cells = []
+    for col in index:
+        cell = np.empty(count, np.int64)
+        cell[inverse] = col  # every row of a cell holds the same level
+        cells.append(cell)
+    return cells, inverse
 
 
 def classify(posteriors) -> np.ndarray:
@@ -248,28 +280,28 @@ def _em_map(sample: ProbabilitySample, model: ClassifierModel):
     ``inverse`` maps each unit to its cell.
     """
     levels = model.levels
-    z = _validate_z(sample.z, levels)
     # collapse to distinct z cells: the posterior is a function of the cell,
     # so EM cost scales with distinct cells rather than sample size
-    rows, inverse = _cells(z, levels)
+    cells, inverse = _cells(_level_index(sample.z, levels), levels)
     w = np.bincount(inverse, weights=sample.d)
-    a = model.pi * _products(model.m, rows)
+    a = model.pi * _products(model.m, cells)
     out_prior = 1.0 - model.pi
     # cell j's level of column k sits at flat[k, j]
     offsets = np.cumsum((0,) + levels)
-    flat = np.ascontiguousarray((rows - 1 + offsets[:-1]).T)
+    flat = np.stack([cell + off for cell, off in zip(cells, offsets)])
+    first, rest = flat[0], tuple(flat[1:])
     flat_all = flat.ravel()
     mass = np.empty(flat.shape)
     mass_all = mass.reshape(-1)
 
     def step(u):
-        u_prod = u[flat[0]]
-        for k in range(1, len(levels)):
-            u_prod *= u[flat[k]]
+        u_prod = u[first]
+        for at in rest:
+            u_prod *= u[at]
         p_cells, cell_lik = _posterior_from_mixture(a, out_prior * u_prod)
         ll = float(np.dot(w, np.log(cell_lik)))
         out_mass = w * (1.0 - p_cells)
-        denom = out_mass.sum()
+        denom = _sum(out_mass)
         if denom <= 0.0:
             raise DegenerateFitError("no design weight left outside the big source")
         # every column's level sums in one bincount: each bin adds the
@@ -300,7 +332,7 @@ def _squarem_point(u0, u1, u2, column):
     x = u0 - 2.0 * alpha * r + alpha * alpha * v
     sums = np.bincount(column, weights=x)
     # a NaN fails the first test and an infinite entry the last
-    if not (x.min() >= 0.0 and sums.min() > 0.0 and sums.max() < math.inf):
+    if not (_min(x) >= 0.0 and _min(sums) > 0.0 and _max(sums) < math.inf):
         return None
     return x / sums[column]
 
@@ -362,17 +394,19 @@ def em_fit(
     converged = False
     while not converged and evaluations < budget:
         # the plain step u1 = F(u); a converged one is scored and returned
-        converged = float(np.abs(fu - u).max()) <= tol
+        converged = float(_max(np.abs(fu - u))) <= tol
         step = evaluate(fu, ll)
         u1, u2, _, ll1 = step
         # while evaluations remain and u1 -> u2 does not converge, try the
         # extrapolated point, then u2; otherwise u1 is the accepted iterate
-        if not converged and evaluations < budget and float(np.abs(u2 - u1).max()) > tol:
+        if not converged and evaluations < budget and _max(np.abs(u2 - u1)) > tol:
             squared = None
             x = _squarem_point(u, u1, u2, column)
             if x is not None:
-                with contextlib.suppress(DegenerateFitError):
+                try:
                     squared = evaluate(x)
+                except DegenerateFitError:
+                    pass
             if squared is not None and squared[3] >= ll:
                 step = squared
             elif evaluations < budget:
@@ -385,9 +419,8 @@ def em_fit(
             "below tol = %g", max_iter, tol,
         )
     p_hat = p_cells[inverse]
-    fitted = ClassifierModel(
-        pi=model.pi, m=model.m, u=tuple(np.split(u, offsets[1:-1]))
-    )
+    tables = tuple(u[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
+    fitted = ClassifierModel(pi=model.pi, m=model.m, u=tables)
     posteriors = PosteriorSet(
         p_hat=p_hat,
         delta_hat=classify(p_hat),
@@ -439,13 +472,12 @@ def propensity_totals(big: BigSample, model: ClassifierModel) -> PropensityTotal
     if big.z is None:
         raise ValueError("big sample must carry z rows")
     p = posterior(model, big.z)
-    labels = classify(p)
-    keep = labels == 1
+    keep = p > 0.5  # the units classify() labels 1
     inv = big.multiplicity[keep] / p[keep]
     return PropensityTotals(
         N_b2=float(inv.sum()),
         T_b2=float(np.dot(inv, big.values[keep])),
-        classified=int(keep.sum()),
+        classified=int(np.count_nonzero(keep)),
     )
 
 

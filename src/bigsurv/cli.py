@@ -273,12 +273,15 @@ def _with_big_matches(sample, big):
     )
 
 
-def _read_inputs(args, values=True):
+def _read_inputs(args, values=True, z=True):
     """Read both input files; an id outside a default 1..N names --pop-n.
-    ``values`` says whether the big file's value column is read."""
+    ``values`` and ``z`` say whether the big file's value column and its
+    ``z1..zK`` columns are read."""
     sample = fileio.read_sample_csv(args.sample_a, N=args.pop_n)
     try:
-        return sample, fileio.read_big_data_csv(args.big_data, N=sample.N, values=values)
+        return sample, fileio.read_big_data_csv(
+            args.big_data, N=sample.N, values=values, z=z
+        )
     except ValueError as exc:
         if args.pop_n is None and str(exc).startswith("unit_ids"):
             exc.args = (f"{exc} (N is the rounded weight sum; pass --pop-n)",)
@@ -287,9 +290,10 @@ def _read_inputs(args, values=True):
 
 def cmd_estimate(args, parser) -> int:
     _require(args, parser, "sample_a", "big_data", "method")
-    sample, big = _read_inputs(args)
-    value_col = sample.y if sample.y is not None else sample.y_star
     method = args.method
+    # only the classified-membership estimator reads the big file's z
+    sample, big = _read_inputs(args, z=method == "pdi2")
+    value_col = sample.y if sample.y is not None else sample.y_star
 
     if method == "ht":
         if value_col is None:
@@ -324,8 +328,7 @@ def cmd_estimate(args, parser) -> int:
         fitted, _ = fit_membership(sample, big, pi)
         report = pdi2_total(sample, big, fitted)
 
-    # ratio_di carries no variance under any design
-    if report.variance is None and method != "ratio":
+    if report.variance is None:
         report = dataclasses.replace(report, notes=report.notes + (
             "no variance: the pi are not all n/N, so the joint inclusion "
             "probabilities are unknown",

@@ -135,8 +135,9 @@ def pdi_total(
             variance=ht_variance_quadratic(sample, np.zeros(sample.n)),
         )
     out_mask = delta == 0
-    out_weighted = float(np.dot(sample.d[out_mask], y[out_mask]))
-    denom = float(sample.d[out_mask].sum())
+    d_out = sample.d[out_mask]
+    out_weighted = float(np.dot(d_out, y[out_mask]))
+    denom = float(d_out.sum())
     if denom <= 0.0:
         raise DegenerateStratumError(
             "no sampled units outside the big-data source; "
@@ -160,6 +161,12 @@ def ratio_di_total(sample: ProbabilitySample, delta, y, T_b: float) -> EstimateR
     the observed big-data total to the full universe.  The implied
     weights ``d_i * T_b / T_hat_b`` reproduce ``T_b`` when applied to
     ``delta * y``.
+
+    The report carries the Taylor-linearized variance (Särndal, Swensson
+    & Wretman 1992): the Horvitz-Thompson variance of
+    ``e_i = (T_b / T_hat_b) (y_i - R_hat delta_i y_i)`` with
+    ``R_hat = T_hat_a / T_hat_b``, or ``None`` without joint inclusion
+    probabilities.
     """
     delta = np.asarray(delta)
     y = np.asarray(y, float)
@@ -171,10 +178,12 @@ def ratio_di_total(sample: ProbabilitySample, delta, y, T_b: float) -> EstimateR
         raise DegenerateStratumError(
             "weighted big-data total in the sample is zero; ratio undefined"
         )
+    residuals = (T_b / t_b_hat) * (y - (t_a / t_b_hat) * (delta * y))
     return EstimateReport(
         estimator="ratio_di",
         total=T_b * t_a / t_b_hat,
         population_size=sample.N,
+        variance=ht_variance_quadratic(sample, residuals),
     )
 
 

@@ -139,14 +139,14 @@ class _Table:
     """A headered CSV file, read in one pass where it can be.
 
     The constructor reads every column that is non-empty in the first
-    data row, except those named in ``skip``, with one structured
-    ``np.loadtxt`` pass.  A column left out of it, or every column when
-    that pass fails, is read on its own when asked for, which tells an
-    all-empty optional column from a bad one and names the column at
-    fault.
+    data row, except those named in ``skip`` and, with ``z=False``, the
+    ``z1..zK`` columns, with one structured ``np.loadtxt`` pass.  A column
+    left out of it, or every column when that pass fails, is read on its
+    own when asked for, which tells an all-empty optional column from a
+    bad one and names the column at fault.
     """
 
-    def __init__(self, path, skip=()):
+    def __init__(self, path, skip=(), z=True):
         self.path = path
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -164,7 +164,10 @@ class _Table:
             repeated = next(n for j, n in enumerate(self.names) if self._index[n] != j)
             raise ValueError(f"{path}: column {repeated!r} appears more than once")
         z_names = (name for name in self.names if name[:1] == "z" and name[1:].isdigit())
-        self._z_names = sorted(z_names, key=lambda name: int(name[1:]))
+        z_names = sorted(z_names, key=lambda name: int(name[1:]))
+        self._z_names = z_names if z else []
+        if not z:
+            skip = (*skip, *z_names)
         self._read = functools.partial(
             np.loadtxt, path, delimiter=",", skiprows=1, comments=None,
             quotechar='"', ndmin=1,
@@ -249,7 +252,7 @@ class _Table:
 
     def z(self) -> np.ndarray | None:
         """The ``z1..zK`` columns stacked in numeric order, read-only, or
-        ``None``."""
+        ``None`` (also for a table read with ``z=False``)."""
         if not self._z_names:
             return None
         z = np.column_stack([self.column(name) for name in self._z_names])
@@ -309,18 +312,19 @@ def write_big_data_csv(path, big: BigSample) -> None:
     })
 
 
-def read_big_data_csv(path, N: int, *, values: bool = True) -> BigSample:
+def read_big_data_csv(path, N: int, *, values: bool = True, z: bool = True) -> BigSample:
     """Read a big-data extract.
 
     The value column is ``y`` when present and non-empty, else
     ``y_star`` (a proxy-valued source).  With ``values=False`` neither is
     read or checked, and the extract's ``values`` is ``None``: a caller
     that uses only ids, ``z`` and multiplicities skips parsing the one
-    float column.  ``multiplicity`` defaults to one per row.  ``N`` is
-    the universe size the extract was drawn from, which the file itself
-    cannot know.
+    float column.  With ``z=False`` the ``z1..zK`` columns are likewise
+    neither read nor checked, and ``z`` is ``None``.  ``multiplicity``
+    defaults to one per row.  ``N`` is the universe size the extract was
+    drawn from, which the file itself cannot know.
     """
-    table = _Table(path, skip=() if values else ("y", "y_star"))
+    table = _Table(path, skip=() if values else ("y", "y_star"), z=z)
     ids = table.ids()
     value_col = None
     if values:

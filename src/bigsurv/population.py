@@ -52,6 +52,11 @@ class InfeasibleSelectionError(ValueError):
 # the design tags a ProbabilitySample accepts
 _DESIGNS = ("srs", "generic")
 
+# reductions called as ufuncs: ndarray.min, .max and .sum reach the same
+# ufunc through a Python wrapper that costs about 1.3 us a call, more than
+# the reduction itself over a few hundred entries
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
 
 def _frozen(a, dtype) -> np.ndarray:
     out = np.asarray(a, dtype=dtype)
@@ -66,6 +71,39 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     then keeps without a copy."""
     a.setflags(write=False)
     return a
+
+
+def _whole(z):
+    """``z`` as an array of integer levels, not yet cast.
+
+    A ``z`` of non-integer dtype must hold whole numbers: a value that a
+    cast to int64 would truncate is a ``ValueError`` naming its column.
+    Integer ``z`` skips the check.
+    """
+    z = np.asarray(z)
+    if z.dtype.kind not in "iu":
+        z = np.asarray(z, float)
+        bad = np.argwhere(~(np.isfinite(z) & (np.floor(z) == z)))
+        if bad.size:
+            k = bad[0][1] if z.ndim > 1 else 0
+            raise ValueError(
+                f"z column {k + 1} holds {float(z[tuple(bad[0])])!r}, "
+                "which is not a whole number"
+            )
+    return z
+
+
+def _rows(a: np.ndarray | None, idx: np.ndarray) -> np.ndarray | None:
+    """Read-only rows ``idx`` of ``a``, or ``None`` for a missing column.
+
+    A 2-D array is gathered with ``np.take`` along axis 0, several times
+    faster than fancy indexing ``a[idx]`` (about 12 against 91 us for
+    5,000 of 10^4 rows of two columns); a 1-D one by indexing, which is
+    the faster there.
+    """
+    if a is None:
+        return None
+    return _read_only(np.take(a, idx, axis=0) if a.ndim == 2 else a[idx])
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +146,13 @@ class FinitePopulation:
             col = getattr(self, name)
             if col is None:
                 continue
-            col = _frozen(col, dtype)
+            col = _frozen(_whole(col) if name == "z" else col, dtype)
             if col.ndim != ndim or col.shape[0] != n:
                 raise ValueError(f"{name} must have {n} rows")
             object.__setattr__(self, name, col)
         if self.delta is None:
             object.__setattr__(self, "delta", _read_only(np.zeros(n, np.int64)))
-        if (self.delta < 0).any():
+        if _min(self.delta) < 0:
             raise ValueError("delta entries must be non-negative")
 
     def __len__(self) -> int:
@@ -154,11 +192,11 @@ class FinitePopulation:
             raise ValueError(f"population has no {value} column")
         idx = np.flatnonzero(self.delta > 0)
         return BigSample(
-            unit_ids=idx + 1,
-            values=col[idx],
-            multiplicity=self.delta[idx],
+            unit_ids=_read_only(idx + 1),
+            values=_rows(col, idx),
+            multiplicity=_rows(self.delta, idx),
             N=self.N,
-            z=None if self.z is None else self.z[idx],
+            z=_rows(self.z, idx),
         )
 
 
@@ -182,7 +220,7 @@ class BigSample:
             object.__setattr__(self, "values", _frozen(self.values, np.float64))
         object.__setattr__(self, "multiplicity", _frozen(self.multiplicity, np.int64))
         if self.z is not None:
-            object.__setattr__(self, "z", _frozen(self.z, np.int64))
+            object.__setattr__(self, "z", _frozen(_whole(self.z), np.int64))
         k = self.unit_ids.size
         if self.multiplicity.size != k or (
             self.values is not None and self.values.size != k
@@ -274,20 +312,27 @@ class ProbabilitySample:
             raise ValueError("weight columns must match the number of units")
         if k == 0:
             raise EmptyPopulationError("sample must hold at least one unit")
-        if (self.pi <= 0).any() or (self.pi > 1).any():
-            raise ValueError("inclusion probabilities must lie in (0, 1]")
-        # a NaN passes every comparison above and below
-        for name in ("d", "pi"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must hold finite values")
-        if np.max(np.abs(self.d * self.pi - 1.0)) > 1e-9:
+        # three reductions pass valid weights, NaN failing each; the checks
+        # below name the fault
+        if not (
+            _min(self.pi) > 0 and _max(self.pi) <= 1
+            and _max(np.abs(self.d * self.pi - 1.0)) <= 1e-9
+        ):
+            if (self.pi <= 0).any() or (self.pi > 1).any():
+                raise ValueError("inclusion probabilities must lie in (0, 1]")
+            for name in ("d", "pi"):
+                if not np.isfinite(getattr(self, name)).all():
+                    raise ValueError(f"{name} must hold finite values")
             raise ValueError("design weights must be reciprocal inclusion probabilities")
         if self.N < k:
             raise ValueError(f"universe size N = {self.N} is below the sample size {k}")
         if self.design not in _DESIGNS:
             raise ValueError(f"design must be one of {_DESIGNS}, not {self.design!r}")
-        if self.design == "srs" and not np.allclose(self.pi, k / self.N, rtol=1e-9, atol=0.0):
-            raise ValueError(f"design 'srs' needs every pi equal to n / N = {k / self.N!r}")
+        # NaN is rejected above, so the largest gap decides; this is
+        # np.allclose(pi, n / N, rtol=1e-9, atol=0) without its overhead
+        f = k / self.N
+        if self.design == "srs" and _max(np.abs(self.pi - f)) > 1e-9 * f:
+            raise ValueError(f"design 'srs' needs every pi equal to n / N = {f!r}")
         joint = self.joint_pi
         if isinstance(joint, SRSJointInclusion) and (joint.n, joint.N) != (k, self.N):
             raise ValueError(
@@ -300,7 +345,7 @@ class ProbabilitySample:
             col = getattr(self, name)
             if col is None:
                 continue
-            col = _frozen(col, dtype)
+            col = _frozen(_whole(col) if name == "z" else col, dtype)
             if col.shape[:1] != (k,):
                 raise ValueError(f"{name} must have one row per sampled unit ({k})")
             object.__setattr__(self, name, col)
@@ -407,16 +452,16 @@ def draw_srs(pop: FinitePopulation, n: int, seed) -> ProbabilitySample:
     rng = substream(seed)
     idx = np.sort(rng.choice(N, size=n, replace=False))
     return ProbabilitySample(
-        unit_ids=idx + 1,
-        d=np.full(n, N / n),
-        pi=np.full(n, n / N),
+        unit_ids=_read_only(idx + 1),
+        d=_read_only(np.full(n, N / n)),
+        pi=_read_only(np.full(n, n / N)),
         joint_pi=SRSJointInclusion(n=n, N=N),
         N=N,
         design="srs",
-        y=pop.y[idx],
-        y_star=None if pop.y_star is None else pop.y_star[idx],
-        delta=pop.delta[idx],
-        z=None if pop.z is None else pop.z[idx],
+        y=_rows(pop.y, idx),
+        y_star=_rows(pop.y_star, idx),
+        delta=_rows(pop.delta, idx),
+        z=_rows(pop.z, idx),
     )
 
 

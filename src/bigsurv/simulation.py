@@ -30,6 +30,7 @@ from .linalg import SingularControlsError
 from .measurement import MeasurementFitError, two_step_regdi
 from .population import (
     FinitePopulation,
+    _read_only,
     _select_strata,
     _stratum_pools,
     big_data_inclusion_probabilities,
@@ -334,12 +335,15 @@ def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: in
     N_b = int(delta.sum())
     if N_b == 0 or N_b == pop.N:
         raise DegenerateStratumError("membership draw covered none or all units")
-    big = pop.with_delta(delta).big_sample()
-    sample = draw_srs(pop, config.n_a, substream(seed, 0))
+    # one population per replicate: the big source and the design sample
+    # (with its delta) are both drawn from it
+    pop_r = pop.with_delta(_read_only(delta))
+    big = pop_r.big_sample()
+    sample = draw_srs(pop_r, config.n_a, substream(seed, 0))
     # no summary reads a study-two variance, so dropping joint_pi spares
     # pdi_total and pdi2_total three O(n) variances per replicate; a
     # var_rel_bias for proposed_di (ROADMAP item 2) would restore it
-    sample = replace(sample, delta=delta[sample.indices], joint_pi=None)
+    sample = replace(sample, joint_pi=None)
     fitted, post = classifier.fit_membership(sample, big, N_b / pop.N, levels)
 
     big_totals = BigDataTotals(T_b=float(big.values.sum()), N_b=N_b, N=pop.N)

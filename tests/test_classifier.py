@@ -24,7 +24,7 @@ from bigsurv import (
     posterior,
     propensity_totals,
 )
-from bigsurv.classifier import ASCENT_SLACK, _em_map, _squarem_point
+from bigsurv.classifier import ASCENT_SLACK, _em_map, _rank, _squarem_point
 
 
 def make_sample(z, d=None, y=None, N=None):
@@ -174,6 +174,15 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ClassifierModel(pi=1.5, m=(np.array([1.0]),), u=(np.array([1.0]),))
 
+    def test_tables_are_frozen_copies(self):
+        """The model keeps read-only copies: the caller's arrays stay
+        writeable, and writing to them leaves the model alone."""
+        m, u = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+        model = ClassifierModel(pi=0.5, m=(m,), u=(u,))
+        m[0] = u[0] = 0.0
+        assert model.m[0].tolist() == [0.5, 0.5] and model.u[0].tolist() == [0.25, 0.75]
+        assert not model.m[0].flags.writeable and not model.u[0].flags.writeable
+
     def test_levels_read_from_tables(self):
         model = ClassifierModel(
             pi=0.5,
@@ -223,6 +232,18 @@ class TestEstimateM:
         with pytest.raises(ValueError, match=r"z column 1 outside 1\.\.3"):
             estimate_m(big, levels=(3,))
 
+    def test_non_integral_level_rejected(self):
+        """A big source cannot hold level 2.5: it was truncated to 2."""
+        message = r"^z column 2 holds 2\.5, which is not a whole number$"
+        with pytest.raises(ValueError, match=message):
+            estimate_m(BigSample(
+                unit_ids=np.array([1, 2]),
+                values=np.zeros(2),
+                multiplicity=np.ones(2, int),
+                N=10,
+                z=np.array([[1.0, 1.0], [2.0, 2.5]]),
+            ))
+
 
 class TestInitialU:
     def test_weighted_frequencies_with_smoothing(self):
@@ -236,6 +257,11 @@ class TestInitialU:
         (u,) = initial_u([[1], [1]], [1.0, 1.0], (2,))
         assert u[1] > 0.0
         assert u.sum() == pytest.approx(1.0)
+
+    def test_non_integral_level_rejected(self):
+        message = r"^z column 1 holds nan, which is not a whole number$"
+        with pytest.raises(ValueError, match=message):
+            initial_u([[1.0], [np.nan]], [1.0, 3.0], (2,))
 
 
 class TestPosterior:
@@ -274,6 +300,17 @@ class TestPosterior:
         )
         with pytest.raises(ValueError):
             posterior(model, [[3]])
+
+    def test_non_integral_level_rejected(self):
+        """Levels 1.5 and 2.9 were read as 1 and 2; whole floats still serve."""
+        model = ClassifierModel(
+            pi=0.4, m=(np.array([0.9, 0.1]),), u=(np.array([0.2, 0.8]),)
+        )
+        message = r"^z column 1 holds 1\.5, which is not a whole number$"
+        with pytest.raises(ValueError, match=message):
+            posterior(model, [[1.5], [2.9]])
+        whole = posterior(model, [[1.0], [2.0]])
+        assert whole.tobytes() == posterior(model, [[1], [2]]).tobytes()
 
 
 class TestClassify:
@@ -406,6 +443,22 @@ class TestEMFit:
         the row-sort, per-column loop, step after step."""
         sample, model = problem
         assert_map_steps_match_row_sort(sample, model, steps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        radix=st.integers(1, 50),
+        codes=st.lists(st.integers(0, 49), min_size=13, max_size=40),
+    )
+    def test_dense_rank_equals_unique(self, radix, codes):
+        """Both ways ``_rank`` ranks codes agree with ``np.unique``: at
+        least 13 codes below a radix of at most 50 take the table, and a
+        radix above four times their number the sort."""
+        code = np.array([c % radix for c in codes])
+        distinct, want = np.unique(code, return_inverse=True)
+        for limit in (radix, 4 * code.size + 1):
+            ranks, count = _rank(code, limit)
+            assert ranks.tolist() == want.tolist()
+            assert count == distinct.size
 
     def test_bit_identical_on_64_binary_columns(self):
         """2^64 cells overflow an int64 code; the partial code is

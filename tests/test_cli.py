@@ -21,6 +21,7 @@ from bigsurv import (
     SRSJointInclusion,
     ht_total,
     pdi_total,
+    ratio_di_total,
     read_classifier_model,
     write_big_data_csv,
     write_sample_csv,
@@ -219,6 +220,10 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert code == 0
         assert "ratio" in out
+        sample, big = continuous_files["obj"], continuous_files["big_obj"]
+        expected = ratio_di_total(sample, sample.delta, sample.y, big.total)
+        assert printed_value(out, "total") == expected.total
+        assert printed_value(out, "variance") == expected.variance > 0
 
     def test_estimate_writes_csv(self, continuous_files, tmp_path, capsys):
         out_path = tmp_path / "estimate.csv"
@@ -459,7 +464,7 @@ class TestEstimate:
         assert main([*argv, "--pop-n", "100"]) == 0
         assert printed_value(capsys.readouterr().out, "total") > 0
 
-    @pytest.mark.parametrize("method", ["ht", "pdi", "regdi", "two-step"])
+    @pytest.mark.parametrize("method", ["ht", "pdi", "ratio", "regdi", "two-step"])
     def test_generic_design_says_why_no_variance(self, tmp_path, capsys, method):
         """Unequal pi attach no joint inclusion probabilities, so no
         variance is printed, and one note says why."""
@@ -608,6 +613,47 @@ class TestClassify:
             main(["estimate", "--sample-a", str(categorical_files["sample"]),
                   "--big-data", str(lean), "--method", "regdi"])
         assert str(excinfo.value.code).endswith("needs a non-empty 'y' or 'y_star' column")
+
+    @staticmethod
+    def _big_file_with_z(categorical_files, path, z_cell):
+        """The fixture's big file without its z columns (``z_cell`` None) or
+        with every ``z1`` cell replaced by ``z_cell``."""
+        with open(categorical_files["big"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        names = ["id", "y", "multiplicity"] if z_cell is None else list(rows[0])
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, names, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows({**r, "z1": z_cell} for r in rows)
+        return path
+
+    @pytest.mark.parametrize("z_cell", [None, "n/a"])
+    @pytest.mark.parametrize("method", ["ht", "pdi", "ratio", "regdi"])
+    def test_estimate_reads_big_z_for_pdi2_only(
+        self, categorical_files, tmp_path, capsys, method, z_cell
+    ):
+        """Only pdi2 uses the big file's z: without z columns, or with a z
+        that does not parse, every other method prints the same report."""
+        lean = self._big_file_with_z(categorical_files, tmp_path / "lean.csv", z_cell)
+        argv = ["estimate", "--sample-a", str(categorical_files["sample"]),
+                "--method", method, "--big-data"]
+        assert main([*argv, str(categorical_files["big"])]) == 0
+        full = capsys.readouterr().out
+        assert main([*argv, str(lean)]) == 0
+        assert capsys.readouterr().out == full
+        assert printed_value(full, "total") > 0
+
+    def test_pdi2_still_needs_the_big_z(self, categorical_files, tmp_path):
+        argv = ["estimate", "--sample-a", str(categorical_files["sample"]),
+                "--method", "pdi2", "--big-data"]
+        no_z = self._big_file_with_z(categorical_files, tmp_path / "no_z.csv", None)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, str(no_z)])
+        assert str(excinfo.value.code) == "estimate: the big source has no z columns"
+        bad_z = self._big_file_with_z(categorical_files, tmp_path / "bad_z.csv", "n/a")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, str(bad_z)])
+        assert str(excinfo.value.code).startswith(f"estimate: {bad_z}: column 'z1': ")
 
     @pytest.mark.parametrize("side", ["probability sample", "big source"])
     def test_missing_trait_columns_exit_with_one_line(

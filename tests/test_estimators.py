@@ -220,6 +220,56 @@ class TestRatioDITotal:
         assert np.dot(implied, delta * y) == pytest.approx(T_b)
         assert np.dot(implied, y) == pytest.approx(report.total)
 
+    def test_hand_computed_srs_variance(self):
+        """SRS of n = 4 from N = 10 (d = 2.5), y = (2, 4, 6, 8),
+        delta = (1, 0, 1, 1), T_b = 30: T_hat_a = 50, T_hat_b = 40,
+        R_hat = 1.25, total = 30 * 50 / 40 = 37.5.  The linearized residual
+        e = (30 / 40) (y - 1.25 delta y) = (-0.375, 3, -1.125, -1.5) has mean
+        0 and s^2 = 12.65625 / 3 = 4.21875, so the variance is
+        N^2 (1 - n/N) s^2 / n = 100 * 0.6 * 4.21875 / 4 = 63.28125."""
+        sample = replace(
+            toy_sample(y=[2.0, 4.0, 6.0, 8.0], delta=[1, 0, 1, 1], N=10),
+            joint_pi=SRSJointInclusion(4, 10),
+            design="srs",
+        )
+        report = ratio_di_total(sample, sample.delta, sample.y, T_b=30.0)
+        assert report.total == pytest.approx(37.5)
+        assert report.variance == pytest.approx(63.28125, rel=1e-12)
+
+    def test_no_variance_without_joint_pi(self):
+        sample = toy_sample(y=[2.0, 4.0, 6.0, 8.0], delta=[1, 0, 1, 1], N=10)
+        assert ratio_di_total(sample, sample.delta, sample.y, T_b=30.0).variance is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_variance_is_the_delta_method(self, seed):
+        """The variance equals g' S g: g the gradient of
+        f(t_a, t_b) = T_b t_a / t_b by central finite differences, and S
+        the SRS covariance N^2 (1 - n/N) / n of the sample covariance of
+        (y, delta y).  Steps of 1e-6 relative leave a gradient error of
+        about 1e-10."""
+        rng = np.random.default_rng(seed)
+        N = 500
+        pop = FinitePopulation(
+            y=rng.gamma(2.0, 3.0, N), delta=(rng.random(N) < 0.4).astype(np.int64)
+        )
+        sample = draw_srs(pop, 40, (seed, 1))
+        T_b = float(pop.y[pop.delta == 1].sum())
+        report = ratio_di_total(sample, sample.delta, sample.y, T_b)
+
+        def f(t_a, t_b):
+            return T_b * t_a / t_b
+
+        y, delta_y = sample.y, sample.delta * sample.y
+        t = np.array([np.dot(sample.d, y), np.dot(sample.d, delta_y)])
+        grad = np.empty(2)
+        for j in range(2):
+            h = np.zeros(2)
+            h[j] = 1e-6 * t[j]
+            grad[j] = (f(*(t + h)) - f(*(t - h))) / (2 * h[j])
+        n = sample.n
+        S = N * N * (1 - n / N) / n * np.cov(y, delta_y)
+        assert report.variance == pytest.approx(grad @ S @ grad, rel=1e-9)
+
     def test_scaling_y_leaves_ratio_unchanged(self):
         """Both Horvitz-Thompson totals scale together, so only T_b
         moves the estimate."""

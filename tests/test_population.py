@@ -115,6 +115,50 @@ class TestProbabilitySampleValidation:
                 N=4,
             )
 
+    @pytest.mark.parametrize(
+        "d, pi, message",
+        [
+            ((2.0, 3.0), (0.5, 0.5),
+             "design weights must be reciprocal inclusion probabilities"),
+            ((0.5, 2.0), (2.0, 0.5), r"inclusion probabilities must lie in \(0, 1\]"),
+            ((2.0, 2.0), (0.0, 0.5), r"inclusion probabilities must lie in \(0, 1\]"),
+            ((np.inf, 2.0), (0.5, 0.5), "d must hold finite values"),
+            ((2.0, 2.0), (0.5, -np.inf), r"inclusion probabilities must lie in \(0, 1\]"),
+            # reciprocal, so only the range test catches a negative pi
+            ((-2.0, 2.0), (-0.5, 0.5), r"inclusion probabilities must lie in \(0, 1\]"),
+            # d * pi off by 1e-6: the tolerance is 1e-9
+            ((2.000002, 2.0), (0.5, 0.5),
+             "design weights must be reciprocal inclusion probabilities"),
+        ],
+    )
+    def test_each_weight_fault_is_named(self, d, pi, message):
+        """Valid weights pass on three reductions; a fault takes the named
+        checks, in the order range, finiteness, reciprocity."""
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            ProbabilitySample(
+                unit_ids=np.array([1, 2]), d=np.array(d), pi=np.array(pi),
+                joint_pi=None, N=4,
+            )
+
+    @pytest.mark.parametrize("bad, shown", [(2.5, r"2\.5"), (np.inf, "inf")])
+    def test_non_integral_z_rejected(self, bad, shown):
+        """A level 2.5 would be cast to 2, and an infinite one to a garbage
+        integer; every container names the column."""
+        z = np.array([[1.0, 1.0], [2.0, bad]])
+        message = rf"^z column 2 holds {shown}, which is not a whole number$"
+        with pytest.raises(ValueError, match=message):
+            ProbabilitySample(
+                unit_ids=np.array([1, 2]), d=np.full(2, 2.0), pi=np.full(2, 0.5),
+                joint_pi=None, N=4, z=z,
+            )
+        with pytest.raises(ValueError, match=message):
+            FinitePopulation(y=np.zeros(2), z=z)
+        with pytest.raises(ValueError, match=message):
+            BigSample(unit_ids=np.array([1, 2]), values=np.zeros(2),
+                      multiplicity=np.ones(2, np.int64), N=4, z=z)
+        whole = FinitePopulation(y=np.zeros(2), z=np.array([[1.0, 1.0], [2.0, 3.0]]))
+        assert whole.z.dtype == np.int64 and whole.z.tolist() == [[1, 1], [2, 3]]
+
     def test_universe_below_sample_size_rejected(self):
         with pytest.raises(ValueError, match="universe size N = 2"):
             ProbabilitySample(
@@ -173,6 +217,10 @@ class TestProbabilitySampleValidation:
         )
         with pytest.raises(ValueError, match=r"design 'srs' needs every pi equal to n / N"):
             ProbabilitySample(design="srs", **columns)
+        # 1e-6 off n / N is still off: the tolerance is 1e-9 relative
+        near = np.array([0.3, 0.3, 0.3 * (1 + 1e-6)])
+        with pytest.raises(ValueError, match=r"design 'srs' needs every pi equal to n / N"):
+            ProbabilitySample(design="srs", **{**columns, "pi": near, "d": 1.0 / near})
         generic = ProbabilitySample(design="generic", **columns)
         assert ht_variance_quadratic(generic, [1.0, 2.0, 4.0]) == pytest.approx(-7.22, abs=0.005)
 
