@@ -56,10 +56,12 @@ print(f"true coverage:                     {marked.W_b:.3f}")
 
 # Integrate three ways: pretending the labels are exact (naive),
 # propensity-correcting the classified members (proposed), and using
-# the true flags (an oracle available only in a simulation).
+# the true flags (an oracle available only in a simulation).  Both
+# classified integrators take the same fit: the proposed one reuses its
+# sample labels and scores only the big-data rows with the fitted model.
 totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=pop.N)
 naive = pdi_total(sample, labels, sample.y, totals)
-proposed = pdi2_total(sample, big, fitted)
+proposed = pdi2_total(sample, big, fitted, post)
 oracle = pdi_total(sample, sample.delta, sample.y, totals)
 print(f"\nnaive integration (labels as truth): {naive.mean:.4f}")
 print(f"propensity-corrected integration:    {proposed.mean:.4f}")

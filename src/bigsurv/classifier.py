@@ -5,8 +5,9 @@ membership is predicted from shared categorical variables ``z``.  The
 class-conditional level frequencies inside the big source (``m``) are
 observed directly; the frequencies outside (``u``) are estimated by an
 EM run over the probability sample with the membership prior
-``pi = N_b / N`` held fixed.  Posteriors then correct the big-data
-totals by inverse-propensity weighting.
+``pi = N_b / N`` held fixed.  The fit's labels stratify the design
+sample, and posteriors over the big source correct its totals by
+inverse-propensity weighting.
 
 The E-step posterior for a unit with levels ``z`` is
 
@@ -35,14 +36,12 @@ __all__ = [
     "AscentViolationError",
     "ClassifierModel",
     "PosteriorSet",
-    "PropensityTotals",
     "estimate_m",
     "initial_u",
     "posterior",
     "classify",
     "em_fit",
     "fit_membership",
-    "propensity_totals",
     "pdi2_total",
 ]
 
@@ -118,15 +117,6 @@ class PosteriorSet:
     iterations: int = 0
 
 
-@dataclass(frozen=True)
-class PropensityTotals:
-    """Inverse-propensity-corrected big-data totals."""
-
-    N_b2: float
-    T_b2: float
-    classified: int
-
-
 def _level_index(z, levels) -> list[np.ndarray]:
     """Zero-based level of each row of ``z``, one int64 vector per column.
 
@@ -149,21 +139,18 @@ def _level_index(z, levels) -> list[np.ndarray]:
     return index
 
 
-def estimate_m(big: BigSample, levels=None) -> tuple[np.ndarray, ...]:
+def estimate_m(big: BigSample, levels) -> tuple[np.ndarray, ...]:
     """Level frequencies of each matching variable inside the big source.
 
-    ``levels`` enumerates the domain sizes ``D_k``; by default they are
-    inferred from the observed maxima.  Levels never seen in the big
-    source keep frequency zero -- that is what the available data say.
+    ``levels`` enumerates the domain sizes ``D_k``.  Levels never seen in
+    the big source keep frequency zero -- that is what the available data
+    say.
     """
     if big.z is None or len(big) == 0:
         raise ValueError("big sample must carry z rows")
-    z = big.z[:, None] if big.z.ndim == 1 else big.z
-    if levels is None:
-        levels = tuple(int(z[:, k].max()) for k in range(z.shape[1]))
-    index = _level_index(z, levels)
+    index = _level_index(big.z, levels)
     return tuple(
-        np.bincount(col, minlength=D).astype(float) / z.shape[0]
+        np.bincount(col, minlength=D).astype(float) / col.size
         for col, D in zip(index, levels)
     )
 
@@ -462,43 +449,44 @@ def fit_membership(
     return em_fit(sample, model0)
 
 
-def propensity_totals(big: BigSample, model: ClassifierModel) -> PropensityTotals:
-    """Inverse-propensity totals over the big source.
-
-    Units the model labels as members contribute ``(1, y) / p_hat``;
-    units it mislabels contribute nothing, and the division by the
-    posterior compensates on average.
-    """
-    if big.z is None:
-        raise ValueError("big sample must carry z rows")
-    p = posterior(model, big.z)
-    keep = p > 0.5  # the units classify() labels 1
-    inv = big.multiplicity[keep] / p[keep]
-    return PropensityTotals(
-        N_b2=float(inv.sum()),
-        T_b2=float(np.dot(inv, big.values[keep])),
-        classified=int(np.count_nonzero(keep)),
-    )
-
-
 def pdi2_total(
-    sample: ProbabilitySample, big: BigSample, model: ClassifierModel
+    sample: ProbabilitySample,
+    big: BigSample,
+    model: ClassifierModel,
+    posteriors: PosteriorSet,
 ) -> EstimateReport:
     """Post-stratified data integration with classified membership.
 
-    :func:`pdi_total` with the unknown matched membership replaced by
-    model labels on the design sample and the big-data totals by their
-    inverse-propensity-corrected versions.  Valid when membership is
-    ignorable given the matching variables.  The variance is
-    :func:`pdi_total`'s plug-in one: it leaves out the error of the
-    fitted classifier, and is far too small.  Over the 1,000 default-seed
-    replicates of study two its relative bias is about -0.7.
+    :func:`pdi_total` with the unknown matched membership replaced by the
+    labels ``posteriors.delta_hat`` on the design sample, and the big-data
+    totals by their inverse-propensity-corrected versions.  ``model`` and
+    ``posteriors`` are the pair :func:`fit_membership` (or :func:`em_fit`)
+    returned for ``sample``.  Each big row that :func:`classify` labels a
+    member contributes ``multiplicity * (1, y) / p`` at its posterior
+    ``p``; rows labelled outside contribute nothing, and the division by
+    the posterior compensates on average.
+
+    Valid when membership is ignorable given the matching variables.  The
+    variance is :func:`pdi_total`'s plug-in one: it leaves out the error
+    of the fitted classifier, and is far too small.  Over the 1,000
+    default-seed replicates of study two its relative bias is about -0.7.
     """
-    if sample.z is None or sample.y is None:
-        raise ValueError("sample must carry z rows and y values")
-    pt = propensity_totals(big, model)
-    totals = BigDataTotals(T_b=pt.T_b2, N_b=pt.N_b2, N=big.N)
-    report = pdi_total(sample, classify(posterior(model, sample.z)), sample.y, totals)
+    if sample.y is None:
+        raise ValueError("sample must carry y values")
+    if big.z is None:
+        raise ValueError("big sample must carry z rows")
+    labels = posteriors.delta_hat
+    if len(labels) != sample.n:
+        raise ValueError(
+            f"posteriors holds {len(labels)} labels, the sample {sample.n} units"
+        )
+    p = posterior(model, big.z)
+    keep = np.flatnonzero(classify(p))
+    inv = big.multiplicity[keep] / p[keep]
+    totals = BigDataTotals(
+        T_b=float(np.dot(inv, big.values[keep])), N_b=float(inv.sum()), N=big.N
+    )
+    report = pdi_total(sample, labels, sample.y, totals)
     return replace(
         report,
         estimator="pdi2",

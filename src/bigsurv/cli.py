@@ -126,12 +126,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="per-stratum big-data sizes (default 30%%/20%% of the universe)",
     )
     p1.add_argument("--workers", type=int, default=1)
-    p1.add_argument(
-        "--regenerate-population",
-        action="store_true",
-        default=None,
-        help="rebuild the universe every replicate instead of once",
-    )
     p1.add_argument("--out", help="write the summary table as CSV")
     p1.set_defaults(func=cmd_simulate1)
     commands["simulate1"] = p1
@@ -234,7 +228,6 @@ def cmd_simulate1(args, parser) -> int:
         master_seed=args.seed,
         pop_n=args.pop_n,
         stratum_sizes=args.big,
-        regenerate_population=bool(args.regenerate_population),
         workers=args.workers,
     )
     _emit_summary(run_sim1(config), args.out)
@@ -325,8 +318,8 @@ def cmd_estimate(args, parser) -> int:
         report = two_step_regdi(_with_big_matches(sample, big), totals)
     else:  # pdi2
         pi = args.pi if args.pi is not None else big.N_b / sample.N
-        fitted, _ = fit_membership(sample, big, pi)
-        report = pdi2_total(sample, big, fitted)
+        fit = fit_membership(sample, big, pi)
+        report = pdi2_total(sample, big, *fit)
 
     if report.variance is None:
         report = dataclasses.replace(report, notes=report.notes + (

@@ -69,8 +69,8 @@ class SimConfig:
 
     ``scenario`` only matters for study one.  ``stratum_sizes`` is the
     per-stratum big-data selection for study one; ``big_n`` the expected
-    big-data size for study two.  ``regenerate_population`` rebuilds the
-    universe every replicate instead of once per study.
+    big-data size for study two.  ``pop_n`` and ``big_n`` left as None
+    take each study's default sizes.
     """
 
     study: str = "sim1"
@@ -81,7 +81,6 @@ class SimConfig:
     pop_n: int | None = None
     big_n: int | None = None
     stratum_sizes: tuple[int, int] | None = None
-    regenerate_population: bool = False
     workers: int = 1
     max_attempts: int = 100
 
@@ -93,7 +92,11 @@ class SimConfig:
             raise ValueError(f"replicates must be at least 2, not {self.replicates}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, not {self.workers}")
-        pop_n = self.pop_n or (1_000_000 if self.study == "sim1" else 10_000)
+        pop_n = self.pop_n
+        if pop_n is None:
+            pop_n = 1_000_000 if self.study == "sim1" else 10_000
+        elif pop_n < 1:
+            raise ValueError(f"pop_n must be at least 1, not {pop_n}")
         changes = {"pop_n": pop_n}
         if self.study == "sim1":
             if self.scenario not in (1, 2, 3):
@@ -104,7 +107,10 @@ class SimConfig:
                     int(round(0.2 * pop_n)),
                 )
         else:
-            changes["big_n"] = self.big_n or pop_n // 2
+            if self.big_n is None:
+                changes["big_n"] = pop_n // 2
+            elif self.big_n < 1:
+                raise ValueError(f"big_n must be at least 1, not {self.big_n}")
         return replace(self, **changes)
 
 
@@ -262,10 +268,6 @@ def _sim1_frame(pop: FinitePopulation, config: SimConfig) -> _Sim1Frame:
 
 def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int):
     seed = (config.master_seed, rep, attempt)
-    if config.regenerate_population:
-        frame = _sim1_frame(
-            generate_population_sim1(config.pop_n, substream(seed, 9)), config
-        )
     pop, scen = frame.pop, config.scenario
     rng_b = substream(seed, 1)
     hits = _select_strata(frame.pools, config.stratum_sizes, rng_b)
@@ -349,7 +351,7 @@ def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: in
     big_totals = BigDataTotals(T_b=float(big.values.sum()), N_b=N_b, N=pop.N)
     naive = pdi_total(sample, post.delta_hat, sample.y, big_totals)
     original = pdi_total(sample, sample.delta, sample.y, big_totals)
-    proposed = classifier.pdi2_total(sample, big, fitted)
+    proposed = classifier.pdi2_total(sample, big, fitted, post)
 
     return {
         "mean_a": float(sample.y.mean()),

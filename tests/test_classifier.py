@@ -13,6 +13,7 @@ from bigsurv import (
     BigSample,
     ClassifierModel,
     DegenerateFitError,
+    PosteriorSet,
     ProbabilitySample,
     SRSJointInclusion,
     classify,
@@ -22,7 +23,6 @@ from bigsurv import (
     initial_u,
     pdi2_total,
     posterior,
-    propensity_totals,
 )
 from bigsurv.classifier import ASCENT_SLACK, _em_map, _rank, _squarem_point
 
@@ -203,7 +203,7 @@ class TestEstimateM:
             N=10,
             z=np.array([[1, 1], [1, 2], [2, 2], [2, 2]]),
         )
-        m1, m2 = estimate_m(big)
+        m1, m2 = estimate_m(big, (2, 2))
         assert np.allclose(m1, [0.5, 0.5])
         assert np.allclose(m2, [0.25, 0.75])
 
@@ -242,7 +242,7 @@ class TestEstimateM:
                 multiplicity=np.ones(2, int),
                 N=10,
                 z=np.array([[1.0, 1.0], [2.0, 2.5]]),
-            ))
+            ), (2, 3))
 
 
 class TestInitialU:
@@ -394,6 +394,18 @@ class TestEMFit:
         u0 = initial_u(z, sample.d, (3, 3))
         fitted, post = em_fit(sample, ClassifierModel(pi=0.5, m=m, u=u0))
         assert np.array_equal(post.p_hat, posterior(fitted, z))
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=em_problems())
+    def test_returned_posteriors_are_the_returned_models_anywhere(self, problem):
+        """``pdi2_total`` takes the fit's labels for the design sample, so
+        they must be the fitted model's posteriors, bit for bit, wherever
+        EM starts."""
+        sample, model = problem
+        fitted, post = em_fit(sample, model)
+        p = posterior(fitted, sample.z)
+        assert np.array_equal(post.p_hat, p)
+        assert np.array_equal(post.delta_hat, classify(p))
 
     def test_design_weighted_mean_definition(self):
         z = np.array([[1], [2], [2]])
@@ -614,15 +626,37 @@ class TestFitMembership:
             fit_membership(narrow, big, 0.3)
 
 
-class TestPropensityTotals:
-    def test_hand_computed(self):
+def labelled(model, sample):
+    """The posteriors that ``em_fit`` returns with ``model`` as its fit."""
+    p = posterior(model, sample.z)
+    return PosteriorSet(p_hat=p, delta_hat=classify(p))
+
+
+class TestPDI2:
+    @staticmethod
+    def model():
+        return ClassifierModel(
+            pi=0.4, m=(np.array([0.9, 0.1]),), u=(np.array([0.2, 0.8]),)
+        )
+
+    @staticmethod
+    def big_totals(big, model):
+        """The corrected big-data totals ``(T_b2, N_b2)``, read back from
+        two estimates whose two sampled units are labelled outside: with
+        outside mean 0 the estimate is ``T_b2``, with mean 1 it is
+        ``T_b2 + N - N_b2``."""
+        outside = PosteriorSet(p_hat=np.zeros(2), delta_hat=np.zeros(2, np.int64))
+        zero, one = (
+            pdi2_total(make_sample([[1], [1]], y=[v, v], N=big.N), big, model, outside).total
+            for v in (0.0, 1.0)
+        )
+        return zero, big.N - (one - zero)
+
+    def test_corrected_big_totals_hand_computed(self):
         """Members at level 1 have posterior 0.75 (see the Bayes-rule
         oracle above); two such big rows with values (2, 4) give
         N_b2 = 2/0.75 = 8/3 and T_b2 = (2+4)/0.75 = 8.
         A level-2 row has posterior 1/13 < 0.5 and is dropped."""
-        model = ClassifierModel(
-            pi=0.4, m=(np.array([0.9, 0.1]),), u=(np.array([0.2, 0.8]),)
-        )
         big = BigSample(
             unit_ids=np.array([1, 2, 3]),
             values=np.array([2.0, 4.0, 9.0]),
@@ -630,15 +664,13 @@ class TestPropensityTotals:
             N=10,
             z=np.array([[1], [1], [2]]),
         )
-        totals = propensity_totals(big, model)
-        assert totals.N_b2 == pytest.approx(8 / 3)
-        assert totals.T_b2 == pytest.approx(8.0)
-        assert totals.classified == 2
+        T_b2, N_b2 = self.big_totals(big, self.model())
+        assert T_b2 == pytest.approx(8.0)
+        assert N_b2 == pytest.approx(8 / 3)
 
     def test_multiplicity_scales_contributions(self):
-        model = ClassifierModel(
-            pi=0.4, m=(np.array([0.9, 0.1]),), u=(np.array([0.2, 0.8]),)
-        )
+        """One level-1 row counted three times: N_b2 = 3/0.75 = 4 and
+        T_b2 = 3 * 2/0.75 = 8."""
         big = BigSample(
             unit_ids=np.array([1]),
             values=np.array([2.0]),
@@ -646,11 +678,25 @@ class TestPropensityTotals:
             N=10,
             z=np.array([[1]]),
         )
-        totals = propensity_totals(big, model)
-        assert totals.N_b2 == pytest.approx(3 / 0.75)
+        T_b2, N_b2 = self.big_totals(big, self.model())
+        assert N_b2 == pytest.approx(3 / 0.75)
+        assert T_b2 == pytest.approx(8.0)
 
+    def test_posteriors_of_another_length_rejected(self):
+        big = BigSample(
+            unit_ids=np.array([1]),
+            values=np.array([2.0]),
+            multiplicity=np.ones(1, int),
+            N=10,
+            z=np.array([[1]]),
+        )
+        sample = make_sample([[2], [1]], d=[5.0, 5.0], y=[1.0, 5.0])
+        three = PosteriorSet(p_hat=np.zeros(3), delta_hat=np.zeros(3, np.int64))
+        with pytest.raises(
+            ValueError, match="^posteriors holds 3 labels, the sample 2 units$"
+        ):
+            pdi2_total(sample, big, self.model(), three)
 
-class TestPDI2:
     def test_hand_computed(self):
         """Universe N = 10.  Big side: two level-1 rows valued (2, 4)
         give the corrected totals (8/3, 8) as above.  Design sample:
@@ -659,9 +705,7 @@ class TestPDI2:
         8 + (10 - 8/3) * 2 = 8 + 44/3 = 68/3.  As an SRS of 4 from 10 the
         residuals are (-1, 1, 0, 0), so s^2 = 2/3 and the plug-in variance
         is 100 * (1 - 0.4) * (2/3) / 4 = 10."""
-        model = ClassifierModel(
-            pi=0.4, m=(np.array([0.9, 0.1]),), u=(np.array([0.2, 0.8]),)
-        )
+        model = self.model()
         big = BigSample(
             unit_ids=np.array([1, 2]),
             values=np.array([2.0, 4.0]),
@@ -678,7 +722,7 @@ class TestPDI2:
             joint_pi=SRSJointInclusion(4, 10),
             design="srs",
         )
-        report = pdi2_total(sample, big, model)
+        report = pdi2_total(sample, big, model, labelled(model, sample))
         assert report.total == pytest.approx(8.0 + (10 - 8 / 3) * 2.0)
         assert report.estimator == "pdi2"
         assert report.variance == pytest.approx(10.0)
@@ -687,14 +731,12 @@ class TestPDI2:
             "small: its relative bias is about -0.7 in study two"
         )
         bare = replace(sample, joint_pi=None, design="generic")
-        assert pdi2_total(bare, big, model).variance is None
+        assert pdi2_total(bare, big, model, labelled(model, bare)).variance is None
 
     def test_corrected_size_above_universe_rejected(self):
         """The corrected big-data size 8/3 (see above) exceeds a universe
         of N = 2, which would leave a negative uncovered count."""
-        model = ClassifierModel(
-            pi=0.4, m=(np.array([0.9, 0.1]),), u=(np.array([0.2, 0.8]),)
-        )
+        model = self.model()
         big = BigSample(
             unit_ids=np.array([1, 2]),
             values=np.array([2.0, 4.0]),
@@ -704,12 +746,10 @@ class TestPDI2:
         )
         sample = make_sample([[2], [1]], d=[1.0, 1.0], y=[1.0, 5.0])
         with pytest.raises(ValueError, match="N_b cannot exceed"):
-            pdi2_total(sample, big, model)
+            pdi2_total(sample, big, model, labelled(model, sample))
 
     def test_no_outside_units_raises(self):
-        model = ClassifierModel(
-            pi=0.4, m=(np.array([0.9, 0.1]),), u=(np.array([0.2, 0.8]),)
-        )
+        model = self.model()
         big = BigSample(
             unit_ids=np.array([1]),
             values=np.array([2.0]),
@@ -721,4 +761,4 @@ class TestPDI2:
         from bigsurv import DegenerateStratumError
 
         with pytest.raises(DegenerateStratumError):
-            pdi2_total(sample, big, model)
+            pdi2_total(sample, big, model, labelled(model, sample))

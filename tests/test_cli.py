@@ -783,17 +783,26 @@ class TestSimulateCommands:
             (["--reps", "0"], "replicates must be at least 2, not 0"),
             (["--reps", "4", "--workers", "0"], "workers must be at least 1, not 0"),
             (["--reps", "4", "--workers", "-1"], "workers must be at least 1, not -1"),
+            (["--reps", "4", "--pop-n", "0"], "pop_n must be at least 1, not 0"),
         ],
     )
     @pytest.mark.parametrize("command", ["simulate1", "simulate2"])
     def test_unrunnable_study_settings_end_in_one_line(self, command, flags, message):
-        """Too few replicates or no worker ends the command with one line
-        naming the setting, before any replicate runs."""
+        """Too few replicates, no worker or an empty universe ends the
+        command with one line naming the setting, before any replicate
+        runs."""
         argv = [command, "--seed", "1", "--pop-n", "400", *flags]
         argv += ["--scenario", "1"] if command == "simulate1" else ["--n-a", "60"]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert str(excinfo.value) == f"{command}: {message}"
+
+    def test_empty_big_source_ends_in_one_line(self):
+        """``--big-n 0`` is refused by name, not run at the default size."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate2", "--seed", "1", "--reps", "4", "--pop-n", "400",
+                  "--n-a", "60", "--big-n", "0"])
+        assert str(excinfo.value) == "simulate2: big_n must be at least 1, not 0"
 
     def test_simulate2_infeasible_selection_exits_with_one_line(self):
         """A big source as large as the universe needs an inclusion rate
@@ -873,6 +882,12 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bootstrap = yes\n")
         with pytest.raises(SystemExit, match="unknown config key"):
+            main(["simulate1", "--config", str(cfg)])
+
+    def test_removed_regenerate_population_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("regenerate_population = true\n")
+        with pytest.raises(SystemExit, match="unknown config key: 'regenerate_population'"):
             main(["simulate1", "--config", str(cfg)])
 
     def test_missing_config_file_exits_with_one_line(self, tmp_path):

@@ -207,12 +207,11 @@ def test_replicate_matches_full_n_reference(case, scenario, n_a, rep):
 @settings(max_examples=12, deadline=None)
 @given(
     # big enough a source that a 30-unit sample meets it within the
-    # attempt budget, small enough to fit a regenerated population
+    # attempt budget
     case=sim1_cases(min_share=0.2, max_share=0.6),
     scenario=st.sampled_from((1, 2, 3)),
-    regenerate=st.booleans(),
 )
-def test_summaries_do_not_depend_on_workers(case, scenario, regenerate):
+def test_summaries_do_not_depend_on_workers(case, scenario):
     pop, seed, sizes = case
     summaries = [
         run_sim1(
@@ -223,7 +222,6 @@ def test_summaries_do_not_depend_on_workers(case, scenario, regenerate):
                 replicates=5,
                 stratum_sizes=sizes,
                 master_seed=seed,
-                regenerate_population=regenerate,
                 workers=workers,
             )
         )

@@ -97,14 +97,16 @@ class TestSimConfig:
             ("replicates", 0, "replicates must be at least 2, not 0"),
             ("workers", 0, "workers must be at least 1, not 0"),
             ("workers", -1, "workers must be at least 1, not -1"),
+            ("pop_n", 0, "pop_n must be at least 1, not 0"),
         ],
     )
     @pytest.mark.parametrize("study", ["sim1", "sim2"])
     def test_unrunnable_settings_rejected_before_any_replicate(
         self, study, setting, value, message, monkeypatch
     ):
-        """Too few replicates for a standard error, or no worker, is
-        refused by name before the population is built."""
+        """Too few replicates for a standard error, no worker, or an empty
+        universe (not taken as "use the default size") is refused by name
+        before the population is built."""
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a replicate ran")
@@ -115,6 +117,18 @@ class TestSimConfig:
             config.resolved()
         with pytest.raises(ValueError, match=f"^{message}$"):
             (run_sim1 if study == "sim1" else run_sim2)(config)
+
+    def test_big_size_below_one_rejected_not_defaulted(self, monkeypatch):
+        """``big_n = 0`` is a setting, not a missing one: study two refuses
+        it by name before the population is built."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a population was built")
+
+        monkeypatch.setattr(simulation, "generate_population_sim2", unreachable)
+        config = SimConfig(study="sim2", big_n=0)
+        with pytest.raises(ValueError, match="^big_n must be at least 1, not 0$"):
+            run_sim2(config)
 
     def test_study_two_config_rejected_by_study_one_runner(self):
         with pytest.raises(ValueError, match="study='sim1'"):
@@ -250,13 +264,6 @@ class TestStudyOneHarness:
         serial = run_sim1(small_sim1(workers=1))
         threaded = run_sim1(small_sim1(workers=2))
         assert serial == threaded
-
-    def test_regenerating_population_changes_draws_deterministically(self):
-        fixed = run_sim1(small_sim1())
-        regen_a = run_sim1(small_sim1(regenerate_population=True))
-        regen_b = run_sim1(small_sim1(regenerate_population=True))
-        assert regen_a == regen_b
-        assert regen_a != fixed
 
     def test_master_seed_changes_results(self):
         assert run_sim1(small_sim1()) != run_sim1(small_sim1(master_seed=102))

@@ -13,14 +13,17 @@ from bigsurv import (
     BigSample,
     ClassifierModel,
     ControlSpec,
+    PosteriorSet,
     ProbabilitySample,
     SRSJointInclusion,
     build_controls,
+    classify,
     ht_total,
     ht_variance_quadratic,
     mass_imputation_total,
     pdi2_total,
     pdi_total,
+    posterior,
     regdi_total,
     two_step_regdi,
     variance_relative_bias,
@@ -312,6 +315,10 @@ def _estimators():
         spec = build_controls("standard", delta=s.delta, y=s.y, N=60, N_b=30, T_b=100.0)
         return regdi_total(s, s.y, spec)
 
+    def pdi2(s):
+        p = posterior(model, s.z)
+        return pdi2_total(s, source, model, PosteriorSet(p_hat=p, delta_hat=classify(p)))
+
     return {
         "ht_total": lambda s: ht_total(s, s.y),
         "pdi_total": lambda s: pdi_total(s, s.delta, s.y, big),
@@ -321,7 +328,7 @@ def _estimators():
         "regdi_total": regdi,
         "two_step_regdi": lambda s: two_step_regdi(s, big),
         "mass_imputation_total": mass_imputation_total,
-        "pdi2_total": lambda s: pdi2_total(s, source, model),
+        "pdi2_total": pdi2,
     }
 
 
