@@ -27,7 +27,7 @@ import numpy as np
 
 from .estimators import EstimateReport
 from .linalg import SingularControlsError, gram_solve
-from .population import ProbabilitySample
+from .population import ProbabilitySample, _per_unit
 from .variance import ht_variance_quadratic
 
 __all__ = [
@@ -122,9 +122,7 @@ def regdi_total(sample: ProbabilitySample, y, spec: ControlSpec) -> EstimateRepo
     every control column, which makes the quadratic form a variance
     estimator for the calibration estimator on the same controls.
     """
-    y = np.asarray(y, float)
-    if y.shape[0] != sample.n:
-        raise ValueError("y must have one entry per sampled unit")
+    y = _per_unit(y, sample.n, "y")
     result = solve_weights(sample, spec.x, spec.totals, names=spec.names)
     beta, _ = gram_solve(
         spec.x, sample.d, (spec.x * sample.d[:, None]).T @ y, names=spec.names
@@ -141,10 +139,9 @@ def regdi_total(sample: ProbabilitySample, y, spec: ControlSpec) -> EstimateRepo
 def _column(arr, name: str, n: int) -> np.ndarray:
     if arr is None:
         raise ValueError(f"variant requires {name}")
-    out = np.asarray(arr, float)
-    if out.shape[0] != n:
-        raise ValueError(f"{name} must have one entry per sampled unit")
-    return out
+    if name == "z" and np.ndim(arr) == 1:
+        arr = np.asarray(arr)[:, None]  # one auxiliary covariate
+    return _per_unit(arr, n, name)
 
 
 def build_controls(
@@ -195,7 +192,6 @@ def build_controls(
         cols[0], totals[0], names[:2] = np.ones(n), float(N), ["overall", "big_count"]
     if variant == "with_aux_z":
         zv = _column(z, "z", n)
-        zv = zv[:, None] if zv.ndim == 1 else zv
         zt = np.atleast_1d(np.asarray(z_totals, float))
         if zt.size != zv.shape[1]:
             raise ValueError("need one z total per auxiliary column")

@@ -270,8 +270,8 @@ def _read_inputs(args, values=True, z=True):
     """Read both input files; an id outside a default 1..N names --pop-n.
     ``values`` and ``z`` say whether the big file's value column and its
     ``z1..zK`` columns are read."""
-    sample = fileio.read_sample_csv(args.sample_a, N=args.pop_n)
     try:
+        sample = fileio.read_sample_csv(args.sample_a, N=args.pop_n)
         return sample, fileio.read_big_data_csv(
             args.big_data, N=sample.N, values=values, z=z
         )

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .population import ProbabilitySample
+from .population import ProbabilitySample, _per_unit
 from .variance import ht_variance_quadratic
 
 __all__ = [
@@ -84,20 +84,13 @@ class CostDecision(NamedTuple):
     threshold: float
 
 
-def _check_lengths(sample: ProbabilitySample, *cols):
-    for col in cols:
-        if np.asarray(col).shape[0] != sample.n:
-            raise ValueError("per-unit columns must match the sample size")
-
-
 def ht_total(sample: ProbabilitySample, values) -> EstimateReport:
     """Horvitz-Thompson total ``sum_i d_i * values_i``.
 
     The report carries the quadratic-form variance of ``values``, which
     is ``None`` when the sample has no joint inclusion probabilities.
     """
-    values = np.asarray(values, float)
-    _check_lengths(sample, values)
+    values = _per_unit(values, sample.n, "values")
     return EstimateReport(
         estimator="ht",
         total=float(np.dot(sample.d, values)),
@@ -123,9 +116,8 @@ def pdi_total(
     Swensson & Wretman (1992).  Under full coverage no sampled value
     enters the estimate: the residual is zero, and so is the variance.
     """
-    delta = np.asarray(delta)
-    y = np.asarray(y, float)
-    _check_lengths(sample, delta, y)
+    delta = _per_unit(delta, sample.n, "delta", dtype=None)
+    y = _per_unit(y, sample.n, "y")
     if big.N_b == big.N:
         # full coverage: the big source already is the universe
         return EstimateReport(
@@ -168,9 +160,8 @@ def ratio_di_total(sample: ProbabilitySample, delta, y, T_b: float) -> EstimateR
     ``R_hat = T_hat_a / T_hat_b``, or ``None`` without joint inclusion
     probabilities.
     """
-    delta = np.asarray(delta)
-    y = np.asarray(y, float)
-    _check_lengths(sample, delta, y)
+    delta = _per_unit(delta, sample.n, "delta", dtype=None)
+    y = _per_unit(y, sample.n, "y")
     t_a = float(np.dot(sample.d, y))
     # delta acts as a count when it exceeds one
     t_b_hat = float(np.dot(sample.d * delta, y))

@@ -34,6 +34,7 @@ from .population import (
     EmptyPopulationError,
     ProbabilitySample,
     SRSJointInclusion,
+    _equal_pi,
 )
 
 __all__ = [
@@ -279,7 +280,7 @@ def read_sample_csv(path, N: int | None = None) -> ProbabilitySample:
     When every inclusion probability equals ``n / N`` the joint
     probabilities of simple random sampling are attached, which enables
     exact variance computation downstream.  ``N`` defaults to the
-    rounded sum of the design weights.
+    rounded sum of the design weights; every id must lie in ``1..N``.
     """
     table = _Table(path)
     ids = table.ids()
@@ -289,7 +290,7 @@ def read_sample_csv(path, N: int | None = None) -> ProbabilitySample:
     if N is None:
         N = int(round(float(d.sum())))
     # N below n is no design at all; ProbabilitySample names the fault
-    srs = N >= n and np.allclose(pi, n / N, rtol=1e-9, atol=0.0)
+    srs = N >= n and _equal_pi(pi, N)
     return ProbabilitySample(
         unit_ids=ids,
         d=d,

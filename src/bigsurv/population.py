@@ -49,8 +49,10 @@ class InfeasibleSelectionError(ValueError):
     """Raised when requested big-data inclusion rates leave ``(0, 1]``."""
 
 
-# the design tags a ProbabilitySample accepts
+# the design labels a ProbabilitySample accepts
 _DESIGNS = ("srs", "generic")
+# the least value of each count column
+_LEAST = {"delta": 0, "multiplicity": 1}
 
 # reductions called as ufuncs: ndarray.min, .max and .sum reach the same
 # ufunc through a Python wrapper that costs about 1.3 us a call, more than
@@ -73,24 +75,68 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _whole(z):
-    """``z`` as an array of integer levels, not yet cast.
+def _whole(a, name: str = "z"):
+    """``a`` as an array of integer values, not yet cast.
 
-    A ``z`` of non-integer dtype must hold whole numbers: a value that a
-    cast to int64 would truncate is a ``ValueError`` naming its column.
-    Integer ``z`` skips the check.
+    An ``a`` of non-integer dtype must hold whole numbers: a value that a
+    cast to int64 would truncate is a ``ValueError`` naming the column
+    (for a 2-D ``a`` such as ``z``, the column of it).  Integer input
+    skips the check.
     """
-    z = np.asarray(z)
-    if z.dtype.kind not in "iu":
-        z = np.asarray(z, float)
-        bad = np.argwhere(~(np.isfinite(z) & (np.floor(z) == z)))
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        a = np.asarray(a, float)
+        bad = np.argwhere(~(np.isfinite(a) & (np.floor(a) == a)))
         if bad.size:
-            k = bad[0][1] if z.ndim > 1 else 0
+            where = f"{name} column {bad[0][1] + 1}" if a.ndim > 1 else name
             raise ValueError(
-                f"z column {k + 1} holds {float(z[tuple(bad[0])])!r}, "
-                "which is not a whole number"
+                f"{where} holds {float(a[tuple(bad[0])])!r}, which is not a whole number"
             )
-    return z
+    return a
+
+
+def _per_unit(a, n: int, name: str, unit: str = "sampled unit", dtype=np.float64) -> np.ndarray:
+    """``a`` as an array of ``dtype`` of shape (n,), or (n, K) for ``z``;
+    any other shape is a ``ValueError`` naming the column."""
+    a = np.asarray(a, dtype)
+    if a.ndim != (2 if name == "z" else 1) or a.shape[0] != n:
+        shape = f"({n}, K)" if name == "z" else f"({n},)"
+        raise ValueError(f"{name} must have one entry per {unit}: shape {shape}, not {a.shape}")
+    return a
+
+
+def _set_columns(obj, n: int, unit: str, columns) -> None:
+    """Freeze each ``(name, dtype)`` column of ``obj`` that is not ``None``.
+
+    Each column passes :func:`_per_unit`, an integer column must hold
+    whole numbers (:func:`_whole`), and a count (``delta``,
+    ``multiplicity``) must not fall below its least value.  Every fault is
+    a ``ValueError`` naming the column.
+    """
+    for name, dtype in columns:
+        col = getattr(obj, name)
+        if col is None:
+            continue
+        if dtype is np.int64:
+            col = _whole(col, name)
+        col = _per_unit(_frozen(col, dtype), n, name, unit, dtype)
+        least = _LEAST.get(name)
+        if least is not None and col.size and _min(col) < least:
+            raise ValueError(f"{name} entries must be at least {least}; found {_min(col)}")
+        object.__setattr__(obj, name, col)
+
+
+def _check_ids(ids: np.ndarray, N: int) -> None:
+    """Raise ``ValueError`` naming ``unit_ids`` unless every id lies in 1..N."""
+    if ids.size and (_min(ids) < 1 or _max(ids) > N):
+        raise ValueError(f"unit_ids must lie in 1..{N}; found {ids[(ids < 1) | (ids > N)][0]}")
+
+
+def _equal_pi(pi: np.ndarray, N: int) -> bool:
+    """Whether every ``pi`` equals ``n / N`` to 1e-9 relative, as under SRS
+    (``np.allclose(pi, n / N, rtol=1e-9, atol=0)`` less its overhead)."""
+    f = pi.size / N
+    return bool(_max(np.abs(pi - f)) <= 1e-9 * f)
 
 
 def _rows(a: np.ndarray | None, idx: np.ndarray) -> np.ndarray | None:
@@ -132,28 +178,15 @@ class FinitePopulation:
     stratum: np.ndarray | None = None
 
     def __post_init__(self):
-        y = _frozen(self.y, np.float64)
-        if y.ndim != 1 or y.size == 0:
+        n = np.size(self.y)
+        if n == 0:
             raise EmptyPopulationError("population must hold at least one unit")
-        object.__setattr__(self, "y", y)
-        n = y.size
-        for name, dtype, ndim in (
-            ("y_star", np.float64, 1),
-            ("z", np.int64, 2),
-            ("delta", np.int64, 1),
-            ("stratum", np.int64, 1),
-        ):
-            col = getattr(self, name)
-            if col is None:
-                continue
-            col = _frozen(_whole(col) if name == "z" else col, dtype)
-            if col.ndim != ndim or col.shape[0] != n:
-                raise ValueError(f"{name} must have {n} rows")
-            object.__setattr__(self, name, col)
+        _set_columns(self, n, "unit", (
+            ("y", np.float64), ("y_star", np.float64), ("z", np.int64),
+            ("delta", np.int64), ("stratum", np.int64),
+        ))
         if self.delta is None:
             object.__setattr__(self, "delta", _read_only(np.zeros(n, np.int64)))
-        if _min(self.delta) < 0:
-            raise ValueError("delta entries must be non-negative")
 
     def __len__(self) -> int:
         return self.y.size
@@ -215,24 +248,12 @@ class BigSample:
     z: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "unit_ids", _frozen(self.unit_ids, np.int64))
-        if self.values is not None:
-            object.__setattr__(self, "values", _frozen(self.values, np.float64))
-        object.__setattr__(self, "multiplicity", _frozen(self.multiplicity, np.int64))
-        if self.z is not None:
-            object.__setattr__(self, "z", _frozen(_whole(self.z), np.int64))
-        k = self.unit_ids.size
-        if self.multiplicity.size != k or (
-            self.values is not None and self.values.size != k
-        ):
-            raise ValueError("big-sample columns must have equal length")
-        if (self.multiplicity < 1).any():
-            raise ValueError("multiplicities must be >= 1")
-        outside = (self.unit_ids < 1) | (self.unit_ids > self.N)
-        if outside.any():
-            raise ValueError(
-                f"unit_ids must lie in 1..{self.N}; found {self.unit_ids[outside][0]}"
-            )
+        n = np.size(self.unit_ids)
+        _set_columns(self, n, "big-source unit", (
+            ("unit_ids", np.int64), ("values", np.float64),
+            ("multiplicity", np.int64), ("z", np.int64),
+        ))
+        _check_ids(self.unit_ids, self.N)
 
     def __len__(self) -> int:
         return self.unit_ids.size
@@ -272,12 +293,6 @@ class SRSJointInclusion:
         np.fill_diagonal(out, self.n / self.N)
         return out
 
-    def row_sums(self, unit_ids) -> np.ndarray:
-        """``sum_j (pi_ij - pi_i pi_j) / pi_ij`` for each of the ``n``
-        sampled units: exactly zero, since each row holds ``1 - f`` once
-        and ``-(1 - f) / (n - 1)`` for each of the other ``n - 1`` units."""
-        return np.zeros(len(unit_ids))
-
 
 @dataclass(frozen=True, eq=False)
 class ProbabilitySample:
@@ -287,9 +302,10 @@ class ProbabilitySample:
     ``pairwise(unit_ids)``, the matrix over the given units.  Observed
     columns (``y``, ``y_star``, ``delta``, ``z``) are optional views of
     the parent population restricted to the drawn units, one row per
-    drawn unit.  ``design`` is ``"srs"`` for simple random sampling, which
-    needs every ``pi`` equal to ``n / N``, and ``"generic"`` for any other
-    design.
+    drawn unit.  An :class:`SRSJointInclusion` provider must have the
+    sample's own ``n`` and ``N`` and every ``pi`` equal to ``n / N``.
+    ``design`` labels the design ``"srs"`` or ``"generic"``; no computation
+    reads it, since the provider alone decides the variance formula.
     """
 
     unit_ids: np.ndarray
@@ -304,14 +320,14 @@ class ProbabilitySample:
     z: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "unit_ids", _frozen(self.unit_ids, np.int64))
-        object.__setattr__(self, "d", _frozen(self.d, np.float64))
-        object.__setattr__(self, "pi", _frozen(self.pi, np.float64))
-        k = self.unit_ids.size
-        if self.d.size != k or self.pi.size != k:
-            raise ValueError("weight columns must match the number of units")
+        k = np.size(self.unit_ids)
         if k == 0:
             raise EmptyPopulationError("sample must hold at least one unit")
+        _set_columns(self, k, "sampled unit", (
+            ("unit_ids", np.int64), ("d", np.float64), ("pi", np.float64),
+            ("y", np.float64), ("y_star", np.float64), ("delta", np.int64),
+            ("z", np.int64),
+        ))
         # three reductions pass valid weights, NaN failing each; the checks
         # below name the fault
         if not (
@@ -326,29 +342,20 @@ class ProbabilitySample:
             raise ValueError("design weights must be reciprocal inclusion probabilities")
         if self.N < k:
             raise ValueError(f"universe size N = {self.N} is below the sample size {k}")
+        _check_ids(self.unit_ids, self.N)
         if self.design not in _DESIGNS:
             raise ValueError(f"design must be one of {_DESIGNS}, not {self.design!r}")
-        # NaN is rejected above, so the largest gap decides; this is
-        # np.allclose(pi, n / N, rtol=1e-9, atol=0) without its overhead
-        f = k / self.N
-        if self.design == "srs" and _max(np.abs(self.pi - f)) > 1e-9 * f:
-            raise ValueError(f"design 'srs' needs every pi equal to n / N = {f!r}")
         joint = self.joint_pi
-        if isinstance(joint, SRSJointInclusion) and (joint.n, joint.N) != (k, self.N):
-            raise ValueError(
-                f"joint_pi is an SRS of (n, N) = ({joint.n}, {joint.N}), "
-                f"but the sample has (n, N) = ({k}, {self.N})"
-            )
-        for name, dtype in (
-            ("y", np.float64), ("y_star", np.float64), ("delta", np.int64), ("z", np.int64)
-        ):
-            col = getattr(self, name)
-            if col is None:
-                continue
-            col = _frozen(_whole(col) if name == "z" else col, dtype)
-            if col.shape[:1] != (k,):
-                raise ValueError(f"{name} must have one row per sampled unit ({k})")
-            object.__setattr__(self, name, col)
+        if isinstance(joint, SRSJointInclusion):
+            if (joint.n, joint.N) != (k, self.N):
+                raise ValueError(
+                    f"joint_pi is an SRS of (n, N) = ({joint.n}, {joint.N}), "
+                    f"but the sample has (n, N) = ({k}, {self.N})"
+                )
+            if not _equal_pi(self.pi, self.N):
+                raise ValueError(
+                    f"joint_pi is an SRS, which needs every pi equal to n / N = {k / self.N!r}"
+                )
 
     @property
     def n(self) -> int:

@@ -17,6 +17,7 @@ of evaluation order and safe to compute concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -58,6 +59,8 @@ RETRYABLE = (
     MeasurementFitError,
     classifier.DegenerateFitError,
 )
+# attempts per replicate before a study gives up on it
+MAX_ATTEMPTS = 100
 
 SIM1_ESTIMATORS = ("mean_a", "mean_b", "pdi", "regdi")
 SIM2_ESTIMATORS = ("mean_a", "mean_b", "naive_di", "proposed_di", "original_di")
@@ -82,7 +85,6 @@ class SimConfig:
     big_n: int | None = None
     stratum_sizes: tuple[int, int] | None = None
     workers: int = 1
-    max_attempts: int = 100
 
     def resolved(self) -> "SimConfig":
         """Fill study-specific defaults; reject settings no study can run."""
@@ -162,15 +164,15 @@ def summarize(estimates, truth: float) -> tuple[float, float, float]:
     return bias, se, math.sqrt(bias * bias + se * se)
 
 
-def _with_attempts(config: SimConfig, attempt_fn, rep: int):
+def _with_attempts(attempt_fn, rep: int):
     failures, last = 0, None
-    for attempt in range(config.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         try:
             return attempt_fn(rep, attempt), failures
         except RETRYABLE as exc:
             failures, last = failures + 1, exc
     raise RuntimeError(
-        f"replicate {rep} failed {config.max_attempts} times in a row; "
+        f"replicate {rep} failed {MAX_ATTEMPTS} times in a row; "
         f"last error: {type(last).__name__}: {last}"
     ) from last
 
@@ -184,9 +186,7 @@ def _run_study(config: SimConfig, attempt, names, scenario: str):
     ``var_rel_bias``.  Returns the records and the summary.
     """
 
-    def one_replicate(rep):
-        return _with_attempts(config, attempt, rep)
-
+    one_replicate = functools.partial(_with_attempts, attempt)
     reps = range(config.replicates)
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

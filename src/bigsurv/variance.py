@@ -6,12 +6,12 @@ The workhorse is the Horvitz-Thompson quadratic form
 
 evaluated over the sampled pairs.  Under simple random sampling it
 collapses algebraically to ``N^2 (1 - n/N) s_r^2 / n`` with ``s_r^2``
-the sample variance of the residuals.  The sample's ``design`` tag picks
-the form: the closed form for ``"srs"`` (which ``ProbabilitySample``
-admits only when every ``pi`` equals ``n / N``), the double sum
-otherwise; the tests cross-check the two.  It is also the one place
-that decides whether a sample has a variance at all: without joint
-inclusion probabilities it returns ``None``.  The estimators supply their
+the sample variance of the residuals.  The sample's ``joint_pi``
+provider picks the form: the closed form for an ``SRSJointInclusion``
+(which ``ProbabilitySample`` admits only when every ``pi`` equals
+``n / N``), the double sum otherwise; the tests cross-check the two.
+It is also the one place that decides whether a sample has a variance
+at all: without joint inclusion probabilities it returns ``None``.  The estimators supply their
 own residuals and pass them straight through: ``calibration.regdi_total``
 its design-weighted regression residuals, ``estimators.pdi_total`` its
 uncovered-stratum deviations, and ``measurement.mass_imputation_total``
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .population import ProbabilitySample
+from .population import ProbabilitySample, SRSJointInclusion, _per_unit
 
 __all__ = ["ht_variance_quadratic", "variance_relative_bias"]
 
@@ -34,15 +34,11 @@ def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float | None:
 
     ``None`` when the sample has no joint inclusion probabilities
     (``joint_pi is None``), and zero for an all-zero residual under any
-    design.  A sample tagged ``design="srs"`` takes the closed form; any
-    other design takes the O(n^2) double sum over the matrix that its
-    ``joint_pi`` provider returns from ``pairwise(unit_ids)``, evaluated
-    in the Sen-Yates-Grundy difference form plus the row-sum term, which
-    the provider may supply as ``row_sums(unit_ids)``.
+    design.  An :class:`SRSJointInclusion` provider takes the closed
+    form; any other takes the O(n^2) double sum over the matrix it
+    returns from ``pairwise(unit_ids)``.  The ``design`` label is not read.
     """
-    r = np.asarray(residuals, float)
-    if r.shape[0] != sample.n:
-        raise ValueError("residuals must have one entry per sampled unit")
+    r = _per_unit(residuals, sample.n, "residuals")
     provider = sample.joint_pi
     if provider is None:
         return None
@@ -50,13 +46,20 @@ def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float | None:
         # no sampled value moves the estimate, even where n = 1 leaves
         # no pair to estimate a variance from
         return 0.0
-    if sample.design == "srs":
+    if isinstance(provider, SRSJointInclusion):
         n, N = sample.n, sample.N
         if n == N:
             return 0.0
         if n < 2:
             raise ValueError("need at least two sampled units")
         return N * N * (1.0 - n / N) * float(np.var(r, ddof=1)) / n
+    return _double_sum(sample, r)
+
+
+def _double_sum(sample: ProbabilitySample, r) -> float:
+    """The quadratic form over the matrix of ``sample.joint_pi.pairwise``,
+    in the Sen-Yates-Grundy difference form plus the row-sum term."""
+    provider = sample.joint_pi
     if not hasattr(provider, "pairwise"):
         raise ValueError(
             "joint_pi must expose pairwise(unit_ids), the matrix of joint "
@@ -68,13 +71,11 @@ def ht_variance_quadratic(sample: ProbabilitySample, residuals) -> float | None:
     a = r / pi
     # a'Ca = -1/2 sum_ij C_ij (a_i - a_j)^2 + sum_i a_i^2 rho_i with
     # rho_i = sum_j C_ij.  The first term is built from differences, so it
-    # does not cancel when the a_i lie far from zero but close together;
-    # a provider that knows its rows sum to zero (SRS) says so exactly,
-    # where sums of rounded entries would leave about eps * a_i^2 each
-    if hasattr(provider, "row_sums"):
-        rho = np.asarray(provider.row_sums(sample.unit_ids), float)
-    else:
-        rho = coef.sum(axis=1)
+    # does not cancel when the a_i lie far from zero but close together.
+    # Under SRS each row holds 1 - f once and -(1 - f) / (n - 1) for each
+    # of the other n - 1 units, so rho is exactly zero, where sums of
+    # rounded entries would leave about eps * a_i^2 each
+    rho = np.zeros(sample.n) if isinstance(provider, SRSJointInclusion) else coef.sum(axis=1)
     squares = np.subtract.outer(a, a)
     squares *= squares
     squares *= coef

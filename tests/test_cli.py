@@ -464,6 +464,37 @@ class TestEstimate:
         assert main([*argv, "--pop-n", "100"]) == 0
         assert printed_value(capsys.readouterr().out, "total") > 0
 
+    def test_sample_id_above_weight_sum_names_pop_n(self, tmp_path, capsys):
+        """A sample id above the rounded weight sum gets the same hint as
+        a big-file id, and --pop-n settles it."""
+        (tmp_path / "sample.csv").write_text(
+            "id,d,pi,y\n1,20.0,0.05,1.0\n2,32.0,0.03125,2.0\n"
+            "3,25.0,0.04,3.0\n97,16.0,0.0625,4.0\n"
+        )
+        (tmp_path / "big.csv").write_text("id,y\n1,1.0\n2,2.0\n")
+        argv = ["estimate", "--sample-a", str(tmp_path / "sample.csv"),
+                "--big-data", str(tmp_path / "big.csv"), "--method", "pdi"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value.code) == (
+            "estimate: unit_ids must lie in 1..93; found 97 "
+            "(N is the rounded weight sum; pass --pop-n)"
+        )
+        assert main([*argv, "--pop-n", "100"]) == 0
+        assert printed_value(capsys.readouterr().out, "total") > 0
+
+    def test_negative_membership_exits_with_one_line(self, tmp_path):
+        (tmp_path / "sample.csv").write_text(
+            "id,d,pi,y,delta\n1,4.0,0.25,1.0,0\n2,4.0,0.25,2.0,-1\n"
+        )
+        (tmp_path / "big.csv").write_text("id,y\n1,1.0\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--sample-a", str(tmp_path / "sample.csv"),
+                  "--big-data", str(tmp_path / "big.csv"), "--method", "pdi"])
+        assert str(excinfo.value.code) == (
+            "estimate: delta entries must be at least 0; found -1"
+        )
+
     @pytest.mark.parametrize("method", ["ht", "pdi", "ratio", "regdi", "two-step"])
     def test_generic_design_says_why_no_variance(self, tmp_path, capsys, method):
         """Unequal pi attach no joint inclusion probabilities, so no

@@ -15,6 +15,7 @@ from bigsurv import (
     FinitePopulation,
     ProbabilitySample,
     SRSJointInclusion,
+    build_controls,
     cost_effective,
     draw_srs,
     effective_sample_size,
@@ -22,7 +23,18 @@ from bigsurv import (
     pdi_total,
     pdi_variance_approx,
     ratio_di_total,
+    regdi_total,
 )
+
+
+class PairsOf:
+    """Another provider's joint probabilities through ``pairwise`` alone."""
+
+    def __init__(self, joint):
+        self.joint = joint
+
+    def pairwise(self, unit_ids):
+        return self.joint.pairwise(unit_ids)
 
 
 def toy_sample(y, delta, N, d=None):
@@ -38,6 +50,40 @@ def toy_sample(y, delta, N, d=None):
         y=np.asarray(y, float),
         delta=np.asarray(delta),
     )
+
+
+BIG = BigDataTotals(T_b=2.0, N_b=1, N=6)
+
+
+def regdi_of(sample, y):
+    spec = build_controls(
+        "standard", delta=sample.delta, y=sample.y, N=6, N_b=1, T_b=2.0
+    )
+    return regdi_total(sample, y, spec)
+
+
+class TestPerUnitArguments:
+    """Every per-unit argument is checked for shape (n,) and named."""
+
+    @pytest.mark.parametrize(
+        "call, name, shape",
+        [
+            (lambda s: ht_total(s, [[1.0], [2.0], [3.0]]), "values", r"\(3, 1\)"),
+            (lambda s: ht_total(s, [1.0, 2.0]), "values", r"\(2,\)"),
+            (lambda s: pdi_total(s, [0, 1], s.y, BIG), "delta", r"\(2,\)"),
+            (lambda s: pdi_total(s, s.delta, s.y[:, None], BIG), "y", r"\(3, 1\)"),
+            (lambda s: ratio_di_total(s, [[0, 1, 0]], s.y, 3.0), "delta", r"\(1, 3\)"),
+            (lambda s: ratio_di_total(s, s.delta, 2.0, 3.0), "y", r"\(\)"),
+            (lambda s: regdi_of(s, s.y[:, None]), "y", r"\(3, 1\)"),
+            (lambda s: build_controls("standard", delta=s.delta, y=s.y[:, None], N=6,
+                                      N_b=1, T_b=2.0), "y", r"\(3, 1\)"),
+        ],
+    )
+    def test_wrong_shape_named(self, call, name, shape):
+        sample = toy_sample(y=[1.0, 2.0, 3.0], delta=[0, 1, 0], N=6)
+        message = rf"^{name} must have one entry per sampled unit: shape \(3,\), not {shape}$"
+        with pytest.raises(ValueError, match=message):
+            call(sample)
 
 
 class TestHTTotal:
@@ -112,8 +158,11 @@ class TestPDITotal:
         report = pdi_total(sample, sample.delta, sample.y, big)
         assert report.total == 21.0
         assert report.variance is None
-        for design in ("srs", "generic"):
-            srs = replace(sample, joint_pi=SRSJointInclusion(n, 6), design=design)
+        joint = SRSJointInclusion(n, 6)
+        # the SRS provider takes the closed form, one that hands over the
+        # same pairs through pairwise alone the double sum
+        for provider in (joint, PairsOf(joint)):
+            srs = replace(sample, joint_pi=provider)
             assert pdi_total(srs, srs.delta, srs.y, big).variance == 0.0
 
     def test_no_uncovered_units_raises(self):

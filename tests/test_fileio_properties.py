@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from bigsurv import (
@@ -38,6 +38,8 @@ few_floats = st.sampled_from([-0.0, 0.0, 0.5, 0.1 + 0.2, 5e-324, 1.0, 1 - 2**-53
 # the ends of the digit-grid range 0..10^18-1, just past them, and int64's own
 EDGE_INTS = [0, 9, 10, 10**18 - 1, 10**18, -1, -(2**63), 2**63 - 1]
 ints = st.integers(-(2**62), 2**62) | st.integers(0, 10**18) | st.sampled_from(EDGE_INTS)
+# membership counts: a negative delta is no sample
+counts = st.integers(0, 2**62) | st.sampled_from([e for e in EDGE_INTS if e >= 0])
 
 
 def float_col(draw, n, elements=floats):
@@ -73,7 +75,7 @@ def samples(draw):
         N=2**62,
         y=maybe(draw, lambda: float_col(draw, n)),
         y_star=maybe(draw, lambda: float_col(draw, n)),
-        delta=maybe(draw, lambda: int_col(draw, n)),
+        delta=maybe(draw, lambda: int_col(draw, n, counts)),
         z=z_matrix(draw, n),
     )
 
@@ -139,6 +141,11 @@ def assert_same(back, original, names):
 
 @settings(max_examples=150, deadline=None)
 @given(samples())
+# z is drawn from ints, so the sample writer still meets negative ints
+@example(ProbabilitySample(
+    unit_ids=np.array([1, 2]), d=np.full(2, 2.0), pi=np.full(2, 0.5), joint_pi=None,
+    N=4, delta=np.array([0, 2**63 - 1]), z=np.array([[-1, -(2**63)], [-10, 10**18]]),
+))
 def test_sample_round_trip_is_bit_exact(sample):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "sample.csv")
@@ -151,6 +158,14 @@ def test_sample_round_trip_is_bit_exact(sample):
     }
     assert written == reference_bytes(layout, sample.n)
     assert_same(back, sample, ("unit_ids", "d", "pi", "y", "y_star", "delta", "z"))
+
+
+def test_sample_strategy_still_draws_negative_ints():
+    """``delta`` is drawn non-negative, so ``z`` is the sample column that
+    takes negative ints through the writer."""
+    sample = find(samples(), lambda s: s.z is not None and (s.z < 0).any(),
+                  settings=settings(database=None))
+    assert (sample.z < 0).any()
 
 
 @settings(max_examples=150, deadline=None)

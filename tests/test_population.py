@@ -13,7 +13,6 @@ from bigsurv import (
     draw_srs,
     generate_population_sim1,
     generate_population_sim2,
-    ht_variance_quadratic,
     select_big_data_stratified,
     substream,
 )
@@ -159,6 +158,20 @@ class TestProbabilitySampleValidation:
         whole = FinitePopulation(y=np.zeros(2), z=np.array([[1.0, 1.0], [2.0, 3.0]]))
         assert whole.z.dtype == np.int64 and whole.z.tolist() == [[1, 1], [2, 3]]
 
+    def test_non_integral_ids_and_counts_rejected(self):
+        """The int64 cast would truncate 0.5 to 0 and 1.5 to 1, as it
+        would a level of z; whole floats still serve."""
+        with pytest.raises(ValueError, match=r"^delta holds 0\.5, which is not a whole number$"):
+            FinitePopulation(y=np.zeros(2), delta=[1.0, 0.5])
+        with pytest.raises(ValueError, match=r"^unit_ids holds 1\.5, which is not a whole number$"):
+            ProbabilitySample(
+                unit_ids=[1.5, 2.0], d=np.full(2, 2.0), pi=np.full(2, 0.5), joint_pi=None, N=4,
+            )
+        with pytest.raises(ValueError, match=r"^multiplicity holds nan, which is not a whole"):
+            BigSample(unit_ids=[1, 2], values=np.zeros(2), multiplicity=[1.0, np.nan], N=4)
+        whole = FinitePopulation(y=np.zeros(2), delta=[1.0, 0.0], stratum=[2.0, 1.0])
+        assert whole.delta.tolist() == [1, 0] and whole.stratum.dtype == np.int64
+
     def test_universe_below_sample_size_rejected(self):
         with pytest.raises(ValueError, match="universe size N = 2"):
             ProbabilitySample(
@@ -177,23 +190,82 @@ class TestProbabilitySampleValidation:
             ("delta", [1, 0]),
             ("z", [[1, 2], [2, 1]]),
             ("y", 1.0),
+            ("y", [[1.0], [2.0], [3.0]]),
+            ("z", [1, 2, 3]),
+            ("pi", [[0.5], [0.5], [0.5]]),
         ],
     )
     def test_observed_column_needs_one_row_per_unit(self, name, column):
-        with pytest.raises(ValueError, match=rf"^{name} must have one row per sampled unit"):
+        with pytest.raises(ValueError, match=rf"^{name} must have one entry per sampled unit: "):
             ProbabilitySample(
-                unit_ids=np.array([1, 2, 3]),
-                d=np.full(3, 2.0),
-                pi=np.full(3, 0.5),
-                joint_pi=None,
-                N=6,
-                **{name: column},
+                **{
+                    "unit_ids": np.array([1, 2, 3]),
+                    "d": np.full(3, 2.0),
+                    "pi": np.full(3, 0.5),
+                    "joint_pi": None,
+                    "N": 6,
+                    name: column,
+                }
+            )
+
+    @pytest.mark.parametrize(
+        "name, column, shape",
+        [
+            ("y", [[1.0], [2.0], [3.0]], r"\(3,\), not \(3, 1\)"),
+            ("y_star", [1.0, 2.0], r"\(3,\), not \(2,\)"),
+            ("z", [1, 2, 3], r"\(3, K\), not \(3,\)"),
+            ("z", [[1, 2], [2, 1]], r"\(3, K\), not \(2, 2\)"),
+            ("stratum", [[1, 2, 1]], r"\(3,\), not \(1, 3\)"),
+        ],
+    )
+    def test_population_column_needs_one_row_per_unit(self, name, column, shape):
+        with pytest.raises(ValueError, match=rf"^{name} must have one entry per unit: shape {shape}$"):
+            FinitePopulation(**{"y": np.zeros(3), name: column})
+
+    @pytest.mark.parametrize(
+        "name, column, shape",
+        [
+            ("z", [[1], [2]], r"\(3, K\), not \(2, 1\)"),
+            ("z", [1, 2, 3], r"\(3, K\), not \(3,\)"),
+            ("values", [1.0, 2.0], r"\(3,\), not \(2,\)"),
+            ("multiplicity", [[1, 1, 1]], r"\(3,\), not \(1, 3\)"),
+        ],
+    )
+    def test_big_sample_column_needs_one_row_per_unit(self, name, column, shape):
+        """A ``z`` with fewer rows than units would let the classified
+        estimator return a total without complaint."""
+        columns = {
+            "unit_ids": np.array([1, 2, 3]), "values": np.zeros(3),
+            "multiplicity": np.ones(3, np.int64), "N": 6,
+        }
+        with pytest.raises(
+            ValueError, match=rf"^{name} must have one entry per big-source unit: shape {shape}$"
+        ):
+            BigSample(**{**columns, name: column})
+
+    def test_negative_membership_rejected(self):
+        """A count below zero has no meaning in a sample or a population."""
+        message = r"^delta entries must be at least 0; found -1$"
+        with pytest.raises(ValueError, match=message):
+            ProbabilitySample(
+                unit_ids=np.array([1, 2, 3]), d=np.full(3, 2.0), pi=np.full(3, 0.5),
+                joint_pi=None, N=6, delta=np.array([0, -1, 1]),
+            )
+        with pytest.raises(ValueError, match=message):
+            FinitePopulation(y=np.zeros(3), delta=[0, -1, 1])
+
+    @pytest.mark.parametrize("ids, bad", [([1, 0, 3], 0), ([1, 7, 3], 7)])
+    def test_sample_ids_outside_universe_rejected(self, ids, bad):
+        with pytest.raises(ValueError, match=rf"^unit_ids must lie in 1\.\.6; found {bad}$"):
+            ProbabilitySample(
+                unit_ids=np.array(ids), d=np.full(3, 2.0), pi=np.full(3, 0.5),
+                joint_pi=None, N=6,
             )
 
     @pytest.mark.parametrize("design", ["Srs", "poisson", ""])
     def test_unknown_design_tag_rejected(self, design):
-        """Only the tags the variance code knows are accepted, so a
-        misspelt ``"Srs"`` cannot silently take the double sum."""
+        """``design`` is a label that no computation reads, but only the
+        two known labels are accepted."""
         with pytest.raises(ValueError, match=r"^design must be one of \('srs', 'generic'\)"):
             ProbabilitySample(
                 unit_ids=np.array([1, 2]),
@@ -204,26 +276,26 @@ class TestProbabilitySampleValidation:
                 design=design,
             )
 
-    def test_srs_tag_needs_equal_probabilities(self):
-        """An SRS tag on unequal pi would send the variance to the SRS
-        closed form (54.44 for residuals (1, 2, 4) here) where the
-        double sum over the same pairs gives -7.22."""
+    @pytest.mark.parametrize("design", ["srs", "generic"])
+    def test_srs_provider_needs_equal_probabilities(self, design):
+        """SRS joint probabilities on unequal pi would give the closed form
+        54.44 for residuals (1, 2, 4) here, and the double sum over the
+        same pairs -7.22; under either label the sample is rejected."""
         columns = dict(
             unit_ids=np.array([1, 2, 3]),
             d=1.0 / np.array([0.1, 0.2, 0.3]),
             pi=np.array([0.1, 0.2, 0.3]),
             joint_pi=SRSJointInclusion(3, 10),
             N=10,
+            design=design,
         )
-        with pytest.raises(ValueError, match=r"design 'srs' needs every pi equal to n / N"):
-            ProbabilitySample(design="srs", **columns)
+        message = r"^joint_pi is an SRS, which needs every pi equal to n / N = 0\.3$"
+        with pytest.raises(ValueError, match=message):
+            ProbabilitySample(**columns)
         # 1e-6 off n / N is still off: the tolerance is 1e-9 relative
         near = np.array([0.3, 0.3, 0.3 * (1 + 1e-6)])
-        with pytest.raises(ValueError, match=r"design 'srs' needs every pi equal to n / N"):
-            ProbabilitySample(design="srs", **{**columns, "pi": near, "d": 1.0 / near})
-        generic = ProbabilitySample(design="generic", **columns)
-        assert ht_variance_quadratic(generic, [1.0, 2.0, 4.0]) == pytest.approx(-7.22, abs=0.005)
-
+        with pytest.raises(ValueError, match=message):
+            ProbabilitySample(**{**columns, "pi": near, "d": 1.0 / near})
 
     @pytest.mark.parametrize("design", ["srs", "generic"])
     def test_srs_joint_pi_must_match_the_sample(self, design):

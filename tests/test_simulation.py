@@ -140,8 +140,8 @@ class TestSimConfig:
 
 
 class TestRetries:
-    def test_retryable_failures_are_counted_and_recovered(self):
-        config = SimConfig(max_attempts=5)
+    def test_retryable_failures_are_counted_and_recovered(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_ATTEMPTS", 5)
         calls = []
 
         def attempt(rep, att):
@@ -150,32 +150,32 @@ class TestRetries:
                 raise DegenerateStratumError("empty stratum")
             return {"value": att}
 
-        record, failures = _with_attempts(config, attempt, rep=7)
+        record, failures = _with_attempts(attempt, rep=7)
         assert record == {"value": 2}
         assert failures == 2
         assert calls == [(7, 0), (7, 1), (7, 2)]
 
-    def test_attempt_budget_exhaustion_raises(self):
-        config = SimConfig(max_attempts=3)
+    def test_attempt_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_ATTEMPTS", 3)
 
         def attempt(rep, att):
             raise DegenerateStratumError("always")
 
         with pytest.raises(RuntimeError, match="failed 3 times"):
-            _with_attempts(config, attempt, rep=0)
+            _with_attempts(attempt, rep=0)
 
-    def test_exhaustion_names_and_chains_the_last_error(self):
-        config = SimConfig(max_attempts=2)
+    def test_exhaustion_names_and_chains_the_last_error(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_ATTEMPTS", 2)
 
         def attempt(rep, att):
             raise DegenerateStratumError(f"attempt {att} empty")
 
         with pytest.raises(RuntimeError) as excinfo:
-            _with_attempts(config, attempt, rep=4)
+            _with_attempts(attempt, rep=4)
         assert "DegenerateStratumError: attempt 1 empty" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, DegenerateStratumError)
 
-    def test_study_one_exhaustion_reports_singular_controls(self):
+    def test_study_one_exhaustion_reports_singular_controls(self, monkeypatch):
         """One unit per stratum in the big source makes the big and
         big_y controls collinear in every sample that meets it."""
         config = SimConfig(
@@ -184,20 +184,20 @@ class TestRetries:
             n_a=30,
             stratum_sizes=(1, 1),
             replicates=3,
-            max_attempts=5,
         )
+        monkeypatch.setattr(simulation, "MAX_ATTEMPTS", 5)
         with pytest.raises(RuntimeError, match="SingularControlsError") as excinfo:
             run_sim1(config)
         assert isinstance(excinfo.value.__cause__, SingularControlsError)
 
-    def test_non_retryable_errors_propagate(self):
-        config = SimConfig(max_attempts=3)
+    def test_non_retryable_errors_propagate(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_ATTEMPTS", 3)
 
         def attempt(rep, att):
             raise KeyError("bug")
 
         with pytest.raises(KeyError):
-            _with_attempts(config, attempt, rep=0)
+            _with_attempts(attempt, rep=0)
 
 
 def small_sim1(**overrides) -> SimConfig:

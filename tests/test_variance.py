@@ -28,6 +28,7 @@ from bigsurv import (
     two_step_regdi,
     variance_relative_bias,
 )
+from bigsurv.variance import _double_sum
 
 
 def srs_sample(n, N, rng=None, **columns):
@@ -46,10 +47,20 @@ def srs_sample(n, N, rng=None, **columns):
     )
 
 
-def generic(sample):
-    """The same sample without its SRS tag, so the variance takes the
-    double sum over ``joint_pi.pairwise``."""
-    return replace(sample, design="generic")
+class PairsOf:
+    """Another provider's joint probabilities handed over through
+    ``pairwise`` alone, which sends the variance to the double sum."""
+
+    def __init__(self, joint):
+        self.joint = joint
+
+    def pairwise(self, unit_ids):
+        return self.joint.pairwise(unit_ids)
+
+
+def pairs_only(sample):
+    """The same sample with its SRS pairs behind :class:`PairsOf`."""
+    return replace(sample, joint_pi=PairsOf(sample.joint_pi))
 
 
 class TestHTVarianceQuadratic:
@@ -63,9 +74,7 @@ class TestHTVarianceQuadratic:
         """Same design expanded term by term: diagonal contributions
         0.5 (2 r_i)^2 give 2 + 18, the two cross terms give
         ((1/6 - 1/4) / (1/6)) * 2 * 6 = -6 each, and 20 - 12 = 8."""
-        sample = generic(srs_sample(2, 4))
-        v = ht_variance_quadratic(sample, [1.0, 3.0])
-        assert v == pytest.approx(8.0)
+        assert _double_sum(srs_sample(2, 4), [1.0, 3.0]) == pytest.approx(8.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_double_sum_matches_closed_form(self, seed):
@@ -75,13 +84,12 @@ class TestHTVarianceQuadratic:
         sample = srs_sample(n, N, rng)
         r = rng.normal(size=n) * rng.uniform(0.5, 20.0)
         closed = ht_variance_quadratic(sample, r)
-        double = ht_variance_quadratic(generic(sample), r)
-        assert double == pytest.approx(closed, rel=1e-10)
+        assert _double_sum(sample, r) == pytest.approx(closed, rel=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_double_sum_without_row_sums(self, seed):
-        """A provider that gives only ``pairwise`` gets its row sums
-        summed from the matrix.  Under Poisson sampling pi_ij = pi_i pi_j
+        """A provider other than SRS gets its row sums summed from the
+        matrix.  Under Poisson sampling pi_ij = pi_i pi_j
         off the diagonal, so the double sum is sum_i (1 - pi_i) (r_i / pi_i)^2
         and every row sum 1 - pi_i is non-zero."""
 
@@ -109,9 +117,9 @@ class TestHTVarianceQuadratic:
         sample = srs_sample(5, 5)
         r = np.arange(5.0)
         assert ht_variance_quadratic(sample, r) == 0.0
-        assert ht_variance_quadratic(generic(sample), r) == pytest.approx(0.0, abs=1e-12)
+        assert _double_sum(sample, r) == pytest.approx(0.0, abs=1e-12)
 
-    def test_one_unit_raises_under_both_tags(self):
+    def test_one_unit_raises_under_both_forms(self):
         """n = 1 of N = 4 holds no sampled pair, so neither form has an
         unbiased variance: the closed form and the double sum both raise,
         the double sum naming ``joint_pi``."""
@@ -119,14 +127,12 @@ class TestHTVarianceQuadratic:
         with pytest.raises(ValueError, match="need at least two sampled units"):
             ht_variance_quadratic(sample, [2.0])
         with pytest.raises(ValueError, match="^joint_pi: "):
-            ht_variance_quadratic(generic(sample), [2.0])
+            _double_sum(sample, [2.0])
 
     def test_provider_without_pairwise_named(self):
         """A provider must hand over the whole matrix; a bare per-pair
         callable is rejected with an error naming ``joint_pi``."""
-        sample = replace(
-            generic(srs_sample(2, 4)), joint_pi=lambda i, j: 0.5 if i == j else 1.0 / 6.0
-        )
+        sample = replace(srs_sample(2, 4), joint_pi=lambda i, j: 0.5 if i == j else 1.0 / 6.0)
         with pytest.raises(ValueError, match="joint_pi must expose pairwise"):
             ht_variance_quadratic(sample, [1.0, 3.0])
 
@@ -143,17 +149,20 @@ class TestHTVarianceQuadratic:
         where a non-zero residual has no variance estimator."""
         sample = srs_sample(1, 4)
         if design == "generic":
-            sample = generic(sample)
+            sample = pairs_only(sample)
         assert ht_variance_quadratic(sample, [0.0]) == 0.0
 
-    def test_auto_dispatches_on_design_tag(self):
-        """The SRS tag takes the closed form N^2 (1 - f) s^2 / n exactly;
-        the same sample untagged takes the double sum."""
+    def test_provider_not_tag_picks_the_form(self):
+        """An SRS provider takes the closed form N^2 (1 - f) s^2 / n
+        exactly, whatever the label; the double sum agrees, and a provider
+        that hands over the same pairs through ``pairwise`` alone takes it."""
         tagged = srs_sample(3, 9)
         r = [1.0, 2.0, 4.0]
         closed = 81 * (1 - 3 / 9) * float(np.var(r, ddof=1)) / 3
         assert ht_variance_quadratic(tagged, r) == closed
-        assert ht_variance_quadratic(generic(tagged), r) == pytest.approx(closed)
+        assert ht_variance_quadratic(replace(tagged, design="generic"), r) == closed
+        assert _double_sum(tagged, r) == pytest.approx(closed)
+        assert ht_variance_quadratic(pairs_only(tagged), r) == pytest.approx(closed)
 
     def test_single_unit_closed_form_rejected(self):
         sample = srs_sample(1, 4)
