@@ -22,6 +22,7 @@ across accepted iterates, and the fitter enforces that invariant.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -59,22 +60,42 @@ class AscentViolationError(RuntimeError):
     """The observed-data log-likelihood decreased across an EM iteration."""
 
 
-def _check_tables(tables, what: str):
-    out = []
-    for k, t in enumerate(tables):
-        t = np.array(t, float)  # a copy of its own, frozen below
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError(f"{what}[{k}] must be a non-empty vector")
-        # a NaN fails the range test too, so finiteness is asked only then
-        if not (_min(t) >= -1e-12 and _max(t) <= 1 + 1e-12):
+def _frozen_tables(m, u) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """``m`` and ``u`` as read-only float copies, every table checked in one
+    pass over their concatenation.
+
+    Each table must be a non-empty vector, ``m`` and ``u`` must pair up in
+    size, and every entry must lie in [0, 1] and each table sum to one;
+    every fault is a ``ValueError`` naming the table (``m[k]`` or
+    ``u[k]``).
+    """
+    tables = [np.asarray(t, float) for t in (*m, *u)]
+    sizes = [t.size if t.ndim == 1 else 0 for t in tables]
+    if 0 in sizes:
+        k = sizes.index(0)
+        name = f"m[{k}]" if k < len(m) else f"u[{k - len(m)}]"
+        raise ValueError(f"{name} must be a non-empty vector")
+    if sizes[:len(m)] != sizes[len(m):]:
+        raise ValueError("m and u must have matching shapes")
+    bounds = [0, *itertools.accumulate(sizes)]
+    flat = np.concatenate(tables)  # a copy of its own, frozen below
+    sums = np.add.reduceat(flat, bounds[:-1])
+    # a NaN fails the range test too, so finiteness is asked only then
+    if not (
+        _min(flat) >= -1e-12 and _max(flat) <= 1 + 1e-12
+        and _max(np.abs(sums - 1.0)) <= 1e-10
+    ):
+        for k, t in enumerate(tables):
+            name = f"m[{k}]" if k < len(m) else f"u[{k - len(m)}]"
             if not np.isfinite(t).all():
-                raise ValueError(f"{what}[{k}] entries must be finite")
-            raise ValueError(f"{what}[{k}] entries must lie in [0, 1]")
-        if abs(_sum(t) - 1.0) > 1e-10:
-            raise ValueError(f"{what}[{k}] must sum to one")
-        t.setflags(write=False)
-        out.append(t)
-    return tuple(out)
+                raise ValueError(f"{name} entries must be finite")
+            if not (_min(t) >= -1e-12 and _max(t) <= 1 + 1e-12):
+                raise ValueError(f"{name} entries must lie in [0, 1]")
+            if abs(sums[k] - 1.0) > 1e-10:
+                raise ValueError(f"{name} must sum to one")
+    flat.setflags(write=False)
+    frozen = tuple(flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return frozen[:len(m)], frozen[len(m):]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +109,7 @@ class ClassifierModel:
     def __post_init__(self):
         if not 0.0 < self.pi < 1.0:
             raise ValueError("pi must lie strictly between 0 and 1")
-        m = _check_tables(self.m, "m")
-        u = _check_tables(self.u, "u")
-        if len(m) != len(u) or any(a.size != b.size for a, b in zip(m, u)):
-            raise ValueError("m and u must have matching shapes")
+        m, u = _frozen_tables(self.m, self.u)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "u", u)
 
@@ -148,10 +166,15 @@ def estimate_m(big: BigSample, levels) -> tuple[np.ndarray, ...]:
     """
     if big.z is None or len(big) == 0:
         raise ValueError("big sample must carry z rows")
-    index = _level_index(big.z, levels)
+    return _frequencies(_level_index(big.z, levels), levels)
+
+
+def _frequencies(index, levels, counts=None) -> tuple[np.ndarray, ...]:
+    """:func:`estimate_m` on a level index, each row counted ``counts``
+    times (whole numbers, so every sum is exact) or once."""
+    n = index[0].size if counts is None else counts.sum()
     return tuple(
-        np.bincount(col, minlength=D).astype(float) / col.size
-        for col, D in zip(index, levels)
+        np.bincount(col, counts, minlength=D) / n for col, D in zip(index, levels)
     )
 
 
@@ -161,7 +184,11 @@ def initial_u(z, d, levels) -> tuple[np.ndarray, ...]:
     Each cell receives ``1 / (2 n)`` before normalisation so every
     enumerated level starts with support.
     """
-    index = _level_index(z, levels)
+    return _smoothed_frequencies(_level_index(z, levels), d, levels)
+
+
+def _smoothed_frequencies(index, d, levels) -> tuple[np.ndarray, ...]:
+    """:func:`initial_u` on a level index."""
     d = np.asarray(d, float)
     n = index[0].size
     out = []
@@ -185,19 +212,25 @@ def _posterior_from_mixture(a: np.ndarray, b: np.ndarray):
     ``a = pi * prod m`` against the outside part ``b = (1 - pi) * prod u``."""
     denom = a + b
     if _min(denom) <= 0.0:
-        raise DegenerateFitError(
-            "posterior undefined: a level has zero frequency in both sources"
-        )
+        raise DegenerateFitError(_UNDEFINED)
     return a / denom, denom
 
 
-def posterior(model: ClassifierModel, z) -> np.ndarray:
-    """Membership posterior for each row of ``z`` under ``model``."""
-    index = _level_index(z, model.levels)
+_UNDEFINED = "posterior undefined: a level has zero frequency in both sources"
+
+
+def _posterior(model: ClassifierModel, index) -> np.ndarray:
+    """Membership posterior under ``model`` of each row of a level index
+    (rows of ``z``, or cells)."""
     p, _ = _posterior_from_mixture(
         model.pi * _products(model.m, index), (1.0 - model.pi) * _products(model.u, index)
     )
     return p
+
+
+def posterior(model: ClassifierModel, z) -> np.ndarray:
+    """Membership posterior for each row of ``z`` under ``model``."""
+    return _posterior(model, _level_index(z, model.levels))
 
 
 # running radix product above which the partial cell code is re-ranked, so
@@ -205,9 +238,9 @@ def posterior(model: ClassifierModel, z) -> np.ndarray:
 _CODE_LIMIT = 2**62
 
 
-def _rank(code: np.ndarray, radix: int) -> tuple[np.ndarray, int]:
+def _rank(code: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's rank among the distinct values of ``code``, all in
-    ``0..radix-1``, and the number of distinct values.
+    ``0..radix-1``, and those values in increasing order.
 
     When ``radix`` is at most four times the length, the ranks come from a
     cumulative count over a table of every code, with no sort; otherwise
@@ -216,10 +249,11 @@ def _rank(code: np.ndarray, radix: int) -> tuple[np.ndarray, int]:
     if radix <= 4 * code.size:
         seen = np.zeros(radix, np.intp)
         seen[code] = 1
+        distinct = np.flatnonzero(seen)
         np.cumsum(seen, out=seen)
-        return seen[code] - 1, int(seen[-1])
+        return seen[code] - 1, distinct
     distinct, inverse = np.unique(code, return_inverse=True)
-    return inverse, distinct.size
+    return inverse, distinct
 
 
 def _cells(index, levels) -> tuple[list[np.ndarray], np.ndarray]:
@@ -228,23 +262,32 @@ def _cells(index, levels) -> tuple[list[np.ndarray], np.ndarray]:
 
     Rows are coded as the mixed-radix integer
     ``(l1·D2 + l2)·D3 + ...`` of their zero-based levels, which orders like
-    the rows, so ranking the codes replaces a row sort.  When the radix
-    product would pass ``_CODE_LIMIT`` the partial code is replaced by its
-    rank, which keeps the order and stays below ``n``.  Returns one vector
-    per column holding each cell's level, and the cell of each row.
+    the rows, so ranking the codes replaces a row sort, and each cell's
+    levels are the digits of its code.  When the radix product would pass
+    ``_CODE_LIMIT`` the partial code is replaced by its rank, which keeps
+    the order and stays below ``n``; the levels then come from the rows.
+    Returns one vector per column holding each cell's level, and the cell
+    of each row.
     """
     code = index[0]
     radix = levels[0]
+    digits = True
     for k in range(1, len(levels)):
         D = levels[k]
         if radix * D > _CODE_LIMIT:
-            code, radix = _rank(code, radix)
+            code, distinct = _rank(code, radix)
+            radix, digits = distinct.size, False
         code = code * D + index[k]
         radix *= D
-    inverse, count = _rank(code, radix)
+    inverse, distinct = _rank(code, radix)
     cells = []
+    if digits:
+        for D in levels[:0:-1]:
+            distinct, level = np.divmod(distinct, D)
+            cells.append(level)
+        return [distinct, *cells[::-1]], inverse
     for col in index:
-        cell = np.empty(count, np.int64)
+        cell = np.empty(distinct.size, np.int64)
         cell[inverse] = col  # every row of a cell holds the same level
         cells.append(cell)
     return cells, inverse
@@ -256,72 +299,375 @@ def classify(posteriors) -> np.ndarray:
     return (p > 0.5).astype(np.int64)
 
 
-def _em_map(sample: ProbabilitySample, model: ClassifierModel):
-    """The plain EM map of ``model`` on ``sample``'s distinct z cells.
+@dataclass(frozen=True, eq=False)
+class _EmRow:
+    """One EM fit ready for a stack (see :func:`_em_stack`).
 
-    Returns ``(step, inverse, offsets)``.  ``step(u) -> (F(u), p_cells,
-    loglik)`` is one E-step and one M-step: the cell posteriors and the
-    design-weighted log-likelihood at ``u``, and ``F(u)``, the
-    posterior-(1-p)-weighted level frequencies.  ``u`` is one flat vector
-    in which column k's table sits at ``offsets[k]:offsets[k+1]``, and
-    ``inverse`` maps each unit to its cell.
+    ``cells`` holds each of the sample's distinct z cells as one level
+    vector per column, ``inverse`` each unit's cell, ``w`` the design
+    weight of each cell and ``a = pi * prod m`` its fixed inside part;
+    ``model`` supplies ``pi``, ``m`` and the starting ``u``, ``d`` is the
+    sample's design weights and ``key`` the caller's tag for the fit.
+    """
+
+    key: object
+    model: ClassifierModel
+    cells: list
+    inverse: np.ndarray
+    w: np.ndarray
+    a: np.ndarray
+    d: np.ndarray
+
+
+def _em_row(sample: ProbabilitySample, model: ClassifierModel, key=None, index=None) -> _EmRow:
+    """The EM row of ``model`` on ``sample``, tagged ``key``; ``index`` is
+    the sample's level index when the caller has it.
+
+    The posterior is a function of the z cell, so the fit runs over the
+    sample's distinct cells and its cost scales with them, not with the
+    sample size.
     """
     levels = model.levels
-    # collapse to distinct z cells: the posterior is a function of the cell,
-    # so EM cost scales with distinct cells rather than sample size
-    cells, inverse = _cells(_level_index(sample.z, levels), levels)
+    if index is None:
+        if sample.z is None:
+            raise ValueError("sample must carry z rows")
+        index = _level_index(sample.z, levels)
+    cells, inverse = _cells(index, levels)
     w = np.bincount(inverse, weights=sample.d)
-    a = model.pi * _products(model.m, cells)
-    out_prior = 1.0 - model.pi
-    # cell j's level of column k sits at flat[k, j]
-    offsets = np.cumsum((0,) + levels)
-    flat = np.stack([cell + off for cell, off in zip(cells, offsets)])
-    first, rest = flat[0], tuple(flat[1:])
-    flat_all = flat.ravel()
-    mass = np.empty(flat.shape)
-    mass_all = mass.reshape(-1)
-
-    def step(u):
-        u_prod = u[first]
-        for at in rest:
-            u_prod *= u[at]
-        p_cells, cell_lik = _posterior_from_mixture(a, out_prior * u_prod)
-        ll = float(np.dot(w, np.log(cell_lik)))
-        out_mass = w * (1.0 - p_cells)
-        denom = _sum(out_mass)
-        if denom <= 0.0:
-            raise DegenerateFitError("no design weight left outside the big source")
-        # every column's level sums in one bincount: each bin adds the
-        # same cells in the same order as a per-column bincount would
-        mass[...] = out_mass
-        new_u = np.bincount(flat_all, weights=mass_all, minlength=offsets[-1]) / denom
-        return new_u, p_cells, ll
-
-    return step, inverse, offsets
+    # the smallest index type keeps the unit-to-cell map small while the
+    # fit waits in a stack
+    inverse = inverse.astype(np.min_scalar_type(w.size - 1), copy=False)
+    return _EmRow(key, model, cells, inverse, w, model.pi * _products(model.m, cells), sample.d)
 
 
-def _squarem_point(u0, u1, u2, column):
-    """SQUAREM's extrapolation from the plain steps ``u0 -> u1 -> u2``.
+class _EmMap:
+    """The plain EM map over a stack of ``width`` slots, each holding one
+    row that shares ``levels``; a step runs over the first slots, one per
+    point it is given.
+
+    A row's cells are padded to the widest row's count; a padded cell has
+    weight zero and inside part one, so it adds ``+0.0`` to a bin of its
+    own row and changes no sum.  The elementwise work and the M-step's
+    ``bincount`` run once over the stack.  The log-likelihood dot product
+    and the out-mass sum run per row, on 1-D views as long as the row's
+    cell count: with the same operands in the same order, every row's
+    results are bit-identical to a stack of one.
+    """
+
+    def __init__(self, levels, width: int):
+        self.levels = tuple(levels)
+        self.offsets = np.cumsum((0,) + self.levels)
+        self.size = int(self.offsets[-1])
+        self.width = width
+        # each entry of ``width`` flattened rows of ``u`` numbered by its
+        # row and column block, row j's column k as j K + k
+        column = np.repeat(np.arange(len(self.levels)), np.diff(self.offsets))
+        self.blocks = np.add.outer(np.arange(width) * len(self.levels), column).reshape(-1)
+        self.bounds = list(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
+        self.rows = [None] * width
+        self._x = np.empty((width, self.size))
+        self._alloc(1)
+
+    def _alloc(self, cells: int) -> None:
+        shape = (self.width, cells)
+        # a row's bins and out-masses, column by column
+        self._index = np.empty((self.width, len(self.levels), cells), np.int64)
+        self._mass = np.empty(self._index.shape)
+        self._w, self._a, self._b = np.empty(shape), np.empty(shape), np.empty((self.width, 1))
+        self._lik, self._p = np.empty(shape), np.empty(shape)
+        self._log, self._out = np.empty(shape), np.empty(shape)
+        self._denom = np.empty((self.width, 1))
+        # each slot's weights, log-likelihoods and out-masses as 1-D views
+        # the length of its row
+        self._views = [None] * self.width
+        for slot, row in enumerate(self.rows):
+            if row is not None:
+                self._fill(slot, row)
+
+    def put(self, slot: int, row: _EmRow) -> None:
+        """Place ``row`` in ``slot``."""
+        if row.model.levels != self.levels:
+            raise ValueError(
+                f"a row with levels {row.model.levels} in a stack of {self.levels}"
+            )
+        self.rows[slot] = row
+        if row.w.size > self._w.shape[1]:
+            self._alloc(row.w.size)
+        else:
+            self._fill(slot, row)
+
+    def _fill(self, slot: int, row: _EmRow) -> None:
+        c = row.w.size
+        for k, at in enumerate(self.offsets[:-1] + slot * self.size):
+            np.add(row.cells[k], at, out=self._index[slot, k, :c])
+            self._index[slot, k, c:] = at
+        self._w[slot, :c], self._w[slot, c:] = row.w, 0.0
+        self._a[slot, :c], self._a[slot, c:] = row.a, 1.0
+        self._b[slot] = 1.0 - row.model.pi
+        self._views[slot] = (
+            self._w[slot, :c], self._log[slot, :c], self._out[slot, :c], self._p[slot, :c]
+        )
+
+    def posteriors(self, slot: int) -> np.ndarray:
+        """The cell posteriors the last step computed in ``slot``."""
+        return self._views[slot][3]
+
+    def step(self, points):
+        """One E-step and one M-step at each point, ``points[s]`` in slot s.
+
+        A point is a flat ``u``, column k's table at
+        ``offsets[k]:offsets[k+1]``.  Returns ``(F, p, ll, faults, gaps)``:
+        ``F[s]``, the posterior-(1-p)-weighted level frequencies, in a new
+        array; ``p[s]``, the cell posteriors (a buffer the next step
+        reuses); and per slot the design-weighted log-likelihood, the
+        :class:`DegenerateFitError` the point raises or None, and the
+        largest ``|F[s] - points[s]|``.
+        """
+        n = len(points)
+        x = self._x[:n]
+        flat = x.reshape(-1)
+        np.concatenate(points, out=flat)
+        index = self._index[:n]
+        a, w = self._a[:n], self._w[:n]
+        lik, p, out = self._lik[:n], self._p[:n], self._out[:n]
+        # prod_k u[level k of the cell], multiplied in column order, times
+        # 1 - pi, plus the inside part: the likelihood a + b of each cell
+        gathered = flat.take(index.reshape(-1)).reshape(index.shape)
+        np.multiply.reduce(gathered, axis=1, out=lik)
+        lik *= self._b[:n]
+        lik += a
+        ll, faults = [0.0] * n, [None] * n
+        denom = self._denom[:n]
+        denom.fill(1.0)
+        # a slot whose point is degenerate divides by zero here; its fault
+        # is reported instead of its results
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(a, lik, out=p)
+            np.log(lik, out=self._log[:n])
+            np.multiply(w, np.subtract(1.0, p, out=out), out=out)
+            # padded cells have likelihood about one, so only a real cell
+            # can fail the test
+            undefined = _min(lik, axis=None) <= 0.0 and (
+                np.minimum.reduce(lik, axis=1) <= 0.0
+            ).tolist()
+            for slot in range(n):
+                if undefined and undefined[slot]:
+                    faults[slot] = DegenerateFitError(_UNDEFINED)
+                    continue
+                w_row, log_lik, out_mass, _ = self._views[slot]
+                ll[slot] = float(w_row.dot(log_lik))
+                total = _sum(out_mass)
+                if total <= 0.0:
+                    faults[slot] = DegenerateFitError(
+                        "no design weight left outside the big source"
+                    )
+                else:
+                    denom[slot] = total
+            mass = self._mass[:n]
+            mass[...] = out[:, None, :]
+            fx = np.bincount(index.reshape(-1), weights=mass.reshape(-1), minlength=flat.size)
+            fx = fx.reshape(x.shape)
+            fx /= denom
+            gaps = np.maximum.reduce(np.abs(fx - x), axis=1).tolist()
+        return fx, p, ll, faults, gaps
+
+
+def _squarem_points(u0, u1, u2, blocks):
+    """SQUAREM's extrapolation from the plain steps ``u0 -> u1 -> u2``, one
+    row of each per fit.
 
     With ``r = u1 - u0``, ``v = u2 - 2 u1 + u0`` and the S3 step length
-    ``alpha = min(-|r| / |v|, -1)`` the point is
-    ``u0 - 2 alpha r + alpha^2 v``, each column's block renormalised
-    (``column`` names each entry's block).  ``alpha = -1`` gives ``u2``.
-    Returns None when ``v`` is zero or the point has a negative or
-    non-finite entry.
+    ``alpha = min(-|r| / |v|, -1)`` a row's point is
+    ``u0 - 2 alpha r + alpha^2 v``, each column's block renormalised;
+    ``blocks`` numbers each entry of the flattened rows by its row and
+    column (row j's column k is ``j K + k``).  ``alpha = -1`` gives ``u2``.
+    Returns the points and a list saying which are usable: not where ``v``
+    is zero or the point has a negative or non-finite entry.  The two
+    norms are taken per row, on 1-D views.
     """
     r = u1 - u0
     v = u2 - 2.0 * u1 + u0
-    v_norm = math.sqrt(v @ v)
-    if v_norm == 0.0:
-        return None
-    alpha = min(-math.sqrt(r @ r) / v_norm, -1.0)
-    x = u0 - 2.0 * alpha * r + alpha * alpha * v
-    sums = np.bincount(column, weights=x)
-    # a NaN fails the first test and an infinite entry the last
-    if not (_min(x) >= 0.0 and _min(sums) > 0.0 and _max(sums) < math.inf):
-        return None
-    return x / sums[column]
+    usable, twice, square = [], [], []
+    for r_row, v_row in zip(r, v):
+        v_norm = math.sqrt(v_row.dot(v_row))
+        usable.append(v_norm != 0.0)
+        alpha = min(-math.sqrt(r_row.dot(r_row)) / v_norm, -1.0) if v_norm else -1.0
+        twice.append((2.0 * alpha,))
+        square.append((alpha * alpha,))
+    x = u0 - np.array(twice) * r
+    x += np.array(square) * v
+    sums = np.bincount(blocks, weights=x.reshape(-1))
+    # a NaN fails the first test and an infinite entry the last; only a
+    # failing stack is tested row by row
+    if _min(x, axis=None) >= 0.0 and _min(sums) > 0.0 and _max(sums) < math.inf:
+        return x / sums[blocks].reshape(x.shape), usable
+    by_row = sums.reshape(x.shape[0], -1)
+    usable = np.logical_and(usable, np.minimum.reduce(x, axis=1) >= 0.0)
+    usable &= np.minimum.reduce(by_row, axis=1) > 0.0
+    usable &= np.maximum.reduce(by_row, axis=1) < math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x / sums[blocks].reshape(x.shape), usable.tolist()
+
+
+# where a fit stands in its SQUAREM cycle: the point its slot is sent is
+# the start, the plain step F(u), the extrapolated point or u2
+_START, _PLAIN, _SQUARED, _SECOND = range(4)
+
+
+class _Fit:
+    """One row's SQUAREM state in a stack: the accepted iterate ``u`` with
+    ``fu = F(u)``, its log-likelihood ``ll`` and ``gap = max |fu - u|``;
+    after a plain step, ``u1 = F(u)``, ``u2 = F(u1)``, ``ll1`` and
+    ``gap1``; and ``x``, the point its slot is sent next."""
+
+    __slots__ = ("row", "phase", "evals", "converged", "trace", "x", "u", "fu",
+                 "ll", "gap", "u1", "u2", "ll1", "gap1")
+
+    def __init__(self, row: _EmRow):
+        self.row, self.phase, self.evals, self.converged = row, _START, 0, False
+        self.trace = []
+        self.x = np.concatenate(row.model.u)
+
+
+def _em_stack(next_row, width: int, tol: float = 1e-8, max_iter: int = 1000):
+    """Fit a stream of EM rows in one stack of ``width`` slots.
+
+    Each row's fit is :func:`em_fit`'s: SQUAREM over the plain EM map with
+    the same fallbacks, ascent guard, convergence test and evaluation
+    budget, bit-identical to a stack of one.  ``next_row()`` returns the
+    next :class:`_EmRow` or None; it is asked whenever a slot is free, so
+    a row that leaves can make room for another.  Returns a generator
+    that yields ``(key, outcome)`` as each row leaves: ``outcome`` is
+    :func:`em_fit`'s ``(fitted, posteriors)``, or the
+    :class:`DegenerateFitError` or :class:`AscentViolationError` that
+    ended the fit.  The generator ends when every slot is empty and
+    ``next_row()`` returns None.
+    """
+    integral = isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
+    if not integral or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, not {max_iter!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, not {tol!r}")
+    return _stack_fits(next_row, width, tol, max_iter)
+
+
+def _stack_fits(next_row, width, tol, max_iter):
+    budget = max_iter + 1
+    emap, fits, leaving = None, [], True
+    while True:
+        # once fits have left (and at the start) a free slot takes the next
+        # row while rows come; the last fits then close any gap, so that a
+        # step runs over the fits alone
+        for slot in range(width if leaving else 0):
+            if slot < len(fits) and fits[slot] is not None:
+                continue
+            row = next_row()
+            if row is None:
+                break
+            if emap is None:
+                emap = _EmMap(row.model.levels, width)
+            emap.put(slot, row)
+            if slot < len(fits):
+                fits[slot] = _Fit(row)
+            else:
+                fits.append(_Fit(row))
+        for slot in range(width if leaving else 0):
+            while fits and fits[-1] is None:
+                fits.pop()
+            if slot >= len(fits):
+                break
+            if fits[slot] is None:
+                fits[slot] = fits.pop()
+                emap.put(slot, fits[slot].row)
+        if not fits:
+            return
+        fx, _, lls, faults, gaps = emap.step([fit.x for fit in fits])
+        leaving, extrapolate = [], []
+        for slot, fit in enumerate(fits):
+            fit.evals += 1
+            phase, ll, fault, gap = fit.phase, lls[slot], faults[slot], gaps[slot]
+            fresh = True  # the accepted iterate is the point just evaluated
+            if phase == _SQUARED:
+                # the extrapolated point stands if it is defined and does not
+                # lower the log-likelihood; otherwise u2, while evaluations
+                # remain, or else u1
+                if fault is None and ll >= fit.ll:
+                    fit.u, fit.fu, fit.ll, fit.gap = fit.x, fx[slot], ll, gap
+                elif fit.evals < budget:
+                    fit.x, fit.phase = fit.u2, _SECOND
+                    continue
+                else:
+                    fit.u, fit.fu, fit.ll, fit.gap = fit.u1, fit.u2, fit.ll1, fit.gap1
+                    fresh = False
+            else:
+                # a plain step (F(u) or u2) may not lower the log-likelihood
+                # of the point it came from
+                if fault is None and phase != _START:
+                    ll_from = fit.ll if phase == _PLAIN else fit.ll1
+                    if ll < ll_from - ASCENT_SLACK * max(1.0, abs(ll_from)):
+                        fault = AscentViolationError(
+                            f"log-likelihood decreased from {ll_from!r} to {ll!r}"
+                        )
+                if fault is not None:
+                    leaving.append((slot, fault, False))
+                    continue
+                if phase == _PLAIN:
+                    fit.u1, fit.u2, fit.ll1, fit.gap1 = fit.x, fx[slot], ll, gap
+                    # while evaluations remain and u1 -> u2 does not converge,
+                    # try the extrapolated point; otherwise u1 is accepted
+                    if not fit.converged and fit.evals < budget and gap > tol:
+                        extrapolate.append(fit)
+                        continue
+                fit.u, fit.fu, fit.ll, fit.gap = fit.x, fx[slot], ll, gap
+            fit.trace.append(fit.ll)
+            if fit.converged or fit.evals >= budget:
+                leaving.append((slot, None, fresh))
+            else:
+                # the plain step u1 = F(u); a converged one is scored and kept
+                fit.converged = fit.gap <= tol
+                fit.x, fit.phase = fit.fu, _PLAIN
+        if extrapolate:
+            points, usable = _squarem_points(
+                np.array([fit.u for fit in extrapolate]),
+                np.array([fit.u1 for fit in extrapolate]),
+                np.array([fit.u2 for fit in extrapolate]),
+                emap.blocks[:len(extrapolate) * emap.size],
+            )
+            for fit, point, ok in zip(extrapolate, points, usable):
+                fit.x, fit.phase = (point, _SQUARED) if ok else (fit.u2, _SECOND)
+        for slot, fault, fresh in leaving:
+            fit, fits[slot] = fits[slot], None
+            yield fit.row.key, fault or _fit_result(
+                fit, emap.bounds, tol, max_iter, emap.posteriors(slot) if fresh else None
+            )
+
+
+def _fit_result(fit: _Fit, bounds, tol, max_iter, p_cells=None):
+    """:func:`em_fit`'s ``(fitted, posteriors)`` for a fit that stopped;
+    ``p_cells`` are the cell posteriors at its ``u`` when the last step
+    evaluated that point."""
+    row = fit.row
+    if not fit.converged:
+        _log.warning(
+            "EM stopped at max_iter = %d before the largest u change fell "
+            "below tol = %g", max_iter, tol,
+        )
+    tables = tuple(fit.u[lo:hi] for lo, hi in bounds)
+    fitted = ClassifierModel(pi=row.model.pi, m=row.model.m, u=tables)
+    if p_cells is None:
+        # the map's posteriors at u, term for term
+        p_cells, _ = _posterior_from_mixture(
+            row.a, (1.0 - fitted.pi) * _products(fitted.u, row.cells)
+        )
+    p_hat = p_cells.take(row.inverse)
+    return fitted, PosteriorSet(
+        p_hat=p_hat,
+        delta_hat=classify(p_hat),
+        loglik_trace=tuple(fit.trace),
+        design_weighted_mean=float(np.dot(row.d, p_hat) / row.d.sum()),
+        converged=fit.converged,
+        iterations=fit.evals - 1,
+    )
 
 
 def em_fit(
@@ -339,7 +685,8 @@ def em_fit(
     falls back to ``u2`` when the extrapolated point has a negative entry,
     makes the posterior degenerate or lowers the log-likelihood.  The fit
     converges when one plain step moves no entry of ``u`` by more than
-    ``tol``, and returns that step's tables with their posteriors.
+    ``tol``, and returns that step's tables with their posteriors.  It is
+    the one-row case of the stacked fit that study two runs.
 
     ``max_iter`` bounds the map evaluations (one E-step and one M-step
     each) after the one that scores the starting tables; a fit that
@@ -351,72 +698,20 @@ def em_fit(
     :class:`DegenerateFitError` if the posterior mass outside the big
     source vanishes.
     """
-    integral = isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
-    if not integral or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, not {max_iter!r}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a number >= 0, not {tol!r}")
-    if sample.z is None:
-        raise ValueError("sample must carry z rows")
-    em_step, inverse, offsets = _em_map(sample, model)
-    column = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    budget = max_iter + 1
-    evaluations = 0
+    rows = [_em_row(sample, model)]
+    ((_, outcome),) = _em_stack(lambda: rows.pop() if rows else None, 1, tol, max_iter)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    def evaluate(x, ll_from=None):
-        # one map evaluation; ``ll_from`` is the log-likelihood of the point
-        # whose plain step gave ``x``, so the ascent guard applies to it
-        nonlocal evaluations
-        evaluations += 1
-        fx, p, ll = em_step(x)
-        if ll_from is not None and ll < ll_from - ASCENT_SLACK * max(1.0, abs(ll_from)):
-            raise AscentViolationError(
-                f"log-likelihood decreased from {ll_from!r} to {ll!r}"
-            )
-        return x, fx, p, ll
 
-    # the accepted iterate, F of it, its cell posteriors and log-likelihood
-    u, fu, p_cells, ll = evaluate(np.concatenate(model.u))
-    trace = [ll]
-    converged = False
-    while not converged and evaluations < budget:
-        # the plain step u1 = F(u); a converged one is scored and returned
-        converged = float(_max(np.abs(fu - u))) <= tol
-        step = evaluate(fu, ll)
-        u1, u2, _, ll1 = step
-        # while evaluations remain and u1 -> u2 does not converge, try the
-        # extrapolated point, then u2; otherwise u1 is the accepted iterate
-        if not converged and evaluations < budget and _max(np.abs(u2 - u1)) > tol:
-            squared = None
-            x = _squarem_point(u, u1, u2, column)
-            if x is not None:
-                try:
-                    squared = evaluate(x)
-                except DegenerateFitError:
-                    pass
-            if squared is not None and squared[3] >= ll:
-                step = squared
-            elif evaluations < budget:
-                step = evaluate(u2, ll1)
-        u, fu, p_cells, ll = step
-        trace.append(ll)
-    if not converged:
-        _log.warning(
-            "EM stopped at max_iter = %d before the largest u change fell "
-            "below tol = %g", max_iter, tol,
-        )
-    p_hat = p_cells[inverse]
-    tables = tuple(u[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
-    fitted = ClassifierModel(pi=model.pi, m=model.m, u=tables)
-    posteriors = PosteriorSet(
-        p_hat=p_hat,
-        delta_hat=classify(p_hat),
-        loglik_trace=tuple(trace),
-        design_weighted_mean=float(np.dot(sample.d, p_hat) / sample.d.sum()),
-        converged=converged,
-        iterations=evaluations - 1,
-    )
-    return fitted, posteriors
+def _start_model(sample: ProbabilitySample, m, pi: float, levels):
+    """:func:`fit_membership`'s starting model on ``sample`` -- prior
+    ``pi``, the inside tables ``m`` and ``u`` from :func:`initial_u` --
+    and the sample's level index."""
+    index = _level_index(sample.z, levels)
+    model = ClassifierModel(pi=pi, m=m, u=_smoothed_frequencies(index, sample.d, levels))
+    return model, index
 
 
 def fit_membership(
@@ -443,10 +738,34 @@ def fit_membership(
         levels = tuple(
             int(max(sample.z[:, k].max(), big.z[:, k].max())) for k in range(width)
         )
-    model0 = ClassifierModel(
-        pi=pi, m=estimate_m(big, levels), u=initial_u(sample.z, sample.d, levels)
-    )
-    return em_fit(sample, model0)
+    return em_fit(sample, _start_model(sample, estimate_m(big, levels), pi, levels)[0])
+
+
+@dataclass(frozen=True, eq=False)
+class _CellTotals:
+    """A big source summed over its distinct z cells: each cell's levels
+    (one vector per column), member count and value total, both counted
+    with multiplicity, and the universe size ``N``."""
+
+    cells: list[np.ndarray]
+    count: np.ndarray
+    total: np.ndarray
+    N: int
+
+
+def _cell_totals(cells, inverse, multiplicity, values, N: int) -> _CellTotals:
+    """What :func:`pdi2_total` reads of a big source, summed per z cell.
+
+    ``cells`` and ``inverse`` are :func:`_cells` of the rows' level index;
+    ``multiplicity`` and ``values`` hold one entry per row.  A cell whose
+    rows all have multiplicity 0 is left out, so study two passes its
+    whole population with the drawn membership as the multiplicity, and
+    no replicate's big source is built.
+    """
+    count = np.bincount(inverse, weights=multiplicity)
+    total = np.bincount(inverse, weights=multiplicity * values)
+    held = np.flatnonzero(count)
+    return _CellTotals([c[held] for c in cells], count[held], total[held], N)
 
 
 def pdi2_total(
@@ -464,27 +783,40 @@ def pdi2_total(
     returned for ``sample``.  Each big row that :func:`classify` labels a
     member contributes ``multiplicity * (1, y) / p`` at its posterior
     ``p``; rows labelled outside contribute nothing, and the division by
-    the posterior compensates on average.
+    the posterior compensates on average.  The posterior is a function of
+    the z cell, so the totals are taken over the big source's cells.
 
     Valid when membership is ignorable given the matching variables.  The
     variance is :func:`pdi_total`'s plug-in one: it leaves out the error
     of the fitted classifier, and is far too small.  Over the 1,000
     default-seed replicates of study two its relative bias is about -0.7.
     """
-    if sample.y is None:
-        raise ValueError("sample must carry y values")
     if big.z is None:
         raise ValueError("big sample must carry z rows")
+    if big.values is None:
+        raise ValueError("the big source was read without its value column ('y' or 'y_star')")
+    cells, inverse = _cells(_level_index(big.z, model.levels), model.levels)
+    totals = _cell_totals(cells, inverse, big.multiplicity, big.values, big.N)
+    return _pdi2_from_cells(sample, totals, model, posteriors)
+
+
+def _pdi2_from_cells(
+    sample: ProbabilitySample, big: _CellTotals, model: ClassifierModel,
+    posteriors: PosteriorSet,
+) -> EstimateReport:
+    """:func:`pdi2_total` on the big source's :func:`_cell_totals`."""
+    if sample.y is None:
+        raise ValueError("sample must carry y values")
     labels = posteriors.delta_hat
     if len(labels) != sample.n:
         raise ValueError(
             f"posteriors holds {len(labels)} labels, the sample {sample.n} units"
         )
-    p = posterior(model, big.z)
+    p = _posterior(model, big.cells)
     keep = np.flatnonzero(classify(p))
-    inv = big.multiplicity[keep] / p[keep]
+    p = p[keep]
     totals = BigDataTotals(
-        T_b=float(np.dot(inv, big.values[keep])), N_b=float(inv.sum()), N=big.N
+        T_b=float(_sum(big.total[keep] / p)), N_b=float(_sum(big.count[keep] / p)), N=big.N
     )
     report = pdi_total(sample, labels, sample.y, totals)
     return replace(

@@ -276,7 +276,7 @@ def _read_inputs(args, values=True, z=True):
             args.big_data, N=sample.N, values=values, z=z
         )
     except ValueError as exc:
-        if args.pop_n is None and str(exc).startswith("unit_ids"):
+        if args.pop_n is None and ": unit_ids must lie in 1.." in str(exc):
             exc.args = (f"{exc} (N is the rounded weight sum; pass --pop-n)",)
         raise
 

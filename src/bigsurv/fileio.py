@@ -20,6 +20,7 @@ rows, and every such error names the file and the column.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import warnings
@@ -240,17 +241,6 @@ class _Table:
             )
         raise ValueError(f"{self.path}: column {name!r}: {error}") from error
 
-    def ids(self) -> np.ndarray:
-        """The ``id`` column, each unit at most once."""
-        ids = self.column("id")
-        if (ids[1:] > ids[:-1]).all():
-            return ids  # strictly increasing, as the package writes them
-        ordered = np.sort(ids)
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-        if repeated.size:
-            raise ValueError(f"{self.path}: column 'id' repeats unit {repeated[0]}")
-        return ids
-
     def z(self) -> np.ndarray | None:
         """The ``z1..zK`` columns stacked in numeric order, read-only, or
         ``None`` (also for a table read with ``z=False``)."""
@@ -259,6 +249,17 @@ class _Table:
         z = np.column_stack([self.column(name) for name in self._z_names])
         z.setflags(write=False)
         return z
+
+
+@contextlib.contextmanager
+def _named(path):
+    """Prefix ``{path}: `` to a ``ValueError`` raised inside, so that a data
+    class's error about a column says which file holds it."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _z_columns(z) -> dict:
@@ -283,7 +284,7 @@ def read_sample_csv(path, N: int | None = None) -> ProbabilitySample:
     rounded sum of the design weights; every id must lie in ``1..N``.
     """
     table = _Table(path)
-    ids = table.ids()
+    ids = table.column("id")
     d = table.column("d")
     pi = table.column("pi")
     n = ids.size
@@ -291,18 +292,21 @@ def read_sample_csv(path, N: int | None = None) -> ProbabilitySample:
         N = int(round(float(d.sum())))
     # N below n is no design at all; ProbabilitySample names the fault
     srs = N >= n and _equal_pi(pi, N)
-    return ProbabilitySample(
-        unit_ids=ids,
-        d=d,
-        pi=pi,
-        joint_pi=SRSJointInclusion(n=n, N=N) if srs else None,
-        N=N,
-        design="srs" if srs else "generic",
-        y=table.column("y", optional=True),
-        y_star=table.column("y_star", optional=True),
-        delta=table.column("delta", optional=True),
-        z=table.z(),
-    )
+    columns = {
+        name: table.column(name, optional=True) for name in ("y", "y_star", "delta")
+    }
+    z = table.z()
+    with _named(path):
+        return ProbabilitySample(
+            unit_ids=ids,
+            d=d,
+            pi=pi,
+            joint_pi=SRSJointInclusion(n=n, N=N) if srs else None,
+            N=N,
+            design="srs" if srs else "generic",
+            z=z,
+            **columns,
+        )
 
 
 def write_big_data_csv(path, big: BigSample) -> None:
@@ -326,7 +330,7 @@ def read_big_data_csv(path, N: int, *, values: bool = True, z: bool = True) -> B
     drawn from, which the file itself cannot know.
     """
     table = _Table(path, skip=() if values else ("y", "y_star"), z=z)
-    ids = table.ids()
+    ids = table.column("id")
     value_col = None
     if values:
         value_col = table.column("y", optional=True)
@@ -335,13 +339,15 @@ def read_big_data_csv(path, N: int, *, values: bool = True, z: bool = True) -> B
         if value_col is None:
             raise ValueError(f"{path}: needs a non-empty 'y' or 'y_star' column")
     multiplicity = table.column("multiplicity", optional=True)
-    return BigSample(
-        unit_ids=ids,
-        values=value_col,
-        multiplicity=np.ones(ids.size, np.int64) if multiplicity is None else multiplicity,
-        N=N,
-        z=table.z(),
-    )
+    z = table.z()
+    with _named(path):
+        return BigSample(
+            unit_ids=ids,
+            values=value_col,
+            multiplicity=np.ones(ids.size, np.int64) if multiplicity is None else multiplicity,
+            N=N,
+            z=z,
+        )
 
 
 def write_labels_csv(path, unit_ids, p_hat, delta_hat) -> None:

@@ -105,21 +105,28 @@ def _per_unit(a, n: int, name: str, unit: str = "sampled unit", dtype=np.float64
     return a
 
 
-def _set_columns(obj, n: int, unit: str, columns) -> None:
+def _set_columns(obj, n: int, unit: str, columns, required=()) -> None:
     """Freeze each ``(name, dtype)`` column of ``obj`` that is not ``None``.
 
-    Each column passes :func:`_per_unit`, an integer column must hold
-    whole numbers (:func:`_whole`), and a count (``delta``,
-    ``multiplicity``) must not fall below its least value.  Every fault is
-    a ``ValueError`` naming the column.
+    A column named in ``required`` may not be ``None``.  Each column
+    passes :func:`_per_unit`, an integer column must hold whole numbers
+    (:func:`_whole`), and a count (``delta``, ``multiplicity``) must not
+    fall below its least value.  Every fault is a ``ValueError`` naming
+    the column, or every required column that is ``None``.  A read-only
+    array of the column's dtype is kept as it is.
     """
+    missing = [name for name in required if getattr(obj, name) is None]
+    if missing:
+        raise ValueError(f"{', '.join(missing)} must be given, not None")
     for name, dtype in columns:
         col = getattr(obj, name)
         if col is None:
             continue
-        if dtype is np.int64:
-            col = _whole(col, name)
-        col = _per_unit(_frozen(col, dtype), n, name, unit, dtype)
+        if not (type(col) is np.ndarray and col.dtype == dtype and not col.flags.writeable):
+            if dtype is np.int64:
+                col = _whole(col, name)
+            col = _frozen(col, dtype)
+        col = _per_unit(col, n, name, unit, dtype)
         least = _LEAST.get(name)
         if least is not None and col.size and _min(col) < least:
             raise ValueError(f"{name} entries must be at least {least}; found {_min(col)}")
@@ -127,9 +134,24 @@ def _set_columns(obj, n: int, unit: str, columns) -> None:
 
 
 def _check_ids(ids: np.ndarray, N: int) -> None:
-    """Raise ``ValueError`` naming ``unit_ids`` unless every id lies in 1..N."""
-    if ids.size and (_min(ids) < 1 or _max(ids) > N):
+    """Raise ``ValueError`` naming ``unit_ids`` unless the ids lie in 1..N
+    and no unit appears twice.
+
+    Increasing ids, as :func:`draw_srs` and
+    :meth:`FinitePopulation.big_sample` give them, pass on one comparison
+    of neighbours: they are distinct, and their ends bound the range.
+    """
+    if not ids.size:
+        return
+    increasing = bool(np.logical_and.reduce(ids[1:] > ids[:-1]))
+    low, high = (ids[0], ids[-1]) if increasing else (_min(ids), _max(ids))
+    if low < 1 or high > N:
         raise ValueError(f"unit_ids must lie in 1..{N}; found {ids[(ids < 1) | (ids > N)][0]}")
+    if not increasing:
+        ordered = np.sort(ids)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ValueError(f"unit_ids repeats unit {repeated[0]}")
 
 
 def _equal_pi(pi: np.ndarray, N: int) -> bool:
@@ -184,7 +206,7 @@ class FinitePopulation:
         _set_columns(self, n, "unit", (
             ("y", np.float64), ("y_star", np.float64), ("z", np.int64),
             ("delta", np.int64), ("stratum", np.int64),
-        ))
+        ), required=("y",))
         if self.delta is None:
             object.__setattr__(self, "delta", _read_only(np.zeros(n, np.int64)))
 
@@ -252,7 +274,7 @@ class BigSample:
         _set_columns(self, n, "big-source unit", (
             ("unit_ids", np.int64), ("values", np.float64),
             ("multiplicity", np.int64), ("z", np.int64),
-        ))
+        ), required=("unit_ids", "multiplicity"))
         _check_ids(self.unit_ids, self.N)
 
     def __len__(self) -> int:
@@ -327,7 +349,7 @@ class ProbabilitySample:
             ("unit_ids", np.int64), ("d", np.float64), ("pi", np.float64),
             ("y", np.float64), ("y_star", np.float64), ("delta", np.int64),
             ("z", np.int64),
-        ))
+        ), required=("unit_ids", "d", "pi"))
         # three reductions pass valid weights, NaN failing each; the checks
         # below name the fault
         if not (
@@ -446,6 +468,12 @@ def generate_population_sim2(N: int, N_B: int, seed) -> FinitePopulation:
 # designs
 # ---------------------------------------------------------------------------
 
+def _srs_weights(n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only design weights ``N/n`` and inclusion probabilities
+    ``n/N`` of a simple random sample of ``n`` from ``N``."""
+    return _read_only(np.full(n, N / n)), _read_only(np.full(n, n / N))
+
+
 def draw_srs(pop: FinitePopulation, n: int, seed) -> ProbabilitySample:
     """Draw a simple random sample (without replacement) of size ``n``.
 
@@ -458,10 +486,11 @@ def draw_srs(pop: FinitePopulation, n: int, seed) -> ProbabilitySample:
         raise ValueError(f"sample size {n} outside 1..{N}")
     rng = substream(seed)
     idx = np.sort(rng.choice(N, size=n, replace=False))
+    d, pi = _srs_weights(n, N)
     return ProbabilitySample(
         unit_ids=_read_only(idx + 1),
-        d=_read_only(np.full(n, N / n)),
-        pi=_read_only(np.full(n, n / N)),
+        d=d,
+        pi=pi,
         joint_pi=SRSJointInclusion(n=n, N=N),
         N=N,
         design="srs",

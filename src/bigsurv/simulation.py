@@ -17,8 +17,8 @@ of evaluation order and safe to compute concurrently.
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -31,8 +31,10 @@ from .linalg import SingularControlsError
 from .measurement import MeasurementFitError, two_step_regdi
 from .population import (
     FinitePopulation,
+    ProbabilitySample,
     _read_only,
     _select_strata,
+    _srs_weights,
     _stratum_pools,
     big_data_inclusion_probabilities,
     draw_srs,
@@ -164,35 +166,48 @@ def summarize(estimates, truth: float) -> tuple[float, float, float]:
     return bias, se, math.sqrt(bias * bias + se * se)
 
 
-def _with_attempts(attempt_fn, rep: int):
-    failures, last = 0, None
-    for attempt in range(MAX_ATTEMPTS):
-        try:
-            return attempt_fn(rep, attempt), failures
-        except RETRYABLE as exc:
-            failures, last = failures + 1, exc
+def _next_attempt(rep: int, attempt: int, exc: Exception) -> int:
+    """The attempt after ``attempt`` of replicate ``rep``, which failed with
+    the retryable ``exc``; after ``MAX_ATTEMPTS`` the study gives up."""
+    if attempt + 1 < MAX_ATTEMPTS:
+        return attempt + 1
     raise RuntimeError(
         f"replicate {rep} failed {MAX_ATTEMPTS} times in a row; "
-        f"last error: {type(last).__name__}: {last}"
-    ) from last
+        f"last error: {type(exc).__name__}: {exc}"
+    ) from exc
 
 
-def _run_study(config: SimConfig, attempt, names, scenario: str):
-    """Run every replicate of ``attempt(rep, att) -> record`` and summarise.
+def _with_attempts(attempt_fn, rep: int):
+    """``attempt_fn(rep, attempt)`` from attempt 0 until one does not fail
+    with a retryable error; returns its result and the failed count."""
+    attempt = 0
+    while True:
+        try:
+            return attempt_fn(rep, attempt), attempt
+        except RETRYABLE as exc:
+            attempt = _next_attempt(rep, attempt, exc)
 
-    Each record holds an estimate under every name in ``names`` and the
-    replicate's ``truth``; a record that also holds ``vhat_<name>``, the
-    estimate's variance on the same scale, gives that estimator's row a
-    ``var_rel_bias``.  Returns the records and the summary.
+
+def _run_study(config: SimConfig, run, names, scenario: str):
+    """Run every replicate and summarise.
+
+    ``run(reps)`` returns ``(record, failures)`` for each replicate number
+    in ``reps``, in order; with several workers, worker thread j runs
+    every workers-th replicate from j.  Each record holds an estimate
+    under every name in ``names`` and the replicate's ``truth``; a record
+    that also holds ``vhat_<name>``, the estimate's variance on the same
+    scale, gives that estimator's row a ``var_rel_bias``.  Returns the
+    records and the summary.
     """
-
-    one_replicate = functools.partial(_with_attempts, attempt)
-    reps = range(config.replicates)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(one_replicate, reps))
+    count, workers = config.replicates, config.workers
+    if workers > 1:
+        results = [None] * count
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shares = [range(j, count, workers) for j in range(workers)]
+            for j, part in enumerate(pool.map(run, shares)):
+                results[j::workers] = part
     else:
-        results = [one_replicate(r) for r in reps]
+        results = run(range(count))
     records = [r for r, _ in results]
     truths = np.array([rec["truth"] for rec in records])
     rows = []
@@ -322,7 +337,10 @@ def run_sim1(config: SimConfig) -> MonteCarloSummary:
     def attempt(rep, att):
         return _sim1_replicate(frame, config, rep, att)
 
-    _, summary = _run_study(config, attempt, SIM1_ESTIMATORS, str(config.scenario))
+    def run(reps):
+        return [_with_attempts(attempt, rep) for rep in reps]
+
+    _, summary = _run_study(config, run, SIM1_ESTIMATORS, str(config.scenario))
     return summary
 
 
@@ -330,39 +348,133 @@ def run_sim1(config: SimConfig) -> MonteCarloSummary:
 # study two
 # ---------------------------------------------------------------------------
 
-def _sim2_replicate(pop, probs, levels, config: SimConfig, rep: int, attempt: int):
+# replicates a study-two run keeps in flight, split evenly among the EM
+# stacks of its worker threads: enough to spread the stacked map's
+# per-call cost over many fits, few enough that the design samples held
+# meanwhile stay small
+_SIM2_ROWS = 12
+
+
+@dataclass(frozen=True)
+class _Sim2Frame:
+    """Study-two state that depends only on the population: its membership
+    rates ``probs``, the z domain sizes ``levels``, its distinct z
+    ``cells`` and each unit's cell (``inverse``), the truth and the design
+    sample's ``(d, pi)``."""
+
+    pop: FinitePopulation
+    probs: np.ndarray
+    levels: tuple[int, ...]
+    cells: list
+    inverse: np.ndarray
+    truth: float
+    weights: tuple[np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class _Sim2Draw:
+    """One attempt of a study-two replicate while its fit is in the stack:
+    the design sample, the big source's totals per z cell for
+    ``pdi2_total`` and its plain totals, and the record's fields that need
+    no fit."""
+
+    rep: int
+    attempt: int
+    sample: ProbabilitySample
+    cells: classifier._CellTotals
+    totals: BigDataTotals
+    record: dict
+
+
+def _sim2_draw(frame: _Sim2Frame, config: SimConfig, rep: int, attempt: int):
+    """Draw attempt ``attempt`` of replicate ``rep``: its EM row, keyed by
+    the :class:`_Sim2Draw` that finishes it.
+
+    The big source is the population with the drawn membership as its
+    multiplicity: its totals are summed over the population's z cells,
+    and it is never built.
+    """
+    pop = frame.pop
     seed = (config.master_seed, rep, attempt)
     rng_b = substream(seed, 1)
-    delta = (rng_b.random(pop.N) < probs).astype(np.int64)
+    member = rng_b.random(pop.N) < frame.probs
+    delta = member.astype(np.int64)
     N_b = int(delta.sum())
     if N_b == 0 or N_b == pop.N:
         raise DegenerateStratumError("membership draw covered none or all units")
-    # one population per replicate: the big source and the design sample
-    # (with its delta) are both drawn from it
-    pop_r = pop.with_delta(_read_only(delta))
-    big = pop_r.big_sample()
-    sample = draw_srs(pop_r, config.n_a, substream(seed, 0))
-    # no summary reads a study-two variance, so dropping joint_pi spares
+    sample = draw_srs(pop.with_delta(_read_only(delta)), config.n_a, substream(seed, 0))
+    cells = classifier._cell_totals(frame.cells, frame.inverse, delta, pop.y, pop.N)
+    # m, the level frequencies of the big source's rows, from its cells
+    m = classifier._frequencies(cells.cells, frame.levels, cells.count)
+    model, sample_index = classifier._start_model(sample, m, N_b / pop.N, frame.levels)
+    values = pop.y[member]
+    # while the fit is in the stack the replicate keeps neither z nor
+    # delta, and shares the design weights every replicate has.  No
+    # summary reads a study-two variance, so dropping joint_pi spares
     # pdi_total and pdi2_total three O(n) variances per replicate; a
-    # var_rel_bias for proposed_di (ROADMAP item 2) would restore it
-    sample = replace(sample, joint_pi=None)
-    fitted, post = classifier.fit_membership(sample, big, N_b / pop.N, levels)
+    # var_rel_bias for proposed_di (ROADMAP item 1) would restore it
+    d, pi = frame.weights
+    kept = replace(sample, d=d, pi=pi, joint_pi=None, z=None, delta=None)
+    totals = BigDataTotals(T_b=float(values.sum()), N_b=N_b, N=pop.N)
+    draw = _Sim2Draw(
+        rep=rep,
+        attempt=attempt,
+        sample=kept,
+        cells=cells,
+        totals=totals,
+        record={
+            "mean_a": float(kept.y.mean()),
+            "mean_b": float(values.mean()),
+            "original_di": pdi_total(kept, sample.delta, kept.y, totals).mean,
+            "truth": frame.truth,
+        },
+    )
+    return classifier._em_row(kept, model, key=draw, index=sample_index)
 
-    big_totals = BigDataTotals(T_b=float(big.values.sum()), N_b=N_b, N=pop.N)
-    naive = pdi_total(sample, post.delta_hat, sample.y, big_totals)
-    original = pdi_total(sample, sample.delta, sample.y, big_totals)
-    proposed = classifier.pdi2_total(sample, big, fitted, post)
 
+def _sim2_record(draw: _Sim2Draw, fitted, post) -> dict:
+    """The record of a replicate whose fit left the stack."""
+    sample = draw.sample
+    naive = pdi_total(sample, post.delta_hat, sample.y, draw.totals)
+    proposed = classifier._pdi2_from_cells(sample, draw.cells, fitted, post)
     return {
-        "mean_a": float(sample.y.mean()),
-        "mean_b": float(big.values.mean()),
+        **draw.record,
         "naive_di": naive.mean,
         "proposed_di": proposed.mean,
-        "original_di": original.mean,
-        "truth": float(pop.y.mean()),
         "em_iterations": post.iterations,
         "converged": post.converged,
     }
+
+
+def _sim2_stack(frame: _Sim2Frame, config: SimConfig, reps) -> list:
+    """``(record, failures)`` of each replicate in ``reps``, their fits run
+    as rows of one stack, ``_SIM2_ROWS`` wide over the run's workers.
+
+    A row is drawn whenever a slot is free, and a replicate is finished as
+    its row leaves.  An attempt that fails with a retryable error, when
+    drawn, fitted or finished, is redrawn with the next attempt stream.
+    """
+    waiting = deque((rep, 0) for rep in reps)  # (replicate, attempt) to draw
+    done = {}
+
+    def next_row():
+        while waiting:
+            rep, attempt = waiting.popleft()
+            try:
+                return _sim2_draw(frame, config, rep, attempt)
+            except RETRYABLE as exc:
+                waiting.appendleft((rep, _next_attempt(rep, attempt, exc)))
+        return None
+
+    width = max(1, _SIM2_ROWS // config.workers)
+    for draw, outcome in classifier._em_stack(next_row, width):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            done[draw.rep] = (_sim2_record(draw, *outcome), draw.attempt)
+        except RETRYABLE as exc:
+            waiting.appendleft((draw.rep, _next_attempt(draw.rep, draw.attempt, exc)))
+    return [done[rep] for rep in reps]
 
 
 def run_sim2(config: SimConfig) -> MonteCarloSummary:
@@ -373,15 +485,22 @@ def run_sim2(config: SimConfig) -> MonteCarloSummary:
     pop = generate_population_sim2(
         config.pop_n, config.big_n, substream(config.master_seed, 9)
     )
-    probs = big_data_inclusion_probabilities(pop.z[:, 0], config.big_n)
     levels = tuple(int(pop.z[:, k].max()) for k in range(pop.z.shape[1]))
-
-    def attempt(rep, att):
-        return _sim2_replicate(pop, probs, levels, config, rep, att)
-
-    records, summary = _run_study(
-        config, attempt, SIM2_ESTIMATORS, f"n_a={config.n_a}"
+    cells, inverse = classifier._cells(classifier._level_index(pop.z, levels), levels)
+    frame = _Sim2Frame(
+        pop=pop,
+        probs=big_data_inclusion_probabilities(pop.z[:, 0], config.big_n),
+        levels=levels,
+        cells=cells,
+        inverse=inverse,
+        truth=float(pop.y.mean()),
+        weights=_srs_weights(config.n_a, pop.N),
     )
+
+    def run(reps):
+        return _sim2_stack(frame, config, reps)
+
+    records, summary = _run_study(config, run, SIM2_ESTIMATORS, f"n_a={config.n_a}")
     iterations = np.sort([rec["em_iterations"] for rec in records])
     return replace(
         summary,

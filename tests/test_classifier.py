@@ -13,6 +13,7 @@ from bigsurv import (
     BigSample,
     ClassifierModel,
     DegenerateFitError,
+    FinitePopulation,
     PosteriorSet,
     ProbabilitySample,
     SRSJointInclusion,
@@ -24,7 +25,18 @@ from bigsurv import (
     pdi2_total,
     posterior,
 )
-from bigsurv.classifier import ASCENT_SLACK, _em_map, _rank, _squarem_point
+from bigsurv.classifier import (
+    ASCENT_SLACK,
+    _EmMap,
+    _cell_totals,
+    _cells,
+    _em_row,
+    _em_stack,
+    _frequencies,
+    _level_index,
+    _rank,
+    _squarem_points,
+)
 
 
 def make_sample(z, d=None, y=None, N=None):
@@ -136,12 +148,30 @@ def row_sort_em(sample, model, tol=1e-8, max_iter=1000):
     return u, p_cells[inverse], trace, converged
 
 
+def stacked_map(sample, model):
+    """The stacked EM map with ``sample``'s row alone in its one slot:
+    ``(step, inverse, offsets)``, where ``step(u) -> (F(u), p_cells,
+    loglik)`` raises the slot's fault, ``inverse`` maps each unit to its
+    cell and column k's table sits at ``offsets[k]:offsets[k+1]``."""
+    row = _em_row(sample, model)
+    emap = _EmMap(model.levels, 1)
+    emap.put(0, row)
+
+    def step(u):
+        fx, p, ll, faults, _ = emap.step([u])
+        if faults[0] is not None:
+            raise faults[0]
+        return fx[0], p[0].copy(), ll[0]
+
+    return step, row.inverse, emap.offsets
+
+
 def assert_map_steps_match_row_sort(sample, model, steps):
-    """Iterate the private EM map ``steps`` times from ``model.u`` and check
+    """Iterate the stacked EM map ``steps`` times from ``model.u`` and check
     each step against one iteration of ``row_sort_em`` from the same
     tables, to the last bit: the log-likelihood and posteriors at ``u``
     and the next tables ``F(u)``."""
-    step, inverse, offsets = _em_map(sample, model)
+    step, inverse, offsets = stacked_map(sample, model)
     u = np.concatenate(model.u)
     want = row_sort_em(sample, model, tol=0.0, max_iter=0)
     for _ in range(steps + 1):
@@ -169,6 +199,28 @@ class TestModelValidation:
         tables[side] = (np.array([bad, 1.0]),)
         with pytest.raises(ValueError, match=rf"^{side}\[0\] entries must be finite$"):
             ClassifierModel(pi=0.5, **tables)
+
+    @pytest.mark.parametrize(
+        "m, u, message",
+        [
+            ((np.array([0.5, 0.5]), np.array([1.0])), (np.array([0.5, 0.5]), np.array([0.6])),
+             r"^u\[1\] must sum to one$"),
+            ((np.array([0.5, 0.5]), np.array([1.2, -0.2])),
+             (np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+             r"^m\[1\] entries must lie in \[0, 1\]$"),
+            ((np.array([0.5, 0.5]),), (np.array([0.5, 0.5]), np.array([1.0])),
+             "^m and u must have matching shapes$"),
+            ((np.array([0.5, 0.5]),), (np.array([1 / 3] * 3),),
+             "^m and u must have matching shapes$"),
+            ((np.array([]),), (np.array([1.0]),), r"^m\[0\] must be a non-empty vector$"),
+            ((np.array([1.0]),), (np.ones((1, 1)),), r"^u\[0\] must be a non-empty vector$"),
+        ],
+    )
+    def test_each_table_fault_names_the_table(self, m, u, message):
+        """All tables are checked in one pass, and the first table at
+        fault is named."""
+        with pytest.raises(ValueError, match=message):
+            ClassifierModel(pi=0.5, m=m, u=u)
 
     def test_pi_must_be_probability(self):
         with pytest.raises(ValueError):
@@ -468,9 +520,9 @@ class TestEMFit:
         code = np.array([c % radix for c in codes])
         distinct, want = np.unique(code, return_inverse=True)
         for limit in (radix, 4 * code.size + 1):
-            ranks, count = _rank(code, limit)
+            ranks, values = _rank(code, limit)
             assert ranks.tolist() == want.tolist()
-            assert count == distinct.size
+            assert values.tolist() == distinct.tolist()
 
     def test_bit_identical_on_64_binary_columns(self):
         """2^64 cells overflow an int64 code; the partial code is
@@ -531,7 +583,7 @@ class TestSquaremFallback:
     the second plain step ``u2 = F(F(u0))`` in its place."""
 
     def plain_steps(self, sample, model):
-        step, inverse, _ = _em_map(sample, model)
+        step, inverse, _ = stacked_map(sample, model)
         u0 = np.concatenate(model.u)
         u1, _, ll0 = step(u0)
         u2, _, _ = step(u1)
@@ -558,7 +610,8 @@ class TestSquaremFallback:
         )
         plain = self.plain_steps(sample, model)
         u0, u1, u2 = plain[:3]
-        assert _squarem_point(u0, u1, u2, np.zeros(2, np.int64)) is None
+        _, usable = _squarem_points(u0[None], u1[None], u2[None], np.zeros(2, np.int64))
+        assert usable == [False]
         self.assert_took_u2(sample, model, 2, plain)
 
     def test_lower_loglik_point(self):
@@ -573,11 +626,102 @@ class TestSquaremFallback:
         )
         plain = self.plain_steps(sample, model)
         u0, u1, u2 = plain[:3]
-        x = _squarem_point(u0, u1, u2, np.zeros(2, np.int64))
-        assert x is not None
-        _, _, ll_x = _em_map(sample, model)[0](x)
+        x, usable = _squarem_points(u0[None], u1[None], u2[None], np.zeros(2, np.int64))
+        assert usable == [True]
+        _, _, ll_x = stacked_map(sample, model)[0](x[0])
         assert ll_x < plain[3][0]
         self.assert_took_u2(sample, model, 3, plain)
+
+
+@st.composite
+def em_stacks(draw):
+    """Two to six EM problems on shared levels, each with its own sample,
+    and so its own cells, its own tables and its own prior.  Sometimes one
+    row is degenerate: its first unit's first-column level has frequency
+    zero in both ``m`` and ``u``, so its posterior is undefined."""
+    levels = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+
+    def tables():
+        out = []
+        for D in levels:
+            t = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=D, max_size=D)))
+            out.append(t / t.sum())
+        return out
+
+    rows = []
+    for _ in range(draw(st.integers(2, 6))):
+        n = draw(st.integers(2, 40))
+        z = np.column_stack(
+            [draw(st.lists(st.integers(1, D), min_size=n, max_size=n)) for D in levels]
+        )
+        d = np.array(draw(st.lists(st.floats(1.0, 50.0), min_size=n, max_size=n)))
+        model = ClassifierModel(pi=draw(st.floats(0.05, 0.95)), m=tables(), u=tables())
+        rows.append((make_sample(z, d=d), model))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(rows) - 1))
+        sample, model = rows[j]
+        level = int(sample.z[0, 0]) - 1
+
+        def without_level(tables):
+            t = tables[0].copy()
+            t[level] = 0.0
+            return (t / t.sum(), *tables[1:])
+
+        rows[j] = (sample, replace(model, m=without_level(model.m), u=without_level(model.u)))
+    return rows
+
+
+class TestStackedFit:
+    """The stacked fit that study two runs: every row's fit is the fit
+    ``em_fit`` makes of it alone, whatever else shares the stack."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=em_stacks(),
+        width=st.integers(1, 6),
+        max_iter=st.sampled_from([0, 1, 3, 12, 1000]),
+    )
+    def test_every_row_is_its_one_row_fit(self, rows, width, max_iter):
+        """Rows with their own cells, a degenerate row beside healthy
+        ones, rows stopped at ``max_iter`` and rows that wait for a free
+        slot all give ``em_fit``'s tables, posteriors, log-likelihood
+        trace, evaluation count and convergence flag to the last bit, or
+        its error."""
+        waiting = [_em_row(sample, model, key=j) for j, (sample, model) in enumerate(rows)]
+        waiting.reverse()
+        stacked = dict(
+            _em_stack(lambda: waiting.pop() if waiting else None, width, max_iter=max_iter)
+        )
+        assert sorted(stacked) == list(range(len(rows)))
+        for j, (sample, model) in enumerate(rows):
+            got = stacked[j]
+            try:
+                fitted, post = em_fit(sample, model, max_iter=max_iter)
+            except (DegenerateFitError, AscentViolationError) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            got_fitted, got_post = got
+            assert np.concatenate(got_fitted.u).tobytes() == np.concatenate(fitted.u).tobytes()
+            assert got_post.p_hat.tobytes() == post.p_hat.tobytes()
+            assert (
+                np.array(got_post.loglik_trace).tobytes()
+                == np.array(post.loglik_trace).tobytes()
+            )
+            assert got_post.iterations == post.iterations
+            assert got_post.converged is post.converged
+
+    def test_rows_need_the_stacks_levels(self):
+        sample = make_sample([[1, 1], [2, 1]])
+        model = ClassifierModel(
+            pi=0.5, m=(np.array([0.5, 0.5]),) * 2, u=(np.array([0.5, 0.5]),) * 2
+        )
+        wide = ClassifierModel(
+            pi=0.5, m=(np.array([0.5, 0.5]), np.full(3, 1 / 3)),
+            u=(np.array([0.5, 0.5]), np.full(3, 1 / 3)),
+        )
+        waiting = [_em_row(sample, wide), _em_row(sample, model)]
+        with pytest.raises(ValueError, match=r"levels \(2, 3\) in a stack of \(2, 2\)"):
+            list(_em_stack(lambda: waiting.pop() if waiting else None, 2))
 
 
 class TestFitMembership:
@@ -762,3 +906,78 @@ class TestPDI2:
 
         with pytest.raises(DegenerateStratumError):
             pdi2_total(sample, big, model, labelled(model, sample))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cell_totals_equal_the_row_totals(self, data):
+        """The inverse-propensity totals summed per z cell equal the sums
+        over the big rows, ``multiplicity * (1, y) / p`` over the rows
+        labelled members, to 1e-12.  Wide domains (up to 60^3 cells for at
+        most 40 rows) take the sorted cells, narrow ones the table of
+        every cell."""
+        draw = data.draw
+        levels = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+        n = draw(st.integers(1, 40))
+        z = np.column_stack(
+            [draw(st.lists(st.integers(1, D), min_size=n, max_size=n)) for D in levels]
+        )
+        big = BigSample(
+            unit_ids=np.arange(1, n + 1),
+            values=np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))),
+            multiplicity=np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))),
+            N=10 * n * 3 + 10,
+            z=z,
+        )
+
+        def tables():
+            out = []
+            for D in levels:
+                t = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=D, max_size=D)))
+                out.append(t / t.sum())
+            return tuple(out)
+
+        model = ClassifierModel(pi=draw(st.floats(0.05, 0.95)), m=tables(), u=tables())
+        sample = make_sample(np.ones((2, len(levels)), np.int64), d=[5.0, 5.0],
+                            y=[1.0, 2.0], N=big.N)
+        outside = PosteriorSet(p_hat=np.zeros(2), delta_hat=np.zeros(2, np.int64))
+        # with both units outside at mean 0 the estimate is T_b, at mean 1
+        # it is T_b + N - N_b
+        zero, one = (
+            pdi2_total(replace(sample, y=np.full(2, v)), big, model, outside).total
+            for v in (0.0, 1.0)
+        )
+        p = posterior(model, big.z)
+        keep = p > 0.5
+        inv = big.multiplicity[keep] / p[keep]
+        assert zero == pytest.approx(float(np.dot(inv, big.values[keep])), rel=1e-12, abs=1e-12)
+        assert big.N - (one - zero) == pytest.approx(float(inv.sum()), rel=1e-12, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_population_cells_with_membership_equal_the_big_source(self, data):
+        """Summed over a population's cells with the membership as the
+        multiplicity, the cell totals, and the inside tables taken from
+        them, are bit for bit those of the big source the membership
+        selects, as study two takes them."""
+        draw = data.draw
+        levels = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+        N = draw(st.integers(2, 60))
+        z = np.column_stack(
+            [draw(st.lists(st.integers(1, D), min_size=N, max_size=N)) for D in levels]
+        )
+        y = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=N, max_size=N)))
+        delta = np.array(draw(st.lists(st.integers(0, 1), min_size=N, max_size=N)))
+        if not delta.any():
+            delta[0] = 1
+        big = FinitePopulation(y=y, z=z, delta=delta).big_sample()
+        cells, inverse = _cells(_level_index(z, levels), levels)
+        got = _cell_totals(cells, inverse, delta, y, N)
+        want = _cell_totals(*_cells(_level_index(big.z, levels), levels),
+                            big.multiplicity, big.values, N)
+        for name in ("count", "total"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for a, b in zip(got.cells, want.cells):
+            assert a.tobytes() == b.tobytes()
+        m = _frequencies(got.cells, levels, got.count)
+        for a, b in zip(m, estimate_m(big, levels)):
+            assert a.tobytes() == b.tobytes()

@@ -441,7 +441,7 @@ class TestEstimate:
             main(argv)
         message = str(excinfo.value.code)
         assert message == (
-            "estimate: unit_ids must lie in 1..20; found 0 "
+            f"estimate: {tmp_path / 'big.csv'}: unit_ids must lie in 1..20; found 0 "
             "(N is the rounded weight sum; pass --pop-n)"
         )
 
@@ -458,7 +458,7 @@ class TestEstimate:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert str(excinfo.value.code) == (
-            "estimate: unit_ids must lie in 1..93; found 97 "
+            f"estimate: {tmp_path / 'big.csv'}: unit_ids must lie in 1..93; found 97 "
             "(N is the rounded weight sum; pass --pop-n)"
         )
         assert main([*argv, "--pop-n", "100"]) == 0
@@ -477,7 +477,7 @@ class TestEstimate:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert str(excinfo.value.code) == (
-            "estimate: unit_ids must lie in 1..93; found 97 "
+            f"estimate: {tmp_path / 'sample.csv'}: unit_ids must lie in 1..93; found 97 "
             "(N is the rounded weight sum; pass --pop-n)"
         )
         assert main([*argv, "--pop-n", "100"]) == 0
@@ -492,7 +492,7 @@ class TestEstimate:
             main(["estimate", "--sample-a", str(tmp_path / "sample.csv"),
                   "--big-data", str(tmp_path / "big.csv"), "--method", "pdi"])
         assert str(excinfo.value.code) == (
-            "estimate: delta entries must be at least 0; found -1"
+            f"estimate: {tmp_path / 'sample.csv'}: delta entries must be at least 0; found -1"
         )
 
     @pytest.mark.parametrize("method", ["ht", "pdi", "ratio", "regdi", "two-step"])
@@ -550,7 +550,7 @@ class TestEstimate:
             main(["estimate", "--sample-a", str(sample_path), "--big-data",
                   str(continuous_files["big"]), "--method", "ht", *extra])
         text = str(excinfo.value.code)
-        assert text.startswith(f"estimate: {message}")
+        assert text.startswith(f"estimate: {sample_path}: {message}")
         assert "\n" not in text
 
     def test_missing_required_flag_exits_with_usage_error(self, continuous_files):
@@ -767,8 +767,8 @@ class TestSimulateCommands:
     def test_simulate2_prints_em_map_evaluations(self, capsys, monkeypatch):
         """Capped at one map evaluation, every fit's count is 1."""
         monkeypatch.setattr(
-            bigsurv.classifier, "em_fit",
-            functools.partial(bigsurv.classifier.em_fit, max_iter=1),
+            bigsurv.classifier, "_em_stack",
+            functools.partial(bigsurv.classifier._em_stack, max_iter=1),
         )
         code = main(["simulate2", "--n-a", "60", "--reps", "4", "--seed", "6",
                      "--pop-n", "400", "--big-n", "200"])
@@ -778,8 +778,8 @@ class TestSimulateCommands:
 
     def test_simulate2_prints_fits_stopped_at_max_iter(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            bigsurv.classifier, "em_fit",
-            functools.partial(bigsurv.classifier.em_fit, max_iter=1),
+            bigsurv.classifier, "_em_stack",
+            functools.partial(bigsurv.classifier._em_stack, max_iter=1),
         )
         code = main(["simulate2", "--n-a", "60", "--reps", "4", "--seed", "6",
                      "--pop-n", "400", "--big-n", "200"])

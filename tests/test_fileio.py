@@ -213,13 +213,37 @@ class TestBoundaryChecks:
     def test_duplicate_sample_ids_rejected(self, tmp_path):
         path = tmp_path / "sample.csv"
         path.write_text("id,d,pi,y\n4,5.0,0.2,1.0\n9,5.0,0.2,2.0\n4,5.0,0.2,3.0\n")
-        with pytest.raises(ValueError, match="column 'id' repeats unit 4"):
+        with pytest.raises(ValueError, match="sample.csv: unit_ids repeats unit 4$"):
             read_sample_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("id,d,pi,y,delta\n1,5.0,0.2,1.0,0\n2,5.0,0.2,2.0,-1\n",
+             "delta entries must be at least 0; found -1"),
+            ("id,d,pi,y\n1,5.0,0.25,1.0\n", "design weights must be reciprocal"),
+        ],
+    )
+    def test_sample_fault_names_the_file(self, tmp_path, text, fault):
+        """An error from the sample's own checks says which file holds the
+        column at fault, like the reader's own errors."""
+        path = tmp_path / "sample.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            read_sample_csv(path)
+        assert str(excinfo.value).startswith(f"{path}: {fault}")
+
+    def test_big_data_fault_names_the_file(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,y,multiplicity\n1,1.0,1\n2,2.0,0\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_big_data_csv(path, N=10)
+        assert str(excinfo.value) == f"{path}: multiplicity entries must be at least 1; found 0"
 
     def test_duplicate_big_data_ids_rejected(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("id,y,multiplicity\n7,1.0,1\n7,2.0,2\n")
-        with pytest.raises(ValueError, match="big.csv: column 'id' repeats unit 7"):
+        with pytest.raises(ValueError, match="big.csv: unit_ids repeats unit 7$"):
             read_big_data_csv(path, N=10)
 
     @pytest.mark.parametrize(

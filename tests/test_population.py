@@ -262,6 +262,48 @@ class TestProbabilitySampleValidation:
                 joint_pi=None, N=6,
             )
 
+    @pytest.mark.parametrize("ids, unit", [([1, 1], 1), ([5, 2, 5, 2], 2), ([3, 1, 3], 3)])
+    def test_repeated_unit_ids_rejected(self, ids, unit):
+        """A unit drawn twice is not a sample without replacement, and a
+        big-source unit listed twice is a multiplicity written wrong:
+        both name the first repeated unit."""
+        n = len(ids)
+        with pytest.raises(ValueError, match=rf"^unit_ids repeats unit {unit}$"):
+            ProbabilitySample(
+                unit_ids=np.array(ids), d=np.full(n, 2.0), pi=np.full(n, 0.5),
+                joint_pi=None, N=6,
+            )
+        with pytest.raises(ValueError, match=rf"^unit_ids repeats unit {unit}$"):
+            BigSample(unit_ids=np.array(ids), values=np.ones(n),
+                      multiplicity=np.ones(n, np.int64), N=6)
+
+    def test_range_fault_is_named_before_a_repeat(self):
+        with pytest.raises(ValueError, match=r"^unit_ids must lie in 1\.\.6; found 9$"):
+            BigSample(unit_ids=np.array([2, 2, 9]), values=np.ones(3),
+                      multiplicity=np.ones(3, np.int64), N=6)
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            (dict(d=None), "^d must be given, not None$"),
+            (dict(pi=None), "^pi must be given, not None$"),
+            (dict(d=None, pi=None), "^d, pi must be given, not None$"),
+            (dict(unit_ids=None), "^unit_ids must be given, not None$"),
+        ],
+    )
+    def test_required_sample_column_given_as_none_is_named(self, given, message):
+        columns = dict(unit_ids=np.array([1, 2]), d=np.full(2, 2.0), pi=np.full(2, 0.5))
+        with pytest.raises(ValueError, match=message):
+            ProbabilitySample(**{**columns, **given}, joint_pi=None, N=4)
+
+    def test_required_big_source_and_population_columns_given_as_none_are_named(self):
+        with pytest.raises(ValueError, match="^multiplicity must be given, not None$"):
+            BigSample(unit_ids=np.array([1, 2]), values=np.ones(2), multiplicity=None, N=4)
+        with pytest.raises(ValueError, match="^unit_ids, multiplicity must be given, not None$"):
+            BigSample(unit_ids=None, values=np.ones(2), multiplicity=None, N=4)
+        with pytest.raises(ValueError, match="^y must be given, not None$"):
+            FinitePopulation(y=None)
+
     @pytest.mark.parametrize("design", ["Srs", "poisson", ""])
     def test_unknown_design_tag_rejected(self, design):
         """``design`` is a label that no computation reads, but only the

@@ -190,6 +190,41 @@ class TestRetries:
             run_sim1(config)
         assert isinstance(excinfo.value.__cause__, SingularControlsError)
 
+    def test_study_two_redraws_attempts_that_fail_in_or_after_the_stack(self, monkeypatch):
+        """A fit that fails in the stack, and a replicate that fails as its
+        row leaves, are redrawn on their next attempt stream, and every
+        such failure is counted."""
+        fits, record = classifier._em_stack, simulation._sim2_record
+
+        def failing_fits(*args, **kwargs):
+            for draw, outcome in fits(*args, **kwargs):
+                if draw.attempt == 0 and draw.rep % 2 == 0:
+                    outcome = classifier.DegenerateFitError("stub")
+                yield draw, outcome
+
+        def failing_record(draw, *outcome):
+            if draw.attempt == 0 and draw.rep % 2 == 1:
+                raise DegenerateStratumError("stub")
+            return record(draw, *outcome)
+
+        monkeypatch.setattr(classifier, "_em_stack", failing_fits)
+        monkeypatch.setattr(simulation, "_sim2_record", failing_record)
+        config = small_sim2()
+        assert run_sim2(config).failures == config.replicates
+
+    def test_study_two_exhaustion_names_and_chains_the_last_error(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_ATTEMPTS", 3)
+
+        def failing_record(draw, *outcome):
+            raise DegenerateStratumError(f"attempt {draw.attempt} empty")
+
+        monkeypatch.setattr(simulation, "_sim2_record", failing_record)
+        with pytest.raises(RuntimeError, match=(
+            "failed 3 times in a row; last error: DegenerateStratumError: attempt 2 empty"
+        )) as excinfo:
+            run_sim2(small_sim2())
+        assert isinstance(excinfo.value.__cause__, DegenerateStratumError)
+
     def test_non_retryable_errors_propagate(self, monkeypatch):
         monkeypatch.setattr(simulation, "MAX_ATTEMPTS", 3)
 
@@ -376,14 +411,15 @@ class TestStudyTwoHarness:
         """The summary's median, 90th percentile (nearest rank) and
         maximum are those of the map evaluations each replicate's fit
         reports."""
-        seen, fit = [], classifier.em_fit
+        seen, fits = [], classifier._em_stack
 
         def recording(*args, **kwargs):
-            fitted, post = fit(*args, **kwargs)
-            seen.append(post.iterations)
-            return fitted, post
+            for key, outcome in fits(*args, **kwargs):
+                if not isinstance(outcome, Exception):
+                    seen.append(outcome[1].iterations)
+                yield key, outcome
 
-        monkeypatch.setattr(classifier, "em_fit", recording)
+        monkeypatch.setattr(classifier, "_em_stack", recording)
         summary = run_sim2(small_sim2())
         assert summary.failures == 0
         assert len(seen) == summary.replicates
@@ -396,7 +432,7 @@ class TestStudyTwoHarness:
         counts as many as the classifier logs, and its rows keep their
         columns."""
         monkeypatch.setattr(
-            classifier, "em_fit", functools.partial(classifier.em_fit, max_iter=1)
+            classifier, "_em_stack", functools.partial(classifier._em_stack, max_iter=1)
         )
         with caplog.at_level(logging.WARNING, logger="bigsurv.classifier"):
             summary = run_sim2(small_sim2())
@@ -411,6 +447,17 @@ class TestStudyTwoHarness:
         summary = run_sim2(small_sim2())
         pop = generate_population_sim2(400, 200, substream(202, 9))
         assert summary.truth == pytest.approx(float(pop.y.mean()))
+
+    def test_summary_does_not_depend_on_the_stack_width(self, monkeypatch):
+        """Each replicate's fit is a row of its own, and a redrawn attempt
+        keeps its stream, so the stack's width moves no digit; the small
+        universe makes some attempts fail and be redrawn."""
+        config = small_sim2(replicates=12, n_a=8, pop_n=100, big_n=60)
+        want = run_sim2(config)
+        assert want.failures > 0
+        for width in (1, 3):
+            monkeypatch.setattr(simulation, "_SIM2_ROWS", width)
+            assert run_sim2(config) == want
 
     def test_parallel_map_matches_serial(self):
         serial = run_sim2(small_sim2(workers=1))
@@ -451,8 +498,11 @@ class TestSummaryRows:
             return {"a": a[rep], "vhat_a": 4.0, "b": b[rep], "vhat_b": vhat_b[rep],
                     "c": c[rep], "truth": 0.0}
 
+        def run(reps):
+            return [(attempt(rep, 0), 0) for rep in reps]
+
         config = SimConfig(replicates=3)
-        _, summary = simulation._run_study(config, attempt, ("a", "b", "c"), "stub")
+        _, summary = simulation._run_study(config, run, ("a", "b", "c"), "stub")
         assert summary.row("a").var_rel_bias == pytest.approx(0.0)
         assert summary.row("b").var_rel_bias == pytest.approx(0.5)
         assert summary.row("c").var_rel_bias is None
