@@ -26,6 +26,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,28 +72,26 @@ def _frozen_tables(m, u) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]
     """
     tables = [np.asarray(t, float) for t in (*m, *u)]
     sizes = [t.size if t.ndim == 1 else 0 for t in tables]
-    if 0 in sizes:
-        k = sizes.index(0)
-        name = f"m[{k}]" if k < len(m) else f"u[{k - len(m)}]"
-        raise ValueError(f"{name} must be a non-empty vector")
-    if sizes[:len(m)] != sizes[len(m):]:
-        raise ValueError("m and u must have matching shapes")
     bounds = [0, *itertools.accumulate(sizes)]
-    flat = np.concatenate(tables)  # a copy of its own, frozen below
-    sums = np.add.reduceat(flat, bounds[:-1])
-    # a NaN fails the range test too, so finiteness is asked only then
+    flat = np.concatenate(tables, axis=None)  # a copy of its own, frozen below
+    # a NaN fails the range test; only a model that fails is checked table
+    # by table, in order, for the first fault
     if not (
-        _min(flat) >= -1e-12 and _max(flat) <= 1 + 1e-12
-        and _max(np.abs(sums - 1.0)) <= 1e-10
+        0 not in sizes and sizes[:len(m)] == sizes[len(m):]
+        and _min(flat) >= -1e-12 and _max(flat) <= 1 + 1e-12
+        and _max(np.abs(np.add.reduceat(flat, bounds[:-1]) - 1.0)) <= 1e-10
     ):
         for k, t in enumerate(tables):
             name = f"m[{k}]" if k < len(m) else f"u[{k - len(m)}]"
+            if not sizes[k]:
+                raise ValueError(f"{name} must be a non-empty vector")
             if not np.isfinite(t).all():
                 raise ValueError(f"{name} entries must be finite")
             if not (_min(t) >= -1e-12 and _max(t) <= 1 + 1e-12):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
-            if abs(sums[k] - 1.0) > 1e-10:
+            if abs(_sum(t) - 1.0) > 1e-10:
                 raise ValueError(f"{name} must sum to one")
+        raise ValueError("m and u must have matching shapes")
     flat.setflags(write=False)
     frozen = tuple(flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
     return frozen[:len(m)], frozen[len(m):]
@@ -238,9 +237,9 @@ def posterior(model: ClassifierModel, z) -> np.ndarray:
 _CODE_LIMIT = 2**62
 
 
-def _rank(code: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+def _rank(code: np.ndarray, radix: int) -> tuple[np.ndarray, int]:
     """Each entry's rank among the distinct values of ``code``, all in
-    ``0..radix-1``, and those values in increasing order.
+    ``0..radix-1``, and the number of distinct values.
 
     When ``radix`` is at most four times the length, the ranks come from a
     cumulative count over a table of every code, with no sort; otherwise
@@ -249,11 +248,10 @@ def _rank(code: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
     if radix <= 4 * code.size:
         seen = np.zeros(radix, np.intp)
         seen[code] = 1
-        distinct = np.flatnonzero(seen)
         np.cumsum(seen, out=seen)
-        return seen[code] - 1, distinct
+        return seen[code] - 1, int(seen[-1])
     distinct, inverse = np.unique(code, return_inverse=True)
-    return inverse, distinct
+    return inverse, distinct.size
 
 
 def _cells(index, levels) -> tuple[list[np.ndarray], np.ndarray]:
@@ -262,32 +260,23 @@ def _cells(index, levels) -> tuple[list[np.ndarray], np.ndarray]:
 
     Rows are coded as the mixed-radix integer
     ``(l1·D2 + l2)·D3 + ...`` of their zero-based levels, which orders like
-    the rows, so ranking the codes replaces a row sort, and each cell's
-    levels are the digits of its code.  When the radix product would pass
-    ``_CODE_LIMIT`` the partial code is replaced by its rank, which keeps
-    the order and stays below ``n``; the levels then come from the rows.
-    Returns one vector per column holding each cell's level, and the cell
-    of each row.
+    the rows, so ranking the codes replaces a row sort.  When the radix
+    product would pass ``_CODE_LIMIT`` the partial code is replaced by its
+    rank, which keeps the order and stays below ``n``.  Returns one vector
+    per column holding each cell's level, and the cell of each row.
     """
     code = index[0]
     radix = levels[0]
-    digits = True
     for k in range(1, len(levels)):
         D = levels[k]
         if radix * D > _CODE_LIMIT:
-            code, distinct = _rank(code, radix)
-            radix, digits = distinct.size, False
+            code, radix = _rank(code, radix)
         code = code * D + index[k]
         radix *= D
-    inverse, distinct = _rank(code, radix)
+    inverse, count = _rank(code, radix)
     cells = []
-    if digits:
-        for D in levels[:0:-1]:
-            distinct, level = np.divmod(distinct, D)
-            cells.append(level)
-        return [distinct, *cells[::-1]], inverse
     for col in index:
-        cell = np.empty(distinct.size, np.int64)
+        cell = np.empty(count, np.int64)
         cell[inverse] = col  # every row of a cell holds the same level
         cells.append(cell)
     return cells, inverse
@@ -299,8 +288,7 @@ def classify(posteriors) -> np.ndarray:
     return (p > 0.5).astype(np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class _EmRow:
+class _EmRow(NamedTuple):
     """One EM fit ready for a stack (see :func:`_em_stack`).
 
     ``cells`` holds each of the sample's distinct z cells as one level
@@ -366,23 +354,8 @@ class _EmMap:
         self.bounds = list(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
         self.rows = [None] * width
         self._x = np.empty((width, self.size))
-        self._alloc(1)
-
-    def _alloc(self, cells: int) -> None:
-        shape = (self.width, cells)
-        # a row's bins and out-masses, column by column
-        self._index = np.empty((self.width, len(self.levels), cells), np.int64)
-        self._mass = np.empty(self._index.shape)
-        self._w, self._a, self._b = np.empty(shape), np.empty(shape), np.empty((self.width, 1))
-        self._lik, self._p = np.empty(shape), np.empty(shape)
-        self._log, self._out = np.empty(shape), np.empty(shape)
-        self._denom = np.empty((self.width, 1))
-        # each slot's weights, log-likelihoods and out-masses as 1-D views
-        # the length of its row
-        self._views = [None] * self.width
-        for slot, row in enumerate(self.rows):
-            if row is not None:
-                self._fill(slot, row)
+        self._b, self._denom = np.empty((2, width, 1))
+        self._index = np.empty((width, len(self.levels), 0), np.int64)
 
     def put(self, slot: int, row: _EmRow) -> None:
         """Place ``row`` in ``slot``."""
@@ -391,10 +364,23 @@ class _EmMap:
                 f"a row with levels {row.model.levels} in a stack of {self.levels}"
             )
         self.rows[slot] = row
-        if row.w.size > self._w.shape[1]:
-            self._alloc(row.w.size)
-        else:
-            self._fill(slot, row)
+        self._b[slot] = 1.0 - row.model.pi
+        cells = row.w.size
+        if cells <= self._index.shape[2]:
+            return self._fill(slot, row)
+        # buffers as wide as the widest row, which every row then refills: a
+        # row's bins and out-masses, column by column, and per-cell arrays
+        self._index = np.empty((self.width, len(self.levels), cells), np.int64)
+        self._mass = np.empty(self._index.shape)
+        self._w, self._a, self._lik, self._p, self._log, self._out = np.empty(
+            (6, self.width, cells)
+        )
+        # each slot's weights, log-likelihoods, out-masses and posteriors as
+        # 1-D views the length of its row
+        self._views = [None] * self.width
+        for slot, row in enumerate(self.rows):
+            if row is not None:
+                self._fill(slot, row)
 
     def _fill(self, slot: int, row: _EmRow) -> None:
         c = row.w.size
@@ -403,7 +389,6 @@ class _EmMap:
             self._index[slot, k, c:] = at
         self._w[slot, :c], self._w[slot, c:] = row.w, 0.0
         self._a[slot, :c], self._a[slot, c:] = row.a, 1.0
-        self._b[slot] = 1.0 - row.model.pi
         self._views[slot] = (
             self._w[slot, :c], self._log[slot, :c], self._out[slot, :c], self._p[slot, :c]
         )
@@ -536,49 +521,41 @@ def _em_stack(next_row, width: int, tol: float = 1e-8, max_iter: int = 1000):
     the same fallbacks, ascent guard, convergence test and evaluation
     budget, bit-identical to a stack of one.  ``next_row()`` returns the
     next :class:`_EmRow` or None; it is asked whenever a slot is free, so
-    a row that leaves can make room for another.  Returns a generator
-    that yields ``(key, outcome)`` as each row leaves: ``outcome`` is
+    a row that leaves can make room for another.  Yields
+    ``(key, outcome)`` as each row leaves: ``outcome`` is
     :func:`em_fit`'s ``(fitted, posteriors)``, or the
     :class:`DegenerateFitError` or :class:`AscentViolationError` that
-    ended the fit.  The generator ends when every slot is empty and
-    ``next_row()`` returns None.
+    ended the fit.  It ends when every slot is empty and
+    ``next_row()`` returns None.  A bad ``tol`` or ``max_iter`` raises
+    ``ValueError`` at the first step.
     """
     integral = isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
     if not integral or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, not {max_iter!r}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be a number >= 0, not {tol!r}")
-    return _stack_fits(next_row, width, tol, max_iter)
-
-
-def _stack_fits(next_row, width, tol, max_iter):
     budget = max_iter + 1
     emap, fits, leaving = None, [], True
     while True:
         # once fits have left (and at the start) a free slot takes the next
         # row while rows come; the last fits then close any gap, so that a
         # step runs over the fits alone
-        for slot in range(width if leaving else 0):
-            if slot < len(fits) and fits[slot] is not None:
-                continue
-            row = next_row()
-            if row is None:
-                break
-            if emap is None:
-                emap = _EmMap(row.model.levels, width)
-            emap.put(slot, row)
-            if slot < len(fits):
-                fits[slot] = _Fit(row)
-            else:
-                fits.append(_Fit(row))
-        for slot in range(width if leaving else 0):
-            while fits and fits[-1] is None:
-                fits.pop()
-            if slot >= len(fits):
-                break
-            if fits[slot] is None:
-                fits[slot] = fits.pop()
-                emap.put(slot, fits[slot].row)
+        if leaving:
+            fits += [None] * (width - len(fits))
+            for slot in range(width):
+                if fits[slot] is None:
+                    row = next_row()
+                    if row is None:
+                        break
+                    emap = emap or _EmMap(row.model.levels, width)
+                    emap.put(slot, row)
+                    fits[slot] = _Fit(row)
+            while None in fits:
+                fit = fits.pop()
+                if fit is not None:
+                    slot = fits.index(None)
+                    fits[slot] = fit
+                    emap.put(slot, fit.row)
         if not fits:
             return
         fx, _, lls, faults, gaps = emap.step([fit.x for fit in fits])
@@ -741,8 +718,7 @@ def fit_membership(
     return em_fit(sample, _start_model(sample, estimate_m(big, levels), pi, levels)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class _CellTotals:
+class _CellTotals(NamedTuple):
     """A big source summed over its distinct z cells: each cell's levels
     (one vector per column), member count and value total, both counted
     with multiplicity, and the universe size ``N``."""

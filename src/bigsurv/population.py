@@ -112,8 +112,7 @@ def _set_columns(obj, n: int, unit: str, columns, required=()) -> None:
     passes :func:`_per_unit`, an integer column must hold whole numbers
     (:func:`_whole`), and a count (``delta``, ``multiplicity``) must not
     fall below its least value.  Every fault is a ``ValueError`` naming
-    the column, or every required column that is ``None``.  A read-only
-    array of the column's dtype is kept as it is.
+    the column, or every required column that is ``None``.
     """
     missing = [name for name in required if getattr(obj, name) is None]
     if missing:
@@ -122,11 +121,9 @@ def _set_columns(obj, n: int, unit: str, columns, required=()) -> None:
         col = getattr(obj, name)
         if col is None:
             continue
-        if not (type(col) is np.ndarray and col.dtype == dtype and not col.flags.writeable):
-            if dtype is np.int64:
-                col = _whole(col, name)
-            col = _frozen(col, dtype)
-        col = _per_unit(col, n, name, unit, dtype)
+        if dtype is np.int64:
+            col = _whole(col, name)
+        col = _per_unit(_frozen(col, dtype), n, name, unit, dtype)
         least = _LEAST.get(name)
         if least is not None and col.size and _min(col) < least:
             raise ValueError(f"{name} entries must be at least {least}; found {_min(col)}")

@@ -21,6 +21,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,24 +189,29 @@ def _with_attempts(attempt_fn, rep: int):
             attempt = _next_attempt(rep, attempt, exc)
 
 
-def _run_study(config: SimConfig, run, names, scenario: str):
+def _run_study(config: SimConfig, run, names, scenario: str, per_worker=False):
     """Run every replicate and summarise.
 
     ``run(reps)`` returns ``(record, failures)`` for each replicate number
-    in ``reps``, in order; with several workers, worker thread j runs
-    every workers-th replicate from j.  Each record holds an estimate
-    under every name in ``names`` and the replicate's ``truth``; a record
-    that also holds ``vhat_<name>``, the estimate's variance on the same
-    scale, gives that estimator's row a ``var_rel_bias``.  Returns the
-    records and the summary.
+    in ``reps``, in order.  With several workers the threads take one
+    replicate at a time as they free up, or with ``per_worker`` thread j
+    runs every workers-th replicate from j in one call.  Each record
+    holds an estimate under every name in ``names`` and the replicate's
+    ``truth``; a record that also holds ``vhat_<name>``, the estimate's
+    variance on the same scale, gives that estimator's row a
+    ``var_rel_bias``.  Returns the records and the summary.
     """
     count, workers = config.replicates, config.workers
     if workers > 1:
+        if per_worker:
+            shares = [range(j, count, workers) for j in range(workers)]
+        else:
+            shares = [range(rep, rep + 1) for rep in range(count)]
         results = [None] * count
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            shares = [range(j, count, workers) for j in range(workers)]
-            for j, part in enumerate(pool.map(run, shares)):
-                results[j::workers] = part
+            for share, part in zip(shares, pool.map(run, shares)):
+                for rep, result in zip(share, part):
+                    results[rep] = result
     else:
         results = run(range(count))
     records = [r for r, _ in results]
@@ -355,8 +361,7 @@ def run_sim1(config: SimConfig) -> MonteCarloSummary:
 _SIM2_ROWS = 12
 
 
-@dataclass(frozen=True)
-class _Sim2Frame:
+class _Sim2Frame(NamedTuple):
     """Study-two state that depends only on the population: its membership
     rates ``probs``, the z domain sizes ``levels``, its distinct z
     ``cells`` and each unit's cell (``inverse``), the truth and the design
@@ -371,8 +376,7 @@ class _Sim2Frame:
     weights: tuple[np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
-class _Sim2Draw:
+class _Sim2Draw(NamedTuple):
     """One attempt of a study-two replicate while its fit is in the stack:
     the design sample, the big source's totals per z cell for
     ``pdi2_total`` and its plain totals, and the record's fields that need
@@ -500,7 +504,9 @@ def run_sim2(config: SimConfig) -> MonteCarloSummary:
     def run(reps):
         return _sim2_stack(frame, config, reps)
 
-    records, summary = _run_study(config, run, SIM2_ESTIMATORS, f"n_a={config.n_a}")
+    records, summary = _run_study(
+        config, run, SIM2_ESTIMATORS, f"n_a={config.n_a}", per_worker=True
+    )
     iterations = np.sort([rec["em_iterations"] for rec in records])
     return replace(
         summary,

@@ -520,9 +520,9 @@ class TestEMFit:
         code = np.array([c % radix for c in codes])
         distinct, want = np.unique(code, return_inverse=True)
         for limit in (radix, 4 * code.size + 1):
-            ranks, values = _rank(code, limit)
+            ranks, count = _rank(code, limit)
             assert ranks.tolist() == want.tolist()
-            assert values.tolist() == distinct.tolist()
+            assert count == distinct.size
 
     def test_bit_identical_on_64_binary_columns(self):
         """2^64 cells overflow an int64 code; the partial code is
