@@ -682,15 +682,6 @@ def em_fit(
     return outcome
 
 
-def _start_model(sample: ProbabilitySample, m, pi: float, levels):
-    """:func:`fit_membership`'s starting model on ``sample`` -- prior
-    ``pi``, the inside tables ``m`` and ``u`` from :func:`initial_u` --
-    and the sample's level index."""
-    index = _level_index(sample.z, levels)
-    model = ClassifierModel(pi=pi, m=m, u=_smoothed_frequencies(index, sample.d, levels))
-    return model, index
-
-
 def fit_membership(
     sample: ProbabilitySample, big: BigSample, pi: float, levels=None
 ) -> tuple[ClassifierModel, PosteriorSet]:
@@ -715,7 +706,8 @@ def fit_membership(
         levels = tuple(
             int(max(sample.z[:, k].max(), big.z[:, k].max())) for k in range(width)
         )
-    return em_fit(sample, _start_model(sample, estimate_m(big, levels), pi, levels)[0])
+    u = initial_u(sample.z, sample.d, levels)
+    return em_fit(sample, ClassifierModel(pi=pi, m=estimate_m(big, levels), u=u))
 
 
 class _CellTotals(NamedTuple):
@@ -732,11 +724,10 @@ class _CellTotals(NamedTuple):
 def _cell_totals(cells, inverse, multiplicity, values, N: int) -> _CellTotals:
     """What :func:`pdi2_total` reads of a big source, summed per z cell.
 
-    ``cells`` and ``inverse`` are :func:`_cells` of the rows' level index;
-    ``multiplicity`` and ``values`` hold one entry per row.  A cell whose
-    rows all have multiplicity 0 is left out, so study two passes its
-    whole population with the drawn membership as the multiplicity, and
-    no replicate's big source is built.
+    ``cells`` holds each cell's levels, as :func:`_cells` gives them, and
+    ``inverse``, ``multiplicity`` and ``values`` one entry per row: its
+    cell, count and value.  A cell with no row counted is left out, so
+    study two passes only its population's member rows, counted once.
     """
     count = np.bincount(inverse, weights=multiplicity)
     total = np.bincount(inverse, weights=multiplicity * values)

@@ -71,18 +71,22 @@ def _text_cells(text) -> np.ndarray:
 def _int_cells(block: np.ndarray) -> np.ndarray:
     """``str`` of each int64 as a :func:`_text_cells` matrix.
 
-    Integers in 0..10^18-1 are cut into digits by one ``//`` and one ``%``
-    over a rows x digits grid, right-aligned; any other block goes through
-    ``str``.
+    Integers in 0..10^18-1 give up one digit per ``// 10`` over the
+    column, right to left; a position whose remaining quotient is 0 is a
+    leading zero, NUL.  Any other block goes through ``str``.
     """
     if block.min() < 0 or block.max() >= 10**18:
         return _text_cells(list(map(str, block.tolist())))
-    width = len(str(block.max()))
-    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    q = block[:, None] // powers
-    cells = (q % 10 + ord("0")).astype(np.uint8)
-    cells[:, :-1][q[:, :-1] == 0] = 0  # leading zeros; a 0 keeps its last digit
-    return cells
+    cells = np.empty((len(str(block.max())), block.size), np.uint8)  # returned transposed
+    q = block
+    for j, row in enumerate(cells[::-1]):
+        rest = q // 10
+        np.subtract(q, 10 * rest, out=row, casting="unsafe")
+        row += ord("0")
+        if j:
+            row[q == 0] = 0  # a 0 keeps its last digit
+        q = rest
+    return cells.T
 
 
 def _float_cells(block: np.ndarray) -> np.ndarray:

@@ -471,6 +471,13 @@ def _srs_weights(n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.full(n, N / n)), _read_only(np.full(n, n / N))
 
 
+def _srs_indices(n: int, N: int, seed) -> np.ndarray:
+    """Sorted zero-based positions of an SRS of ``n`` from ``N`` (``substream(seed)``)."""
+    if not 1 <= n <= N:
+        raise ValueError(f"sample size {n} outside 1..{N}")
+    return np.sort(substream(seed).choice(N, size=n, replace=False))
+
+
 def draw_srs(pop: FinitePopulation, n: int, seed) -> ProbabilitySample:
     """Draw a simple random sample (without replacement) of size ``n``.
 
@@ -479,10 +486,7 @@ def draw_srs(pop: FinitePopulation, n: int, seed) -> ProbabilitySample:
     drawn units (sorted by unit id).
     """
     N = pop.N
-    if not 1 <= n <= N:
-        raise ValueError(f"sample size {n} outside 1..{N}")
-    rng = substream(seed)
-    idx = np.sort(rng.choice(N, size=n, replace=False))
+    idx = _srs_indices(n, N, seed)
     d, pi = _srs_weights(n, N)
     return ProbabilitySample(
         unit_ids=_read_only(idx + 1),

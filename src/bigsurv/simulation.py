@@ -34,7 +34,9 @@ from .population import (
     FinitePopulation,
     ProbabilitySample,
     _read_only,
+    _rows,
     _select_strata,
+    _srs_indices,
     _srs_weights,
     _stratum_pools,
     big_data_inclusion_probabilities,
@@ -363,17 +365,27 @@ _SIM2_ROWS = 12
 
 class _Sim2Frame(NamedTuple):
     """Study-two state that depends only on the population: its membership
-    rates ``probs``, the z domain sizes ``levels``, its distinct z
-    ``cells`` and each unit's cell (``inverse``), the truth and the design
-    sample's ``(d, pi)``."""
+    rates ``probs``, the z domain sizes ``levels``, its level ``index``,
+    its distinct z ``cells`` and each unit's cell (``inverse``), the truth
+    and the design sample's ``(d, pi)``."""
 
     pop: FinitePopulation
     probs: np.ndarray
     levels: tuple[int, ...]
+    index: list
     cells: list
     inverse: np.ndarray
     truth: float
     weights: tuple[np.ndarray, np.ndarray]
+
+
+def _sim2_frame(pop: FinitePopulation, config: SimConfig) -> _Sim2Frame:
+    """The frame of one population; its z levels are checked here, once."""
+    levels = tuple(int(pop.z[:, k].max()) for k in range(pop.z.shape[1]))
+    index = classifier._level_index(pop.z, levels)
+    probs = big_data_inclusion_probabilities(pop.z[:, 0], config.big_n)
+    return _Sim2Frame(pop, probs, levels, index, *classifier._cells(index, levels),
+                      float(pop.y.mean()), _srs_weights(config.n_a, pop.N))
 
 
 class _Sim2Draw(NamedTuple):
@@ -392,48 +404,39 @@ class _Sim2Draw(NamedTuple):
 
 def _sim2_draw(frame: _Sim2Frame, config: SimConfig, rep: int, attempt: int):
     """Draw attempt ``attempt`` of replicate ``rep``: its EM row, keyed by
-    the :class:`_Sim2Draw` that finishes it.
-
-    The big source is the population with the drawn membership as its
-    multiplicity: its totals are summed over the population's z cells,
-    and it is never built.
-    """
+    the :class:`_Sim2Draw` that finishes it.  The big source is only
+    summed, over its member rows' z cells, and the one design sample holds
+    ``y`` alone, its level index gathered from the population's."""
     pop = frame.pop
     seed = (config.master_seed, rep, attempt)
-    rng_b = substream(seed, 1)
-    member = rng_b.random(pop.N) < frame.probs
-    delta = member.astype(np.int64)
-    N_b = int(delta.sum())
+    member = substream(seed, 1).random(pop.N) < frame.probs
+    N_b = int(np.count_nonzero(member))
     if N_b == 0 or N_b == pop.N:
         raise DegenerateStratumError("membership draw covered none or all units")
-    sample = draw_srs(pop.with_delta(_read_only(delta)), config.n_a, substream(seed, 0))
-    cells = classifier._cell_totals(frame.cells, frame.inverse, delta, pop.y, pop.N)
-    # m, the level frequencies of the big source's rows, from its cells
-    m = classifier._frequencies(cells.cells, frame.levels, cells.count)
-    model, sample_index = classifier._start_model(sample, m, N_b / pop.N, frame.levels)
-    values = pop.y[member]
-    # while the fit is in the stack the replicate keeps neither z nor
-    # delta, and shares the design weights every replicate has.  No
-    # summary reads a study-two variance, so dropping joint_pi spares
-    # pdi_total and pdi2_total three O(n) variances per replicate; a
+    idx = _srs_indices(config.n_a, pop.N, substream(seed, 0))
+    # no summary reads a study-two variance, so leaving out joint_pi spares
+    # pdi_total and pdi2_total three O(n) variances a replicate; a
     # var_rel_bias for proposed_di (ROADMAP item 1) would restore it
     d, pi = frame.weights
-    kept = replace(sample, d=d, pi=pi, joint_pi=None, z=None, delta=None)
-    totals = BigDataTotals(T_b=float(values.sum()), N_b=N_b, N=pop.N)
-    draw = _Sim2Draw(
-        rep=rep,
-        attempt=attempt,
-        sample=kept,
-        cells=cells,
-        totals=totals,
-        record={
-            "mean_a": float(kept.y.mean()),
-            "mean_b": float(values.mean()),
-            "original_di": pdi_total(kept, sample.delta, kept.y, totals).mean,
-            "truth": frame.truth,
-        },
+    sample = ProbabilitySample(unit_ids=_read_only(idx + 1), d=d, pi=pi, joint_pi=None,
+                               N=pop.N, design="srs", y=_rows(pop.y, idx))
+    values = np.compress(member, pop.y)
+    cells = classifier._cell_totals(
+        frame.cells, np.compress(member, frame.inverse), np.ones(N_b), values, pop.N
     )
-    return classifier._em_row(kept, model, key=draw, index=sample_index)
+    # m, the level frequencies of the big source's rows, from its cells
+    m = classifier._frequencies(cells.cells, frame.levels, cells.count)
+    index = [col[idx] for col in frame.index]
+    u = classifier._smoothed_frequencies(index, d, frame.levels)
+    model = classifier.ClassifierModel(pi=N_b / pop.N, m=m, u=u)
+    totals = BigDataTotals(T_b=float(values.sum()), N_b=N_b, N=pop.N)
+    draw = _Sim2Draw(rep, attempt, sample, cells, totals, {
+        "mean_a": float(sample.y.mean()),
+        "mean_b": float(values.mean()),
+        "original_di": pdi_total(sample, member[idx], sample.y, totals).mean,
+        "truth": frame.truth,
+    })
+    return classifier._em_row(sample, model, key=draw, index=index)
 
 
 def _sim2_record(draw: _Sim2Draw, fitted, post) -> dict:
@@ -486,19 +489,9 @@ def run_sim2(config: SimConfig) -> MonteCarloSummary:
     if config.study != "sim2":
         raise ValueError(f"run_sim2 needs study='sim2', not {config.study!r}")
     config = config.resolved()
-    pop = generate_population_sim2(
-        config.pop_n, config.big_n, substream(config.master_seed, 9)
-    )
-    levels = tuple(int(pop.z[:, k].max()) for k in range(pop.z.shape[1]))
-    cells, inverse = classifier._cells(classifier._level_index(pop.z, levels), levels)
-    frame = _Sim2Frame(
-        pop=pop,
-        probs=big_data_inclusion_probabilities(pop.z[:, 0], config.big_n),
-        levels=levels,
-        cells=cells,
-        inverse=inverse,
-        truth=float(pop.y.mean()),
-        weights=_srs_weights(config.n_a, pop.N),
+    frame = _sim2_frame(
+        generate_population_sim2(config.pop_n, config.big_n, substream(config.master_seed, 9)),
+        config,
     )
 
     def run(reps):

@@ -1,12 +1,14 @@
 """Acceptance checks for the package's headline guarantees.
 
-Each test covers one numbered criterion and prints a single
+Each criterion test covers one numbered criterion and prints a single
 ``criterion N: pass/FAIL`` line (run with ``pytest tests/test_acceptance.py -s``
-to see them).  The Monte Carlo criteria run both studies at full scale
-with the package's default master seed, so this module takes a few
-minutes; everything else in the test suite stays fast.
+to see them); one more test pins the full-scale study-two table's digits.
+The Monte Carlo criteria run both studies at full scale with the
+package's default master seed, so this module takes a few minutes;
+everything else in the test suite stays fast.
 """
 
+import math
 import time
 
 import numpy as np
@@ -68,6 +70,26 @@ RB_TARGETS = {1: -0.0037, 2: 0.028, 3: 0.019}
 
 # expected naive-integration bias per design sample size, second study
 NAIVE_BIAS = {1000: 0.12, 2000: 0.14}
+
+# the full-scale default-seed second study as printed before its draw was
+# rewritten for speed: (bias, se, rmse) per estimator, and the EM map
+# evaluations' (p50, p90, max), per design sample size
+SIM2_DIGITS = {
+    1000: ({
+        "mean_a": (0.0006882188076081119, 0.03879222121776313, 0.03879832563571548),
+        "mean_b": (-0.12884246362011365, 0.01208071546365042, 0.12940758910440295),
+        "naive_di": (0.11994853649495073, 0.037045745219267665, 0.12553899253272435),
+        "proposed_di": (-0.0017195069328355182, 0.034601033420847915, 0.03464373273598998),
+        "original_di": (-0.0007707605277993643, 0.024311319579603682, 0.024323534518914697),
+    }, (18.0, 29, 219)),
+    2000: ({
+        "mean_a": (0.0002548939016072298, 0.024561909386460808, 0.024563231945527612),
+        "mean_b": (-0.12884246362011365, 0.01208071546365042, 0.12940758910440295),
+        "naive_di": (0.13259863285008988, 0.01652782682424394, 0.13362472261241606),
+        "proposed_di": (-0.002281079240071781, 0.022565076167904867, 0.02268007903343449),
+        "original_di": (0.0007564530659848207, 0.015630428738945556, 0.01564872275312886),
+    }, (15.0, 18, 73)),
+}
 
 
 def report(number, failures, detail):
@@ -182,6 +204,26 @@ def test_criterion_3_second_study_table(sim2_full):
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f}s")
     report(3, failures, f"both sample sizes in band in {elapsed:.1f}s")
+
+
+def test_second_study_digits_are_pinned(sim2_full):
+    """A change that only makes study two faster leaves its full-scale
+    default-seed table where it was: every bias, se and rmse to 1e-12
+    relative (EM's vectorised ``log`` may move an ulp between CPUs), and
+    the EM iteration counts exactly."""
+    runs, _ = sim2_full
+    failures = []
+    for n, (rows, iterations) in SIM2_DIGITS.items():
+        summary = runs[n]
+        for name, want in rows.items():
+            r = summary.row(name)
+            got = (r.bias, r.se, r.rmse)
+            if not all(math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0) for g, w in zip(got, want)):
+                failures.append(f"n={n} {name} {got!r} vs {want!r}")
+        got = (summary.em_iterations_p50, summary.em_iterations_p90, summary.em_iterations_max)
+        if got != iterations:
+            failures.append(f"n={n} em_iterations {got} vs {iterations}")
+    assert not failures, failures
 
 
 def test_criterion_4_calibration_equals_post_stratification():
