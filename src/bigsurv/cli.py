@@ -138,7 +138,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p2.add_argument("--seed", type=int)
     p2.add_argument("--pop-n", type=int)
     p2.add_argument("--big-n", type=int)
-    p2.add_argument("--workers", type=int, default=1)
     p2.add_argument("--out", help="write the summary table as CSV")
     p2.set_defaults(func=cmd_simulate2)
     commands["simulate2"] = p2
@@ -243,7 +242,6 @@ def cmd_simulate2(args, parser) -> int:
         master_seed=args.seed,
         pop_n=args.pop_n,
         big_n=args.big_n,
-        workers=args.workers,
     )
     _emit_summary(run_sim2(config), args.out)
     return 0

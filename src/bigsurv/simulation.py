@@ -78,7 +78,9 @@ class SimConfig:
     ``scenario`` only matters for study one.  ``stratum_sizes`` is the
     per-stratum big-data selection for study one; ``big_n`` the expected
     big-data size for study two.  ``pop_n`` and ``big_n`` left as None
-    take each study's default sizes.
+    take each study's default sizes.  ``workers`` threads take study
+    one's replicates one at a time; study two ignores it and runs its
+    replicates as one EM stack on the calling thread.
     """
 
     study: str = "sim1"
@@ -104,6 +106,8 @@ class SimConfig:
             pop_n = 1_000_000 if self.study == "sim1" else 10_000
         elif pop_n < 1:
             raise ValueError(f"pop_n must be at least 1, not {pop_n}")
+        if not 1 <= self.n_a <= pop_n:
+            raise ValueError(f"n_a must be between 1 and pop_n = {pop_n}, not {self.n_a}")
         changes = {"pop_n": pop_n}
         if self.study == "sim1":
             if self.scenario not in (1, 2, 3):
@@ -191,31 +195,15 @@ def _with_attempts(attempt_fn, rep: int):
             attempt = _next_attempt(rep, attempt, exc)
 
 
-def _run_study(config: SimConfig, run, names, scenario: str, per_worker=False):
-    """Run every replicate and summarise.
+def _run_study(config: SimConfig, results, names, scenario: str):
+    """Summarise a study's replicates.
 
-    ``run(reps)`` returns ``(record, failures)`` for each replicate number
-    in ``reps``, in order.  With several workers the threads take one
-    replicate at a time as they free up, or with ``per_worker`` thread j
-    runs every workers-th replicate from j in one call.  Each record
-    holds an estimate under every name in ``names`` and the replicate's
-    ``truth``; a record that also holds ``vhat_<name>``, the estimate's
-    variance on the same scale, gives that estimator's row a
+    ``results`` holds ``(record, failures)`` for each replicate, in order.
+    Each record holds an estimate under every name in ``names`` and the
+    replicate's ``truth``; a record that also holds ``vhat_<name>``, the
+    estimate's variance on the same scale, gives that estimator's row a
     ``var_rel_bias``.  Returns the records and the summary.
     """
-    count, workers = config.replicates, config.workers
-    if workers > 1:
-        if per_worker:
-            shares = [range(j, count, workers) for j in range(workers)]
-        else:
-            shares = [range(rep, rep + 1) for rep in range(count)]
-        results = [None] * count
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for share, part in zip(shares, pool.map(run, shares)):
-                for rep, result in zip(share, part):
-                    results[rep] = result
-    else:
-        results = run(range(count))
     records = [r for r, _ in results]
     truths = np.array([rec["truth"] for rec in records])
     rows = []
@@ -342,13 +330,17 @@ def run_sim1(config: SimConfig) -> MonteCarloSummary:
         config,
     )
 
-    def attempt(rep, att):
-        return _sim1_replicate(frame, config, rep, att)
+    def replicate(rep):
+        return _with_attempts(lambda r, att: _sim1_replicate(frame, config, r, att), rep)
 
-    def run(reps):
-        return [_with_attempts(attempt, rep) for rep in reps]
-
-    _, summary = _run_study(config, run, SIM1_ESTIMATORS, str(config.scenario))
+    reps = range(config.replicates)
+    if config.workers == 1:
+        results = list(map(replicate, reps))
+    else:
+        # the threads take one replicate at a time as they free up
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(replicate, reps))
+    _, summary = _run_study(config, results, SIM1_ESTIMATORS, str(config.scenario))
     return summary
 
 
@@ -356,10 +348,9 @@ def run_sim1(config: SimConfig) -> MonteCarloSummary:
 # study two
 # ---------------------------------------------------------------------------
 
-# replicates a study-two run keeps in flight, split evenly among the EM
-# stacks of its worker threads: enough to spread the stacked map's
-# per-call cost over many fits, few enough that the design samples held
-# meanwhile stay small
+# replicates a study-two run keeps in flight, as the rows of its one EM
+# stack: enough to spread the stacked map's per-call cost over many fits,
+# few enough that the design samples held meanwhile stay small
 _SIM2_ROWS = 12
 
 
@@ -453,14 +444,15 @@ def _sim2_record(draw: _Sim2Draw, fitted, post) -> dict:
     }
 
 
-def _sim2_stack(frame: _Sim2Frame, config: SimConfig, reps) -> list:
-    """``(record, failures)`` of each replicate in ``reps``, their fits run
-    as rows of one stack, ``_SIM2_ROWS`` wide over the run's workers.
+def _sim2_stack(frame: _Sim2Frame, config: SimConfig) -> list:
+    """``(record, failures)`` of each replicate, in order, their fits run
+    as rows of one stack ``_SIM2_ROWS`` wide.
 
     A row is drawn whenever a slot is free, and a replicate is finished as
     its row leaves.  An attempt that fails with a retryable error, when
     drawn, fitted or finished, is redrawn with the next attempt stream.
     """
+    reps = range(config.replicates)
     waiting = deque((rep, 0) for rep in reps)  # (replicate, attempt) to draw
     done = {}
 
@@ -473,8 +465,7 @@ def _sim2_stack(frame: _Sim2Frame, config: SimConfig, reps) -> list:
                 waiting.appendleft((rep, _next_attempt(rep, attempt, exc)))
         return None
 
-    width = max(1, _SIM2_ROWS // config.workers)
-    for draw, outcome in classifier._em_stack(next_row, width):
+    for draw, outcome in classifier._em_stack(next_row, _SIM2_ROWS):
         try:
             if isinstance(outcome, Exception):
                 raise outcome
@@ -494,11 +485,8 @@ def run_sim2(config: SimConfig) -> MonteCarloSummary:
         config,
     )
 
-    def run(reps):
-        return _sim2_stack(frame, config, reps)
-
     records, summary = _run_study(
-        config, run, SIM2_ESTIMATORS, f"n_a={config.n_a}", per_worker=True
+        config, _sim2_stack(frame, config), SIM2_ESTIMATORS, f"n_a={config.n_a}"
     )
     iterations = np.sort([rec["em_iterations"] for rec in records])
     return replace(

@@ -808,25 +808,46 @@ class TestSimulateCommands:
         assert len(proc.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "command, flags, message",
         [
-            (["--reps", "1"], "replicates must be at least 2, not 1"),
-            (["--reps", "0"], "replicates must be at least 2, not 0"),
-            (["--reps", "4", "--workers", "0"], "workers must be at least 1, not 0"),
-            (["--reps", "4", "--workers", "-1"], "workers must be at least 1, not -1"),
-            (["--reps", "4", "--pop-n", "0"], "pop_n must be at least 1, not 0"),
+            (command, flags, message)
+            for command in ("simulate1", "simulate2")
+            for flags, message in [
+                (["--reps", "1"], "replicates must be at least 2, not 1"),
+                (["--reps", "0"], "replicates must be at least 2, not 0"),
+                (["--reps", "4", "--pop-n", "0"], "pop_n must be at least 1, not 0"),
+                (["--reps", "4", "--n-a", "0"],
+                 "n_a must be between 1 and pop_n = 400, not 0"),
+                (["--reps", "4", "--n-a", "401"],
+                 "n_a must be between 1 and pop_n = 400, not 401"),
+            ]
+        ]
+        + [
+            ("simulate1", ["--reps", "4", "--workers", "0"],
+             "workers must be at least 1, not 0"),
+            ("simulate1", ["--reps", "4", "--workers", "-1"],
+             "workers must be at least 1, not -1"),
         ],
     )
-    @pytest.mark.parametrize("command", ["simulate1", "simulate2"])
     def test_unrunnable_study_settings_end_in_one_line(self, command, flags, message):
-        """Too few replicates, no worker or an empty universe ends the
-        command with one line naming the setting, before any replicate
-        runs."""
-        argv = [command, "--seed", "1", "--pop-n", "400", *flags]
+        """Too few replicates, no worker, an empty universe or a sample
+        size outside it ends the command with one line naming the setting,
+        before any replicate runs.  The flags come last, so a bad
+        ``--n-a`` overrides simulate2's own."""
+        argv = [command, "--seed", "1", "--pop-n", "400"]
         argv += ["--scenario", "1"] if command == "simulate1" else ["--n-a", "60"]
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main([*argv, *flags])
         assert str(excinfo.value) == f"{command}: {message}"
+
+    def test_simulate2_has_no_workers_flag(self, capsys):
+        """Study two runs on the calling thread, so a thread count is an
+        unknown flag, not a setting it would ignore."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate2", "--seed", "1", "--reps", "4", "--n-a", "60",
+                  "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_empty_big_source_ends_in_one_line(self):
         """``--big-n 0`` is refused by name, not run at the default size."""

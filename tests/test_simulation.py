@@ -5,6 +5,7 @@ directionally correct study output at desk scale."""
 import functools
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestSimConfig:
         assert config.big_n == 5_000
 
     def test_study_two_explicit_big_size_kept(self):
-        config = SimConfig(study="sim2", pop_n=400, big_n=150).resolved()
+        config = SimConfig(study="sim2", pop_n=400, big_n=150, n_a=60).resolved()
         assert config.big_n == 150
 
     def test_unknown_study_rejected(self):
@@ -117,6 +118,27 @@ class TestSimConfig:
             config.resolved()
         with pytest.raises(ValueError, match=f"^{message}$"):
             (run_sim1 if study == "sim1" else run_sim2)(config)
+
+    @pytest.mark.parametrize("n_a", [0, -1, 201])
+    @pytest.mark.parametrize("study", ["sim1", "sim2"])
+    def test_sample_size_outside_the_universe_rejected_by_name(
+        self, study, n_a, monkeypatch
+    ):
+        """A design sample of no unit, or of more units than the universe
+        holds, is refused by name before the population is built; a
+        census of it is allowed."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a population was built")
+
+        monkeypatch.setattr(simulation, f"generate_population_{study}", unreachable)
+        config = SimConfig(study=study, n_a=n_a, pop_n=200)
+        message = f"^n_a must be between 1 and pop_n = 200, not {n_a}$"
+        with pytest.raises(ValueError, match=message):
+            config.resolved()
+        with pytest.raises(ValueError, match=message):
+            (run_sim1 if study == "sim1" else run_sim2)(config)
+        assert replace(config, n_a=200).resolved().n_a == 200
 
     def test_big_size_below_one_rejected_not_defaulted(self, monkeypatch):
         """``big_n = 0`` is a setting, not a missing one: study two refuses
@@ -295,9 +317,20 @@ class TestStudyOneHarness:
         assert plain.row("mean_b") == proxy_in_sample.row("mean_b")
         assert plain.row("mean_a") != proxy_in_sample.row("mean_a")
 
-    def test_parallel_map_matches_serial(self):
+    def test_parallel_map_matches_serial(self, monkeypatch):
+        """One worker runs on the calling thread; two build one pool of
+        two."""
+        built, pool = [], simulation.ThreadPoolExecutor
+
+        def recording(max_workers):
+            built.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", recording)
         serial = run_sim1(small_sim1(workers=1))
+        assert built == []
         threaded = run_sim1(small_sim1(workers=2))
+        assert built == [2]
         assert serial == threaded
 
     def test_master_seed_changes_results(self):
@@ -459,10 +492,16 @@ class TestStudyTwoHarness:
             monkeypatch.setattr(simulation, "_SIM2_ROWS", width)
             assert run_sim2(config) == want
 
-    def test_parallel_map_matches_serial(self):
+    def test_parallel_map_matches_serial(self, monkeypatch):
+        """Study two runs on the calling thread whatever the workers."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("study two built a thread pool")
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", no_pool)
         serial = run_sim2(small_sim2(workers=1))
         threaded = run_sim2(small_sim2(workers=2))
-        assert serial == threaded
+        assert serial == threaded == run_sim2(small_sim2(workers=3))
 
     def test_default_scale_biases_match_design(self):
         """At the design scale the naive integrator (classified
@@ -498,11 +537,9 @@ class TestSummaryRows:
             return {"a": a[rep], "vhat_a": 4.0, "b": b[rep], "vhat_b": vhat_b[rep],
                     "c": c[rep], "truth": 0.0}
 
-        def run(reps):
-            return [(attempt(rep, 0), 0) for rep in reps]
-
+        results = [(attempt(rep, 0), 0) for rep in range(3)]
         config = SimConfig(replicates=3)
-        _, summary = simulation._run_study(config, run, ("a", "b", "c"), "stub")
+        _, summary = simulation._run_study(config, results, ("a", "b", "c"), "stub")
         assert summary.row("a").var_rel_bias == pytest.approx(0.0)
         assert summary.row("b").var_rel_bias == pytest.approx(0.5)
         assert summary.row("c").var_rel_bias is None
