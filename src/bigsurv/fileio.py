@@ -12,10 +12,10 @@ float64.  Floats are written with ``repr`` so a write/read
 cycle reproduces the array bit for bit.
 
 An optional column is either absent or empty on every row, and comes
-back as ``None``; one that is empty on some rows only is an error.  The
-readers also reject repeated column names, non-finite floats, repeated
-ids in a sample or big-data file, short rows and a file with no data
-rows, and every such error names the file and the column.
+back as ``None``; one that is empty on some rows only is an error.  A
+byte-order mark is skipped.  The readers reject repeated column names,
+non-finite floats, repeated ids in a sample or big-data file, z levels
+below 1, short rows and a file with no data rows, naming file and column.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class _Table:
 
     def __init__(self, path, skip=(), z=True):
         self.path = path
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -250,7 +250,11 @@ class _Table:
         ``None`` (also for a table read with ``z=False``)."""
         if not self._z_names:
             return None
-        z = np.column_stack([self.column(name) for name in self._z_names])
+        columns = [self.column(name) for name in self._z_names]
+        for name, col in zip(self._z_names, columns):
+            if (low := col.min()) < 1:
+                raise ValueError(f"{self.path}: column {name!r} holds {low}; z levels start at 1")
+        z = np.column_stack(columns)
         z.setflags(write=False)
         return z
 

@@ -19,7 +19,7 @@ Bernoulli draw whose rate depends on the first covariate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -184,8 +184,9 @@ class FinitePopulation:
     z : int array of shape (N, K), optional
         Categorical matching variables, coded ``1..D_k``.
     delta : int array, optional
-        Big-data membership per unit.  Zero means "not in the big
-        source"; values above one are duplication multiplicities.
+        Big-data membership per unit: 0 is "not in the big source", above
+        one a duplication multiplicity.  Left out, it is a read-only zero
+        view of one int64 (``np.broadcast_to``), which costs no memory.
     stratum : int array, optional
         Stratum labels used by stratified selection.
     """
@@ -205,7 +206,7 @@ class FinitePopulation:
             ("delta", np.int64), ("stratum", np.int64),
         ), required=("y",))
         if self.delta is None:
-            object.__setattr__(self, "delta", _read_only(np.zeros(n, np.int64)))
+            object.__setattr__(self, "delta", np.broadcast_to(np.int64(0), n))
 
     def __len__(self) -> int:
         return self.y.size
@@ -390,6 +391,16 @@ class ProbabilitySample:
 # synthetic study populations
 # ---------------------------------------------------------------------------
 
+def _affine(a, shift, slope, level, noise, out=None) -> np.ndarray:
+    """``level + slope * (a - shift) + noise`` into ``out`` (new if ``None``) in
+    that operation order; a sum or product is the same double either way round."""
+    out = np.subtract(a, shift, out=out)
+    out *= slope
+    out += level
+    out += noise
+    return out
+
+
 def generate_population_sim1(N: int, seed) -> FinitePopulation:
     """First bundled study population (continuous outcome with a proxy).
 
@@ -403,11 +414,11 @@ def generate_population_sim1(N: int, seed) -> FinitePopulation:
         raise EmptyPopulationError("N must be positive")
     rng = substream(seed)
     x = rng.normal(2.0, 1.0, N)
-    e = rng.normal(0.0, math.sqrt(0.51), N)
-    y = 3.0 + 0.7 * (x - 2.0) + e
-    u = rng.normal(0.0, 0.5, N)
-    y_star = 2.0 + 0.9 * (y - 3.0) + u
-    stratum = np.where(x <= 2.0, 1, 2).astype(np.int64)
+    low = x <= 2.0
+    # y in x's place, each draw dropped once used: the peak is three columns, not seven
+    y = _affine(x, 2.0, 0.7, 3.0, rng.normal(0.0, math.sqrt(0.51), N), out=x)
+    y_star = _affine(y, 3.0, 0.9, 2.0, rng.normal(0.0, 0.5, N))
+    stratum = np.subtract(2, low, dtype=np.int64)  # 1 where x <= 2, else 2
     return FinitePopulation(
         y=_read_only(y), y_star=_read_only(y_star), stratum=_read_only(stratum)
     )

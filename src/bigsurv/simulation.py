@@ -32,6 +32,7 @@ from .linalg import SingularControlsError
 from .measurement import MeasurementFitError, two_step_regdi
 from .population import (
     FinitePopulation,
+    InfeasibleSelectionError,
     ProbabilitySample,
     _read_only,
     _rows,
@@ -480,10 +481,13 @@ def run_sim2(config: SimConfig) -> MonteCarloSummary:
     if config.study != "sim2":
         raise ValueError(f"run_sim2 needs study='sim2', not {config.study!r}")
     config = config.resolved()
-    frame = _sim2_frame(
-        generate_population_sim2(config.pop_n, config.big_n, substream(config.master_seed, 9)),
-        config,
-    )
+    seed = substream(config.master_seed, 9)
+    try:  # whether big_n can be reached depends on the drawn z1
+        pop = generate_population_sim2(config.pop_n, config.big_n, seed)
+    except InfeasibleSelectionError as exc:
+        exc.args = (f"{exc}; big_n = {config.big_n} cannot be reached at pop_n = {config.pop_n}",)
+        raise
+    frame = _sim2_frame(pop, config)
 
     records, summary = _run_study(
         config, _sim2_stack(frame, config), SIM2_ESTIMATORS, f"n_a={config.n_a}"

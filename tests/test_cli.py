@@ -379,6 +379,21 @@ class TestEstimate:
             "far too small: its relative bias is about -0.7 in study two\n"
         ) in out
 
+    @pytest.mark.parametrize("side", ["sample", "big"])
+    def test_byte_order_mark_gives_the_same_estimate(
+        self, categorical_files, tmp_path, capsys, side
+    ):
+        def estimate(files, out):
+            assert main(["estimate", "--method", "pdi2", "--sample-a", str(files["sample"]),
+                         "--big-data", str(files["big"]), "--out", str(out)]) == 0
+            return capsys.readouterr().out.replace(str(out), "OUT"), out.read_bytes()
+
+        marked = {**categorical_files, side: tmp_path / f"marked_{side}.csv"}
+        marked[side].write_bytes(b"\xef\xbb\xbf" + categorical_files[side].read_bytes())
+        assert estimate(marked, tmp_path / "marked.csv") == estimate(
+            categorical_files, tmp_path / "plain.csv"
+        )
+
     def test_pdi2_requires_trait_columns(self, continuous_files):
         with pytest.raises(SystemExit, match="z columns"):
             main(
@@ -686,6 +701,28 @@ class TestClassify:
             main([*argv, str(bad_z)])
         assert str(excinfo.value.code).startswith(f"estimate: {bad_z}: column 'z1': ")
 
+    @pytest.mark.parametrize("level", [0, -1])
+    @pytest.mark.parametrize("side", ["sample", "big"])
+    @pytest.mark.parametrize("command", ["classify", "estimate"])
+    def test_z_level_below_one_names_the_file_and_column(
+        self, categorical_files, tmp_path, command, side, level
+    ):
+        path = tmp_path / f"bad_{side}.csv"
+        with open(categorical_files[side], newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][rows[0].index("z1")] = str(level)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        files = {**categorical_files, side: path}
+        flags = {"classify": ["--pi", "0.5", "--out", str(tmp_path / "labels.csv")],
+                 "estimate": ["--method", "pdi2"]}[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--sample-a", str(files["sample"]), "--big-data", str(files["big"]),
+                  *flags])
+        assert str(excinfo.value.code) == (
+            f"{command}: {path}: column 'z1' holds {level}; z levels start at 1"
+        )
+
     @pytest.mark.parametrize("side", ["probability sample", "big source"])
     def test_missing_trait_columns_exit_with_one_line(
         self, categorical_files, tmp_path, side
@@ -848,6 +885,17 @@ class TestSimulateCommands:
                   "--workers", "2"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_unreachable_big_n_is_named(self):
+        """Whether ``big_n`` can be reached depends on the drawn universe,
+        so the error comes from the run, and names the setting."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate2", "--seed", "1", "--reps", "2", "--pop-n", "200",
+                  "--n-a", "60", "--big-n", "500"])
+        assert str(excinfo.value) == (
+            "simulate2: target size 500 needs rate 3.300 > 1 in the high arm; "
+            "big_n = 500 cannot be reached at pop_n = 200"
+        )
 
     def test_empty_big_source_ends_in_one_line(self):
         """``--big-n 0`` is refused by name, not run at the default size."""

@@ -5,6 +5,7 @@ checked for bit-exact equality, not approximate equality.
 """
 
 import csv
+import functools
 import re
 import warnings
 
@@ -245,6 +246,30 @@ class TestBoundaryChecks:
         path.write_text("id,y,multiplicity\n7,1.0,1\n7,2.0,2\n")
         with pytest.raises(ValueError, match="big.csv: unit_ids repeats unit 7$"):
             read_big_data_csv(path, N=10)
+
+    @pytest.mark.parametrize("name", ["sample", "big"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, name):
+        """A UTF-8 byte-order mark before the header is not part of the
+        first column's name."""
+        text = "id,d,pi,y,z1,multiplicity\n1,5.0,0.2,1.0,2,1\n3,5.0,0.2,2.5,1,2\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        read = read_sample_csv if name == "sample" else functools.partial(read_big_data_csv, N=10)
+        want, got = read(plain), read(marked)
+        for field in ("unit_ids", "d", "pi", "y", "values", "multiplicity", "z"):
+            if hasattr(want, field):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    @pytest.mark.parametrize("level", [0, -1])
+    @pytest.mark.parametrize("name", ["sample", "big"])
+    def test_z_level_below_one_names_the_file_and_column(self, tmp_path, name, level):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"id,d,pi,y,z1,z2\n1,5.0,0.2,1.0,2,1\n2,5.0,0.2,2.0,1,{level}\n")
+        read = read_sample_csv if name == "sample" else functools.partial(read_big_data_csv, N=10)
+        with pytest.raises(ValueError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == f"{path}: column 'z2' holds {level}; z levels start at 1"
 
     @pytest.mark.parametrize(
         "text, column",

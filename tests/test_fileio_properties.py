@@ -7,17 +7,20 @@ and the same bytes (so -0.0, subnormals and +-1e308 survive), and every
 optional column left out must come back as ``None``.  The written bytes
 must also equal a row-by-row ``csv.writer`` + ``repr`` reference kept
 here, so the block writer, which formats each distinct value once, cannot
-drift from the documented format.
+drift from the documented format.  The writers take any int as a ``z``
+level, but the readers refuse a level below 1, naming its column, so a
+file holding one is checked for that error instead of read back.
 """
 
 import csv
+import functools
 import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from bigsurv import (
@@ -40,6 +43,8 @@ EDGE_INTS = [0, 9, 10, 10**18 - 1, 10**18, -1, -(2**63), 2**63 - 1]
 ints = st.integers(-(2**62), 2**62) | st.integers(0, 10**18) | st.sampled_from(EDGE_INTS)
 # membership counts: a negative delta is no sample
 counts = st.integers(0, 2**62) | st.sampled_from([e for e in EDGE_INTS if e >= 0])
+# z levels a reader takes back: they start at 1
+levels = st.integers(1, 2**62) | st.sampled_from([e for e in EDGE_INTS if e >= 1])
 
 
 def float_col(draw, n, elements=floats):
@@ -56,10 +61,12 @@ def maybe(draw, make):
 
 
 def z_matrix(draw, n):
+    """``None``, or 1-3 columns of valid levels or of any ints."""
     k = draw(st.integers(0, 3))
     if k == 0:
         return None
-    return np.column_stack([int_col(draw, n) for _ in range(k)])
+    elements = draw(st.sampled_from([ints, levels]))
+    return np.column_stack([int_col(draw, n, elements) for _ in range(k)])
 
 
 @st.composite
@@ -129,6 +136,21 @@ def z_layout(z) -> dict:
     return {f"z{j + 1}": z[:, j] for j in range(k)}
 
 
+def assert_read_back(read, path, original, names):
+    """``read(path)`` gives ``original``'s columns ``names`` bit for bit, or,
+    where ``original.z`` holds a level below 1, the reader's error naming
+    the first such column."""
+    z = original.z
+    if z is not None and (z < 1).any():
+        k = int(np.flatnonzero((z < 1).any(axis=0))[0])
+        message = f"column 'z{k + 1}' holds {z[:, k].min()}; z levels start at 1"
+        with pytest.raises(ValueError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+    else:
+        assert_same(read(path), original, names)
+
+
 def assert_same(back, original, names):
     for name in names:
         a, b = getattr(back, name), getattr(original, name)
@@ -151,21 +173,33 @@ def test_sample_round_trip_is_bit_exact(sample):
         path = Path(tmp, "sample.csv")
         write_sample_csv(path, sample)
         written = path.read_bytes()
-        back = read_sample_csv(path, N=sample.N)
+        assert_read_back(functools.partial(read_sample_csv, N=sample.N), path, sample,
+                         ("unit_ids", "d", "pi", "y", "y_star", "delta", "z"))
     layout = {
         "id": sample.unit_ids, "d": sample.d, "pi": sample.pi, "y": sample.y,
         "y_star": sample.y_star, "delta": sample.delta, **z_layout(sample.z),
     }
     assert written == reference_bytes(layout, sample.n)
-    assert_same(back, sample, ("unit_ids", "d", "pi", "y", "y_star", "delta", "z"))
+
+
+# a strategy check takes the first draw that shows the property: shrinking
+# it, as find does by default, took from under 1 s to 40 s
+ANY_DRAW = settings(database=None, phases=(Phase.generate,))
 
 
 def test_sample_strategy_still_draws_negative_ints():
     """``delta`` is drawn non-negative, so ``z`` is the sample column that
     takes negative ints through the writer."""
-    sample = find(samples(), lambda s: s.z is not None and (s.z < 0).any(),
-                  settings=settings(database=None))
+    sample = find(samples(), lambda s: s.z is not None and (s.z < 0).any(), settings=ANY_DRAW)
     assert (sample.z < 0).any()
+
+
+@pytest.mark.parametrize("draws", [samples(), big_extracts()], ids=["sample", "big"])
+def test_strategies_still_draw_z_that_reads_back(draws):
+    """Half the z matrices hold valid levels only, so the z columns are
+    read back, not just refused."""
+    found = find(draws, lambda s: s.z is not None and (s.z >= 1).all(), settings=ANY_DRAW)
+    assert (found.z >= 1).all()
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,13 +209,13 @@ def test_big_data_round_trip_is_bit_exact(big):
         path = Path(tmp, "big.csv")
         write_big_data_csv(path, big)
         written = path.read_bytes()
-        back = read_big_data_csv(path, N=big.N)
+        assert_read_back(functools.partial(read_big_data_csv, N=big.N), path, big,
+                         ("unit_ids", "values", "multiplicity", "z"))
     layout = {
         "id": big.unit_ids, "y": big.values, **z_layout(big.z),
         "multiplicity": big.multiplicity,
     }
     assert written == reference_bytes(layout, len(big))
-    assert_same(back, big, ("unit_ids", "values", "multiplicity", "z"))
 
 
 def edge_labels(ids):

@@ -1,5 +1,7 @@
 """Tests for population containers, generators, and sampling designs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,34 @@ class TestFinitePopulation:
     def test_delta_defaults_to_no_members(self):
         pop = FinitePopulation(y=[1.0, 2.0])
         assert pop.N_b == 0
+
+    def test_default_delta_is_a_zero_view_that_costs_no_memory(self):
+        N = 100_000
+        y = np.linspace(0.0, 1.0, N)
+        y.setflags(write=False)  # kept without a copy
+        stratum = np.repeat(np.array([1, 2]), N // 2)
+        stratum.setflags(write=False)
+        tracemalloc.start()
+        try:
+            pop = FinitePopulation(y=y, stratum=stratum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        assert pop.delta.shape == (N,) and pop.delta.dtype == np.int64
+        assert not pop.delta.flags.writeable and not pop.delta.any()
+        with pytest.raises(ValueError):
+            pop.delta[0] = 1
+        assert pop.N_b == 0
+        assert len(pop.big_sample()) == 0
+        assert pop.with_delta(np.ones(N, np.int64)).N_b == N
+        sample = draw_srs(pop, 50, 3)
+        assert np.array_equal(sample.delta, np.zeros(50, np.int64))
+        assert sample.delta.flags.writeable is False
+        marked = select_big_data_stratified(pop, {1: 10, 2: 20}, 4)
+        assert marked.N_b == 30
+        assert np.array_equal(np.bincount(marked.stratum[marked.delta == 1]), [0, 10, 20])
+        assert not pop.delta.any()
 
     def test_columns_are_read_only(self):
         pop = FinitePopulation(y=[1.0, 2.0])
