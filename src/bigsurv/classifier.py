@@ -351,7 +351,6 @@ class _EmMap:
         # row and column block, row j's column k as j K + k
         column = np.repeat(np.arange(len(self.levels)), np.diff(self.offsets))
         self.blocks = np.add.outer(np.arange(width) * len(self.levels), column).reshape(-1)
-        self.bounds = list(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
         self.rows = [None] * width
         self._x = np.empty((width, self.size))
         self._b, self._denom = np.empty((2, width, 1))
@@ -494,54 +493,113 @@ def _squarem_points(u0, u1, u2, blocks):
         return x / sums[blocks].reshape(x.shape), usable.tolist()
 
 
-# where a fit stands in its SQUAREM cycle: the point its slot is sent is
-# the start, the plain step F(u), the extrapolated point or u2
-_START, _PLAIN, _SQUARED, _SECOND = range(4)
+def _ascent(fault, ll_from: float, ll: float):
+    """``fault``, or else an :class:`AscentViolationError` when a plain step
+    took the log-likelihood from ``ll_from`` down to ``ll`` beyond slack."""
+    if fault is None and ll < ll_from - ASCENT_SLACK * max(1.0, abs(ll_from)):
+        return AscentViolationError(f"log-likelihood decreased from {ll_from!r} to {ll!r}")
+    return fault
 
 
-class _Fit:
-    """One row's SQUAREM state in a stack: the accepted iterate ``u`` with
-    ``fu = F(u)``, its log-likelihood ``ll`` and ``gap = max |fu - u|``;
-    after a plain step, ``u1 = F(u)``, ``u2 = F(u1)``, ``ll1`` and
-    ``gap1``; and ``x``, the point its slot is sent next."""
+def _squarem(row: _EmRow, tol: float, max_iter: int):
+    """:func:`em_fit`'s SQUAREM cycle on one row, the one place it is written.
 
-    __slots__ = ("row", "phase", "evals", "converged", "trace", "x", "u", "fu",
-                 "ll", "gap", "u1", "u2", "ll1", "gap1")
-
-    def __init__(self, row: _EmRow):
-        self.row, self.phase, self.evals, self.converged = row, _START, 0, False
-        self.trace = []
-        self.x = np.concatenate(row.model.u)
+    Yields each flat ``u`` to evaluate and is sent back ``(F(u), ll,
+    fault, gap, p)``, as :meth:`_EmMap.step` gives them for its slot: the
+    plain step, the log-likelihood, the :class:`DegenerateFitError` or
+    None, ``max |F(u) - u|`` and the cell posteriors (a buffer the next
+    step reuses).  To extrapolate it yields ``(u0, u1, u2)`` and is sent
+    back :func:`_squarem_points`' point, or None where that is unusable.
+    Returns :func:`em_fit`'s ``(fitted, posteriors)``, or the fault that
+    ended the fit.
+    """
+    budget, evals, converged, trace = max_iter + 1, 1, False, []
+    u = np.concatenate(row.model.u)
+    fu, ll, fault, gap, p = yield u
+    if fault is not None:
+        return fault
+    trace.append(ll)
+    while not converged and evals < budget:
+        # the plain step u1 = F(u) may not lower the log-likelihood; a
+        # converged one is scored and kept
+        converged, u1 = gap <= tol, fu
+        u2, ll1, fault, gap1, p1 = yield u1
+        evals += 1
+        fault = _ascent(fault, ll, ll1)
+        if fault is not None:
+            return fault
+        # while evaluations remain and u1 -> u2 does not converge, the
+        # extrapolated point is tried: it stands if it is defined and does
+        # not lower the log-likelihood.  Otherwise u2 = F(u1), under the
+        # ascent guard, while evaluations remain, or else u1, whose
+        # posteriors the map has overwritten if the point was tried
+        squared = not converged and evals < budget and gap1 > tol
+        x = (yield u, u1, u2) if squared else None
+        if x is not None:
+            fx, llx, fault, gapx, px = yield x
+            evals += 1
+        if x is not None and fault is None and llx >= ll:
+            u, fu, ll, gap, p = x, fx, llx, gapx, px
+        elif squared and evals < budget:
+            fu, ll, fault, gap, p = yield u2
+            evals += 1
+            fault = _ascent(fault, ll1, ll)
+            if fault is not None:
+                return fault
+            u = u2
+        else:
+            u, fu, ll, gap, p = u1, u2, ll1, gap1, None if squared else p1
+        trace.append(ll)
+    if not converged:
+        _log.warning(
+            "EM stopped at max_iter = %d before the largest u change fell "
+            "below tol = %g", max_iter, tol,
+        )
+    levels = row.model.levels
+    tables = [u[end - D:end] for D, end in zip(levels, itertools.accumulate(levels))]
+    fitted = ClassifierModel(pi=row.model.pi, m=row.model.m, u=tables)
+    if p is None:
+        # the map's posteriors at u, term for term
+        p, _ = _posterior_from_mixture(row.a, (1.0 - fitted.pi) * _products(fitted.u, row.cells))
+    p_hat = p.take(row.inverse)
+    return fitted, PosteriorSet(
+        p_hat=p_hat,
+        delta_hat=classify(p_hat),
+        loglik_trace=tuple(trace),
+        design_weighted_mean=float(np.dot(row.d, p_hat) / row.d.sum()),
+        converged=converged,
+        iterations=evals - 1,
+    )
 
 
 def _em_stack(next_row, width: int, tol: float = 1e-8, max_iter: int = 1000):
     """Fit a stream of EM rows in one stack of ``width`` slots.
 
-    Each row's fit is :func:`em_fit`'s: SQUAREM over the plain EM map with
-    the same fallbacks, ascent guard, convergence test and evaluation
-    budget, bit-identical to a stack of one.  ``next_row()`` returns the
-    next :class:`_EmRow` or None; it is asked whenever a slot is free, so
-    a row that leaves can make room for another.  Yields
-    ``(key, outcome)`` as each row leaves: ``outcome`` is
-    :func:`em_fit`'s ``(fitted, posteriors)``, or the
-    :class:`DegenerateFitError` or :class:`AscentViolationError` that
-    ended the fit.  It ends when every slot is empty and
-    ``next_row()`` returns None.  A bad ``tol`` or ``max_iter`` raises
-    ``ValueError`` at the first step.
+    Each row's fit is :func:`em_fit`'s, run by its own :func:`_squarem`
+    generator, bit-identical to a stack of one: the stack steps the map at
+    every slot's point, sends each generator its results and batches the
+    extrapolations they ask for.  ``next_row()`` returns the next
+    :class:`_EmRow` or None; it is asked whenever a slot is free, so a row
+    that leaves can make room for another.  Yields ``(key, outcome)`` as
+    each row leaves: ``outcome`` is :func:`em_fit`'s ``(fitted,
+    posteriors)``, or the :class:`DegenerateFitError` or
+    :class:`AscentViolationError` that ended the fit.  It ends when every
+    slot is empty and ``next_row()`` returns None.  A bad ``tol`` or
+    ``max_iter`` raises ``ValueError`` at the first step.
     """
     integral = isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
     if not integral or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, not {max_iter!r}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be a number >= 0, not {tol!r}")
-    budget = max_iter + 1
-    emap, fits, leaving = None, [], True
+    emap, fits, points, leaving = None, [], [], True
     while True:
         # once fits have left (and at the start) a free slot takes the next
         # row while rows come; the last fits then close any gap, so that a
         # step runs over the fits alone
         if leaving:
             fits += [None] * (width - len(fits))
+            points += [None] * (width - len(points))
             for slot in range(width):
                 if fits[slot] is None:
                     row = next_row()
@@ -549,102 +607,35 @@ def _em_stack(next_row, width: int, tol: float = 1e-8, max_iter: int = 1000):
                         break
                     emap = emap or _EmMap(row.model.levels, width)
                     emap.put(slot, row)
-                    fits[slot] = _Fit(row)
+                    fits[slot] = _squarem(row, tol, max_iter)
+                    points[slot] = next(fits[slot])
             while None in fits:
-                fit = fits.pop()
+                fit, point = fits.pop(), points.pop()
                 if fit is not None:
                     slot = fits.index(None)
-                    fits[slot] = fit
-                    emap.put(slot, fit.row)
+                    fits[slot], points[slot] = fit, point
+                    emap.put(slot, emap.rows[len(fits)])  # the popped slot's row
         if not fits:
             return
-        fx, _, lls, faults, gaps = emap.step([fit.x for fit in fits])
-        leaving, extrapolate = [], []
+        fx, _, lls, faults, gaps = emap.step(points)
+        leaving, extrapolate = False, []
         for slot, fit in enumerate(fits):
-            fit.evals += 1
-            phase, ll, fault, gap = fit.phase, lls[slot], faults[slot], gaps[slot]
-            fresh = True  # the accepted iterate is the point just evaluated
-            if phase == _SQUARED:
-                # the extrapolated point stands if it is defined and does not
-                # lower the log-likelihood; otherwise u2, while evaluations
-                # remain, or else u1
-                if fault is None and ll >= fit.ll:
-                    fit.u, fit.fu, fit.ll, fit.gap = fit.x, fx[slot], ll, gap
-                elif fit.evals < budget:
-                    fit.x, fit.phase = fit.u2, _SECOND
-                    continue
-                else:
-                    fit.u, fit.fu, fit.ll, fit.gap = fit.u1, fit.u2, fit.ll1, fit.gap1
-                    fresh = False
-            else:
-                # a plain step (F(u) or u2) may not lower the log-likelihood
-                # of the point it came from
-                if fault is None and phase != _START:
-                    ll_from = fit.ll if phase == _PLAIN else fit.ll1
-                    if ll < ll_from - ASCENT_SLACK * max(1.0, abs(ll_from)):
-                        fault = AscentViolationError(
-                            f"log-likelihood decreased from {ll_from!r} to {ll!r}"
-                        )
-                if fault is not None:
-                    leaving.append((slot, fault, False))
-                    continue
-                if phase == _PLAIN:
-                    fit.u1, fit.u2, fit.ll1, fit.gap1 = fit.x, fx[slot], ll, gap
-                    # while evaluations remain and u1 -> u2 does not converge,
-                    # try the extrapolated point; otherwise u1 is accepted
-                    if not fit.converged and fit.evals < budget and gap > tol:
-                        extrapolate.append(fit)
-                        continue
-                fit.u, fit.fu, fit.ll, fit.gap = fit.x, fx[slot], ll, gap
-            fit.trace.append(fit.ll)
-            if fit.converged or fit.evals >= budget:
-                leaving.append((slot, None, fresh))
-            else:
-                # the plain step u1 = F(u); a converged one is scored and kept
-                fit.converged = fit.gap <= tol
-                fit.x, fit.phase = fit.fu, _PLAIN
+            sent = fx[slot], lls[slot], faults[slot], gaps[slot], emap.posteriors(slot)
+            try:
+                points[slot] = fit.send(sent)
+            except StopIteration as stop:
+                # each outcome is handed on as its fit leaves, so that no
+                # two are held at once
+                fits[slot], leaving = None, True
+                yield emap.rows[slot].key, stop.value
+                continue
+            if isinstance(points[slot], tuple):
+                extrapolate.append(slot)
         if extrapolate:
-            points, usable = _squarem_points(
-                np.array([fit.u for fit in extrapolate]),
-                np.array([fit.u1 for fit in extrapolate]),
-                np.array([fit.u2 for fit in extrapolate]),
-                emap.blocks[:len(extrapolate) * emap.size],
-            )
-            for fit, point, ok in zip(extrapolate, points, usable):
-                fit.x, fit.phase = (point, _SQUARED) if ok else (fit.u2, _SECOND)
-        for slot, fault, fresh in leaving:
-            fit, fits[slot] = fits[slot], None
-            yield fit.row.key, fault or _fit_result(
-                fit, emap.bounds, tol, max_iter, emap.posteriors(slot) if fresh else None
-            )
-
-
-def _fit_result(fit: _Fit, bounds, tol, max_iter, p_cells=None):
-    """:func:`em_fit`'s ``(fitted, posteriors)`` for a fit that stopped;
-    ``p_cells`` are the cell posteriors at its ``u`` when the last step
-    evaluated that point."""
-    row = fit.row
-    if not fit.converged:
-        _log.warning(
-            "EM stopped at max_iter = %d before the largest u change fell "
-            "below tol = %g", max_iter, tol,
-        )
-    tables = tuple(fit.u[lo:hi] for lo, hi in bounds)
-    fitted = ClassifierModel(pi=row.model.pi, m=row.model.m, u=tables)
-    if p_cells is None:
-        # the map's posteriors at u, term for term
-        p_cells, _ = _posterior_from_mixture(
-            row.a, (1.0 - fitted.pi) * _products(fitted.u, row.cells)
-        )
-    p_hat = p_cells.take(row.inverse)
-    return fitted, PosteriorSet(
-        p_hat=p_hat,
-        delta_hat=classify(p_hat),
-        loglik_trace=tuple(fit.trace),
-        design_weighted_mean=float(np.dot(row.d, p_hat) / row.d.sum()),
-        converged=fit.converged,
-        iterations=fit.evals - 1,
-    )
+            u0, u1, u2 = (np.array(us) for us in zip(*(points[s] for s in extrapolate)))
+            xs, usable = _squarem_points(u0, u1, u2, emap.blocks[:len(extrapolate) * emap.size])
+            for slot, x, ok in zip(extrapolate, xs, usable):
+                points[slot] = fits[slot].send(x if ok else None)
 
 
 def em_fit(
@@ -663,7 +654,8 @@ def em_fit(
     makes the posterior degenerate or lowers the log-likelihood.  The fit
     converges when one plain step moves no entry of ``u`` by more than
     ``tol``, and returns that step's tables with their posteriors.  It is
-    the one-row case of the stacked fit that study two runs.
+    the one-row case of the stacked fit that study two runs; the cycle is
+    written once, in :func:`_squarem`.
 
     ``max_iter`` bounds the map evaluations (one E-step and one M-step
     each) after the one that scores the starting tables; a fit that

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -288,11 +290,11 @@ def cmd_estimate(args, parser) -> int:
 
     if method == "ht":
         if value_col is None:
-            raise SystemExit("ht needs a y or y_star column in the sample")
+            raise ValueError("ht needs a y or y_star column in the sample")
         report = ht_total(sample, value_col)
     elif method in ("pdi", "ratio", "regdi"):
         if sample.y is None:
-            raise SystemExit(f"{method} needs a y column in the sample")
+            raise ValueError(f"{method} needs a y column in the sample")
         delta = _with_big_matches(sample, big).delta
         totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=sample.N)
         if method == "pdi":
@@ -303,7 +305,7 @@ def cmd_estimate(args, parser) -> int:
             known = {"delta": delta, "N": totals.N, "N_b": totals.N_b, "T_b": totals.T_b}
             if args.controls == "proxy_ystar":
                 if sample.y_star is None:
-                    raise SystemExit("proxy_ystar controls need a y_star column")
+                    raise ValueError("proxy_ystar controls need a y_star column")
                 known["y_star"] = sample.y_star
             else:
                 known["y"] = sample.y
@@ -311,7 +313,7 @@ def cmd_estimate(args, parser) -> int:
             report = regdi_total(sample, sample.y, spec)
     elif method == "two-step":
         if sample.y_star is None:
-            raise SystemExit("two-step needs a y_star column in the sample")
+            raise ValueError("two-step needs a y_star column in the sample")
         totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=sample.N)
         report = two_step_regdi(_with_big_matches(sample, big), totals)
     else:  # pdi2
@@ -389,9 +391,29 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    # argparse checks choices on the command line only, so a value outside
+    # them came from the config file
+    for action in commands[args.command]._actions:
+        value = getattr(args, action.dest, None)
+        if action.choices and value is not None and value not in action.choices:
+            raise SystemExit(
+                f"--config {known.config}: {action.dest} = {value!r} is not one of "
+                + ", ".join(map(str, action.choices))
+            )
     try:
+        # every file a command writes lands in --out's directory (classify's
+        # _big and .model.txt files too): it is checked before any work
+        parent = Path(args.out or ".").parent
+        if not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), args.out)
         return args.func(args, commands[args.command])
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # name the flag whose value is the path, if one is
+            flag = next((f"--{dest.replace('_', '-')} " for dest, value in vars(args).items()
+                         if isinstance(value, str) and value == str(exc.filename)), "")
+            exc = f"{flag}{exc.filename}: {exc.strerror}"
         raise SystemExit(f"{args.command}: {exc}") from None
 
 

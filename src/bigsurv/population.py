@@ -574,12 +574,6 @@ def _stratum_pools(stratum: np.ndarray, labels, sizes) -> tuple[np.ndarray, ...]
     return pools
 
 
-def _select_strata(pools, sizes, rng: np.random.Generator) -> list[np.ndarray]:
-    """Masks over each ``pools[h]`` of a simple random selection of
-    ``sizes[h]`` of its units, drawn from ``rng`` one stratum after another."""
-    return [_srs_mask(pool.size, n_h, rng) for pool, n_h in zip(pools, sizes)]
-
-
 def select_big_data_stratified(
     pop: FinitePopulation, sizes: Mapping[int, int], seed
 ) -> FinitePopulation:
@@ -596,6 +590,7 @@ def select_big_data_stratified(
     counts = [int(sizes[label]) for label in labels]
     pools = _stratum_pools(pop.stratum, labels, counts)
     delta = np.zeros(pop.N, np.int64)
-    for pool, hit in zip(pools, _select_strata(pools, counts, substream(seed))):
-        delta[pool] = hit
+    rng = substream(seed)
+    for pool, n_h in zip(pools, counts):
+        delta[pool] = _srs_mask(pool.size, n_h, rng)
     return pop.with_delta(_read_only(delta))

@@ -17,6 +17,7 @@ of evaluation order and safe to compute concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -36,8 +37,8 @@ from .population import (
     ProbabilitySample,
     _read_only,
     _rows,
-    _select_strata,
     _srs_indices,
+    _srs_mask,
     _srs_weights,
     _stratum_pools,
     big_data_inclusion_probabilities,
@@ -185,10 +186,10 @@ def _next_attempt(rep: int, attempt: int, exc: Exception) -> int:
     ) from exc
 
 
-def _with_attempts(attempt_fn, rep: int):
-    """``attempt_fn(rep, attempt)`` from attempt 0 until one does not fail
-    with a retryable error; returns its result and the failed count."""
-    attempt = 0
+def _with_attempts(attempt_fn, rep: int, attempt: int = 0):
+    """``attempt_fn(rep, attempt)`` from ``attempt`` on until one does not
+    fail with a retryable error; returns its result and that attempt, the
+    replicate's failed count."""
     while True:
         try:
             return attempt_fn(rep, attempt), attempt
@@ -282,7 +283,8 @@ def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int
     seed = (config.master_seed, rep, attempt)
     pop, scen = frame.pop, config.scenario
     rng_b = substream(seed, 1)
-    hits = _select_strata(frame.pools, config.stratum_sizes, rng_b)
+    hits = [_srs_mask(pool.size, n_h, rng_b)
+            for pool, n_h in zip(frame.pools, config.stratum_sizes)]
     sample = draw_srs(pop, config.n_a, substream(seed, 0))
     sample = replace(sample, delta=frame.membership(hits, sample.indices))
     N = pop.N
@@ -456,15 +458,10 @@ def _sim2_stack(frame: _Sim2Frame, config: SimConfig) -> list:
     reps = range(config.replicates)
     waiting = deque((rep, 0) for rep in reps)  # (replicate, attempt) to draw
     done = {}
+    draw_row = functools.partial(_sim2_draw, frame, config)
 
     def next_row():
-        while waiting:
-            rep, attempt = waiting.popleft()
-            try:
-                return _sim2_draw(frame, config, rep, attempt)
-            except RETRYABLE as exc:
-                waiting.appendleft((rep, _next_attempt(rep, attempt, exc)))
-        return None
+        return _with_attempts(draw_row, *waiting.popleft())[0] if waiting else None
 
     for draw, outcome in classifier._em_stack(next_row, _SIM2_ROWS):
         try:

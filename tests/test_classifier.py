@@ -632,6 +632,26 @@ class TestSquaremFallback:
         assert ll_x < plain[3][0]
         self.assert_took_u2(sample, model, 3, plain)
 
+    def test_rejected_point_on_the_last_evaluation_keeps_u1(self):
+        """The sample and model of :meth:`test_lower_loglik_point` with a
+        budget of the start, u1 and the rejected point: no evaluation is
+        left for u2, so the fit keeps u1, its posteriors computed afresh
+        since the map has since evaluated the rejected point."""
+        sample = make_sample([[2], [1]])
+        model = ClassifierModel(
+            pi=0.9, m=(np.array([0.5, 0.5]),), u=(np.array([0.25, 0.75]),)
+        )
+        step, _, _ = stacked_map(sample, model)
+        u0 = np.concatenate(model.u)
+        u1, _, ll0 = step(u0)
+        _, _, ll1 = step(u1)
+        fitted, post = em_fit(sample, model, max_iter=2)
+        assert fitted.u[0].tobytes() == u1.tobytes()
+        assert post.p_hat.tobytes() == posterior(fitted, sample.z).tobytes()
+        assert post.loglik_trace == (ll0, ll1)
+        assert post.iterations == 2
+        assert post.converged is False
+
 
 @st.composite
 def em_stacks(draw):

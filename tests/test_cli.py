@@ -574,6 +574,29 @@ class TestEstimate:
         assert excinfo.value.code == 2
 
 
+    @pytest.mark.parametrize(
+        "header, flags, message",
+        [
+            ("id,d,pi", ["--method", "ht"], "ht needs a y or y_star column in the sample"),
+            ("id,d,pi,y_star", ["--method", "pdi"], "pdi needs a y column in the sample"),
+            ("id,d,pi,y", ["--method", "regdi", "--controls", "proxy_ystar"],
+             "proxy_ystar controls need a y_star column"),
+            ("id,d,pi,y", ["--method", "two-step"],
+             "two-step needs a y_star column in the sample"),
+        ],
+    )
+    def test_missing_column_messages_name_the_command(self, tmp_path, header, flags, message):
+        sample_path = tmp_path / "sample.csv"
+        rows = "".join(f"{i},5.0,0.2" + ",1.0" * (header.count(",") - 2) + "\n" for i in (1, 2))
+        sample_path.write_text(f"{header}\n{rows}")
+        big_path = tmp_path / "big.csv"
+        big_path.write_text("id,y\n1,1.0\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--sample-a", str(sample_path), "--big-data", str(big_path),
+                  *flags])
+        assert excinfo.value.code == f"estimate: {message}"
+
+
 class TestClassify:
     def test_writes_labels_for_both_files_and_a_model(
         self, categorical_files, tmp_path, capsys
@@ -925,6 +948,96 @@ class TestSimulateCommands:
         assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def command_argv(command, sample, big, out=None):
+    """A runnable ``command`` on the input files ``sample`` and ``big``,
+    writing to ``out`` when given."""
+    argv = {
+        "simulate1": ["simulate1", "--scenario", "1", "--reps", "2", "--seed", "1",
+                      "--pop-n", "2000", "--n-a", "50"],
+        "simulate2": ["simulate2", "--n-a", "50", "--reps", "2", "--seed", "1",
+                      "--pop-n", "400"],
+        "estimate": ["estimate", "--sample-a", str(sample), "--big-data", str(big),
+                     "--method", "pdi2"],
+        "classify": ["classify", "--sample-a", str(sample), "--big-data", str(big),
+                     "--pi", "0.5"],
+    }[command]
+    return argv + ["--out", str(out)] if out else argv
+
+
+class TestPathFaults:
+    """A path the command cannot read or write ends it with one line that
+    names the flag and the path, and no traceback."""
+
+    @pytest.mark.parametrize("command", ["estimate", "classify"])
+    @pytest.mark.parametrize("flag", ["--sample-a", "--big-data"])
+    @pytest.mark.parametrize(
+        "kind, reason", [("missing", "No such file or directory"), ("dir", "Is a directory")]
+    )
+    def test_unreadable_input(self, categorical_files, tmp_path, command, flag, kind, reason):
+        bad = tmp_path / "nope.csv"
+        if kind == "dir":
+            bad.mkdir()
+        sample, big = categorical_files["sample"], categorical_files["big"]
+        if flag == "--sample-a":
+            sample = bad
+        else:
+            big = bad
+        with pytest.raises(SystemExit) as excinfo:
+            main(command_argv(command, sample, big, tmp_path / "out.csv"))
+        assert excinfo.value.code == f"{command}: {flag} {bad}: {reason}"
+
+    @pytest.mark.parametrize("command", ["simulate1", "simulate2", "estimate", "classify"])
+    @pytest.mark.parametrize(
+        "parent, reason", [("missing", "No such file or directory"), ("file", "Not a directory")]
+    )
+    def test_out_in_no_directory_fails_before_any_work(
+        self, categorical_files, tmp_path, monkeypatch, command, parent, reason
+    ):
+        """The output directory is checked before any input is read or any
+        population is built."""
+        (tmp_path / "file").write_text("")
+        out = tmp_path / parent / "x.csv"
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        for module, name in [
+            (bigsurv.fileio, "read_sample_csv"), (bigsurv.fileio, "read_big_data_csv"),
+            (bigsurv.simulation, "generate_population_sim1"),
+            (bigsurv.simulation, "generate_population_sim2"),
+        ]:
+            monkeypatch.setattr(module, name, no_work)
+        argv = command_argv(command, categorical_files["sample"], categorical_files["big"], out)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == f"{command}: --out {out}: {reason}"
+
+    def test_sibling_output_that_cannot_be_written_is_named(self, categorical_files, tmp_path):
+        """classify's model file sits beside --out; a directory in its place
+        ends the command with one line naming that path."""
+        out = tmp_path / "labels.csv"
+        (tmp_path / "labels.model.txt").mkdir()
+        argv = command_argv(
+            "classify", categorical_files["sample"], categorical_files["big"], out
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == f"classify: {tmp_path / 'labels.model.txt'}: Is a directory"
+
+    def test_no_traceback_from_the_console_command(self, tmp_path):
+        """Run as a program, a missing input prints one line on stderr and
+        exits with status 1."""
+        src = Path(bigsurv.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bigsurv.cli", "estimate", "--sample-a", "nope.csv",
+             "--big-data", "nope.csv", "--method", "ht"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "estimate: --sample-a nope.csv: No such file or directory\n"
+
+
 class TestConfigFile:
     def test_key_value_config_fills_required_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -1007,6 +1120,19 @@ class TestConfigFile:
         message = str(excinfo.value.code)
         assert message.startswith(f"--config {cfg}: {reason}: ")
         assert "\n" not in message
+
+    def test_config_value_outside_the_choices_rejected_by_name(self, continuous_files, tmp_path):
+        """argparse checks ``choices`` only on the command line, so the
+        config's value is checked by the command that reads it."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = bogus\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--config", str(cfg), "--sample-a",
+                  str(continuous_files["sample"]), "--big-data", str(continuous_files["big"])])
+        assert excinfo.value.code == (
+            f"--config {cfg}: method = 'bogus' is not one of "
+            "ht, pdi, ratio, regdi, two-step, pdi2"
+        )
 
     def test_malformed_config_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -27,7 +27,7 @@ from bigsurv import (
     select_big_data_stratified,
     substream,
 )
-from bigsurv import population, simulation
+from bigsurv import simulation
 from bigsurv.population import _srs_mask
 
 seeds = st.integers(0, 2**32 - 1)
@@ -183,7 +183,7 @@ def test_replicate_matches_full_n_reference(case, scenario, n_a, rep):
         return RecordedSample(**{f.name: getattr(drawn, f.name) for f in fields(drawn)})
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(population, "_srs_mask", recording_mask)
+        mp.setattr(simulation, "_srs_mask", recording_mask)
         mp.setattr(simulation, "draw_srs", recording_draw)
         try:
             record = simulation._sim1_replicate(frame, config, rep, 0)

@@ -177,6 +177,15 @@ class TestRetries:
         assert failures == 2
         assert calls == [(7, 0), (7, 1), (7, 2)]
 
+        # a redraw after a failure outside attempt_fn starts at its attempt,
+        # and the budget still counts from attempt 0
+        calls.clear()
+        assert _with_attempts(attempt, rep=3, attempt=1) == ({"value": 2}, 2)
+        assert calls == [(3, 1), (3, 2)]
+        monkeypatch.setattr(simulation, "MAX_ATTEMPTS", 2)
+        with pytest.raises(RuntimeError, match="failed 2 times"):
+            _with_attempts(attempt, rep=3, attempt=1)
+
     def test_attempt_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(simulation, "MAX_ATTEMPTS", 3)
 
@@ -399,7 +408,9 @@ class TestStudyOneStratumSizes:
         config = config.resolved()
         pop = generate_population_sim1(config.pop_n, substream(101, 9))
         frame = simulation._sim1_frame(pop, config)
-        hits = simulation._select_strata(frame.pools, config.stratum_sizes, substream(0))
+        rng = substream(0)
+        hits = [simulation._srs_mask(pool.size, n_h, rng)
+                for pool, n_h in zip(frame.pools, config.stratum_sizes)]
         idx = np.arange(pop.N)
         delta = frame.membership(hits, idx)
         assert delta.sum() == pool1 // 2
@@ -420,9 +431,9 @@ class TestStudyOneStratumSizes:
         assert frame.pools[1].size == 0
         record = simulation._sim1_replicate(frame, config, 0, 0)
         assert np.isfinite(record["regdi"]) and np.isfinite(record["pdi"])
-        hits = simulation._select_strata(
-            frame.pools, config.stratum_sizes, substream((101, 0, 0), 1)
-        )
+        rng = substream((101, 0, 0), 1)
+        hits = [simulation._srs_mask(pool.size, n_h, rng)
+                for pool, n_h in zip(frame.pools, config.stratum_sizes)]
         delta = frame.membership(hits, np.arange(pop.N))
         assert np.array_equal(delta, hits[0].astype(np.int64))
         assert record["mean_b"] == pytest.approx(pop.y[hits[0]].mean(), rel=1e-12)
