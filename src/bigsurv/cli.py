@@ -16,9 +16,13 @@ Four subcommands:
     Fit the membership mixture on the probability sample and label both
     files, writing the fitted tables alongside.
 
-Every flag can also be supplied through ``--config FILE`` where the
-file holds either JSON or ``key = value`` lines; explicit command-line
-flags override the file.
+Every flag can also be supplied through ``--config FILE``, before or
+after the command name.  The file holds a JSON object, whose values must
+be strings or numbers, or ``key = value`` lines; a key is a flag name
+(``n-a`` or ``n_a`` for ``--n-a``).  The settings are put into the
+argument list right after the command name, so argparse checks them as
+it checks flags, and flags on the command line override them.  A key
+that only another subcommand takes is skipped.
 """
 
 from __future__ import annotations
@@ -42,19 +46,9 @@ from .simulation import SimConfig, run_sim1, run_sim2, summary_rows
 
 __all__ = ["main"]
 
-def _coerce(text: str):
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    return text.strip()
-
-
-def _load_config(path: str, keys) -> dict:
+def _load_config(path: str, flags: set) -> list[tuple[str, str]]:
+    """The file's settings in order, as ``(flag, text)`` pairs; a key that
+    names none of ``flags`` is refused."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -63,11 +57,11 @@ def _load_config(path: str, keys) -> dict:
         raise SystemExit(f"--config {path}: not UTF-8 text: {exc.reason}") from None
     if raw.lstrip().startswith("{"):
         try:
-            values = json.loads(raw)
+            pairs = json.loads(raw).items()
         except json.JSONDecodeError as exc:
             raise SystemExit(f"--config {path}: not valid JSON: {exc}") from None
     else:
-        values = {}
+        pairs = []
         for line in raw.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
@@ -75,14 +69,20 @@ def _load_config(path: str, keys) -> dict:
             key, sep, rest = line.partition("=")
             if not sep:
                 raise SystemExit(f"--config {path}: line is not 'key = value': {line!r}")
-            values[key.strip()] = _coerce(rest)
-    normalized = {}
-    for key, value in values.items():
-        key = key.strip().replace("-", "_")
-        if key not in keys:
+            pairs.append((key, rest.strip()))
+    settings = []
+    for key, value in pairs:
+        key = key.strip()
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
             raise SystemExit(f"--config {path}: unknown config key: {key!r}")
-        normalized[key] = value
-    return normalized
+        # str(True) or str([600, 400]) is no flag's text
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise SystemExit(
+                f"--config {path}: {key} = {json.dumps(value)} is not a string or a number"
+            )
+        settings.append((flag, str(value)))
+    return settings
 
 
 def _parse_big(text: str) -> tuple[int, int]:
@@ -92,21 +92,15 @@ def _parse_big(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _require(args, parser, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            parser.error(
-                f"--{name.replace('_', '-')} is required "
-                "(on the command line or in --config)"
-            )
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="bigsurv",
         description="Finite-population estimation combining a probability "
         "sample with a big non-probability source.",
+        allow_abbrev=False,
     )
+    # main takes --config out of the argument list before parsing, on
+    # either side of the command name; it is declared here for --help
     parser.add_argument(
         "--config", help="JSON or key=value file; command-line flags override"
     )
@@ -116,40 +110,42 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p1 = sub.add_parser(
         "simulate1", help="Monte Carlo study with measurement-error scenarios"
     )
-    p1.add_argument("--scenario", type=int, choices=(1, 2, 3))
-    p1.add_argument("--reps", type=int)
-    p1.add_argument("--seed", type=int)
+    p1.add_argument("--scenario", type=int, choices=(1, 2, 3), required=True)
+    p1.add_argument("--reps", dest="replicates", metavar="REPS", type=int, required=True)
+    p1.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, required=True)
     p1.add_argument("--n-a", type=int, default=1000)
     p1.add_argument("--pop-n", type=int)
     p1.add_argument(
         "--big",
+        dest="stratum_sizes",
         type=_parse_big,
         metavar="N1/N2",
         help="per-stratum big-data sizes (default 30%%/20%% of the universe)",
     )
     p1.add_argument("--workers", type=int, default=1)
     p1.add_argument("--out", help="write the summary table as CSV")
-    p1.set_defaults(func=cmd_simulate1)
+    p1.set_defaults(func=cmd_simulate, study="sim1")
     commands["simulate1"] = p1
 
     p2 = sub.add_parser(
         "simulate2", help="Monte Carlo study with classified membership"
     )
-    p2.add_argument("--n-a", type=int)
-    p2.add_argument("--reps", type=int)
-    p2.add_argument("--seed", type=int)
+    p2.add_argument("--n-a", type=int, required=True)
+    p2.add_argument("--reps", dest="replicates", metavar="REPS", type=int, required=True)
+    p2.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, required=True)
     p2.add_argument("--pop-n", type=int)
     p2.add_argument("--big-n", type=int)
     p2.add_argument("--out", help="write the summary table as CSV")
-    p2.set_defaults(func=cmd_simulate2)
+    p2.set_defaults(func=cmd_simulate, study="sim2")
     commands["simulate2"] = p2
 
     pe = sub.add_parser("estimate", help="estimate a population total from CSVs")
-    pe.add_argument("--sample-a", help="probability-sample CSV (id,d,pi,y,...)")
-    pe.add_argument("--big-data", help="big-data CSV (id,y[,z1..zK,multiplicity])")
+    pe.add_argument("--sample-a", required=True, help="probability-sample CSV (id,d,pi,y,...)")
+    pe.add_argument("--big-data", required=True, help="big-data CSV (id,y[,z1..zK,multiplicity])")
     pe.add_argument(
         "--method",
         choices=("ht", "pdi", "ratio", "regdi", "two-step", "pdi2"),
+        required=True,
     )
     pe.add_argument(
         "--controls",
@@ -170,34 +166,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     pc = sub.add_parser(
         "classify", help="label probable big-data members in both files"
     )
-    pc.add_argument("--sample-a", help="probability-sample CSV with z columns")
-    pc.add_argument("--big-data", help="big-data CSV with z columns")
-    pc.add_argument("--pi", type=float, help="marginal membership rate N_b/N")
+    pc.add_argument("--sample-a", required=True, help="probability-sample CSV with z columns")
+    pc.add_argument("--big-data", required=True, help="big-data CSV with z columns")
+    pc.add_argument("--pi", type=float, required=True, help="marginal membership rate N_b/N")
     pc.add_argument("--pop-n", type=int)
     pc.add_argument("--out", default="labels.csv")
     pc.set_defaults(func=cmd_classify)
     commands["classify"] = pc
 
-    # accept --config on either side of the command name; the value is
-    # peeked out of argv before parsing, so the flag itself is inert here
-    for command in commands.values():
-        command.add_argument(
-            "--config", help="JSON or key=value file; command-line flags override"
-        )
-
     return parser, commands
 
 
-def _print_summary(summary) -> None:
+def cmd_simulate(args) -> int:
+    config = SimConfig(**{field.name: getattr(args, field.name)
+                          for field in dataclasses.fields(SimConfig) if hasattr(args, field.name)})
+    summary = (run_sim1 if config.study == "sim1" else run_sim2)(config)
     print(
         f"study={summary.study} scenario={summary.scenario} "
         f"replicates={summary.replicates} truth={summary.truth:.6f}"
     )
     print(f"{'estimator':<14}{'bias':>10}{'se':>10}{'rmse':>10}")
     for row in summary.rows:
-        print(
-            f"{row.estimator:<14}{row.bias:>10.4f}{row.se:>10.4f}{row.rmse:>10.4f}"
-        )
+        print(f"{row.estimator:<14}{row.bias:>10.4f}{row.se:>10.4f}{row.rmse:>10.4f}")
     for row in summary.rows:
         if row.var_rel_bias is not None:
             print(f"variance relative bias ({row.estimator}): {row.var_rel_bias:+.4f}")
@@ -210,42 +200,9 @@ def _print_summary(summary) -> None:
             f"EM map evaluations per fit: median {summary.em_iterations_p50:g}, "
             f"p90 {summary.em_iterations_p90}, max {summary.em_iterations_max}"
         )
-
-
-def _emit_summary(summary, out) -> None:
-    _print_summary(summary)
-    if out:
-        fileio.write_summary_csv(out, summary_rows(summary))
-        print(f"wrote {out}")
-
-
-def cmd_simulate1(args, parser) -> int:
-    _require(args, parser, "scenario", "reps", "seed")
-    config = SimConfig(
-        study="sim1",
-        scenario=args.scenario,
-        n_a=args.n_a,
-        replicates=args.reps,
-        master_seed=args.seed,
-        pop_n=args.pop_n,
-        stratum_sizes=args.big,
-        workers=args.workers,
-    )
-    _emit_summary(run_sim1(config), args.out)
-    return 0
-
-
-def cmd_simulate2(args, parser) -> int:
-    _require(args, parser, "n_a", "reps", "seed")
-    config = SimConfig(
-        study="sim2",
-        n_a=args.n_a,
-        replicates=args.reps,
-        master_seed=args.seed,
-        pop_n=args.pop_n,
-        big_n=args.big_n,
-    )
-    _emit_summary(run_sim2(config), args.out)
+    if args.out:
+        fileio.write_summary_csv(args.out, summary_rows(summary))
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -281,8 +238,7 @@ def _read_inputs(args, values=True, z=True):
         raise
 
 
-def cmd_estimate(args, parser) -> int:
-    _require(args, parser, "sample_a", "big_data", "method")
+def cmd_estimate(args) -> int:
     method = args.method
     # only the classified-membership estimator reads the big file's z
     sample, big = _read_inputs(args, z=method == "pdi2")
@@ -345,8 +301,7 @@ def _emit_estimate(report, out) -> None:
         print(f"wrote {out}")
 
 
-def cmd_classify(args, parser) -> int:
-    _require(args, parser, "sample_a", "big_data", "pi")
+def cmd_classify(args) -> int:
     # the mixture uses the big file's ids, z and multiplicities only
     sample, big = _read_inputs(args, values=False)
     fitted, post = fit_membership(sample, big, args.pi)
@@ -377,42 +332,40 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
 
-    peek = argparse.ArgumentParser(add_help=False)
+    # abbreviations are off so that --con stays a prefix of --controls
+    peek = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     peek.add_argument("--config")
-    known, _ = peek.parse_known_args(argv)
+    known, argv = peek.parse_known_args(argv)
     if known.config:
-        # every destination a subcommand parses is a config key
-        keys = {dest for sub in commands.values() for dest in vars(sub.parse_args([]))}
-        overrides = _load_config(known.config, keys - {"func", "config"})
-        for sub in commands.values():
-            sub.set_defaults(**overrides)
+        flags = {name: {flag for action in sub._actions if action.dest != "help"
+                        for flag in action.option_strings} for name, sub in commands.items()}
+        settings = _load_config(known.config, set().union(*flags.values()))
+        # the file's flags go right after the command name, the first word,
+        # so the command's own flags, which come later, override them; a
+        # key that only another command takes is skipped
+        at = next((i + 1 for i, word in enumerate(argv) if not word.startswith("-")), 0)
+        own = flags.get(argv[at - 1], ()) if at else ()
+        argv[at:at] = [f"{flag}={text}" for flag, text in settings if flag in own]
 
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 2
-    # argparse checks choices on the command line only, so a value outside
-    # them came from the config file
-    for action in commands[args.command]._actions:
-        value = getattr(args, action.dest, None)
-        if action.choices and value is not None and value not in action.choices:
-            raise SystemExit(
-                f"--config {known.config}: {action.dest} = {value!r} is not one of "
-                + ", ".join(map(str, action.choices))
-            )
     try:
         # every file a command writes lands in --out's directory (classify's
         # _big and .model.txt files too): it is checked before any work
-        parent = Path(args.out or ".").parent
-        if not parent.is_dir():
-            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        out = Path(args.out or ".")
+        if args.out and out.is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+        if not out.parent.is_dir():
+            code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
             raise OSError(code, os.strerror(code), args.out)
-        return args.func(args, commands[args.command])
+        return args.func(args)
     except (ValueError, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:
             # name the flag whose value is the path, if one is
-            flag = next((f"--{dest.replace('_', '-')} " for dest, value in vars(args).items()
-                         if isinstance(value, str) and value == str(exc.filename)), "")
+            flag = next((f"{a.option_strings[0]} " for a in commands[args.command]._actions
+                         if getattr(args, a.dest, None) == str(exc.filename)), "")
             exc = f"{flag}{exc.filename}: {exc.strerror}"
         raise SystemExit(f"{args.command}: {exc}") from None
 

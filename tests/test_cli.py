@@ -568,6 +568,13 @@ class TestEstimate:
         assert text.startswith(f"estimate: {sample_path}: {message}")
         assert "\n" not in text
 
+    def test_controls_prefix_is_not_taken_for_config(self, continuous_files, capsys):
+        """``--con`` abbreviates ``--controls``; ``--config`` takes no prefix."""
+        code = main(["estimate", "--sample-a", str(continuous_files["sample"]), "--big-data",
+                     str(continuous_files["big"]), "--method", "regdi", "--con", "duplication"])
+        assert code == 0
+        assert "controls:  duplication" in capsys.readouterr().out
+
     def test_missing_required_flag_exits_with_usage_error(self, continuous_files):
         with pytest.raises(SystemExit) as excinfo:
             main(["estimate", "--sample-a", str(continuous_files["sample"])])
@@ -988,15 +995,17 @@ class TestPathFaults:
 
     @pytest.mark.parametrize("command", ["simulate1", "simulate2", "estimate", "classify"])
     @pytest.mark.parametrize(
-        "parent, reason", [("missing", "No such file or directory"), ("file", "Not a directory")]
+        "parent, reason", [("missing", "No such file or directory"), ("file", "Not a directory"),
+                           ("dir", "Is a directory")]
     )
     def test_out_in_no_directory_fails_before_any_work(
         self, categorical_files, tmp_path, monkeypatch, command, parent, reason
     ):
-        """The output directory is checked before any input is read or any
-        population is built."""
+        """The output directory, and that --out is not itself a directory,
+        are checked before any input is read or any population is built."""
         (tmp_path / "file").write_text("")
-        out = tmp_path / parent / "x.csv"
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / parent if parent == "dir" else tmp_path / parent / "x.csv"
 
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the output path was checked")
@@ -1011,6 +1020,16 @@ class TestPathFaults:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == f"{command}: --out {out}: {reason}"
+
+    def test_out_named_like_the_command_is_named_as_out(self, tmp_path, monkeypatch):
+        """The flag named is the one whose value is the path, not another
+        setting with the same text."""
+        monkeypatch.chdir(tmp_path)
+        Path("simulate1").mkdir()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate1", "--scenario", "1", "--reps", "2", "--seed", "1",
+                  "--out", "simulate1"])
+        assert excinfo.value.code == "simulate1: --out simulate1: Is a directory"
 
     def test_sibling_output_that_cannot_be_written_is_named(self, categorical_files, tmp_path):
         """classify's model file sits beside --out; a directory in its place
@@ -1121,18 +1140,74 @@ class TestConfigFile:
         assert message.startswith(f"--config {cfg}: {reason}: ")
         assert "\n" not in message
 
-    def test_config_value_outside_the_choices_rejected_by_name(self, continuous_files, tmp_path):
-        """argparse checks ``choices`` only on the command line, so the
-        config's value is checked by the command that reads it."""
+    def test_config_value_outside_the_choices_rejected_by_name(
+        self, continuous_files, tmp_path, capsys
+    ):
+        """A config value goes through argparse as a flag does, so argparse
+        refuses a value outside the choices, naming the flag."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text("method = bogus\n")
         with pytest.raises(SystemExit) as excinfo:
             main(["estimate", "--config", str(cfg), "--sample-a",
                   str(continuous_files["sample"]), "--big-data", str(continuous_files["big"])])
-        assert excinfo.value.code == (
-            f"--config {cfg}: method = 'bogus' is not one of "
-            "ht, pdi, ratio, regdi, two-step, pdi2"
+        assert excinfo.value.code == 2
+        assert "argument --method: invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, flag",
+        [("scenario = true", "--scenario"), ("reps = 2.0", "--reps"),
+         ("workers = 1.5", "--workers"), ("n-a = 5e1", "--n-a")],
+    )
+    def test_config_value_of_the_wrong_type_is_a_usage_error(self, tmp_path, capsys, line, flag):
+        """``true`` is no scenario and ``2.0`` no replicate count: each is
+        refused as the same text on the command line would be."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = 1\nreps = 2\nseed = 1\npop-n = 2000\n{line}\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate1", "--config", str(cfg)])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: invalid int value: '{line.split(' = ')[1]}'" in (
+            capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "key, value, shown", [("big", [600, 400], "[600, 400]"), ("pop-n", None, "null"),
+                              ("scenario", True, "true")],
+    )
+    def test_json_value_that_is_not_a_string_or_number_is_refused(
+        self, tmp_path, key, value, shown
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"scenario": 1, "reps": 2, "seed": 1, key: value}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate1", "--config", str(cfg)])
+        assert excinfo.value.code == (
+            f"--config {cfg}: {key} = {shown} is not a string or a number"
+        )
+
+    def test_config_before_the_command_name(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_a = 50\nreps = 2\npop-n = 400\n")
+        printed = []
+        for argv in (["--config", str(cfg), "simulate2", "--seed", "1"],
+                     ["simulate2", "--config", str(cfg), "--seed", "1"],
+                     ["simulate2", "--seed", "1", "--n-a", "50", "--reps", "2",
+                      "--pop-n", "400"]):
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] == printed[2]
+        assert printed[0].startswith("study=sim2 scenario=n_a=50 replicates=2 ")
+
+    def test_config_key_taken_by_another_command_is_skipped(
+        self, continuous_files, tmp_path, capsys
+    ):
+        """``scenario`` is simulate1's alone, so an estimate run skips it:
+        one file can serve several commands."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"sample-a = {continuous_files['sample']}\n"
+                       f"big-data = {continuous_files['big']}\nmethod = ht\nscenario = 3\n")
+        assert main(["estimate", "--config", str(cfg)]) == 0
+        assert "estimator: ht" in capsys.readouterr().out
 
     def test_malformed_config_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
