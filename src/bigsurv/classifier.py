@@ -206,13 +206,13 @@ def _products(tables, index) -> np.ndarray:
     return out
 
 
-def _posterior_from_mixture(a: np.ndarray, b: np.ndarray):
-    """Posterior ``a / (a + b)`` and likelihood ``a + b`` of the inside part
-    ``a = pi * prod m`` against the outside part ``b = (1 - pi) * prod u``."""
+def _posterior_from_mixture(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Posterior ``a / (a + b)`` of the inside part ``a = pi * prod m``
+    against the outside part ``b = (1 - pi) * prod u``."""
     denom = a + b
     if _min(denom) <= 0.0:
         raise DegenerateFitError(_UNDEFINED)
-    return a / denom, denom
+    return a / denom
 
 
 _UNDEFINED = "posterior undefined: a level has zero frequency in both sources"
@@ -221,10 +221,9 @@ _UNDEFINED = "posterior undefined: a level has zero frequency in both sources"
 def _posterior(model: ClassifierModel, index) -> np.ndarray:
     """Membership posterior under ``model`` of each row of a level index
     (rows of ``z``, or cells)."""
-    p, _ = _posterior_from_mixture(
+    return _posterior_from_mixture(
         model.pi * _products(model.m, index), (1.0 - model.pi) * _products(model.u, index)
     )
-    return p
 
 
 def posterior(model: ClassifierModel, z) -> np.ndarray:
@@ -330,23 +329,24 @@ def _em_row(sample: ProbabilitySample, model: ClassifierModel, key=None, index=N
 
 class _EmMap:
     """The plain EM map over a stack of ``width`` slots, each holding one
-    row that shares ``levels``; a step runs over the first slots, one per
-    point it is given.
+    row that shares ``levels`` and has at most ``cells`` cells; a step runs
+    over the first slots, one per point it is given.
 
-    A row's cells are padded to the widest row's count; a padded cell has
-    weight zero and inside part one, so it adds ``+0.0`` to a bin of its
-    own row and changes no sum.  The elementwise work and the M-step's
-    ``bincount`` run once over the stack.  The log-likelihood dot product
-    and the out-mass sum run per row, on 1-D views as long as the row's
-    cell count: with the same operands in the same order, every row's
-    results are bit-identical to a stack of one.
+    Every buffer is allocated once, ``cells`` wide, and a row keeps its
+    slot until another is put there.  A row's cells are padded to the
+    bound; a padded cell has weight zero and inside part one, so it adds
+    ``+0.0`` to a bin of its own row and changes no sum.  The elementwise
+    work and the M-step's ``bincount`` run once over the stack.  The
+    log-likelihood dot product and the out-mass sum run per row, on 1-D
+    views as long as the row's cell count: with the same operands in the
+    same order, every row's results are bit-identical to a stack of one.
     """
 
-    def __init__(self, levels, width: int):
+    def __init__(self, levels, width: int, cells: int):
         self.levels = tuple(levels)
         self.offsets = np.cumsum((0,) + self.levels)
         self.size = int(self.offsets[-1])
-        self.width = width
+        self.cells = cells
         # each entry of ``width`` flattened rows of ``u`` numbered by its
         # row and column block, row j's column k as j K + k
         column = np.repeat(np.arange(len(self.levels)), np.diff(self.offsets))
@@ -354,7 +354,13 @@ class _EmMap:
         self.rows = [None] * width
         self._x = np.empty((width, self.size))
         self._b, self._denom = np.empty((2, width, 1))
-        self._index = np.empty((width, len(self.levels), 0), np.int64)
+        # a row's bins and out-masses, column by column, and per-cell arrays
+        self._index = np.empty((width, len(self.levels), cells), np.int64)
+        self._mass = np.empty(self._index.shape)
+        self._w, self._a, self._lik, self._p, self._log, self._out = np.empty((6, width, cells))
+        # each slot's weights, log-likelihoods, out-masses and posteriors as
+        # 1-D views the length of its row
+        self._views = [None] * width
 
     def put(self, slot: int, row: _EmRow) -> None:
         """Place ``row`` in ``slot``."""
@@ -362,27 +368,11 @@ class _EmMap:
             raise ValueError(
                 f"a row with levels {row.model.levels} in a stack of {self.levels}"
             )
+        c = row.w.size
+        if c > self.cells:
+            raise ValueError(f"a row with {c} cells in a stack of {self.cells}")
         self.rows[slot] = row
         self._b[slot] = 1.0 - row.model.pi
-        cells = row.w.size
-        if cells <= self._index.shape[2]:
-            return self._fill(slot, row)
-        # buffers as wide as the widest row, which every row then refills: a
-        # row's bins and out-masses, column by column, and per-cell arrays
-        self._index = np.empty((self.width, len(self.levels), cells), np.int64)
-        self._mass = np.empty(self._index.shape)
-        self._w, self._a, self._lik, self._p, self._log, self._out = np.empty(
-            (6, self.width, cells)
-        )
-        # each slot's weights, log-likelihoods, out-masses and posteriors as
-        # 1-D views the length of its row
-        self._views = [None] * self.width
-        for slot, row in enumerate(self.rows):
-            if row is not None:
-                self._fill(slot, row)
-
-    def _fill(self, slot: int, row: _EmRow) -> None:
-        c = row.w.size
         for k, at in enumerate(self.offsets[:-1] + slot * self.size):
             np.add(row.cells[k], at, out=self._index[slot, k, :c])
             self._index[slot, k, c:] = at
@@ -560,7 +550,7 @@ def _squarem(row: _EmRow, tol: float, max_iter: int):
     fitted = ClassifierModel(pi=row.model.pi, m=row.model.m, u=tables)
     if p is None:
         # the map's posteriors at u, term for term
-        p, _ = _posterior_from_mixture(row.a, (1.0 - fitted.pi) * _products(fitted.u, row.cells))
+        p = _posterior_from_mixture(row.a, (1.0 - fitted.pi) * _products(fitted.u, row.cells))
     p_hat = p.take(row.inverse)
     return fitted, PosteriorSet(
         p_hat=p_hat,
@@ -572,19 +562,22 @@ def _squarem(row: _EmRow, tol: float, max_iter: int):
     )
 
 
-def _em_stack(next_row, width: int, tol: float = 1e-8, max_iter: int = 1000):
-    """Fit a stream of EM rows in one stack of ``width`` slots.
+def _em_stack(next_row, width: int, cells: int, tol: float = 1e-8, max_iter: int = 1000):
+    """Fit a stream of EM rows, none with more than ``cells`` cells, in one
+    stack of ``width`` slots.
 
     Each row's fit is :func:`em_fit`'s, run by its own :func:`_squarem`
     generator, bit-identical to a stack of one: the stack steps the map at
     every slot's point, sends each generator its results and batches the
-    extrapolations they ask for.  ``next_row()`` returns the next
-    :class:`_EmRow` or None; it is asked whenever a slot is free, so a row
-    that leaves can make room for another.  Yields ``(key, outcome)`` as
+    extrapolations they ask for.  At the top of each step every free slot
+    takes the next :class:`_EmRow` while ``next_row()`` gives one, and a
+    row keeps its slot until it leaves.  A step runs over the slots up to
+    the last one in use; a free slot below it keeps its last row and
+    point, is stepped, and nothing reads it.  Yields ``(key, outcome)`` as
     each row leaves: ``outcome`` is :func:`em_fit`'s ``(fitted,
     posteriors)``, or the :class:`DegenerateFitError` or
     :class:`AscentViolationError` that ended the fit.  It ends when every
-    slot is empty and ``next_row()`` returns None.  A bad ``tol`` or
+    slot is free and ``next_row()`` returns None.  A bad ``tol`` or
     ``max_iter`` raises ``ValueError`` at the first step.
     """
     integral = isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
@@ -592,41 +585,30 @@ def _em_stack(next_row, width: int, tol: float = 1e-8, max_iter: int = 1000):
         raise ValueError(f"max_iter must be an integer >= 0, not {max_iter!r}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be a number >= 0, not {tol!r}")
-    emap, fits, points, leaving = None, [], [], True
+    emap, fits, points = None, [None] * width, [None] * width
     while True:
-        # once fits have left (and at the start) a free slot takes the next
-        # row while rows come; the last fits then close any gap, so that a
-        # step runs over the fits alone
-        if leaving:
-            fits += [None] * (width - len(fits))
-            points += [None] * (width - len(points))
-            for slot in range(width):
-                if fits[slot] is None:
-                    row = next_row()
-                    if row is None:
-                        break
-                    emap = emap or _EmMap(row.model.levels, width)
-                    emap.put(slot, row)
-                    fits[slot] = _squarem(row, tol, max_iter)
-                    points[slot] = next(fits[slot])
-            while None in fits:
-                fit, point = fits.pop(), points.pop()
-                if fit is not None:
-                    slot = fits.index(None)
-                    fits[slot], points[slot] = fit, point
-                    emap.put(slot, emap.rows[len(fits)])  # the popped slot's row
-        if not fits:
+        for slot in range(width):
+            if fits[slot] is None:
+                row = next_row()
+                if row is None:
+                    break
+                emap = emap or _EmMap(row.model.levels, width, cells)
+                emap.put(slot, row)
+                fits[slot] = _squarem(row, tol, max_iter)
+                points[slot] = next(fits[slot])
+        live = [slot for slot, fit in enumerate(fits) if fit is not None]
+        if not live:
             return
-        fx, _, lls, faults, gaps = emap.step(points)
-        leaving, extrapolate = False, []
-        for slot, fit in enumerate(fits):
+        fx, _, lls, faults, gaps = emap.step(points[:live[-1] + 1])
+        extrapolate = []
+        for slot in live:
             sent = fx[slot], lls[slot], faults[slot], gaps[slot], emap.posteriors(slot)
             try:
-                points[slot] = fit.send(sent)
+                points[slot] = fits[slot].send(sent)
             except StopIteration as stop:
                 # each outcome is handed on as its fit leaves, so that no
                 # two are held at once
-                fits[slot], leaving = None, True
+                fits[slot] = None
                 yield emap.rows[slot].key, stop.value
                 continue
             if isinstance(points[slot], tuple):
@@ -668,7 +650,8 @@ def em_fit(
     source vanishes.
     """
     rows = [_em_row(sample, model)]
-    ((_, outcome),) = _em_stack(lambda: rows.pop() if rows else None, 1, tol, max_iter)
+    cells = rows[0].w.size
+    ((_, outcome),) = _em_stack(lambda: rows.pop() if rows else None, 1, cells, tol, max_iter)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

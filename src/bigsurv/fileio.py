@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,26 +223,37 @@ class _Table:
 
     def _read_alone(self, name: str, optional: bool) -> np.ndarray | None:
         """Column ``name`` by a pass of its own, ``None`` if it is optional
-        and empty on every row; else say why it does not parse."""
-        read = functools.partial(self._read, usecols=self._index[name])
+        and empty on every row; else the first fault, found by one
+        ``csv.reader`` pass over the column."""
+        j, dtype = self._index[name], self._dtype(name)
         try:
-            return read(dtype=self._dtype(name))
+            return self._read(usecols=j, dtype=dtype)
         except ValueError as exc:
             error = exc
-        try:
-            with warnings.catch_warnings():
-                # a text read warns about blank lines, which the typed read skips
-                warnings.simplefilter("ignore", UserWarning)
-                empty = read(dtype=str) == ""
-        except ValueError:  # a short row fails as text too
-            empty = np.zeros(1, bool)
-        if optional and empty.all():
+        at, blank = f"{self.path}: column {name!r}", 0
+        kind = "an integer" if dtype is np.int64 else "a number"
+        with open(self.path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            fields = len(next(reader))
+            for k, row in enumerate(filter(None, reader), 1):  # blank lines hold no row
+                if len(row) <= j:
+                    raise ValueError(f"{at}: data row {k} has {len(row)} field"
+                                     f"{'' if len(row) == 1 else 's'}; the header has {fields}")
+                if row[j] == "":
+                    blank += 1
+                    continue
+                try:  # a cell only NumPy refuses ("1_000") gets NumPy's message below
+                    dtype(row[j])
+                except (ValueError, OverflowError):
+                    raise ValueError(
+                        f"{at}: data row {k} holds {row[j]!r}, which is not {kind}"
+                    ) from None
+        if blank == k and optional:
             return None
-        if empty.any() and not empty.all():
-            raise ValueError(
-                f"{self.path}: column {name!r} mixes present and missing values"
-            )
-        raise ValueError(f"{self.path}: column {name!r}: {error}") from error
+        if blank:
+            fault = "is empty" if blank == k else "mixes present and missing values"
+            raise ValueError(f"{at} {fault}")
+        raise ValueError(f"{at}: {error}") from error
 
     def z(self) -> np.ndarray | None:
         """The ``z1..zK`` columns stacked in numeric order, read-only, or

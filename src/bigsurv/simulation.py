@@ -449,7 +449,8 @@ def _sim2_record(draw: _Sim2Draw, fitted, post) -> dict:
 
 def _sim2_stack(frame: _Sim2Frame, config: SimConfig) -> list:
     """``(record, failures)`` of each replicate, in order, their fits run
-    as rows of one stack ``_SIM2_ROWS`` wide.
+    as rows of one stack ``_SIM2_ROWS`` wide, sized to the population's
+    distinct z cells, which bound every sample's.
 
     A row is drawn whenever a slot is free, and a replicate is finished as
     its row leaves.  An attempt that fails with a retryable error, when
@@ -463,7 +464,7 @@ def _sim2_stack(frame: _Sim2Frame, config: SimConfig) -> list:
     def next_row():
         return _with_attempts(draw_row, *waiting.popleft())[0] if waiting else None
 
-    for draw, outcome in classifier._em_stack(next_row, _SIM2_ROWS):
+    for draw, outcome in classifier._em_stack(next_row, _SIM2_ROWS, frame.cells[0].size):
         try:
             if isinstance(outcome, Exception):
                 raise outcome

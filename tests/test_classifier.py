@@ -154,7 +154,7 @@ def stacked_map(sample, model):
     loglik)`` raises the slot's fault, ``inverse`` maps each unit to its
     cell and column k's table sits at ``offsets[k]:offsets[k+1]``."""
     row = _em_row(sample, model)
-    emap = _EmMap(model.levels, 1)
+    emap = _EmMap(model.levels, 1, row.w.size)
     emap.put(0, row)
 
     def step(u):
@@ -709,9 +709,10 @@ class TestStackedFit:
         its error."""
         waiting = [_em_row(sample, model, key=j) for j, (sample, model) in enumerate(rows)]
         waiting.reverse()
-        stacked = dict(
-            _em_stack(lambda: waiting.pop() if waiting else None, width, max_iter=max_iter)
-        )
+        cells = max(row.w.size for row in waiting)
+        stacked = dict(_em_stack(
+            lambda: waiting.pop() if waiting else None, width, cells, max_iter=max_iter
+        ))
         assert sorted(stacked) == list(range(len(rows)))
         for j, (sample, model) in enumerate(rows):
             got = stacked[j]
@@ -740,8 +741,55 @@ class TestStackedFit:
             u=(np.array([0.5, 0.5]), np.full(3, 1 / 3)),
         )
         waiting = [_em_row(sample, wide), _em_row(sample, model)]
+        cells = max(row.w.size for row in waiting)
         with pytest.raises(ValueError, match=r"levels \(2, 3\) in a stack of \(2, 2\)"):
-            list(_em_stack(lambda: waiting.pop() if waiting else None, 2))
+            list(_em_stack(lambda: waiting.pop() if waiting else None, 2, cells))
+
+    def test_rows_wider_than_the_bound_are_refused(self):
+        sample = make_sample([[1, 1], [2, 1], [2, 2]])
+        model = ClassifierModel(
+            pi=0.5, m=(np.array([0.5, 0.5]),) * 2, u=(np.array([0.5, 0.5]),) * 2
+        )
+        waiting = [_em_row(sample, model)]
+        with pytest.raises(ValueError, match=r"^a row with 3 cells in a stack of 2$"):
+            list(_em_stack(lambda: waiting.pop() if waiting else None, 1, 2))
+
+    def test_rows_that_leave_out_of_order_keep_their_one_row_fits(self):
+        """Three rows in a stack of five, each keeping its slot: the first
+        is degenerate and leaves at the first step, the third converges
+        before the second, and the free slot 0 is stepped at its last
+        point until the second leaves.  Every row is still ``em_fit``'s to
+        the last bit."""
+        rows = []
+        for seed, n, pi in [(1, 30, 0.3), (2, 12, 0.6), (3, 25, 0.4)]:
+            rng = np.random.default_rng(seed)
+            z = np.column_stack([rng.integers(1, 4, n), rng.integers(1, 3, n)])
+            sample = make_sample(z, d=rng.uniform(1, 5, n))
+            m = [np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.4])]
+            u = [np.array([0.2, 0.3, 0.5]), np.array([0.3, 0.7])]
+            if seed == 1:  # the first unit's first level, in neither source
+                for t in (m, u):
+                    t[0] = np.where(np.arange(3) == sample.z[0, 0] - 1, 0.0, t[0])
+                    t[0] /= t[0].sum()
+            rows.append((sample, ClassifierModel(pi=pi, m=m, u=u)))
+        waiting = [_em_row(sample, model, key=j) for j, (sample, model) in enumerate(rows)]
+        cells = max(row.w.size for row in waiting)
+        waiting.reverse()
+        left = list(_em_stack(lambda: waiting.pop() if waiting else None, 5, cells))
+        assert [key for key, _ in left] == [0, 2, 1]
+        with pytest.raises(DegenerateFitError) as excinfo:
+            em_fit(*rows[0])
+        assert type(left[0][1]) is DegenerateFitError
+        assert str(left[0][1]) == str(excinfo.value)
+        for j, (got_fitted, got_post) in left[1:]:
+            fitted, post = em_fit(*rows[j])
+            assert np.concatenate(got_fitted.u).tobytes() == np.concatenate(fitted.u).tobytes()
+            assert got_post.p_hat.tobytes() == post.p_hat.tobytes()
+            assert (
+                np.array(got_post.loglik_trace).tobytes()
+                == np.array(post.loglik_trace).tobytes()
+            )
+            assert (got_post.iterations, got_post.converged) == (post.iterations, post.converged)
 
 
 class TestFitMembership:

@@ -284,11 +284,27 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match=f"sample.csv: column '{column}'"):
             read_sample_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("3,5.0", "column 'pi': data row 3 has 2 fields"),
+         ("3", "column 'd': data row 3 has 1 field")],
+    )
+    def test_short_row_is_named_by_its_data_row(self, tmp_path, row, message):
+        """A blank line holds no row, so the short row is data row 3."""
+        path = tmp_path / "sample.csv"
+        path.write_text(f"id,d,pi,y,delta\n1,5.0,0.2,1.0,1\n\n2,5.0,0.2,2.0,0\n{row}\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_sample_csv(path)
+        assert str(excinfo.value) == f"{path}: {message}; the header has 5"
+
     def test_unparseable_value_names_the_column(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("id,y,z1\n1,1.0,2\n2,2.0,two\n")
-        with pytest.raises(ValueError, match="big.csv: column 'z1': could not convert"):
+        with pytest.raises(ValueError) as excinfo:
             read_big_data_csv(path, N=10)
+        assert str(excinfo.value) == (
+            f"{path}: column 'z1': data row 2 holds 'two', which is not an integer"
+        )
 
     def test_bad_cell_late_in_last_column_is_named(self, tmp_path):
         """The one-pass read fails on the last column of row 500, and the
@@ -297,8 +313,11 @@ class TestBoundaryChecks:
         rows[-1] = "500,125.0,1,x"
         path = tmp_path / "big.csv"
         path.write_text("id,y,multiplicity,z1\n" + "\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match="big.csv: column 'z1': could not convert"):
+        with pytest.raises(ValueError) as excinfo:
             read_big_data_csv(path, N=1000)
+        assert str(excinfo.value) == (
+            f"{path}: column 'z1': data row 500 holds 'x', which is not an integer"
+        )
 
     def test_empty_column_between_present_ones_reads_as_none(self, tmp_path):
         """An optional column empty on every row is left out of the

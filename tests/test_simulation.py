@@ -451,6 +451,19 @@ class TestStudyTwoHarness:
         assert all(r.var_rel_bias is None for r in summary.rows)
         assert summary.failures == 0
 
+    def test_each_row_is_placed_in_the_stack_once(self, monkeypatch):
+        """A row keeps its slot from entry to exit: over more replicates
+        than the stack has slots, each attempt's row is put there once."""
+        placed, put = [], classifier._EmMap.put
+
+        def counting(emap, slot, row):
+            placed.append(row.key)
+            put(emap, slot, row)
+
+        monkeypatch.setattr(classifier._EmMap, "put", counting)
+        summary = run_sim2(small_sim2(replicates=30))
+        assert len(placed) == summary.replicates + summary.failures
+
     def test_em_iterations_summarise_every_fit(self, monkeypatch):
         """The summary's median, 90th percentile (nearest rank) and
         maximum are those of the map evaluations each replicate's fit
