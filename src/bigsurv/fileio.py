@@ -242,8 +242,11 @@ class _Table:
                 if row[j] == "":
                     blank += 1
                     continue
-                try:  # a cell only NumPy refuses ("1_000") gets NumPy's message below
-                    dtype(row[j])
+                cell = row[j].strip()
+                try:  # Python's parse also takes "1_5" and non-ASCII digits; loadtxt does not
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError
+                    dtype(cell)
                 except (ValueError, OverflowError):
                     raise ValueError(
                         f"{at}: data row {k} holds {row[j]!r}, which is not {kind}"

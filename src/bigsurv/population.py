@@ -489,6 +489,28 @@ def _srs_indices(n: int, N: int, seed) -> np.ndarray:
     return np.sort(substream(seed).choice(N, size=n, replace=False))
 
 
+def _srs_sample(idx: np.ndarray, N: int, weights=None, joint: bool = True,
+                **columns) -> ProbabilitySample:
+    """The SRS design sample at the sorted zero-based positions ``idx`` of
+    ``N`` units, with the observed ``columns`` of its units.
+
+    Its ``(d, pi)`` are ``weights``, which a run's samples of one size may
+    share, or else built here; it carries the SRS joint inclusion
+    provider unless ``joint`` is false.
+    """
+    n = idx.size
+    d, pi = _srs_weights(n, N) if weights is None else weights
+    return ProbabilitySample(
+        unit_ids=_read_only(idx + 1),
+        d=d,
+        pi=pi,
+        joint_pi=SRSJointInclusion(n=n, N=N) if joint else None,
+        N=N,
+        design="srs",
+        **columns,
+    )
+
+
 def draw_srs(pop: FinitePopulation, n: int, seed) -> ProbabilitySample:
     """Draw a simple random sample (without replacement) of size ``n``.
 
@@ -496,16 +518,10 @@ def draw_srs(pop: FinitePopulation, n: int, seed) -> ProbabilitySample:
     inclusion provider, and views of the population columns for the
     drawn units (sorted by unit id).
     """
-    N = pop.N
-    idx = _srs_indices(n, N, seed)
-    d, pi = _srs_weights(n, N)
-    return ProbabilitySample(
-        unit_ids=_read_only(idx + 1),
-        d=d,
-        pi=pi,
-        joint_pi=SRSJointInclusion(n=n, N=N),
-        N=N,
-        design="srs",
+    idx = _srs_indices(n, pop.N, seed)
+    return _srs_sample(
+        idx,
+        pop.N,
         y=_rows(pop.y, idx),
         y_star=_rows(pop.y_star, idx),
         delta=_rows(pop.delta, idx),
@@ -551,27 +567,22 @@ def _srs_mask(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return hit
 
 
-def _stratum_pools(stratum: np.ndarray, labels, sizes) -> tuple[np.ndarray, ...]:
-    """Sorted unit indices of each stratum in ``labels``, in that order.
-
-    ``sizes[h]`` units are asked of stratum ``labels[h]``.  Raises
-    ``ValueError`` naming ``stratum_sizes`` unless there is one size per
-    label, each lies in 0..the stratum's size, and they ask at least one
-    unit in all.
-    """
+def _check_stratum_sizes(labels, counts, sizes) -> None:
+    """Raise ``ValueError`` naming ``stratum_sizes`` unless there is one
+    size per label, each lies in 0..its stratum's unit count (``sizes[h]``
+    units are asked of stratum ``labels[h]``, which holds ``counts[h]``),
+    and they ask at least one unit in all."""
     if len(sizes) != len(labels) or sum(sizes) < 1:
         raise ValueError(
             f"stratum_sizes needs one size per stratum {tuple(labels)}, "
             "selecting at least one unit in all"
         )
-    pools = tuple(np.flatnonzero(stratum == label) for label in labels)
-    for label, pool, n_h in zip(labels, pools, sizes):
-        if not 0 <= n_h <= pool.size:
+    for label, count, n_h in zip(labels, counts, sizes):
+        if not 0 <= n_h <= count:
             raise ValueError(
                 f"stratum_sizes asks {n_h} units of stratum {label}, "
-                f"which holds {pool.size}"
+                f"which holds {count}"
             )
-    return pools
 
 
 def select_big_data_stratified(
@@ -588,7 +599,8 @@ def select_big_data_stratified(
         raise ValueError("population has no stratum column")
     labels = sorted(sizes)
     counts = [int(sizes[label]) for label in labels]
-    pools = _stratum_pools(pop.stratum, labels, counts)
+    pools = [np.flatnonzero(pop.stratum == label) for label in labels]
+    _check_stratum_sizes(labels, [pool.size for pool in pools], counts)
     delta = np.zeros(pop.N, np.int64)
     rng = substream(seed)
     for pool, n_h in zip(pools, counts):

@@ -35,14 +35,14 @@ from .population import (
     FinitePopulation,
     InfeasibleSelectionError,
     ProbabilitySample,
+    _check_stratum_sizes,
     _read_only,
     _rows,
     _srs_indices,
     _srs_mask,
+    _srs_sample,
     _srs_weights,
-    _stratum_pools,
     big_data_inclusion_probabilities,
-    draw_srs,
     generate_population_sim1,
     generate_population_sim2,
 )
@@ -235,68 +235,67 @@ def _run_study(config: SimConfig, results, names, scenario: str):
 SIM1_STRATA = (1, 2)
 
 
-@dataclass(frozen=True)
-class _Sim1Frame:
-    """Study-one state that depends only on the population.
+class _Sim1Frame(NamedTuple):
+    """Study one's universe in stratum order: stratum 1's units, then
+    stratum 2's, each in ascending unit order.
 
-    ``pools[h]`` holds the sorted unit indices of stratum ``SIM1_STRATA[h]``
-    and ``big_values[h]`` the big source's observed column (``y_star`` in
-    scenario 2, ``y`` otherwise) in pool order.
+    ``y`` and ``y_star`` are held in that order alone; ``rank[i]`` is
+    unit ``i``'s position in it, and stratum 1 fills positions
+    ``0..cut - 1``.  ``truth`` is the mean of ``y`` summed in unit order.
     """
 
-    pop: FinitePopulation
-    pools: tuple[np.ndarray, ...]
-    big_values: tuple[np.ndarray, ...]
+    y: np.ndarray
+    y_star: np.ndarray
+    rank: np.ndarray
+    cut: int
     truth: float
 
-    def membership(self, hits, idx) -> np.ndarray:
-        """Big-data ``delta`` of the sorted unit indices ``idx``, given the
-        selection mask ``hits[h]`` over each pool."""
-        delta = np.zeros(idx.size, np.int64)
-        for pool, hit in zip(self.pools, hits):
-            # a stratum with no unit selected marks none; skipping it also
-            # spares an empty pool the clipped lookup of its last unit
-            if not hit.any():
-                continue
-            at = np.minimum(np.searchsorted(pool, idx), pool.size - 1)
-            delta[(pool[at] == idx) & hit[at]] = 1
-        return delta
 
+def _sim1_frame(config: SimConfig) -> _Sim1Frame:
+    """The frame of study one's universe, which is built here and held
+    nowhere else, so each unit-order column is freed once scattered.
 
-def _sim1_frame(pop: FinitePopulation, config: SimConfig) -> _Sim1Frame:
-    """Stratum pools, big-source column and truth of one population.
-
-    Raises ``ValueError`` naming ``stratum_sizes`` when the sizes do not
-    fit the population's strata.
+    Every unit outside stratum 1 is in stratum 2, as
+    ``generate_population_sim1`` labels them.  Raises ``ValueError``
+    naming ``stratum_sizes`` when the sizes do not fit the strata.
     """
-    pools = _stratum_pools(pop.stratum, SIM1_STRATA, config.stratum_sizes)
-    column = pop.y_star if config.scenario == 2 else pop.y
-    return _Sim1Frame(
-        pop=pop,
-        pools=pools,
-        big_values=tuple(column[pool] for pool in pools),
-        truth=float(pop.y.mean()),
-    )
+    pop = generate_population_sim1(config.pop_n, substream(config.master_seed, 9))
+    truth = float(pop.y.mean())
+    columns, one = [pop.y, pop.y_star], pop.stratum == 1
+    del pop  # and with it the stratum column
+    N, cut = one.size, int(np.count_nonzero(one))
+    _check_stratum_sizes(SIM1_STRATA, (cut, N - cut), config.stratum_sizes)
+    # int32 halves the map wherever it can hold every position; it is
+    # filled by index, as a boolean-mask fill takes three times as long
+    rank = np.empty(N, np.int32 if N < 2**31 else np.int64)
+    rank[np.flatnonzero(one)] = np.arange(cut, dtype=rank.dtype)
+    rank[np.flatnonzero(~one)] = np.arange(cut, N, dtype=rank.dtype)
+    del one
+    for k in range(len(columns)):
+        ordered = np.empty(N)
+        ordered[rank] = columns[k]
+        columns[k] = _read_only(ordered)
+    return _Sim1Frame(*columns, _read_only(rank), cut, truth)
 
 
 def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int):
     seed = (config.master_seed, rep, attempt)
-    pop, scen = frame.pop, config.scenario
+    scen, cut, N = config.scenario, frame.cut, frame.rank.size
     rng_b = substream(seed, 1)
-    hits = [_srs_mask(pool.size, n_h, rng_b)
-            for pool, n_h in zip(frame.pools, config.stratum_sizes)]
-    sample = draw_srs(pop, config.n_a, substream(seed, 0))
-    sample = replace(sample, delta=frame.membership(hits, sample.indices))
-    N = pop.N
+    hits = [_srs_mask(m, n_h, rng_b) for m, n_h in zip((cut, N - cut), config.stratum_sizes)]
+    big = frame.y_star if scen == 2 else frame.y
     totals = BigDataTotals(
         # einsum, not np.dot: BLAS's own threads make the dots of concurrent
         # replicate threads several times slower
-        T_b=float(sum(
-            np.einsum("i,i->", vals, hit) for vals, hit in zip(frame.big_values, hits)
-        )),
+        T_b=float(np.einsum("i,i->", big[:cut], hits[0])
+                  + np.einsum("i,i->", big[cut:], hits[1])),
         N_b=int(sum(config.stratum_sizes)),
         N=N,
     )
+    idx = _srs_indices(config.n_a, N, substream(seed, 0))
+    at = frame.rank[idx]  # the sampled units' positions in stratum order
+    sample = _srs_sample(idx, N, y=_rows(frame.y, at), y_star=_rows(frame.y_star, at),
+                         delta=_read_only(np.concatenate(hits)[at].astype(np.int64)))
 
     if scen == 3:
         regdi = two_step_regdi(sample, totals)
@@ -328,10 +327,7 @@ def run_sim1(config: SimConfig) -> MonteCarloSummary:
     if config.study != "sim1":
         raise ValueError(f"run_sim1 needs study='sim1', not {config.study!r}")
     config = config.resolved()
-    frame = _sim1_frame(
-        generate_population_sim1(config.pop_n, substream(config.master_seed, 9)),
-        config,
-    )
+    frame = _sim1_frame(config)
 
     def replicate(rep):
         return _with_attempts(lambda r, att: _sim1_replicate(frame, config, r, att), rep)
@@ -411,9 +407,7 @@ def _sim2_draw(frame: _Sim2Frame, config: SimConfig, rep: int, attempt: int):
     # no summary reads a study-two variance, so leaving out joint_pi spares
     # pdi_total and pdi2_total three O(n) variances a replicate; a
     # var_rel_bias for proposed_di (ROADMAP item 1) would restore it
-    d, pi = frame.weights
-    sample = ProbabilitySample(unit_ids=_read_only(idx + 1), d=d, pi=pi, joint_pi=None,
-                               N=pop.N, design="srs", y=_rows(pop.y, idx))
+    sample = _srs_sample(idx, pop.N, frame.weights, joint=False, y=_rows(pop.y, idx))
     values = np.compress(member, pop.y)
     cells = classifier._cell_totals(
         frame.cells, np.compress(member, frame.inverse), np.ones(N_b), values, pop.N
@@ -421,7 +415,7 @@ def _sim2_draw(frame: _Sim2Frame, config: SimConfig, rep: int, attempt: int):
     # m, the level frequencies of the big source's rows, from its cells
     m = classifier._frequencies(cells.cells, frame.levels, cells.count)
     index = [col[idx] for col in frame.index]
-    u = classifier._smoothed_frequencies(index, d, frame.levels)
+    u = classifier._smoothed_frequencies(index, sample.d, frame.levels)
     model = classifier.ClassifierModel(pi=N_b / pop.N, m=m, u=u)
     totals = BigDataTotals(T_b=float(values.sum()), N_b=N_b, N=pop.N)
     draw = _Sim2Draw(rep, attempt, sample, cells, totals, {

@@ -306,6 +306,27 @@ class TestBoundaryChecks:
             f"{path}: column 'z1': data row 2 holds 'two', which is not an integer"
         )
 
+    @pytest.mark.parametrize(
+        "read, text, column, cell, kind",
+        [(read_sample_csv, "id,d,pi,y\n1,5.0,0.2,1.0\n2,5.0,0.2,{}\n", "y", "1_5", "a number"),
+         (read_sample_csv, "id,d,pi,y\n1,5.0,0.2,\xa01.0\n2,5.0,0.2,{}\n", "y", "٣",
+          "a number"),
+         (read_big_data_csv, "id,y,z1\n1,1.0,2\n2,2.0,{}\n", "z1", "1_0", "an integer"),
+         (read_big_data_csv, "id,y,z1\n1,1.0,2\n2,2.0,{}\n", "z1", "３", "an integer")],
+    )
+    def test_cell_only_python_parses_is_named(self, tmp_path, read, text, column, cell, kind):
+        """Python's parse takes underscores and non-ASCII digits, which
+        ``loadtxt`` refuses; such a cell is named in the readers' own
+        words.  A number padded with non-ASCII space reads, as in
+        ``loadtxt``, so the fault is the later cell."""
+        path = tmp_path / "data.csv"
+        path.write_text(text.format(cell), encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read(path, N=10)
+        assert str(excinfo.value) == (
+            f"{path}: column '{column}': data row 2 holds {cell!r}, which is not {kind}"
+        )
+
     def test_bad_cell_late_in_last_column_is_named(self, tmp_path):
         """The one-pass read fails on the last column of row 500, and the
         column-by-column diagnosis that follows names that column."""

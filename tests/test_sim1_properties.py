@@ -1,18 +1,19 @@
 """Property tests for study one's replicate and its big-data selection.
 
-The replicate selects the big source as a mask over each stratum pool
-cached once per population and looks up the sampled units' membership
-instead of building a full-N column.  These tests check the mask against
+The replicate selects the big source as a mask over each stratum's
+contiguous slice of the universe, held in stratum order, and reads the
+sampled units' membership from those masks through a rank map instead
+of building a full-N column.  These tests check the mask against
 ``argpartition`` over the same keys, check the replicate against a full-N
-reference drawn from the same substreams, and check that summaries do
-not depend on the number of workers.  The universe itself is built in
-place; it is checked bit for bit against the plain expressions and its
-peak memory is bounded.
+reference drawn from the same substreams and its design sample against
+``draw_srs``, and check that summaries do not depend on the number of
+workers.  The universe itself is built in place; it is checked bit for
+bit against the plain expressions, and the peak memory of building it
+and of a study run is bounded.
 """
 
 import math
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from bigsurv import (
     ProbabilitySample,
     SimConfig,
+    draw_srs,
     generate_population_sim1,
     run_sim1,
     select_big_data_stratified,
@@ -145,6 +147,37 @@ def test_select_big_data_stratified_matches_full_n_reference(case):
     assert np.array_equal(marked.delta, reference_delta(pop, sizes, substream(seed, 8)))
 
 
+def recorded_replicate(pop, config, rep):
+    """``_sim1_replicate(frame, config, rep, 0)`` on the frame of ``pop``:
+    its record (``None`` if the attempt failed retryably), the masks it
+    drew and every design sample it built."""
+    masks, samples = [], []
+
+    def recording_mask(m, k, rng):
+        masks.append(_srs_mask(m, k, rng))
+        return masks[-1]
+
+    def recording_post_init(sample):
+        post_init(sample)
+        samples.append(sample)
+
+    post_init = ProbabilitySample.__post_init__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "generate_population_sim1", lambda N, seed: pop)
+        mp.setattr(simulation, "_srs_mask", recording_mask)
+        mp.setattr(ProbabilitySample, "__post_init__", recording_post_init)
+        frame = simulation._sim1_frame(config)
+        try:
+            record = simulation._sim1_replicate(frame, config, rep, 0)
+        except simulation.RETRYABLE:
+            record = None  # the draws made before the failure are still checked
+    return record, masks, samples
+
+
+def sim1_config(pop, seed, sizes, **fields):
+    return SimConfig(pop_n=pop.N, stratum_sizes=sizes, master_seed=seed, **fields).resolved()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     case=sim1_cases(),
@@ -154,48 +187,16 @@ def test_select_big_data_stratified_matches_full_n_reference(case):
 )
 def test_replicate_matches_full_n_reference(case, scenario, n_a, rep):
     pop, seed, sizes = case
-    config = SimConfig(
-        scenario=scenario,
-        pop_n=pop.N,
-        n_a=n_a,
-        stratum_sizes=sizes,
-        master_seed=seed,
-    ).resolved()
-    frame = simulation._sim1_frame(pop, config)
-    chosen, samples = [], []
-
-    def recording_mask(m, k, rng):
-        chosen.append(_srs_mask(m, k, rng))
-        return chosen[-1]
-
-    class RecordedSample(ProbabilitySample):
-        """Records every instance, including the copy that ``replace``
-        makes when the replicate fills in ``delta``."""
-
-        def __post_init__(self):
-            super().__post_init__()
-            samples.append(self)
-
-    real_draw = simulation.draw_srs
-
-    def recording_draw(*args):
-        drawn = real_draw(*args)
-        return RecordedSample(**{f.name: getattr(drawn, f.name) for f in fields(drawn)})
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation, "_srs_mask", recording_mask)
-        mp.setattr(simulation, "draw_srs", recording_draw)
-        try:
-            record = simulation._sim1_replicate(frame, config, rep, 0)
-        except simulation.RETRYABLE:
-            record = None  # the draws made before the failure are still checked
+    config = sim1_config(pop, seed, sizes, scenario=scenario, n_a=n_a)
+    record, chosen, samples = recorded_replicate(pop, config, rep)
 
     ref = reference_delta(pop, sizes, substream((seed, rep, 0), 1))
-    selected = np.concatenate([pool[hit] for pool, hit in zip(frame.pools, chosen)])
+    pools = [np.flatnonzero(pop.stratum == label) for label in (1, 2)]
+    selected = np.concatenate([pool[hit] for pool, hit in zip(pools, chosen)])
     assert np.array_equal(np.sort(selected), np.flatnonzero(ref))
 
     idx = np.sort(substream((seed, rep, 0), 0).choice(pop.N, size=n_a, replace=False))
-    _, sample = samples  # the draw, then the copy carrying membership
+    (sample,) = samples  # built once, with its membership
     assert np.array_equal(sample.unit_ids, idx + 1)
     assert np.array_equal(sample.delta, ref[idx])
 
@@ -206,6 +207,20 @@ def test_replicate_matches_full_n_reference(case, scenario, n_a, rep):
             (sample.y_star if scenario == 3 else sample.y).mean()
         )
         assert record["truth"] == float(pop.y.mean())
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sim1_cases(), n_a=st.integers(1, 60), rep=st.integers(0, 1000))
+def test_replicate_sample_is_draw_srs(case, n_a, rep):
+    """The design sample gathered through the frame's stratum order is
+    the public draw of the same stream, bit for bit."""
+    pop, seed, sizes = case
+    _, _, samples = recorded_replicate(pop, sim1_config(pop, seed, sizes, n_a=n_a), rep)
+    want = draw_srs(pop, n_a, substream((seed, rep, 0), 0))
+    (got,) = samples
+    for name in ("unit_ids", "d", "pi", "y", "y_star"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.joint_pi == want.joint_pi and got.design == want.design
 
 
 @settings(max_examples=12, deadline=None)
@@ -266,6 +281,23 @@ def test_generator_peak_stays_under_four_and_a_half_columns():
     tracemalloc.start()
     try:
         generate_population_sim1(N, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * N
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_study_peak_stays_under_four_and_a_half_columns(workers):
+    """Study one holds its universe once, in stratum order, with an int32
+    rank map; with each worker's selection keys, a run stays under 4.5
+    N-length float columns (about 3.5 at one worker and 3.8 at two)."""
+    N = 200_000
+    config = SimConfig(pop_n=N, replicates=3, workers=workers)
+    run_sim1(config)  # one-off allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        run_sim1(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -397,6 +397,20 @@ class TestStudyOneStratumSizes:
         assert summary.failures == 0
         assert all(np.isfinite([r.bias, r.se]).all() for r in summary.rows)
 
+    def test_frame_holds_the_universe_in_stratum_order(self):
+        """Stratum 1's units, then stratum 2's, each in unit order; the
+        int32 rank map gives back every unit's values bit for bit."""
+        config = small_sim1().resolved()
+        pop = generate_population_sim1(config.pop_n, substream(101, 9))
+        frame = simulation._sim1_frame(config)
+        order = np.concatenate([np.flatnonzero(pop.stratum == label) for label in (1, 2)])
+        assert frame.rank.dtype == np.int32
+        assert np.array_equal(frame.rank[order], np.arange(pop.N))
+        assert frame.cut == np.count_nonzero(pop.stratum == 1)
+        for name in ("y", "y_star"):
+            assert getattr(frame, name)[frame.rank].tobytes() == getattr(pop, name).tobytes()
+        assert frame.truth == float(pop.y.mean())
+
     def test_stratum_asked_for_none(self):
         """A stratum asked for no units still draws its keys, and none of
         its sampled units is marked."""
@@ -407,35 +421,36 @@ class TestStudyOneStratumSizes:
 
         config = config.resolved()
         pop = generate_population_sim1(config.pop_n, substream(101, 9))
-        frame = simulation._sim1_frame(pop, config)
+        frame = simulation._sim1_frame(config)
         rng = substream(0)
-        hits = [simulation._srs_mask(pool.size, n_h, rng)
-                for pool, n_h in zip(frame.pools, config.stratum_sizes)]
-        idx = np.arange(pop.N)
-        delta = frame.membership(hits, idx)
+        hits = [simulation._srs_mask(m, n_h, rng)
+                for m, n_h in zip((frame.cut, pop.N - frame.cut), config.stratum_sizes)]
+        delta = np.concatenate(hits)[frame.rank]
         assert delta.sum() == pool1 // 2
         assert not delta[pop.stratum == 2].any()
 
-    def test_empty_stratum(self):
-        """A population without stratum 2 units: its pool is empty, so
-        the membership lookup has no unit to read there."""
+    def test_empty_stratum(self, monkeypatch):
+        """A population without stratum 2 units: its slice of the
+        stratum order is empty, so no sampled unit's membership is read
+        there."""
         pop = generate_population_sim1(600, substream(7, 9))
         one = pop.stratum == 1
         pop = FinitePopulation(
             y=pop.y[one], y_star=pop.y_star[one], stratum=pop.stratum[one]
         )
+        monkeypatch.setattr(simulation, "generate_population_sim1", lambda N, seed: pop)
         config = small_sim1(
             pop_n=pop.N, n_a=40, stratum_sizes=(pop.N // 2, 0)
         ).resolved()
-        frame = simulation._sim1_frame(pop, config)
-        assert frame.pools[1].size == 0
+        frame = simulation._sim1_frame(config)
+        assert frame.cut == pop.N
         record = simulation._sim1_replicate(frame, config, 0, 0)
         assert np.isfinite(record["regdi"]) and np.isfinite(record["pdi"])
         rng = substream((101, 0, 0), 1)
-        hits = [simulation._srs_mask(pool.size, n_h, rng)
-                for pool, n_h in zip(frame.pools, config.stratum_sizes)]
-        delta = frame.membership(hits, np.arange(pop.N))
-        assert np.array_equal(delta, hits[0].astype(np.int64))
+        hits = [simulation._srs_mask(m, n_h, rng)
+                for m, n_h in zip((frame.cut, pop.N - frame.cut), config.stratum_sizes)]
+        delta = np.concatenate(hits)[frame.rank]
+        assert np.array_equal(delta, hits[0])
         assert record["mean_b"] == pytest.approx(pop.y[hits[0]].mean(), rel=1e-12)
 
 
