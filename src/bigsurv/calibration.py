@@ -136,9 +136,9 @@ def regdi_total(sample: ProbabilitySample, y, spec: ControlSpec) -> EstimateRepo
     )
 
 
-def _column(arr, name: str, n: int) -> np.ndarray:
+def _column(arr, name: str, n: int, variant: str) -> np.ndarray:
     if arr is None:
-        raise ValueError(f"variant requires {name}")
+        raise ValueError(f"{variant} controls need a {name} column")
     if name == "z" and np.ndim(arr) == 1:
         arr = np.asarray(arr)[:, None]  # one auxiliary covariate
     return _per_unit(arr, n, name)
@@ -184,14 +184,14 @@ def build_controls(
     n = dv.shape[0]
 
     value, column = ("y_star", y_star) if variant == "proxy_ystar" else ("y", y)
-    vv = _column(column, value, n)
+    vv = _column(column, value, n, variant)
     cols = [1.0 - dv, dv, dv * vv]
     totals = [float(N) - float(N_b), float(N_b), float(T_b)]
     names = ["uncovered", "big", f"big_{value}"]
     if variant == "duplication":
         cols[0], totals[0], names[:2] = np.ones(n), float(N), ["overall", "big_count"]
     if variant == "with_aux_z":
-        zv = _column(z, "z", n)
+        zv = _column(z, "z", n, variant)
         zt = np.atleast_1d(np.asarray(z_totals, float))
         if zt.size != zv.shape[1]:
             raise ValueError("need one z total per auxiliary column")

@@ -208,8 +208,9 @@ def cmd_simulate(args) -> int:
 
 def _with_big_matches(sample, big):
     """The sample with ``y`` and ``delta`` filled in from the big source
-    by unit id where the file lacks them: ``delta`` is 1 for a unit the
-    big source holds, and ``y`` its big-data value (0 elsewhere)."""
+    by unit id where the file lacks them: ``delta`` is a unit's
+    ``multiplicity`` in the big source, and ``y`` its big-data value
+    (both 0 for a unit the big source does not hold)."""
     if sample.y is not None and sample.delta is not None:
         return sample
     order = np.argsort(big.unit_ids)
@@ -219,7 +220,7 @@ def _with_big_matches(sample, big):
     return dataclasses.replace(
         sample,
         y=np.where(found, big.values[pos], 0.0) if sample.y is None else sample.y,
-        delta=found.astype(np.int64) if sample.delta is None else sample.delta,
+        delta=np.where(found, big.multiplicity[pos], 0) if sample.delta is None else sample.delta,
     )
 
 
@@ -242,40 +243,32 @@ def cmd_estimate(args) -> int:
     method = args.method
     # only the classified-membership estimator reads the big file's z
     sample, big = _read_inputs(args, z=method == "pdi2")
-    value_col = sample.y if sample.y is not None else sample.y_star
 
     if method == "ht":
+        value_col = sample.y if sample.y is not None else sample.y_star
         if value_col is None:
             raise ValueError("ht needs a y or y_star column in the sample")
         report = ht_total(sample, value_col)
-    elif method in ("pdi", "ratio", "regdi"):
-        if sample.y is None:
-            raise ValueError(f"{method} needs a y column in the sample")
-        delta = _with_big_matches(sample, big).delta
+    elif method == "pdi2":
+        pi = args.pi if args.pi is not None else big.N_b / sample.N
+        report = pdi2_total(sample, big, *fit_membership(sample, big, pi))
+    else:
+        value = "y_star" if method == "two-step" else "y"
+        if getattr(sample, value) is None:
+            raise ValueError(f"{method} needs a {value} column in the sample")
+        sample = _with_big_matches(sample, big)
         totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=sample.N)
         if method == "pdi":
-            report = pdi_total(sample, delta, sample.y, totals)
+            report = pdi_total(sample, sample.delta, sample.y, totals)
         elif method == "ratio":
-            report = ratio_di_total(sample, delta, sample.y, totals.T_b)
-        else:
-            known = {"delta": delta, "N": totals.N, "N_b": totals.N_b, "T_b": totals.T_b}
-            if args.controls == "proxy_ystar":
-                if sample.y_star is None:
-                    raise ValueError("proxy_ystar controls need a y_star column")
-                known["y_star"] = sample.y_star
-            else:
-                known["y"] = sample.y
-            spec = build_controls(args.controls, **known)
+            report = ratio_di_total(sample, sample.delta, sample.y, totals.T_b)
+        elif method == "regdi":
+            # each control set reads its own value column, y or y_star
+            spec = build_controls(args.controls, delta=sample.delta, y=sample.y,
+                                  y_star=sample.y_star, **dataclasses.asdict(totals))
             report = regdi_total(sample, sample.y, spec)
-    elif method == "two-step":
-        if sample.y_star is None:
-            raise ValueError("two-step needs a y_star column in the sample")
-        totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=sample.N)
-        report = two_step_regdi(_with_big_matches(sample, big), totals)
-    else:  # pdi2
-        pi = args.pi if args.pi is not None else big.N_b / sample.N
-        fit = fit_membership(sample, big, pi)
-        report = pdi2_total(sample, big, *fit)
+        else:
+            report = two_step_regdi(sample, totals)
 
     if report.variance is None:
         report = dataclasses.replace(report, notes=report.notes + (

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .population import ProbabilitySample, _per_unit
+from .population import ProbabilitySample, _check_universe_size, _per_unit
 from .variance import ht_variance_quadratic
 
 __all__ = [
@@ -71,10 +71,9 @@ class BigDataTotals:
     N: int
 
     def __post_init__(self):
+        _check_universe_size(self.N)
         if self.N_b < 0:
             raise ValueError("N_b must be non-negative")
-        if self.N < 1:
-            raise ValueError("N must be positive")
         if self.N_b > self.N:
             raise ValueError("N_b cannot exceed the universe size N")
 

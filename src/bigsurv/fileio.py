@@ -437,7 +437,6 @@ def read_classifier_model(path) -> ClassifierModel:
 
 
 def write_summary_csv(path, rows: list[dict]) -> None:
-    """Write Monte Carlo summary rows produced by ``summary_rows``."""
-    header = ("study", "scenario", "estimator", "bias", "se", "rmse",
-              "var_rel_bias", "failures")
-    _write_cells(path, {col: [row.get(col, "") for row in rows] for col in header})
+    """Write Monte Carlo summary rows produced by ``summary_rows``: their
+    keys, in their order, are the columns."""
+    _write_cells(path, {col: [row[col] for row in rows] for col in rows[0]})

@@ -130,6 +130,13 @@ def _set_columns(obj, n: int, unit: str, columns, required=()) -> None:
         object.__setattr__(obj, name, col)
 
 
+def _check_universe_size(N) -> None:
+    """Raise ``ValueError`` naming ``N`` unless it is an integer of at
+    least 1; a NumPy integer passes, a ``bool`` does not."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"universe size N must be an integer of at least 1, not {N!r}")
+
+
 def _check_ids(ids: np.ndarray, N: int) -> None:
     """Raise ``ValueError`` naming ``unit_ids`` unless the ids lie in 1..N
     and no unit appears twice.
@@ -273,6 +280,7 @@ class BigSample:
             ("unit_ids", np.int64), ("values", np.float64),
             ("multiplicity", np.int64), ("z", np.int64),
         ), required=("unit_ids", "multiplicity"))
+        _check_universe_size(self.N)
         _check_ids(self.unit_ids, self.N)
 
     def __len__(self) -> int:
@@ -360,6 +368,7 @@ class ProbabilitySample:
                 if not np.isfinite(getattr(self, name)).all():
                     raise ValueError(f"{name} must hold finite values")
             raise ValueError("design weights must be reciprocal inclusion probabilities")
+        _check_universe_size(self.N)
         if self.N < k:
             raise ValueError(f"universe size N = {self.N} is below the sample size {k}")
         _check_ids(self.unit_ids, self.N)
@@ -380,11 +389,6 @@ class ProbabilitySample:
     @property
     def n(self) -> int:
         return self.unit_ids.size
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Zero-based positions of the drawn units in the population."""
-        return self.unit_ids - 1
 
 
 # ---------------------------------------------------------------------------

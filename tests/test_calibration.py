@@ -219,6 +219,17 @@ class TestBuildControls:
         with pytest.raises(ValueError):
             build_controls("nonsense", delta=[0, 1], N=5)
 
+    @pytest.mark.parametrize("variant, column", [
+        ("standard", "y"), ("duplication", "y"), ("proxy_ystar", "y_star"), ("with_aux_z", "z"),
+    ])
+    def test_missing_value_column_named_with_its_control_set(self, variant, column):
+        """Each control set reads its own column; given every other one,
+        the error names the set and the column it lacks."""
+        given = {"y": [1.0, 2.0], "y_star": [1.5, 2.5], "z": [[1], [2]]}
+        del given[column]
+        with pytest.raises(ValueError, match=f"^{variant} controls need a {column} column$"):
+            build_controls(variant, delta=[0, 1], N=5, N_b=2, T_b=2.0, z_totals=[2.0], **given)
+
 
 class TestRegressionDataIntegration:
     @pytest.mark.parametrize("seed", range(10))

@@ -2,6 +2,7 @@
 ``main(argv)`` with files in a temporary directory."""
 
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -602,6 +603,61 @@ class TestEstimate:
             main(["estimate", "--sample-a", str(sample_path), "--big-data", str(big_path),
                   *flags])
         assert excinfo.value.code == f"estimate: {message}"
+
+    @staticmethod
+    def _count_files(tmp_path):
+        """A universe of 400 with a big source of 200 units counted
+        ``1 + [y > 3] + [y > 4]`` times, and an SRS of 60 carrying y,
+        a proxy and two traits, written with ``delta`` as each unit's
+        count (``with.csv``) and without it (``without.csv``)."""
+        rng = np.random.default_rng(26)
+        N = 400
+        y = rng.normal(3.0, 1.0, N)
+        z = np.column_stack([rng.integers(1, 5, N), rng.integers(1, 4, N)])
+        members = np.sort(rng.choice(N, size=200, replace=False))
+        count = np.zeros(N, np.int64)
+        count[members] = 1 + (y[members] > 3) + (y[members] > 4)
+        write_big_data_csv(tmp_path / "big.csv", BigSample(
+            unit_ids=members + 1, values=y[members], multiplicity=count[members],
+            N=N, z=z[members],
+        ))
+        idx = np.sort(rng.choice(N, size=60, replace=False))
+        sample = ProbabilitySample(
+            unit_ids=idx + 1, d=np.full(60, N / 60), pi=np.full(60, 60 / N),
+            joint_pi=SRSJointInclusion(60, N), N=N, design="srs", y=y[idx],
+            y_star=2.0 + 0.9 * y[idx] + rng.normal(0.0, 0.3, 60), delta=count[idx],
+            z=z[idx],
+        )
+        assert (sample.delta > 1).any()
+        write_sample_csv(tmp_path / "with.csv", sample)
+        write_sample_csv(tmp_path / "without.csv", dataclasses.replace(sample, delta=None))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "ht"],
+            ["--method", "pdi"],
+            ["--method", "ratio"],
+            ["--method", "regdi", "--controls", "standard"],
+            ["--method", "regdi", "--controls", "duplication"],
+            ["--method", "regdi", "--controls", "proxy_ystar"],
+            ["--method", "two-step"],
+            ["--method", "pdi2", "--pi", "0.5"],
+        ],
+        ids=lambda flags: "-".join(flags[1::2]),
+    )
+    def test_sample_without_delta_gets_the_big_file_counts(self, tmp_path, capsys, flags):
+        """A sample file without ``delta`` is joined to the big file by id,
+        each matched unit taking its ``multiplicity``: it prints the total
+        and variance of the same file with ``delta`` holding those counts."""
+        self._count_files(tmp_path)
+        printed = []
+        for name in ("with.csv", "without.csv"):
+            assert main(["estimate", "--sample-a", str(tmp_path / name),
+                         "--big-data", str(tmp_path / "big.csv"), *flags]) == 0
+            out = capsys.readouterr().out
+            printed.append((printed_value(out, "total"), printed_value(out, "variance")))
+        assert printed[0] == printed[1]
 
 
 class TestClassify:

@@ -512,3 +512,10 @@ class TestSummaryCSV:
         assert float(parsed[0]["var_rel_bias"]) == 0.028
         assert parsed[1]["var_rel_bias"] == ""
         assert parsed[1]["bias"] == "-1.1"
+
+    def test_columns_are_the_rows_keys_in_order(self, tmp_path):
+        """The rows name the columns: a key that ``summary_rows`` adds is
+        written with no change here."""
+        path = tmp_path / "summary.csv"
+        write_summary_csv(path, [{"estimator": "regdi", "bias": 0.5, "coverage": 0.95}])
+        assert path.read_bytes() == b"estimator,bias,coverage\r\nregdi,0.5,0.95\r\n"

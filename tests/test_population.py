@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bigsurv import (
+    BigDataTotals,
     BigSample,
     FinitePopulation,
     InfeasibleSelectionError,
@@ -105,6 +106,32 @@ class TestFinitePopulation:
                 unit_ids=ids, values=np.ones(len(ids)),
                 multiplicity=np.ones(len(ids), np.int64), N=20,
             )
+
+
+# each class that takes a universe size, built with the given N
+_WITH_N = {
+    "BigSample": lambda N: BigSample(
+        unit_ids=np.array([1]), values=np.array([2.0]), multiplicity=np.array([1]), N=N
+    ),
+    "ProbabilitySample": lambda N: ProbabilitySample(
+        unit_ids=np.array([1]), d=np.array([1.0]), pi=np.array([1.0]), joint_pi=None, N=N
+    ),
+    "BigDataTotals": lambda N: BigDataTotals(T_b=2.0, N_b=1, N=N),
+}
+
+
+class TestUniverseSize:
+    @pytest.mark.parametrize("cls", _WITH_N)
+    @pytest.mark.parametrize("N", [None, 2.5, 0, True], ids=repr)
+    def test_n_must_be_an_integer_of_at_least_one(self, cls, N):
+        with pytest.raises(
+            ValueError, match=rf"^universe size N must be an integer of at least 1, not {N!r}$"
+        ):
+            _WITH_N[cls](N)
+
+    @pytest.mark.parametrize("cls", _WITH_N)
+    def test_numpy_integer_n_passes(self, cls):
+        assert _WITH_N[cls](np.int64(3)).N == 3
 
 
 class TestProbabilitySampleValidation:
