@@ -390,12 +390,12 @@ class _EmMap:
         """One E-step and one M-step at each point, ``points[s]`` in slot s.
 
         A point is a flat ``u``, column k's table at
-        ``offsets[k]:offsets[k+1]``.  Returns ``(F, p, ll, faults, gaps)``:
+        ``offsets[k]:offsets[k+1]``.  Returns ``(F, ll, faults, gaps)``:
         ``F[s]``, the posterior-(1-p)-weighted level frequencies, in a new
-        array; ``p[s]``, the cell posteriors (a buffer the next step
-        reuses); and per slot the design-weighted log-likelihood, the
+        array; and per slot the design-weighted log-likelihood, the
         :class:`DegenerateFitError` the point raises or None, and the
-        largest ``|F[s] - points[s]|``.
+        largest ``|F[s] - points[s]|``.  A slot's cell posteriors are
+        :meth:`posteriors`.
         """
         n = len(points)
         x = self._x[:n]
@@ -443,7 +443,7 @@ class _EmMap:
             fx = fx.reshape(x.shape)
             fx /= denom
             gaps = np.maximum.reduce(np.abs(fx - x), axis=1).tolist()
-        return fx, p, ll, faults, gaps
+        return fx, ll, faults, gaps
 
 
 def _squarem_points(u0, u1, u2, blocks):
@@ -495,13 +495,13 @@ def _squarem(row: _EmRow, tol: float, max_iter: int):
     """:func:`em_fit`'s SQUAREM cycle on one row, the one place it is written.
 
     Yields each flat ``u`` to evaluate and is sent back ``(F(u), ll,
-    fault, gap, p)``, as :meth:`_EmMap.step` gives them for its slot: the
-    plain step, the log-likelihood, the :class:`DegenerateFitError` or
-    None, ``max |F(u) - u|`` and the cell posteriors (a buffer the next
-    step reuses).  To extrapolate it yields ``(u0, u1, u2)`` and is sent
-    back :func:`_squarem_points`' point, or None where that is unusable.
-    Returns :func:`em_fit`'s ``(fitted, posteriors)``, or the fault that
-    ended the fit.
+    fault, gap, p)``, as :meth:`_EmMap.step` and :meth:`_EmMap.posteriors`
+    give them for its slot: the plain step, the log-likelihood, the
+    :class:`DegenerateFitError` or None, ``max |F(u) - u|`` and the cell
+    posteriors (a buffer the next step reuses).  To extrapolate it yields
+    ``(u0, u1, u2)`` and is sent back :func:`_squarem_points`' point, or
+    None where that is unusable.  Returns :func:`em_fit`'s ``(fitted,
+    posteriors)``, or the fault that ended the fit.
     """
     budget, evals, converged, trace = max_iter + 1, 1, False, []
     u = np.concatenate(row.model.u)
@@ -599,7 +599,7 @@ def _em_stack(next_row, width: int, cells: int, tol: float = 1e-8, max_iter: int
         live = [slot for slot, fit in enumerate(fits) if fit is not None]
         if not live:
             return
-        fx, _, lls, faults, gaps = emap.step(points[:live[-1] + 1])
+        fx, lls, faults, gaps = emap.step(points[:live[-1] + 1])
         extrapolate = []
         for slot in live:
             sent = fx[slot], lls[slot], faults[slot], gaps[slot], emap.posteriors(slot)

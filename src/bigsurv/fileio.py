@@ -1,8 +1,10 @@
 """CSV and text serialisation for samples, big-data extracts, and results.
 
-All tabular formats are plain CSV with a header row.  A file is read in
-one pass over the columns its reader uses, where it can be; a big-data
-extract read for classification leaves its value column out.  A table of
+All tabular formats are plain CSV with a header row.  A reader names the
+columns it uses, and no other column is parsed: one ``np.loadtxt`` pass
+reads them, a big-data extract read for classification leaving its value
+column out.  A column empty in the first data row, or a fault, adds one
+``csv.reader`` scan, which names the first fault by data row.  A table of
 arrays is written in blocks of rows, so a write takes bounded memory
 however long the file is, and each block is assembled as bytes in NumPy;
 the one-row estimate and summary tables go through ``csv.writer``.  A
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ from .population import (
     ProbabilitySample,
     SRSJointInclusion,
     _equal_pi,
+    _read_only,
 )
 
 __all__ = [
@@ -50,6 +53,7 @@ __all__ = [
 ]
 
 _INT_COLUMNS = {"id", "delta", "multiplicity", "delta_hat"}
+_is_z = re.compile(r"z\d+").fullmatch  # z1, z2, ...: categorical covariates
 
 
 # rows formatted and written at a time: large enough that NumPy does the
@@ -140,136 +144,116 @@ def _write_cells(path, columns: dict) -> None:
         writer.writerows(zip(*columns.values(), strict=True))
 
 
-class _Table:
-    """A headered CSV file, read in one pass where it can be.
+def _read_columns(path, required, optional=(), z=True) -> dict:
+    """The columns a reader uses, by name: each int64 or float64 by name,
+    read-only, and checked finite and, for ``z1..zK``, at least 1.
 
-    The constructor reads every column that is non-empty in the first
-    data row, except those named in ``skip`` and, with ``z=False``, the
-    ``z1..zK`` columns, with one structured ``np.loadtxt`` pass.  A column
-    left out of it, or every column when that pass fails, is read on its
-    own when asked for, which tells an all-empty optional column from a
-    bad one and names the column at fault.
+    A ``required`` column must be present; an ``optional`` one absent or
+    empty on every row comes back as ``None``.  With ``z`` the file's
+    ``z1..zK`` columns follow, required, in numeric order.  No other
+    column is parsed.  The columns non-empty in the first data row are
+    read by one structured ``np.loadtxt`` pass; any other column, and
+    every column when that pass fails, goes through one :func:`_scan`.
     """
-
-    def __init__(self, path, skip=(), z=True):
-        self.path = path
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            first = next(filter(None, reader), None)  # blank lines hold no row
-            if first is None:
-                raise EmptyPopulationError(f"{path}: no data rows")
-        self.names = [name.strip() for name in header]
-        self._index = {name: j for j, name in enumerate(self.names)}
-        if len(self._index) < len(self.names):
-            # the index keeps a name's last position, so the first name
-            # whose position differs is the first repeated one
-            repeated = next(n for j, n in enumerate(self.names) if self._index[n] != j)
-            raise ValueError(f"{path}: column {repeated!r} appears more than once")
-        z_names = (name for name in self.names if name[:1] == "z" and name[1:].isdigit())
-        z_names = sorted(z_names, key=lambda name: int(name[1:]))
-        self._z_names = z_names if z else []
-        if not z:
-            skip = (*skip, *z_names)
-        self._read = functools.partial(
-            np.loadtxt, path, delimiter=",", skiprows=1, comments=None,
-            quotechar='"', ndmin=1,
-        )
-        self._values = self._read_together(first, skip)
-
-    def _read_together(self, first: list[str], skip) -> dict:
-        """Every column non-empty in ``first``, the first data row, and not
-        in ``skip``, by one structured pass; ``{}`` when that pass fails."""
-        present = sorted(
-            (j, name) for name, j in self._index.items()
-            if j < len(first) and first[j] != "" and name not in skip
-        )
-        if not present:
-            return {}
-        dtype = np.dtype([(f"c{j}", self._dtype(name)) for j, name in present])
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        first = next(filter(None, reader), None)  # blank lines hold no row
+        if first is None:
+            raise EmptyPopulationError(f"{path}: no data rows")
+    names = [name.strip() for name in header]
+    index = {name: j for j, name in enumerate(names)}
+    if len(index) < len(names):
+        # the index keeps a name's last position, so the first name whose
+        # position differs is the first repeated one
+        repeated = next(n for j, n in enumerate(names) if index[n] != j)
+        raise ValueError(f"{path}: column {repeated!r} appears more than once")
+    for name in required:
+        if name not in index:
+            raise ValueError(f"{path}: missing column {name!r}")
+    wanted = [*required, *(name for name in optional if name in index)]
+    if z:
+        wanted += sorted(filter(_is_z, names), key=lambda name: int(name[1:]))
+    dtypes = {n: np.int64 if n in _INT_COLUMNS or _is_z(n) else np.float64 for n in wanted}
+    present = [n for n in wanted if index[n] < len(first) and first[index[n]]]
+    present.sort(key=index.get)
+    columns, error = {}, None
+    if present:
         try:
-            records = self._read(usecols=[j for j, _ in present], dtype=dtype)
-        except ValueError:
-            return {}  # column() then reads each column alone and names the fault
-        return {name: np.ascontiguousarray(records[f"c{j}"]) for j, name in present}
-
-    def _dtype(self, name: str):
-        return np.int64 if name in _INT_COLUMNS or name in self._z_names else np.float64
-
-    def column(self, name: str, optional: bool = False) -> np.ndarray | None:
-        """Column ``name``, int64 or float64 by name, and read-only.
-
-        An optional column that is absent or empty on every row comes
-        back as ``None``.
-        """
-        if name not in self._index:
-            if optional:
-                return None
-            raise ValueError(f"{self.path}: missing column {name!r}")
-        values = self._values.get(name)
-        if values is None:
-            values = self._read_alone(name, optional)
-            if values is None:
-                return None
-        if values.dtype.kind == "f" and not np.isfinite(values).all():
-            row = np.flatnonzero(~np.isfinite(values))[0] + 1
-            raise ValueError(
-                f"{self.path}: column {name!r} holds a non-finite value in data row {row}"
+            records = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, quotechar='"', ndmin=1,
+                usecols=[index[n] for n in present], dtype=[(n, dtypes[n]) for n in present],
             )
-        values.setflags(write=False)
-        return values
-
-    def _read_alone(self, name: str, optional: bool) -> np.ndarray | None:
-        """Column ``name`` by a pass of its own, ``None`` if it is optional
-        and empty on every row; else the first fault, found by one
-        ``csv.reader`` pass over the column."""
-        j, dtype = self._index[name], self._dtype(name)
-        try:
-            return self._read(usecols=j, dtype=dtype)
         except ValueError as exc:
             error = exc
-        at, blank = f"{self.path}: column {name!r}", 0
-        kind = "an integer" if dtype is np.int64 else "a number"
-        with open(self.path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            fields = len(next(reader))
-            for k, row in enumerate(filter(None, reader), 1):  # blank lines hold no row
-                if len(row) <= j:
-                    raise ValueError(f"{at}: data row {k} has {len(row)} field"
-                                     f"{'' if len(row) == 1 else 's'}; the header has {fields}")
-                if row[j] == "":
-                    blank += 1
-                    continue
-                cell = row[j].strip()
-                try:  # Python's parse also takes "1_5" and non-ASCII digits; loadtxt does not
-                    if not cell.isascii() or "_" in cell:
-                        raise ValueError
-                    dtype(cell)
-                except (ValueError, OverflowError):
-                    raise ValueError(
-                        f"{at}: data row {k} holds {row[j]!r}, which is not {kind}"
-                    ) from None
-        if blank == k and optional:
-            return None
-        if blank:
-            fault = "is empty" if blank == k else "mixes present and missing values"
-            raise ValueError(f"{at} {fault}")
-        raise ValueError(f"{at}: {error}") from error
+        else:
+            columns = {n: np.ascontiguousarray(records[n]) for n in present}
+    if len(columns) < len(wanted):
+        empty = _scan(path, [n for n in wanted if n not in columns], index, dtypes, optional)
+        if error is not None:
+            raise ValueError(f"{path}: {error}") from error
+        columns.update(dict.fromkeys(empty))
+    for name in wanted:
+        values = columns[name]
+        if values is None:
+            continue
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            row = np.flatnonzero(~np.isfinite(values))[0] + 1
+            raise ValueError(f"{path}: column {name!r} holds a non-finite value in data row {row}")
+        if _is_z(name) and (low := values.min()) < 1:
+            raise ValueError(f"{path}: column {name!r} holds {low}; z levels start at 1")
+        values.setflags(write=False)
+    return {name: columns[name] for name in wanted}
 
-    def z(self) -> np.ndarray | None:
-        """The ``z1..zK`` columns stacked in numeric order, read-only, or
-        ``None`` (also for a table read with ``z=False``)."""
-        if not self._z_names:
-            return None
-        columns = [self.column(name) for name in self._z_names]
-        for name, col in zip(self._z_names, columns):
-            if (low := col.min()) < 1:
-                raise ValueError(f"{self.path}: column {name!r} holds {low}; z levels start at 1")
-        z = np.column_stack(columns)
-        z.setflags(write=False)
-        return z
+
+def _parse(text: str, dtype):
+    """``text`` as a ``dtype`` scalar, read as ``np.loadtxt`` reads a cell;
+    else a ``ValueError`` saying it ``holds {text!r}, which is not a
+    number`` (or ``an integer``)."""
+    cell = text.strip()
+    try:  # Python's parse also takes "1_5" and non-ASCII digits; loadtxt does not
+        if cell.isascii() and "_" not in cell:
+            return dtype(cell)
+    except (ValueError, OverflowError):
+        pass
+    kind = "an integer" if dtype is np.int64 else "a number"
+    raise ValueError(f"holds {text!r}, which is not {kind}")
+
+
+def _scan(path, names, index, dtypes, optional) -> list:
+    """One ``csv.reader`` pass over columns ``names`` of a file.
+
+    The first short row or cell that is not a number, by data row and
+    then in ``names``' order, is a ``ValueError``; so is, after the pass,
+    a column empty on some rows only, or on every row unless it is
+    ``optional``.  Otherwise returns the columns empty on every row.
+    """
+    blank = dict.fromkeys(names, 0)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        fields = len(next(reader))
+        for k, row in enumerate(filter(None, reader), 1):  # blank lines hold no row
+            for name in names:
+                j = index[name]
+                if len(row) <= j:
+                    raise ValueError(
+                        f"{path}: column {name!r}: data row {k} has {len(row)} field"
+                        f"{'' if len(row) == 1 else 's'}; the header has {fields}"
+                    )
+                if row[j] == "":
+                    blank[name] += 1
+                    continue
+                try:
+                    _parse(row[j], dtypes[name])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: column {name!r}: data row {k} {exc}") from None
+    for name in names:
+        if blank[name] and (blank[name] < k or name not in optional):
+            fault = "is empty" if blank[name] == k else "mixes present and missing values"
+            raise ValueError(f"{path}: column {name!r} {fault}")
+    return [name for name in names if blank[name] == k]
 
 
 @contextlib.contextmanager
@@ -284,8 +268,15 @@ def _named(path):
 
 
 def _z_columns(z) -> dict:
-    """``{"z1": z[:, 0], ...}``, the columns :meth:`_Table.z` stacks back."""
+    """``{"z1": z[:, 0], ...}``, the columns :func:`_stacked_z` stacks back."""
     return {} if z is None else {f"z{j + 1}": col for j, col in enumerate(z.T)}
+
+
+def _stacked_z(columns: dict) -> np.ndarray | None:
+    """The ``z1..zK`` columns of a :func:`_read_columns` result, stacked in
+    their order there and read-only, or ``None`` when it has none."""
+    z = [values for name, values in columns.items() if _is_z(name)]
+    return _read_only(np.column_stack(z)) if z else None
 
 
 def write_sample_csv(path, sample: ProbabilitySample) -> None:
@@ -304,19 +295,13 @@ def read_sample_csv(path, N: int | None = None) -> ProbabilitySample:
     exact variance computation downstream.  ``N`` defaults to the
     rounded sum of the design weights; every id must lie in ``1..N``.
     """
-    table = _Table(path)
-    ids = table.column("id")
-    d = table.column("d")
-    pi = table.column("pi")
+    columns = _read_columns(path, ("id", "d", "pi"), ("y", "y_star", "delta"))
+    ids, d, pi = columns["id"], columns["d"], columns["pi"]
     n = ids.size
     if N is None:
         N = int(round(float(d.sum())))
     # N below n is no design at all; ProbabilitySample names the fault
     srs = N >= n and _equal_pi(pi, N)
-    columns = {
-        name: table.column(name, optional=True) for name in ("y", "y_star", "delta")
-    }
-    z = table.z()
     with _named(path):
         return ProbabilitySample(
             unit_ids=ids,
@@ -325,8 +310,10 @@ def read_sample_csv(path, N: int | None = None) -> ProbabilitySample:
             joint_pi=SRSJointInclusion(n=n, N=N) if srs else None,
             N=N,
             design="srs" if srs else "generic",
-            z=z,
-            **columns,
+            y=columns.get("y"),
+            y_star=columns.get("y_star"),
+            delta=columns.get("delta"),
+            z=_stacked_z(columns),
         )
 
 
@@ -342,7 +329,8 @@ def read_big_data_csv(path, N: int, *, values: bool = True, z: bool = True) -> B
     """Read a big-data extract.
 
     The value column is ``y`` when present and non-empty, else
-    ``y_star`` (a proxy-valued source).  With ``values=False`` neither is
+    ``y_star`` (a proxy-valued source); each is read and checked when
+    present.  With ``values=False`` neither is
     read or checked, and the extract's ``values`` is ``None``: a caller
     that uses only ids, ``z`` and multiplicities skips parsing the one
     float column.  With ``z=False`` the ``z1..zK`` columns are likewise
@@ -350,24 +338,21 @@ def read_big_data_csv(path, N: int, *, values: bool = True, z: bool = True) -> B
     defaults to one per row.  ``N`` is the universe size the extract was
     drawn from, which the file itself cannot know.
     """
-    table = _Table(path, skip=() if values else ("y", "y_star"), z=z)
-    ids = table.column("id")
-    value_col = None
-    if values:
-        value_col = table.column("y", optional=True)
-        if value_col is None:
-            value_col = table.column("y_star", optional=True)
-        if value_col is None:
-            raise ValueError(f"{path}: needs a non-empty 'y' or 'y_star' column")
-    multiplicity = table.column("multiplicity", optional=True)
-    z = table.z()
+    optional = ("y", "y_star", "multiplicity") if values else ("multiplicity",)
+    columns = _read_columns(path, ("id",), optional, z=z)
+    ids, multiplicity = columns["id"], columns.get("multiplicity")
+    value_col = columns.get("y")
+    if value_col is None:
+        value_col = columns.get("y_star")
+    if values and value_col is None:
+        raise ValueError(f"{path}: needs a non-empty 'y' or 'y_star' column")
     with _named(path):
         return BigSample(
             unit_ids=ids,
             values=value_col,
             multiplicity=np.ones(ids.size, np.int64) if multiplicity is None else multiplicity,
             N=N,
-            z=z,
+            z=_stacked_z(columns),
         )
 
 
@@ -403,29 +388,42 @@ def write_classifier_model(path, model: ClassifierModel) -> None:
 def read_classifier_model(path) -> ClassifierModel:
     """Read a mixture written by :func:`write_classifier_model`.
 
-    A missing key, or a table whose length is not its ``levels`` entry,
-    is a ``ValueError`` that names the file and the key.
+    Every fault is a ``ValueError`` that names the file, and the line or
+    key at fault: a line that is not ``key=value``, a repeated or missing
+    key, an entry that is not a number, a table whose length is not its
+    ``levels`` entry, and the faults :class:`ClassifierModel` finds.
     """
     values = {}
-    for line in Path(path).read_text().splitlines():
+    for k, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, rest = line.partition("=")
-        values[key.strip()] = rest.strip()
+        key, sep, rest = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"{path}: line {k} is not 'key=value': {line!r}")
+        if key in values:
+            raise ValueError(f"{path}: key {key!r} appears more than once")
+        values[key] = rest.strip()
 
     def entry(key):
         if key not in values:
             raise ValueError(f"{path}: missing key {key!r}")
         return values[key]
 
-    levels = tuple(int(v) for v in entry("levels").split(","))
+    def numbers(key, texts, dtype=np.float64):
+        try:
+            return [_parse(text, dtype) for text in texts]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key} {exc}") from None
+
+    levels = tuple(int(v) for v in numbers("levels", entry("levels").split(","), np.int64))
 
     def tables(name):
         out = []
         for k, level in enumerate(levels):
             key = f"{name}{k + 1}"
-            table = np.array([float(v) for v in entry(key).split(",")])
+            table = np.array(numbers(key, entry(key).split(",")))
             if table.size != level:
                 raise ValueError(
                     f"{path}: {key} has {table.size} entries, but levels gives {level}"
@@ -433,7 +431,10 @@ def read_classifier_model(path) -> ClassifierModel:
             out.append(table)
         return tuple(out)
 
-    return ClassifierModel(pi=float(entry("pi")), m=tables("m"), u=tables("u"))
+    (pi,) = numbers("pi", [entry("pi")])
+    m, u = tables("m"), tables("u")
+    with _named(path):
+        return ClassifierModel(pi=float(pi), m=m, u=u)
 
 
 def write_summary_csv(path, rows: list[dict]) -> None:

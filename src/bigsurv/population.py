@@ -231,10 +231,6 @@ class FinitePopulation:
     def W_b(self) -> float:
         return self.N_b / self.N
 
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(1, self.N + 1)
-
     def with_delta(self, delta) -> "FinitePopulation":
         """Copy of the population with a new membership column."""
         return replace(self, delta=np.asarray(delta, np.int64))

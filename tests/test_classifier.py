@@ -158,10 +158,10 @@ def stacked_map(sample, model):
     emap.put(0, row)
 
     def step(u):
-        fx, p, ll, faults, _ = emap.step([u])
+        fx, ll, faults, _ = emap.step([u])
         if faults[0] is not None:
             raise faults[0]
-        return fx[0], p[0].copy(), ll[0]
+        return fx[0], emap.posteriors(0).copy(), ll[0]
 
     return step, row.inverse, emap.offsets
 

@@ -174,6 +174,53 @@ class TestBigDataCSV:
         assert np.array_equal(back.z, [[2]])
 
 
+class TestReadRule:
+    """A reader parses the columns it uses and no other, in one
+    ``np.loadtxt`` pass, and names a file's first fault by data row."""
+
+    TEXT = "id,d,pi,y,z1,multiplicity\n1,5.0,0.2,1.0,2,1\n3,5.0,0.2,2.5,1,2\n"
+
+    @pytest.mark.parametrize(
+        "name, columns",
+        [("sample", ("id", "d", "pi", "y", "z1")), ("big", ("id", "y", "z1", "multiplicity"))],
+    )
+    def test_text_column_no_reader_uses_is_not_parsed(self, tmp_path, monkeypatch, name, columns):
+        """A ``region`` column of words is left out of the one pass, and
+        the file reads as it does without that column."""
+        plain, extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
+        plain.write_text(self.TEXT)
+        cells = [line.split(",") for line in self.TEXT.splitlines()]
+        for row, region in zip(cells, ["region", "north", "south"]):
+            row.insert(3, region)
+        extra.write_text("\n".join(",".join(row) for row in cells) + "\n")
+        read = read_sample_csv if name == "sample" else functools.partial(read_big_data_csv, N=10)
+        want = read(plain)
+        passes = []
+        loadtxt = np.loadtxt
+
+        def recording(*args, **kwargs):
+            passes.append(kwargs.get("usecols"))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        got = read(extra)
+        assert passes == [sorted(cells[0].index(column) for column in columns)]
+        for field in ("unit_ids", "d", "pi", "y", "values", "multiplicity", "z"):
+            if hasattr(want, field):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_first_fault_by_data_row_is_named(self, tmp_path):
+        """``pi`` fails on data row 2 and ``d``, a column read before it,
+        on data row 3: the fault named is the earlier row's."""
+        path = tmp_path / "sample.csv"
+        path.write_text("id,d,pi,y\n1,5.0,0.2,1.0\n2,5.0,x,2.0\n3,x,0.2,3.0\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_sample_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: column 'pi': data row 2 holds 'x', which is not a number"
+        )
+
+
 class TestBoundaryChecks:
     """Bad files fail in the reader with an error naming file and column."""
 
@@ -461,12 +508,40 @@ class TestModelDumps:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             read_classifier_model(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("pi=abc\nlevels=2\nm1=0.5,0.5\nu1=0.25,0.75\n",
+             "pi holds 'abc', which is not a number"),
+            ("pi=0.5\nlevels=two\nm1=0.5,0.5\nu1=0.25,0.75\n",
+             "levels holds 'two', which is not an integer"),
+            ("pi=0.5\nlevels=2\nm1=0.5,x\nu1=0.25,0.75\n",
+             "m1 holds 'x', which is not a number"),
+            ("pi=0.5\nlevels=2\nm1 0.5,0.5\nm1=0.5,0.5\nu1=0.25,0.75\n",
+             "line 3 is not 'key=value': 'm1 0.5,0.5'"),
+            ("pi=0.5\nlevels=2\npi=0.25\nm1=0.5,0.5\nu1=0.25,0.75\n",
+             "key 'pi' appears more than once"),
+            ("pi=1.5\nlevels=2\nm1=0.5,0.5\nu1=0.25,0.75\n",
+             "pi must lie strictly between 0 and 1"),
+            ("pi=0.5\nlevels=2\nm1=0.5,0.6\nu1=0.25,0.75\n", "m\\[0\\] must sum to one"),
+        ],
+        ids=["pi-text", "levels-text", "table-text", "no-equals", "repeated-key",
+             "pi-range", "table-sum"],
+    )
+    def test_model_file_fault_names_the_file_and_key(self, tmp_path, text, message):
+        path = tmp_path / "mixture.model.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+            read_classifier_model(path)
+
     def test_nan_table_entry_rejected(self, tmp_path):
         """A NaN entry passes every range and sum test, so it is named
-        as non-finite instead of loading a model whose posterior is NaN."""
+        as non-finite, with the file, instead of loading a model whose
+        posterior is NaN."""
         path = tmp_path / "mixture.model.txt"
         path.write_text("pi=0.5\nlevels=2\nm1=nan,1.0\nu1=0.5,0.5\n")
-        with pytest.raises(ValueError, match=r"^m\[0\] entries must be finite$"):
+        message = rf"^{re.escape(str(path))}: m\[0\] entries must be finite$"
+        with pytest.raises(ValueError, match=message):
             read_classifier_model(path)
 
 

@@ -27,7 +27,6 @@ class TestFinitePopulation:
         assert pop.N == 4
         assert pop.N_b == 2
         assert pop.W_b == 0.5
-        assert np.array_equal(pop.ids, [1, 2, 3, 4])
 
     def test_delta_defaults_to_no_members(self):
         pop = FinitePopulation(y=[1.0, 2.0])

@@ -106,3 +106,46 @@ def test_standard_controls_reproduce_post_stratified_total(case):
     assert code == 0
     assert printed(out.getvalue(), "total") == pdi.total
     assert printed(out.getvalue(), "variance") == pdi.variance
+
+
+@st.composite
+def count_cases(draw):
+    """An SRS whose membership column holds counts 0..3, with
+    ``(1, delta, delta * y)`` well conditioned, and big-source totals."""
+    n = draw(st.integers(5, 15))
+    N = n * draw(st.integers(2, 10))
+    delta = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    assume(np.linalg.cond(np.column_stack([np.ones(n), delta, delta * y])) < 1e4)
+    sample = ProbabilitySample(
+        unit_ids=np.arange(1, n + 1),
+        d=np.full(n, N / n),
+        pi=np.full(n, n / N),
+        joint_pi=SRSJointInclusion(n, N),
+        N=N,
+        design="srs",
+        y=y,
+        delta=delta,
+    )
+    N_b = draw(st.integers(1, 3 * N))
+    return sample, N_b, draw(st.floats(-5.0 * N_b, 5.0 * N_b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=count_cases())
+def test_duplication_and_standard_controls_agree_for_counts(case):
+    """``(1, delta, delta y)`` is an invertible linear map of
+    ``(1 - delta, delta, delta y)``, and ``(N, N_b, T_b)`` the same map of
+    ``(N - N_b, N_b, T_b)``, whatever the membership counts: the two
+    control sets are one constraint set, so the calibrated weights, the
+    regression residuals and ``regdi_total``'s total and variance agree."""
+    sample, N_b, T_b = case
+    dup, std = (
+        regdi_total(sample, sample.y, build_controls(
+            variant, delta=sample.delta, y=sample.y, N=sample.N, N_b=N_b, T_b=T_b,
+        ))
+        for variant in ("duplication", "standard")
+    )
+    scale = abs(T_b) + sample.N * float(np.max(np.abs(sample.y)))
+    assert dup.total == pytest.approx(std.total, rel=1e-9, abs=1e-12 * scale)
+    assert dup.variance == pytest.approx(std.variance, rel=1e-9, abs=1e-12 * scale**2)
