@@ -259,7 +259,13 @@ def cmd_estimate(args) -> int:
         sample = _with_big_matches(sample, big)
         totals = BigDataTotals(T_b=big.total, N_b=big.N_b, N=sample.N)
         if method == "pdi":
-            report = pdi_total(sample, sample.delta, sample.y, totals)
+            # pdi post-stratifies by units: the file's distinct units, its
+            # row count and the sum of its values, which a dot with ones
+            # gives in big.total's digits when every count is 1
+            units = dataclasses.replace(
+                totals, T_b=float(np.dot(np.ones(len(big)), big.values)), N_b=len(big)
+            )
+            report = pdi_total(sample, sample.delta, sample.y, units)
         elif method == "ratio":
             report = ratio_di_total(sample, sample.delta, sample.y, totals.T_b)
         elif method == "regdi":

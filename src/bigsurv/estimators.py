@@ -114,6 +114,13 @@ def pdi_total(
     above; for SRS that is the post-stratification variance of Särndal,
     Swensson & Wretman (1992).  Under full coverage no sampled value
     enters the estimate: the residual is zero, and so is the variance.
+
+    The post-strata are sets of units, so ``big.N_b`` and ``big.T_b``
+    count each distinct unit of the big source once: for a source with
+    duplicated records, its unit count and the plain sum of its units'
+    values (``bigsurv estimate --method pdi`` passes the big file's row
+    count and the sum of its values, whatever their ``multiplicity``).
+    Only ``delta == 0`` is read of ``delta``, so it may hold counts.
     """
     delta = _per_unit(delta, sample.n, "delta", dtype=None)
     y = _per_unit(y, sample.n, "y")

@@ -390,8 +390,10 @@ def read_classifier_model(path) -> ClassifierModel:
 
     Every fault is a ``ValueError`` that names the file, and the line or
     key at fault: a line that is not ``key=value``, a repeated or missing
-    key, an entry that is not a number, a table whose length is not its
-    ``levels`` entry, and the faults :class:`ClassifierModel` finds.
+    key, a key the model does not use (``pi``, ``levels`` and ``m1``,
+    ``u1`` up to one table pair per ``levels`` entry are used), an entry
+    that is not a number, a table whose length is not its ``levels``
+    entry, and the faults :class:`ClassifierModel` finds.
     """
     values = {}
     for k, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -418,6 +420,10 @@ def read_classifier_model(path) -> ClassifierModel:
             raise ValueError(f"{path}: {key} {exc}") from None
 
     levels = tuple(int(v) for v in numbers("levels", entry("levels").split(","), np.int64))
+    used = ["pi", "levels", *(f"{name}{k}" for k in range(1, len(levels) + 1) for name in "mu")]
+    unused = next((key for key in values if key not in used), None)
+    if unused is not None:
+        raise ValueError(f"{path}: key {unused!r} is not one of {', '.join(used)}")
 
     def tables(name):
         out = []

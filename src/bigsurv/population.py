@@ -401,6 +401,40 @@ def _affine(a, shift, slope, level, noise, out=None) -> np.ndarray:
     return out
 
 
+# entries in a block of study one's draws and of a selection's keys, which
+# read the same stream as whole draws with 512 KiB temporaries
+_BLOCK = 1 << 16
+
+
+def _blocks(n: int):
+    """Consecutive slices of ``range(n)``, each ``_BLOCK`` long but the last."""
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
+def _sim1_outcome(N: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Study one's ``y``, in unit order, and the bool split ``x <= 2``.
+
+    ``x`` is drawn whole; ``e`` a block at a time, each block of ``y``
+    written over ``x`` in its own buffer.
+    """
+    x = rng.normal(2.0, 1.0, N)
+    low = x <= 2.0
+    sd = math.sqrt(0.51)
+    for at in _blocks(N):
+        _affine(x[at], 2.0, 0.7, 3.0, rng.normal(0.0, sd, at.stop - at.start), out=x[at])
+    return x, low
+
+
+def _sim1_proxy(y: np.ndarray, rng: np.random.Generator, rank=None) -> np.ndarray:
+    """Study one's ``y*``, drawn a block of units at a time into the order
+    ``y`` is held in: unit order, or the position ``rank`` maps each unit to."""
+    y_star = np.empty(y.size)
+    for block in _blocks(y.size):
+        at = block if rank is None else rank[block]
+        y_star[at] = _affine(y[at], 3.0, 0.9, 2.0, rng.normal(0.0, 0.5, block.stop - block.start))
+    return y_star
+
+
 def generate_population_sim1(N: int, seed) -> FinitePopulation:
     """First bundled study population (continuous outcome with a proxy).
 
@@ -409,15 +443,14 @@ def generate_population_sim1(N: int, seed) -> FinitePopulation:
     *variance*, chosen so that ``Var(y) = 1``).  The proxy is
     ``y* = 2 + 0.9 (y - 3) + u`` with ``u ~ Normal(0, 0.5^2)``.  Units
     split into stratum 1 (``x <= 2``, ties included) and stratum 2.
+    ``e`` and ``u`` are drawn in blocks and ``y`` is written over ``x``,
+    so no draw is held whole beside the columns returned.
     """
     if N < 1:
         raise EmptyPopulationError("N must be positive")
     rng = substream(seed)
-    x = rng.normal(2.0, 1.0, N)
-    low = x <= 2.0
-    # y in x's place, each draw dropped once used: the peak is three columns, not seven
-    y = _affine(x, 2.0, 0.7, 3.0, rng.normal(0.0, math.sqrt(0.51), N), out=x)
-    y_star = _affine(y, 3.0, 0.9, 2.0, rng.normal(0.0, 0.5, N))
+    y, low = _sim1_outcome(N, rng)
+    y_star = _sim1_proxy(y, rng)
     stratum = np.subtract(2, low, dtype=np.int64)  # 1 where x <= 2, else 2
     return FinitePopulation(
         y=_read_only(y), y_star=_read_only(y_star), stratum=_read_only(stratum)
@@ -529,6 +562,10 @@ def draw_srs(pop: FinitePopulation, n: int, seed) -> ProbabilitySample:
     )
 
 
+# half-width of the band of keys a selection partitions, in binomial SDs
+_BAND_SDS = 6.0
+
+
 def _srs_mask(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Boolean mask over range(m) of a uniform k-subset.
 
@@ -538,31 +575,49 @@ def _srs_mask(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
     The mask holds every key below the k-th smallest and then the first
     keys tied with it: the set ``argpartition(keys, k)[:k]`` picks when, as
     almost surely, no key ties.
+
+    The keys are drawn ``_BLOCK`` at a time into one buffer, the stream
+    of one ``random(m)`` call.  Each block marks its keys below a band
+    around ``k / m`` in the mask and keeps only the keys inside the band,
+    with their positions, and only those are partitioned.  When the band
+    misses the k-th key, the generator is put back and all m keys are
+    drawn again and partitioned, so it ends in the same state either way.
     """
     if k == m:
         return np.ones(m, bool)
-    keys = rng.random(m)
-    if k == 0:
-        return np.zeros(m, bool)
+    hit = np.zeros(m, bool)
     # the k-th smallest of m uniform keys lies within a few binomial SDs of
-    # k / m (Floyd & Rivest 1975), so only the keys within six SDs are
-    # partitioned; at the studies' stratum sizes the band misses with
-    # probability about 2e-9
+    # k / m (Floyd & Rivest 1975); at the studies' stratum sizes a band six
+    # SDs wide either side misses it with probability about 2e-9
     p = k / m
-    half = 6.0 * math.sqrt(p * (1.0 - p) / m)
-    below = keys < p - half
-    n_below = np.count_nonzero(below)
-    band = keys[(keys < p + half) ^ below]
+    half = _BAND_SDS * math.sqrt(p * (1.0 - p) / m)
+    state = rng.bit_generator.state
+    buf = np.empty(min(m, _BLOCK))
+    band, place = [], []
+    for at in _blocks(m):
+        keys = rng.random(out=buf[: at.stop - at.start])
+        if k:
+            below = np.less(keys, p - half, out=hit[at])
+            inside = np.flatnonzero((keys < p + half) ^ below)
+            band.append(keys[inside])
+            place.append(inside + at.start)
+    if k == 0:
+        return hit
+    band, place = np.concatenate(band), np.concatenate(place)
+    n_below = np.count_nonzero(hit)
     if not n_below < k <= n_below + band.size:
         # the band missed the k-th key: partition every key
-        band, n_below = keys, 0
+        rng.bit_generator.state = state
+        band, place, n_below = rng.random(m), np.arange(m), 0
+        hit[:] = False
     j = k - 1 - n_below
     t = np.partition(band, j)[j]
-    hit = keys <= t
-    extra = n_below + np.count_nonzero(band <= t) - k
+    inside = band <= t
+    hit[place[inside]] = True
+    extra = n_below + np.count_nonzero(inside) - k
     if extra:
         # keys tied with t past the k-th: keep only the first ones
-        tied = np.flatnonzero(keys == t)
+        tied = place[band == t]
         hit[tied[tied.size - extra:]] = False
     return hit
 

@@ -35,15 +35,17 @@ from .population import (
     FinitePopulation,
     InfeasibleSelectionError,
     ProbabilitySample,
+    _blocks,
     _check_stratum_sizes,
     _read_only,
     _rows,
+    _sim1_outcome,
+    _sim1_proxy,
     _srs_indices,
     _srs_mask,
     _srs_sample,
     _srs_weights,
     big_data_inclusion_probabilities,
-    generate_population_sim1,
     generate_population_sim2,
 )
 from .rng import substream
@@ -252,18 +254,20 @@ class _Sim1Frame(NamedTuple):
 
 
 def _sim1_frame(config: SimConfig) -> _Sim1Frame:
-    """The frame of study one's universe, which is built here and held
-    nowhere else, so each unit-order column is freed once scattered.
+    """The frame of study one's universe, drawn here straight into
+    stratum order from the stream ``generate_population_sim1`` reads.
 
-    Every unit outside stratum 1 is in stratum 2, as
-    ``generate_population_sim1`` labels them.  Raises ``ValueError``
-    naming ``stratum_sizes`` when the sizes do not fit the strata.
+    ``x`` is drawn whole and gives the strata and the rank map; ``y`` is
+    written over it, its mean taken as the truth, and then scattered into
+    stratum order a block at a time before the unit-order buffer is
+    freed; ``y*`` is drawn a block of units at a time into stratum order.
+    The build so holds at most two N-long float columns and the rank map.
+    Raises ``ValueError`` naming ``stratum_sizes`` when the sizes do not
+    fit the strata.
     """
-    pop = generate_population_sim1(config.pop_n, substream(config.master_seed, 9))
-    truth = float(pop.y.mean())
-    columns, one = [pop.y, pop.y_star], pop.stratum == 1
-    del pop  # and with it the stratum column
-    N, cut = one.size, int(np.count_nonzero(one))
+    N, rng = config.pop_n, substream(config.master_seed, 9)
+    y, one = _sim1_outcome(N, rng)
+    cut = int(np.count_nonzero(one))
     _check_stratum_sizes(SIM1_STRATA, (cut, N - cut), config.stratum_sizes)
     # int32 halves the map wherever it can hold every position; it is
     # filled by index, as a boolean-mask fill takes three times as long
@@ -271,11 +275,13 @@ def _sim1_frame(config: SimConfig) -> _Sim1Frame:
     rank[np.flatnonzero(one)] = np.arange(cut, dtype=rank.dtype)
     rank[np.flatnonzero(~one)] = np.arange(cut, N, dtype=rank.dtype)
     del one
-    for k in range(len(columns)):
-        ordered = np.empty(N)
-        ordered[rank] = columns[k]
-        columns[k] = _read_only(ordered)
-    return _Sim1Frame(*columns, _read_only(rank), cut, truth)
+    truth = float(y.mean())
+    ordered = np.empty(N)
+    for at in _blocks(N):  # a whole-column scatter would cast rank to intp
+        ordered[rank[at]] = y[at]
+    del y
+    y_star = _sim1_proxy(ordered, rng, rank)
+    return _Sim1Frame(_read_only(ordered), _read_only(y_star), _read_only(rank), cut, truth)
 
 
 def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int):
@@ -294,8 +300,12 @@ def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int
     )
     idx = _srs_indices(config.n_a, N, substream(seed, 0))
     at = frame.rank[idx]  # the sampled units' positions in stratum order
+    first = at < cut
+    delta = np.empty(at.size, np.int64)
+    delta[first] = hits[0][at[first]]
+    delta[~first] = hits[1][at[~first] - cut]
     sample = _srs_sample(idx, N, y=_rows(frame.y, at), y_star=_rows(frame.y_star, at),
-                         delta=_read_only(np.concatenate(hits)[at].astype(np.int64)))
+                         delta=_read_only(delta))
 
     if scen == 3:
         regdi = two_step_regdi(sample, totals)

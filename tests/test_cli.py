@@ -23,7 +23,9 @@ from bigsurv import (
     ht_total,
     pdi_total,
     ratio_di_total,
+    read_big_data_csv,
     read_classifier_model,
+    read_sample_csv,
     write_big_data_csv,
     write_sample_csv,
 )
@@ -659,6 +661,34 @@ class TestEstimate:
             printed.append((printed_value(out, "total"), printed_value(out, "variance")))
         assert printed[0] == printed[1]
 
+    def test_pdi_post_stratifies_by_the_big_files_distinct_units(self, tmp_path, capsys):
+        """pdi takes the big file's row count and the sum of its values,
+        whatever the multiplicities: on a file with duplicated units it
+        prints the in-memory pdi_total of those distinct-unit totals, and on
+        the same file with every count 1 the digits of the counted totals,
+        which are then the same numbers."""
+        self._count_files(tmp_path)
+        sample = read_sample_csv(tmp_path / "with.csv")
+        big = read_big_data_csv(tmp_path / "big.csv", N=sample.N)
+        assert big.N_b > len(big)
+        argv = ["estimate", "--sample-a", str(tmp_path / "with.csv"),
+                "--big-data", str(tmp_path / "big.csv"), "--method", "pdi"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        want = pdi_total(sample, sample.delta, sample.y,
+                         BigDataTotals(T_b=float(big.values.sum()), N_b=len(big), N=sample.N))
+        assert printed_value(out, "total") == pytest.approx(want.total, rel=1e-12)
+        assert printed_value(out, "variance") == pytest.approx(want.variance, rel=1e-12)
+
+        once = dataclasses.replace(big, multiplicity=np.ones(len(big), np.int64))
+        write_big_data_csv(tmp_path / "big.csv", once)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        counted = pdi_total(sample, sample.delta, sample.y,
+                            BigDataTotals(T_b=once.total, N_b=once.N_b, N=sample.N))
+        assert f"total:     {counted.total!r}\n" in out
+        assert f"variance:  {counted.variance!r} (total scale)\n" in out
+
 
 class TestClassify:
     def test_writes_labels_for_both_files_and_a_model(
@@ -1068,7 +1098,7 @@ class TestPathFaults:
 
         for module, name in [
             (bigsurv.fileio, "read_sample_csv"), (bigsurv.fileio, "read_big_data_csv"),
-            (bigsurv.simulation, "generate_population_sim1"),
+            (bigsurv.simulation, "_sim1_outcome"),
             (bigsurv.simulation, "generate_population_sim2"),
         ]:
             monkeypatch.setattr(module, name, no_work)

@@ -534,6 +534,24 @@ class TestModelDumps:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             read_classifier_model(path)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("pi=0.5\nlevels=2\nm1=0.5,0.5\nu1=0.25,0.75\nm2=0.1,0.9\nlevel=3\n", "m2"),
+            ("pi=0.5\nlevel=3\nlevels=2\nm1=0.5,0.5\nu1=0.25,0.75\n", "level"),
+        ],
+        ids=["table-past-levels", "misspelt-levels"],
+    )
+    def test_unused_key_names_the_file_and_key(self, tmp_path, text, key):
+        """A key the model does not read, such as a table past the
+        ``levels`` entries or a misspelt ``level``, is refused rather than
+        loaded without a word; the first such key in the file is named."""
+        path = tmp_path / "mixture.model.txt"
+        path.write_text(text)
+        message = rf"^{re.escape(str(path))}: key '{key}' is not one of pi, levels, m1, u1$"
+        with pytest.raises(ValueError, match=message):
+            read_classifier_model(path)
+
     def test_nan_table_entry_rejected(self, tmp_path):
         """A NaN entry passes every range and sum test, so it is named
         as non-finite, with the file, instead of loading a model whose

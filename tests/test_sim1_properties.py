@@ -7,9 +7,11 @@ of building a full-N column.  These tests check the mask against
 ``argpartition`` over the same keys, check the replicate against a full-N
 reference drawn from the same substreams and its design sample against
 ``draw_srs``, and check that summaries do not depend on the number of
-workers.  The universe itself is built in place; it is checked bit for
-bit against the plain expressions, and the peak memory of building it
-and of a study run is bounded.
+workers.  The keys and the universe are drawn in blocks, so the mask,
+the generator and the stratum-order frame are checked at sizes either
+side of a block; the universe and the frame are checked bit for bit
+against the plain expressions, and the peak memory of building the
+universe and of a study run is bounded.
 """
 
 import math
@@ -29,10 +31,12 @@ from bigsurv import (
     select_big_data_stratified,
     substream,
 )
-from bigsurv import simulation
-from bigsurv.population import _srs_mask
+from bigsurv import population, simulation
+from bigsurv.population import _BLOCK, _srs_mask
 
 seeds = st.integers(0, 2**32 - 1)
+# sizes either side of the block the keys and the universe are drawn in
+BLOCK_EDGES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 
 
 def reference_delta(pop, sizes, rng):
@@ -74,6 +78,11 @@ def pool_and_size(draw):
 @example(case=(300, 0), seed=1)
 @example(case=(300, 300), seed=1)
 @example(case=(300_000, 150_000), seed=2)
+@example(case=(_BLOCK - 1, 1), seed=3)
+@example(case=(_BLOCK, _BLOCK // 2), seed=4)
+@example(case=(_BLOCK + 1, _BLOCK), seed=5)
+@example(case=(2 * _BLOCK + 1, 0), seed=6)
+@example(case=(2 * _BLOCK + 1, _BLOCK + 1), seed=7)
 def test_mask_matches_argpartition_and_leaves_same_stream(case, seed):
     m, k = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -84,14 +93,23 @@ def test_mask_matches_argpartition_and_leaves_same_stream(case, seed):
 
 
 class StubGenerator:
-    """Hands out fixed keys in place of uniform draws."""
+    """Hands out fixed keys in place of uniform draws, in order, a block
+    into ``out`` or whole, with its read position as a restorable state."""
 
     def __init__(self, keys):
         self.keys = np.asarray(keys, float)
+        self.bit_generator = self
+        self.state = 0  # keys handed out so far
 
-    def random(self, m):
-        assert m == self.keys.size
-        return self.keys.copy()
+    def random(self, size=None, out=None):
+        n = out.size if out is not None else size
+        assert self.state + n <= self.keys.size
+        drawn = self.keys[self.state:self.state + n]
+        self.state += n
+        if out is None:
+            return drawn.copy()
+        out[...] = drawn
+        return out
 
 
 def test_mask_keeps_the_first_keys_tied_at_the_threshold():
@@ -102,6 +120,27 @@ def test_mask_keeps_the_first_keys_tied_at_the_threshold():
     assert hit.tolist() == [True, True, False, False, False, True]
     picked = np.argpartition(keys, 3)[:3]
     assert np.array_equal(np.sort(np.asarray(keys)[hit]), np.sort(np.take(keys, picked)))
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (5000, 1), (5000, 4999), (2 * _BLOCK + 1, _BLOCK)])
+def test_band_miss_redraws_the_keys_and_ends_in_the_same_state(m, k, monkeypatch):
+    """A band of width zero never holds the k-th key, so every selection
+    takes the path that puts a real generator back and partitions all m
+    keys: the mask and the generator's end state are those of one draw."""
+    monkeypatch.setattr(population, "_BAND_SDS", 0.0)
+    partitioned = []
+    real_partition = np.partition
+
+    def recording_partition(a, kth):
+        partitioned.append(np.asarray(a).size)
+        return real_partition(a, kth)
+
+    monkeypatch.setattr(np, "partition", recording_partition)
+    rng, ref_rng = np.random.default_rng(m + k), np.random.default_rng(m + k)
+    hit = _srs_mask(m, k, rng)
+    assert partitioned == [m]
+    assert np.array_equal(hit, argpartition_mask(m, k, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("low", [True, False])
@@ -150,8 +189,15 @@ def test_select_big_data_stratified_matches_full_n_reference(case):
 def recorded_replicate(pop, config, rep):
     """``_sim1_replicate(frame, config, rep, 0)`` on the frame of ``pop``:
     its record (``None`` if the attempt failed retryably), the masks it
-    drew and every design sample it built."""
+    drew and every design sample it built.  The frame is drawn from
+    ``config``'s stream, and its ``y`` and strata are checked to be
+    ``pop``'s on the way."""
     masks, samples = [], []
+
+    def pop_outcome(N, rng):
+        y, low = outcome(N, rng)
+        assert y.tobytes() == pop.y.tobytes() and np.array_equal(low, pop.stratum == 1)
+        return y, low
 
     def recording_mask(m, k, rng):
         masks.append(_srs_mask(m, k, rng))
@@ -161,9 +207,9 @@ def recorded_replicate(pop, config, rep):
         post_init(sample)
         samples.append(sample)
 
-    post_init = ProbabilitySample.__post_init__
+    post_init, outcome = ProbabilitySample.__post_init__, simulation._sim1_outcome
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation, "generate_population_sim1", lambda N, seed: pop)
+        mp.setattr(simulation, "_sim1_outcome", pop_outcome)
         mp.setattr(simulation, "_srs_mask", recording_mask)
         mp.setattr(ProbabilitySample, "__post_init__", recording_post_init)
         frame = simulation._sim1_frame(config)
@@ -266,6 +312,10 @@ def expression_population(N, seed):
 @given(N=st.integers(1, 5_000), seed=st.one_of(seeds, st.tuples(seeds, st.integers(0, 99))))
 @example(N=1, seed=0)
 @example(N=10**5, seed=18)
+@example(N=BLOCK_EDGES[0], seed=18)
+@example(N=BLOCK_EDGES[1], seed=19)
+@example(N=BLOCK_EDGES[2], seed=(20, 9))
+@example(N=BLOCK_EDGES[3], seed=21)
 def test_generator_is_the_expression_form_bit_for_bit(N, seed):
     pop = generate_population_sim1(N, seed)
     for got, want in zip((pop.y, pop.y_star, pop.stratum), expression_population(N, seed)):
@@ -273,9 +323,35 @@ def test_generator_is_the_expression_form_bit_for_bit(N, seed):
         assert got.tobytes() == want.tobytes()
 
 
-def test_generator_peak_stays_under_four_and_a_half_columns():
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 5_000), seed=seeds)
+@example(N=1, seed=0)
+@example(N=BLOCK_EDGES[0], seed=18)
+@example(N=BLOCK_EDGES[1], seed=19)
+@example(N=BLOCK_EDGES[2], seed=20)
+@example(N=BLOCK_EDGES[3], seed=21)
+def test_frame_is_the_expression_form_in_stratum_order(N, seed):
+    """Study one's frame, drawn straight into stratum order, holds the
+    expression form's columns bit for bit: stratum 1's units, then
+    stratum 2's, each in unit order, and the truth as the mean of ``y``
+    in unit order."""
+    y, y_star, stratum = expression_population(N, substream(seed, 9))
+    cut = int(np.count_nonzero(stratum == 1))
+    config = SimConfig(pop_n=N, n_a=1, master_seed=seed, stratum_sizes=(cut, N - cut)).resolved()
+    frame = simulation._sim1_frame(config)
+    order = np.argsort(stratum, kind="stable")
+    assert frame.cut == cut and frame.rank.dtype == np.int32
+    assert np.array_equal(frame.rank[order], np.arange(N))
+    assert frame.y.tobytes() == y[order].tobytes()
+    assert frame.y_star.tobytes() == y_star[order].tobytes()
+    assert frame.truth == float(y.mean())
+
+
+def test_generator_peak_stays_under_three_and_a_half_columns():
     """The expression form peaks at seven N-length float columns; the
-    in-place build keeps under 4.5."""
+    build that writes ``y`` over ``x`` and draws ``e`` and ``u`` in blocks
+    holds ``x``, ``y*`` and the int64 stratum at its peak (3.17 columns
+    at N = 2*10^5, where a block's temporaries weigh most)."""
     N = 200_000
     generate_population_sim1(N, 1)  # one-off allocations stay out of the peak
     tracemalloc.start()
@@ -284,15 +360,16 @@ def test_generator_peak_stays_under_four_and_a_half_columns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * 8 * N
+    assert peak < 3.5 * 8 * N
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_study_peak_stays_under_four_and_a_half_columns(workers):
-    """Study one holds its universe once, in stratum order, with an int32
-    rank map; with each worker's selection keys, a run stays under 4.5
-    N-length float columns (about 3.5 at one worker and 3.8 at two)."""
-    N = 200_000
+def test_study_peak_stays_under_three_and_a_quarter_columns(workers):
+    """Study one draws its universe straight into stratum order and
+    holds it once, with an int32 rank map, and each worker draws its
+    selection keys in blocks; at N = 10^6 a run stays under 3.25 N-length
+    float columns (2.72 at one worker and 2.91 at two)."""
+    N = 1_000_000
     config = SimConfig(pop_n=N, replicates=3, workers=workers)
     run_sim1(config)  # one-off allocations stay out of the peak
     tracemalloc.start()
@@ -301,4 +378,4 @@ def test_study_peak_stays_under_four_and_a_half_columns(workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * 8 * N
+    assert peak < 3.25 * 8 * N

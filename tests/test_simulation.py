@@ -27,6 +27,9 @@ from bigsurv import (
 from bigsurv import classifier, simulation
 from bigsurv.simulation import SIM1_ESTIMATORS, SIM2_ESTIMATORS, _with_attempts
 
+# the call each study's run makes first to build its universe
+UNIVERSE_BUILD = {"sim1": "_sim1_outcome", "sim2": "generate_population_sim2"}
+
 
 class TestSummarize:
     def test_hand_computed(self):
@@ -112,7 +115,7 @@ class TestSimConfig:
         def unreachable(*args, **kwargs):
             raise AssertionError("a replicate ran")
 
-        monkeypatch.setattr(simulation, f"generate_population_{study}", unreachable)
+        monkeypatch.setattr(simulation, UNIVERSE_BUILD[study], unreachable)
         config = SimConfig(study=study, **{setting: value})
         with pytest.raises(ValueError, match=f"^{message}$"):
             config.resolved()
@@ -131,7 +134,7 @@ class TestSimConfig:
         def unreachable(*args, **kwargs):
             raise AssertionError("a population was built")
 
-        monkeypatch.setattr(simulation, f"generate_population_{study}", unreachable)
+        monkeypatch.setattr(simulation, UNIVERSE_BUILD[study], unreachable)
         config = SimConfig(study=study, n_a=n_a, pop_n=200)
         message = f"^n_a must be between 1 and pop_n = 200, not {n_a}$"
         with pytest.raises(ValueError, match=message):
@@ -438,7 +441,10 @@ class TestStudyOneStratumSizes:
         pop = FinitePopulation(
             y=pop.y[one], y_star=pop.y_star[one], stratum=pop.stratum[one]
         )
-        monkeypatch.setattr(simulation, "generate_population_sim1", lambda N, seed: pop)
+        # the frame's draw of x and y gives pop's y and puts every unit in stratum 1
+        monkeypatch.setattr(
+            simulation, "_sim1_outcome", lambda N, rng: (pop.y, np.ones(N, bool))
+        )
         config = small_sim1(
             pop_n=pop.N, n_a=40, stratum_sizes=(pop.N // 2, 0)
         ).resolved()
