@@ -2,11 +2,12 @@
 
 All tabular formats are plain CSV with a header row.  A reader names the
 columns it uses, and no other column is parsed: one ``np.loadtxt`` pass
-reads them, a big-data extract read for classification leaving its value
-column out.  A column empty in the first data row, or a fault, adds one
-``csv.reader`` scan, which names the first fault by data row.  A table of
-arrays is written in blocks of rows, so a write takes bounded memory
-however long the file is, and each block is assembled as bytes in NumPy;
+over every column reads them, a big-data extract read for classification
+leaving its value column out, and copies the others as text.  A column
+empty in the first data row, or a fault, adds one ``csv.reader`` scan,
+which names the first fault by data row.  A table of arrays is written
+in blocks of rows, so a write takes bounded memory however long the file
+is, and each block is assembled as bytes in NumPy;
 the one-row estimate and summary tables go through ``csv.writer``.  A
 column's type follows from its name: ``id``, ``delta``, ``multiplicity``,
 ``delta_hat`` and ``z1..zK`` hold int64, every other numeric column
@@ -17,7 +18,8 @@ An optional column is either absent or empty on every row, and comes
 back as ``None``; one that is empty on some rows only is an error.  A
 byte-order mark is skipped.  The readers reject repeated column names,
 non-finite floats, repeated ids in a sample or big-data file, z levels
-below 1, short rows and a file with no data rows, naming file and column.
+below 1, a row shorter or longer than the header and a file with no data
+rows, naming file and column or data row.
 """
 
 from __future__ import annotations
@@ -151,9 +153,12 @@ def _read_columns(path, required, optional=(), z=True) -> dict:
     A ``required`` column must be present; an ``optional`` one absent or
     empty on every row comes back as ``None``.  With ``z`` the file's
     ``z1..zK`` columns follow, required, in numeric order.  No other
-    column is parsed.  The columns non-empty in the first data row are
-    read by one structured ``np.loadtxt`` pass; any other column, and
-    every column when that pass fails, goes through one :func:`_scan`.
+    column is parsed.  One structured ``np.loadtxt`` pass holds every
+    column of the file, so a row with more or fewer fields than the header
+    fails it; it parses the columns non-empty in the first data row and
+    copies each other column as one character of text.  Any other column
+    the reader uses, and every one when that pass fails, goes through one
+    :func:`_scan`.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         reader = csv.reader(fh)
@@ -178,18 +183,20 @@ def _read_columns(path, required, optional=(), z=True) -> dict:
         wanted += sorted(filter(_is_z, names), key=lambda name: int(name[1:]))
     dtypes = {n: np.int64 if n in _INT_COLUMNS or _is_z(n) else np.float64 for n in wanted}
     present = [n for n in wanted if index[n] < len(first) and first[index[n]]]
-    present.sort(key=index.get)
     columns, error = {}, None
     if present:
+        # a column not parsed is copied as U1: S1 fails on a character
+        # outside Latin-1, in a column the reader does not use
+        parsed = {index[n]: dtypes[n] for n in present}
         try:
             records = np.loadtxt(
                 path, delimiter=",", skiprows=1, comments=None, quotechar='"', ndmin=1,
-                usecols=[index[n] for n in present], dtype=[(n, dtypes[n]) for n in present],
+                dtype=[(f"c{j}", parsed.get(j, "U1")) for j in range(len(names))],
             )
         except ValueError as exc:
             error = exc
         else:
-            columns = {n: np.ascontiguousarray(records[n]) for n in present}
+            columns = {n: np.ascontiguousarray(records[f"c{index[n]}"]) for n in present}
     if len(columns) < len(wanted):
         empty = _scan(path, [n for n in wanted if n not in columns], index, dtypes, optional)
         if error is not None:
@@ -222,12 +229,19 @@ def _parse(text: str, dtype):
     raise ValueError(f"holds {text!r}, which is not {kind}")
 
 
+def _length(k: int, row: list, fields: int) -> str:
+    """The fault of data row ``k``, ``row``, whose field count is not the
+    header's ``fields``."""
+    return f"data row {k} has {len(row)} field{'' if len(row) == 1 else 's'}; the header has {fields}"
+
+
 def _scan(path, names, index, dtypes, optional) -> list:
     """One ``csv.reader`` pass over columns ``names`` of a file.
 
-    The first short row or cell that is not a number, by data row and
-    then in ``names``' order, is a ``ValueError``; so is, after the pass,
-    a column empty on some rows only, or on every row unless it is
+    The first row short of one of them or cell that is not a number, by
+    data row and then in ``names``' order, and then a row whose field count
+    is not the header's, is a ``ValueError``; so is, after the pass, a
+    column empty on some rows only, or on every row unless it is
     ``optional``.  Otherwise returns the columns empty on every row.
     """
     blank = dict.fromkeys(names, 0)
@@ -238,10 +252,7 @@ def _scan(path, names, index, dtypes, optional) -> list:
             for name in names:
                 j = index[name]
                 if len(row) <= j:
-                    raise ValueError(
-                        f"{path}: column {name!r}: data row {k} has {len(row)} field"
-                        f"{'' if len(row) == 1 else 's'}; the header has {fields}"
-                    )
+                    raise ValueError(f"{path}: column {name!r}: {_length(k, row, fields)}")
                 if row[j] == "":
                     blank[name] += 1
                     continue
@@ -249,6 +260,8 @@ def _scan(path, names, index, dtypes, optional) -> list:
                     _parse(row[j], dtypes[name])
                 except ValueError as exc:
                     raise ValueError(f"{path}: column {name!r}: data row {k} {exc}") from None
+            if len(row) != fields:
+                raise ValueError(f"{path}: {_length(k, row, fields)}")
     for name in names:
         if blank[name] and (blank[name] < k or name not in optional):
             fault = "is empty" if blank[name] == k else "mixes present and missing values"

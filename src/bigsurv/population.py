@@ -402,8 +402,9 @@ def _affine(a, shift, slope, level, noise, out=None) -> np.ndarray:
 
 
 # entries in a block of study one's draws and of a selection's keys, which
-# read the same stream as whole draws with 512 KiB temporaries
-_BLOCK = 1 << 16
+# read the same stream as whole draws with 128 KiB temporaries; a multiple
+# of 64, so that each block of units starts a 64-unit membership word
+_BLOCK = 1 << 14
 
 
 def _blocks(n: int):
@@ -425,13 +426,18 @@ def _sim1_outcome(N: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndar
     return x, low
 
 
-def _sim1_proxy(y: np.ndarray, rng: np.random.Generator, rank=None) -> np.ndarray:
-    """Study one's ``y*``, drawn a block of units at a time into the order
-    ``y`` is held in: unit order, or the position ``rank`` maps each unit to."""
+def _sim1_proxy(y: np.ndarray, rng: np.random.Generator,
+                runs=lambda block: ((slice(None), block),)) -> np.ndarray:
+    """Study one's ``y*``, its noise drawn a block of units at a time, in
+    the order ``y`` is held in.  ``runs(block)`` gives, for each run of the
+    block's units that ``y`` holds together, their places in the block and
+    the slice of ``y`` they fill: by default the block itself, unit order.
+    """
     y_star = np.empty(y.size)
     for block in _blocks(y.size):
-        at = block if rank is None else rank[block]
-        y_star[at] = _affine(y[at], 3.0, 0.9, 2.0, rng.normal(0.0, 0.5, block.stop - block.start))
+        u = rng.normal(0.0, 0.5, block.stop - block.start)
+        for i, at in runs(block):
+            _affine(y[at], 3.0, 0.9, 2.0, u[i], out=y_star[at])
     return y_star
 
 
@@ -576,10 +582,11 @@ def _srs_mask(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
     keys tied with it: the set ``argpartition(keys, k)[:k]`` picks when, as
     almost surely, no key ties.
 
-    The keys are drawn ``_BLOCK`` at a time into one buffer, the stream
-    of one ``random(m)`` call.  Each block marks its keys below a band
-    around ``k / m`` in the mask and keeps only the keys inside the band,
-    with their positions, and only those are partitioned.  When the band
+    The keys are drawn ``_BLOCK`` (16,384) at a time into one buffer, the
+    stream of one ``random(m)`` call, so the mask is the only m-long array
+    a selection holds.  Each block marks its keys below a band around
+    ``k / m`` in the mask and keeps only the keys inside the band, with
+    their positions, and only those are partitioned.  When the band
     misses the k-th key, the generator is put back and all m keys are
     drawn again and partitioned, so it ends in the same state either way.
     """

@@ -241,69 +241,103 @@ class _Sim1Frame(NamedTuple):
     """Study one's universe in stratum order: stratum 1's units, then
     stratum 2's, each in ascending unit order.
 
-    ``y`` and ``y_star`` are held in that order alone; ``rank[i]`` is
-    unit ``i``'s position in it, and stratum 1 fills positions
-    ``0..cut - 1``.  ``truth`` is the mean of ``y`` summed in unit order.
+    ``y`` and ``y_star`` are held in that order alone, and stratum 1 fills
+    positions ``0..cut - 1``.  ``words`` is stratum-1 membership in unit
+    order, one bool per unit padded with ``False`` to rows of 64 units, and
+    ``before[w]`` counts the stratum-1 units ahead of row ``w``; from the
+    two, :func:`_sim1_positions` finds any unit's position.  ``truth`` is
+    the mean of ``y`` summed in unit order.
     """
 
     y: np.ndarray
     y_star: np.ndarray
-    rank: np.ndarray
+    words: np.ndarray
+    before: np.ndarray
     cut: int
     truth: float
+
+
+def _sim1_positions(frame: _Sim1Frame, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stratum-order positions of units ``idx`` (zero-based) and
+    whether each is in stratum 1.
+
+    The stratum-1 units ahead of a unit number ``before`` of its word plus
+    the set bits below it there: its position if it is in stratum 1, and
+    otherwise ``cut`` plus its index less that count.
+    """
+    word = idx >> 6
+    first = frame.words.reshape(-1)[idx]
+    rows = np.take(frame.words, word, axis=0)
+    rows &= np.arange(64) < (idx & 63)[:, None]  # the bits ahead of each unit
+    ahead = frame.before[word] + np.count_nonzero(rows, axis=1)
+    return np.where(first, ahead, frame.cut + idx - ahead), first
 
 
 def _sim1_frame(config: SimConfig) -> _Sim1Frame:
     """The frame of study one's universe, drawn here straight into
     stratum order from the stream ``generate_population_sim1`` reads.
 
-    ``x`` is drawn whole and gives the strata and the rank map; ``y`` is
-    written over it, its mean taken as the truth, and then scattered into
-    stratum order a block at a time before the unit-order buffer is
-    freed; ``y*`` is drawn a block of units at a time into stratum order.
-    The build so holds at most two N-long float columns and the rank map.
-    Raises ``ValueError`` naming ``stratum_sizes`` when the sizes do not
-    fit the strata.
+    ``x`` is drawn whole and gives the strata, kept as the membership
+    words; ``y`` is written over it and its mean taken as the truth.  Each
+    block of units is then split by stratum, and ``y`` taken into the two
+    contiguous stratum slices before the unit-order buffer is freed; ``y*``
+    is drawn a block of units at a time into the same slices.  The build
+    so holds at most two N-long float columns and a bool per unit.  Raises
+    ``ValueError`` naming ``stratum_sizes`` when the sizes do not fit the
+    strata.
     """
     N, rng = config.pop_n, substream(config.master_seed, 9)
-    y, one = _sim1_outcome(N, rng)
-    cut = int(np.count_nonzero(one))
+    y, low = _sim1_outcome(N, rng)
+    cut = int(np.count_nonzero(low))
     _check_stratum_sizes(SIM1_STRATA, (cut, N - cut), config.stratum_sizes)
-    # int32 halves the map wherever it can hold every position; it is
-    # filled by index, as a boolean-mask fill takes three times as long
-    rank = np.empty(N, np.int32 if N < 2**31 else np.int64)
-    rank[np.flatnonzero(one)] = np.arange(cut, dtype=rank.dtype)
-    rank[np.flatnonzero(~one)] = np.arange(cut, N, dtype=rank.dtype)
-    del one
+    words = np.zeros((-(-N // 64), 64), bool)
+    one = words.reshape(-1)
+    one[:N] = low
+    del low
+    counts = np.count_nonzero(words, axis=1)
+    before = np.cumsum(counts) - counts
+
+    def runs(block):
+        """Each stratum's units in ``block``: their places in it and the
+        slice of the stratum order they fill."""
+        first = one[block]
+        i, j = np.flatnonzero(first), np.flatnonzero(~first)
+        ahead = int(before[block.start >> 6])  # a block starts a word
+        behind = cut + block.start - ahead
+        return (i, slice(ahead, ahead + i.size)), (j, slice(behind, behind + j.size))
+
     truth = float(y.mean())
     ordered = np.empty(N)
-    for at in _blocks(N):  # a whole-column scatter would cast rank to intp
-        ordered[rank[at]] = y[at]
+    for block in _blocks(N):
+        for i, at in runs(block):
+            np.take(y[block], i, out=ordered[at])
     del y
-    y_star = _sim1_proxy(ordered, rng, rank)
-    return _Sim1Frame(_read_only(ordered), _read_only(y_star), _read_only(rank), cut, truth)
+    y_star = _sim1_proxy(ordered, rng, runs)
+    return _Sim1Frame(_read_only(ordered), _read_only(y_star), _read_only(words),
+                      _read_only(before), cut, truth)
 
 
 def _sim1_replicate(frame: _Sim1Frame, config: SimConfig, rep: int, attempt: int):
     seed = (config.master_seed, rep, attempt)
-    scen, cut, N = config.scenario, frame.cut, frame.rank.size
-    rng_b = substream(seed, 1)
-    hits = [_srs_mask(m, n_h, rng_b) for m, n_h in zip((cut, N - cut), config.stratum_sizes)]
+    scen, cut, N = config.scenario, frame.cut, frame.y.size
+    idx = _srs_indices(config.n_a, N, substream(seed, 0))
+    at, first = _sim1_positions(frame, idx)  # the sampled units' positions
     big = frame.y_star if scen == 2 else frame.y
-    totals = BigDataTotals(
+    rng_b = substream(seed, 1)
+    delta = np.empty(idx.size, np.int64)
+    terms = []
+    # one stratum's mask at a time: drawn, summed into T_b, read at its
+    # sampled units and dropped
+    for part, mine, n_h in zip((slice(0, cut), slice(cut, N)), (first, ~first),
+                               config.stratum_sizes):
+        hit = _srs_mask(part.stop - part.start, n_h, rng_b)
         # einsum, not np.dot: BLAS's own threads make the dots of concurrent
         # replicate threads several times slower
-        T_b=float(np.einsum("i,i->", big[:cut], hits[0])
-                  + np.einsum("i,i->", big[cut:], hits[1])),
-        N_b=int(sum(config.stratum_sizes)),
-        N=N,
-    )
-    idx = _srs_indices(config.n_a, N, substream(seed, 0))
-    at = frame.rank[idx]  # the sampled units' positions in stratum order
-    first = at < cut
-    delta = np.empty(at.size, np.int64)
-    delta[first] = hits[0][at[first]]
-    delta[~first] = hits[1][at[~first] - cut]
+        terms.append(np.einsum("i,i->", big[part], hit))
+        delta[mine] = hit[at[mine] - part.start]
+        del hit
+    totals = BigDataTotals(T_b=float(terms[0] + terms[1]),
+                           N_b=int(sum(config.stratum_sizes)), N=N)
     sample = _srs_sample(idx, N, y=_rows(frame.y, at), y_star=_rows(frame.y_star, at),
                          delta=_read_only(delta))
 

@@ -463,6 +463,21 @@ class TestEstimate:
             "(N is the rounded weight sum; pass --pop-n)"
         )
 
+    @pytest.mark.parametrize(
+        "name, row, message",
+        [("sample.csv", "5,2.0,0.5,2.0,9", "data row 3 has 5 fields; the header has 4"),
+         ("big.csv", "3,3.0,1,9", "data row 3 has 4 fields; the header has 3")],
+    )
+    def test_row_longer_than_its_header_exits_with_one_line(self, tmp_path, name, row, message):
+        (tmp_path / "sample.csv").write_text("id,d,pi,y\n1,2.0,0.5,1.0\n3,2.0,0.5,3.0\n")
+        (tmp_path / "big.csv").write_text("id,y,multiplicity\n1,1.0,2\n2,2.0,1\n")
+        with open(tmp_path / name, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--sample-a", str(tmp_path / "sample.csv"), "--big-data",
+                  str(tmp_path / "big.csv"), "--method", "ratio"])
+        assert str(excinfo.value.code) == f"estimate: {tmp_path / name}: {message}"
+
     def test_big_data_id_above_weight_sum_names_pop_n(self, tmp_path, capsys):
         """Under a generic design the weight sum only estimates N, so an id
         above it is an error that points at --pop-n, which settles it."""

@@ -29,6 +29,13 @@ from bigsurv import (
 )
 
 
+def parsed_columns(dtype) -> list:
+    """The positions of the columns a ``np.loadtxt`` pass of ``dtype``
+    parses as numbers; it copies the others as text."""
+    dtype = np.dtype(dtype)
+    return [j for j, name in enumerate(dtype.names) if dtype[name].kind in "if"]
+
+
 class TestSampleCSV:
     def test_srs_round_trip_restores_design_metadata(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -156,14 +163,14 @@ class TestBigDataCSV:
         self, tmp_path, monkeypatch, header, row
     ):
         """``values=False`` neither parses nor requires ``y``/``y_star``:
-        the one pass reads ``id`` and ``z1`` only."""
+        the one pass parses ``id`` and ``z1`` only."""
         path = tmp_path / "big.csv"
         path.write_text(f"{header}\n1,{row}\n")
         passes = []
         loadtxt = np.loadtxt
 
         def recording(*args, **kwargs):
-            passes.append(kwargs.get("usecols"))
+            passes.append(parsed_columns(kwargs["dtype"]))
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", recording)
@@ -185,7 +192,7 @@ class TestReadRule:
         [("sample", ("id", "d", "pi", "y", "z1")), ("big", ("id", "y", "z1", "multiplicity"))],
     )
     def test_text_column_no_reader_uses_is_not_parsed(self, tmp_path, monkeypatch, name, columns):
-        """A ``region`` column of words is left out of the one pass, and
+        """A ``region`` column of words is not parsed by the one pass, and
         the file reads as it does without that column."""
         plain, extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
         plain.write_text(self.TEXT)
@@ -199,7 +206,7 @@ class TestReadRule:
         loadtxt = np.loadtxt
 
         def recording(*args, **kwargs):
-            passes.append(kwargs.get("usecols"))
+            passes.append(parsed_columns(kwargs["dtype"]))
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", recording)
@@ -343,6 +350,28 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError) as excinfo:
             read_sample_csv(path)
         assert str(excinfo.value) == f"{path}: {message}; the header has 5"
+
+    @pytest.mark.parametrize(
+        "read, text, message",
+        [(read_sample_csv, "id,d,pi,y\n1,2.0,0.5,1.0\n3,2.0,0.5,2.0,9\n",
+          "data row 2 has 5 fields; the header has 4"),
+         # a field put in mid-row, past a blank line, which holds no row
+         (read_sample_csv, "id,d,pi,y\n1,2.0,0.5,1.0\n\n3,2.0,0.5,7,2.0\n4,2.0,0.5,1.0\n",
+          "data row 2 has 5 fields; the header has 4"),
+         (functools.partial(read_big_data_csv, N=10), "id,y,multiplicity\n1,1.0,1\n2,2.0,1,\n",
+          "data row 2 has 4 fields; the header has 3"),
+         # short only of a column the reader does not use
+         (functools.partial(read_big_data_csv, N=10, values=False),
+          "id,z1,y\n1,2,1.0\n2,1,2.0\n3,1\n", "data row 3 has 2 fields; the header has 3")],
+    )
+    def test_row_of_another_length_than_the_header_is_named(self, tmp_path, read, text, message):
+        """A row with more fields than the header, or fewer when no column
+        the reader uses is past its end, is refused by its data row."""
+        path = tmp_path / "file.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == f"{path}: {message}"
 
     def test_unparseable_value_names_the_column(self, tmp_path):
         path = tmp_path / "big.csv"

@@ -1,17 +1,20 @@
 """Property tests for study one's replicate and its big-data selection.
 
 The replicate selects the big source as a mask over each stratum's
-contiguous slice of the universe, held in stratum order, and reads the
-sampled units' membership from those masks through a rank map instead
-of building a full-N column.  These tests check the mask against
+contiguous slice of the universe, held in stratum order, one stratum at
+a time, and reads the sampled units' membership from each mask at their
+positions, found from the frame's stratum-1 membership bits and counts
+rather than a full-N map or column.  These tests check the mask against
 ``argpartition`` over the same keys, check the replicate against a full-N
 reference drawn from the same substreams and its design sample against
 ``draw_srs``, and check that summaries do not depend on the number of
 workers.  The keys and the universe are drawn in blocks, so the mask,
 the generator and the stratum-order frame are checked at sizes either
 side of a block; the universe and the frame are checked bit for bit
-against the plain expressions, and the peak memory of building the
-universe and of a study run is bounded.
+against the plain expressions, the positions against the inverse of a
+stable sort by stratum at sizes either side of a 64-unit word and of a
+block, and the peak memory of building the universe and of a study run
+is bounded.
 """
 
 import math
@@ -340,11 +343,54 @@ def test_frame_is_the_expression_form_in_stratum_order(N, seed):
     config = SimConfig(pop_n=N, n_a=1, master_seed=seed, stratum_sizes=(cut, N - cut)).resolved()
     frame = simulation._sim1_frame(config)
     order = np.argsort(stratum, kind="stable")
-    assert frame.cut == cut and frame.rank.dtype == np.int32
-    assert np.array_equal(frame.rank[order], np.arange(N))
+    at, _ = simulation._sim1_positions(frame, np.arange(N))
+    assert frame.cut == cut and frame.words.dtype == bool
+    # no N-long integer array: a bool per unit and a count per 64 units
+    assert frame.words.shape == (-(-N // 64), 64) and frame.before.shape == (-(-N // 64),)
+    assert np.array_equal(at[order], np.arange(N))
     assert frame.y.tobytes() == y[order].tobytes()
     assert frame.y_star.tobytes() == y_star[order].tobytes()
     assert frame.truth == float(y.mean())
+
+
+@st.composite
+def stratum_splits(draw):
+    """A universe size, by its edges of a 64-unit word and of a block or
+    at random, and a stratum-1 membership over it: all of it, or each
+    unit in stratum 1 with a drawn probability."""
+    N = draw(st.sampled_from((1, 63, 64, 65, *BLOCK_EDGES)) | st.integers(1, 5_000))
+    share = draw(st.just(1.0) | st.floats(0.0, 1.0))
+    return np.random.default_rng(draw(seeds)).random(N) < share
+
+
+@settings(max_examples=40, deadline=None)
+@given(one=stratum_splits(), seed=seeds)
+@example(one=np.ones(1, bool), seed=0)
+@example(one=np.ones(2 * _BLOCK + 1, bool), seed=1)
+@example(one=np.arange(65) % 3 == 0, seed=2)
+@example(one=np.arange(_BLOCK - 1) % 5 != 0, seed=3)
+@example(one=np.arange(_BLOCK + 1) % 7 == 0, seed=4)
+@example(one=np.arange(2 * _BLOCK + 1) % 2 == 0, seed=5)
+def test_positions_invert_the_stable_stratum_order(one, seed):
+    """Each unit's position, found from the frame's membership words and
+    counts, is its place in the stable sort by stratum: the inverse of
+    ``np.argsort(stratum, kind="stable")``, for every unit and for a
+    sorted sample of them, and ``y`` is read back through it bit for
+    bit."""
+    N, cut = one.size, int(np.count_nonzero(one))
+    y = np.random.default_rng(seed).normal(size=N)
+    config = SimConfig(pop_n=N, n_a=1, master_seed=seed, stratum_sizes=(cut, N - cut)).resolved()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_sim1_outcome", lambda N, rng: (y.copy(), one.copy()))
+        frame = simulation._sim1_frame(config)
+    inverse = np.empty(N, np.int64)
+    inverse[np.argsort(np.where(one, 1, 2), kind="stable")] = np.arange(N)
+    at, first = simulation._sim1_positions(frame, np.arange(N))
+    assert np.array_equal(at, inverse) and np.array_equal(first, one)
+    assert frame.y[at].tobytes() == y.tobytes()
+    idx = np.sort(np.random.default_rng(seed).choice(N, size=min(N, 50), replace=False))
+    at, first = simulation._sim1_positions(frame, idx)
+    assert np.array_equal(at, inverse[idx]) and np.array_equal(first, one[idx])
 
 
 def test_generator_peak_stays_under_three_and_a_half_columns():
@@ -364,11 +410,12 @@ def test_generator_peak_stays_under_three_and_a_half_columns():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_study_peak_stays_under_three_and_a_quarter_columns(workers):
+def test_study_peak_stays_under_two_and_a_half_columns(workers):
     """Study one draws its universe straight into stratum order and
-    holds it once, with an int32 rank map, and each worker draws its
-    selection keys in blocks; at N = 10^6 a run stays under 3.25 N-length
-    float columns (2.72 at one worker and 2.91 at two)."""
+    holds it once, with a membership bool per unit, and each worker holds
+    one stratum's mask at a time and draws its selection keys in blocks;
+    at N = 10^6 a run stays under 2.5 N-length float columns (2.24 at one
+    worker and 2.34 at two)."""
     N = 1_000_000
     config = SimConfig(pop_n=N, replicates=3, workers=workers)
     run_sim1(config)  # one-off allocations stay out of the peak
@@ -378,4 +425,4 @@ def test_study_peak_stays_under_three_and_a_quarter_columns(workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.25 * 8 * N
+    assert peak < 2.5 * 8 * N

@@ -401,17 +401,20 @@ class TestStudyOneStratumSizes:
         assert all(np.isfinite([r.bias, r.se]).all() for r in summary.rows)
 
     def test_frame_holds_the_universe_in_stratum_order(self):
-        """Stratum 1's units, then stratum 2's, each in unit order; the
-        int32 rank map gives back every unit's values bit for bit."""
+        """Stratum 1's units, then stratum 2's, each in unit order; each
+        unit's position, found from the membership words, gives back its
+        values bit for bit."""
         config = small_sim1().resolved()
         pop = generate_population_sim1(config.pop_n, substream(101, 9))
         frame = simulation._sim1_frame(config)
         order = np.concatenate([np.flatnonzero(pop.stratum == label) for label in (1, 2)])
-        assert frame.rank.dtype == np.int32
-        assert np.array_equal(frame.rank[order], np.arange(pop.N))
+        at, first = simulation._sim1_positions(frame, np.arange(pop.N))
+        assert frame.words.dtype == bool and frame.words.shape == (-(-pop.N // 64), 64)
+        assert np.array_equal(at[order], np.arange(pop.N))
+        assert np.array_equal(first, pop.stratum == 1)
         assert frame.cut == np.count_nonzero(pop.stratum == 1)
         for name in ("y", "y_star"):
-            assert getattr(frame, name)[frame.rank].tobytes() == getattr(pop, name).tobytes()
+            assert getattr(frame, name)[at].tobytes() == getattr(pop, name).tobytes()
         assert frame.truth == float(pop.y.mean())
 
     def test_stratum_asked_for_none(self):
@@ -428,7 +431,8 @@ class TestStudyOneStratumSizes:
         rng = substream(0)
         hits = [simulation._srs_mask(m, n_h, rng)
                 for m, n_h in zip((frame.cut, pop.N - frame.cut), config.stratum_sizes)]
-        delta = np.concatenate(hits)[frame.rank]
+        at, _ = simulation._sim1_positions(frame, np.arange(pop.N))
+        delta = np.concatenate(hits)[at]
         assert delta.sum() == pool1 // 2
         assert not delta[pop.stratum == 2].any()
 
@@ -455,7 +459,9 @@ class TestStudyOneStratumSizes:
         rng = substream((101, 0, 0), 1)
         hits = [simulation._srs_mask(m, n_h, rng)
                 for m, n_h in zip((frame.cut, pop.N - frame.cut), config.stratum_sizes)]
-        delta = np.concatenate(hits)[frame.rank]
+        at, first = simulation._sim1_positions(frame, np.arange(pop.N))
+        assert first.all()
+        delta = np.concatenate(hits)[at]
         assert np.array_equal(delta, hits[0])
         assert record["mean_b"] == pytest.approx(pop.y[hits[0]].mean(), rel=1e-12)
 
