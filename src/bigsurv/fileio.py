@@ -11,8 +11,9 @@ is, and each block is assembled as bytes in NumPy;
 the one-row estimate and summary tables go through ``csv.writer``.  A
 column's type follows from its name: ``id``, ``delta``, ``multiplicity``,
 ``delta_hat`` and ``z1..zK`` hold int64, every other numeric column
-float64.  Floats are written with ``repr`` so a write/read
-cycle reproduces the array bit for bit.
+float64.  Floats are written as ``repr``'s shortest round-trip text, so a
+write/read cycle reproduces the array bit for bit: computed in NumPy for
+``1e-4 <= |x| < 1e15`` and by ``repr`` elsewhere.
 
 An optional column is either absent or empty on every row, and comes
 back as ``None``; one that is empty on some rows only is an error.  A
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,50 @@ _BLOCK_ROWS = 1 << 16
 # whether formatting each distinct value once pays for the np.unique
 _PROBE_ROWS = 512
 
+# floats formatted at a time by _shortest_cells: its temporaries stay
+# near 100 kB each
+_CHUNK = 1 << 14
+
+# 10^0..10^20 in float64, each exact, and their Dekker splits: the high
+# 26 bits and the rest
+_POW10 = np.array([10**k for k in range(21)], np.float64)
+_SPLIT = 2.0**27 + 1
+_POW10_HIGH = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LOW = _POW10 - _POW10_HIGH
+
+# a rounding whose residual lies this close to a tie or to the round-trip
+# bound, in units of the 17th digit, is left to repr; the residuals carry
+# errors near 1e-14
+_MARGIN = 1e-9
+
+# a word holding the sign, and one holding a lone zero
+_MINUS, _ZERO = np.frombuffer(b"\0\0\0-0\0\0\0", np.uint32)
+
+
+@functools.cache
+def _words() -> tuple:
+    """``(lead, trail, point, head)``: text as ``uint32`` words of four
+    ASCII bytes in memory order, built on the first write.
+
+    ``lead`` and ``trail`` hold 0000..9999, ``point`` 000..999 and a point;
+    each holds every digit, then again with the leading zeros (the last
+    digit stays) or the trailing zeros NUL, and ``lead`` ends in one
+    all-NUL word.  ANDed with a word, ``head[20 + b]`` makes its first
+    ``b`` bytes NUL, ``b`` clipped to 0..4.
+    """
+    n = np.arange(10_000)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    text = (n // place % 10 + ord("0")).astype(np.uint8)
+    lead = (n >= place) | (place == 1)
+    point = np.column_stack([text[:1000, 1:], np.full(1000, ord("."), np.uint8)])
+    point_lead = np.column_stack([lead[:1000, 1:], np.ones(1000, bool)])
+    return tuple(np.asarray(t, np.uint8).view(np.uint32).ravel() for t in (
+        np.concatenate([text, text * lead, np.zeros((1, 4))]),
+        np.concatenate([text, text * (n % (10 * place) != 0)]),
+        np.concatenate([point, point * point_lead]),
+        255 * (np.arange(4) >= np.arange(-20, 25)[:, None]),
+    ))
+
 
 def _text_cells(text) -> np.ndarray:
     """ASCII strings as a rows x width ``uint8`` matrix padded with NULs."""
@@ -73,39 +120,162 @@ def _text_cells(text) -> np.ndarray:
     return cells.view(np.uint8).reshape(cells.size, cells.itemsize)
 
 
-def _int_cells(block: np.ndarray) -> np.ndarray:
-    """``str`` of each int64 as a :func:`_text_cells` matrix.
+def _whole_words(values: np.ndarray, point: bool, out: np.ndarray) -> None:
+    """Write non-negative int64 ``values`` into the ``uint32`` words of
+    ``out``, right-aligned with leading zeros NUL; with ``point`` each is
+    followed by a point.
 
-    Integers in 0..10^18-1 give up one digit per ``// 10`` over the
-    column, right to left; a position whose remaining quotient is 0 is a
-    leading zero, NUL.  Any other block goes through ``str``.
+    The last word holds the last four digits, or three and the point, and
+    each word before it four more; a word that no digit stands before is
+    trimmed, and one with no digit before or in it is NUL.
     """
+    lead, _, table, _ = _words()
+    table, size = (table, 1000) if point else (lead, 10_000)
+    if out.shape[1] == 1:  # every value is below size
+        out[:, 0] = np.take(table, values + size)
+        return
+    rest = values // size
+    out[:, -1] = np.take(table, values - rest * size + size * (values < size))
+    for j in range(out.shape[1] - 2, -1, -1):
+        group = rest
+        rest = rest // 10_000
+        group = group - 10_000 * rest
+        size *= 10_000  # past int64 only above 10^18, where every value lies below it
+        row = np.add(values < min(size, 10**18), values < size // 10_000, dtype=np.intp)
+        out[:, j] = np.take(lead, group + 10_000 * row)
+
+
+def _int_cells(block: np.ndarray) -> np.ndarray:
+    """``str`` of each int64 as a :func:`_text_cells` matrix: integers in
+    0..10^18-1 by :func:`_whole_words`, any other block by ``str``."""
     if block.min() < 0 or block.max() >= 10**18:
         return _text_cells(list(map(str, block.tolist())))
-    cells = np.empty((len(str(block.max())), block.size), np.uint8)  # returned transposed
-    q = block
-    for j, row in enumerate(cells[::-1]):
-        rest = q // 10
-        np.subtract(q, 10 * rest, out=row, casting="unsafe")
-        row += ord("0")
-        if j:
-            row[q == 0] = 0  # a 0 keeps its last digit
-        q = rest
-    return cells.T
+    digits = len(str(block.max()))
+    words = np.empty((block.size, (digits + 3) // 4), np.uint32)
+    _whole_words(block, False, words)
+    return words.view(np.uint8)[:, 4 * words.shape[1] - digits:]
+
+
+def _shortest_digits(values: np.ndarray):
+    """Each float's shortest round-trip digits, as ``repr`` picks them.
+
+    Returns ``(whole, fraction, k, fast)``: for a fast value ``x``, its
+    shortest digits read ``|x| = whole + fraction * 10^-k``, and its
+    fraction's text is ``fraction``'s ``k`` digits, left-padded with zeros,
+    less their trailing zeros.  A value is fast when finite with
+    ``1e-4 <= |x| < 1e15``, its mantissa is not a power of two, and no
+    rounding below lies within :data:`_MARGIN` of a tie or of the
+    round-trip bound; any other value's ``whole``, ``fraction`` and ``k``
+    are 0, and its text is ``repr``'s to give.
+
+    One exact Dekker product gives ``|x| * 10^k = n17 + r17``, with ``k``
+    putting 17 digits before the point, ``n17`` an integer and
+    ``|r17| <= 1/2``; the 15- and 16-digit roundings and their residuals
+    follow from ``n17``'s last digits.  The shortest rounding whose
+    residual is below half an ulp of ``x``, scaled by 10^k, reads back as
+    ``x``: no two decimals of 15 digits or fewer read back as one double,
+    so a passing 15-digit rounding is the shortest text once its trailing
+    zeros go, and a passing 16- or 17-digit one is the nearest of its
+    length.
+    """
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e15)  # False for NaN
+    a[~fast] = 1.0  # before any cast to int
+    mantissa, exponent = np.frexp(a)
+    k = np.minimum(16 - np.floor(np.log10(a)).astype(np.int64), 20)
+    product = a * _POW10[k]
+    high = _SPLIT * a
+    high -= high - a
+    low = a - high
+    error = (high * _POW10_HIGH[k] - product) + high * _POW10_LOW[k] + low * _POW10_HIGH[k]
+    error += low * _POW10_LOW[k]
+    # log10 can miss by one next to a power of ten, leaving k one off
+    fast &= (product >= 1e16) & (product < 1e17) & (mantissa != 0.5)
+    product[~fast] = 1e16
+    nearest = np.rint(error)
+    n17 = product.astype(np.int64) + nearest.astype(np.int64)
+    r17 = error - nearest
+    half = np.ldexp(_POW10[k], exponent - 54)  # 10^k ulp(x) / 2
+    digits = np.zeros_like(n17)
+    done = np.zeros(a.size, bool)
+    for unit in (100, 10, 1):  # shortest first
+        q = n17 // unit
+        excess = n17 - q * unit + r17  # |x| 10^k - q unit, in -1/2..unit - 1/2
+        up = excess > unit / 2
+        size = np.abs(excess - unit * up)
+        passes = size < half
+        # a tie matters only when both neighbours read back as x
+        unclear = (np.abs(size - half) < _MARGIN) | (np.abs(size - unit / 2) < _MARGIN) & passes
+        fast &= done | ~unclear
+        digits = np.where(done | ~passes, digits, (q + up) * unit)
+        done |= passes
+    fast &= done
+    k[~fast] = 0
+    digits[~fast] = 0
+    unit = 10 ** np.minimum(k, 18)
+    whole = digits // unit
+    return whole, digits - whole * unit, k, fast
+
+
+def _shortest_cells(block: np.ndarray) -> np.ndarray:
+    """``repr`` of each float as a :func:`_text_cells` matrix.
+
+    The fast values of :func:`_shortest_digits`, found ``_CHUNK`` at a
+    time, are written as ``uint32`` words: a sign word when the block holds
+    a negative value, the digits before the point and the point
+    (:func:`_whole_words`), and the fraction, its bytes before its ``k``
+    digits and its trailing zeros NUL.  The other values go through
+    ``repr``, as does every value where ``repr`` is not the shortest round
+    trip.
+    """
+    if sys.float_repr_style != "short":
+        return _text_cells(list(map(repr, block.tolist())))
+    whole, fraction, k, fast = map(np.concatenate, zip(*(
+        _shortest_digits(block[start:start + _CHUNK]) for start in range(0, block.size, _CHUNK)
+    )))
+    if not fast.any():
+        return _text_cells(list(map(repr, block.tolist())))
+    negative = np.signbit(block)
+    sign = int(negative.any())
+    digits = len(str(whole.max()))
+    point = sign + (digits + 4) // 4
+    words = np.empty((block.size, point + (int(k.max()) + 3) // 4), np.uint32)
+    words[:, 0] = np.where(negative, _MINUS, 0)  # overwritten when no sign
+    _whole_words(whole, True, words[:, sign:point])
+    _, trail, _, head = _words()
+    width, rest = 4 * (words.shape[1] - point), fraction
+    trailing = np.ones(block.size, bool)  # no digit after the word is non-zero
+    for j in range(words.shape[1] - point - 1, -1, -1):
+        group = rest
+        rest = rest // 10_000
+        group = group - 10_000 * rest
+        words[:, point + j] = np.take(trail, group + 10_000 * trailing)
+        words[:, point + j] &= np.take(head, width + 20 - 4 * j - k)
+        trailing &= group == 0
+    words[fraction == 0, point] = _ZERO
+    cells = words.view(np.uint8)[:, 3 if sign else 4 * point - digits - 1:]  # cut common NULs
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = _text_cells(list(map(repr, block[slow].tolist())))
+        if text.shape[1] > cells.shape[1]:
+            cells = np.pad(cells, ((0, 0), (0, text.shape[1] - cells.shape[1])))
+        cells[slow] = 0
+        cells[slow, :text.shape[1]] = text
+    return cells
 
 
 def _float_cells(block: np.ndarray) -> np.ndarray:
     """``repr`` of each float as a :func:`_text_cells` matrix.
 
     When a strided probe of the block finds at least a quarter of its
-    values repeated, each distinct value is formatted once; otherwise each
-    row is.  Values are told apart by bit pattern, so ``-0.0`` and ``0.0``
-    keep their own text.
+    values repeated, each distinct value is formatted once by ``repr``;
+    otherwise each row is, by :func:`_shortest_cells`.  Values are told
+    apart by bit pattern, so ``-0.0`` and ``0.0`` keep their own text.
     """
     bits = block.view(np.int64)
     probe = np.sort(bits[:: max(1, block.size // _PROBE_ROWS)])
     if 4 * np.count_nonzero(probe[1:] == probe[:-1]) < probe.size:
-        return _text_cells(list(map(repr, block.tolist())))
+        return _shortest_cells(block)
     keys, inverse = np.unique(bits, return_inverse=True)
     return _text_cells(list(map(repr, keys.view(np.float64).tolist())))[inverse.ravel()]
 
@@ -370,12 +540,23 @@ def read_big_data_csv(path, N: int, *, values: bool = True, z: bool = True) -> B
 
 
 def write_labels_csv(path, unit_ids, p_hat, delta_hat) -> None:
-    """Write classification output as ``id,p_hat,delta_hat``."""
-    _write_table(path, {
+    """Write classification output as ``id,p_hat,delta_hat``.
+
+    A column that is not 1-D, or not as long as ``id``, is a ``ValueError``
+    naming it, raised before the file is opened.
+    """
+    columns = {
         "id": np.asarray(unit_ids, np.int64),
         "p_hat": np.asarray(p_hat, np.float64),
         "delta_hat": np.asarray(delta_hat, np.int64),
-    })
+    }
+    rows = columns["id"].shape
+    for name, col in columns.items():
+        if col.ndim != 1 or col.shape != rows:
+            raise ValueError(
+                f"{path}: column {name!r} has shape {col.shape}; labels need one 1-D row per id"
+            )
+    _write_table(path, columns)
 
 
 def write_estimate_csv(path, report: EstimateReport) -> None:

@@ -477,6 +477,27 @@ class TestWeightsAndLabels:
         assert rows[1] == ["7", "0.25", "0"]
         assert rows[2] == ["8", "0.75", "1"]
 
+    @pytest.mark.parametrize(
+        "columns, name, shape",
+        [
+            (([1, 2, 3], [0.5, 0.6], [1, 1, 0]), "p_hat", (2,)),
+            (([1, 2], [0.5, 0.6], [1, 1, 0]), "delta_hat", (3,)),
+            (([[1, 2]], [0.5, 0.6], [1, 1]), "id", (1, 2)),
+            (([1, 2], [[0.5], [0.6]], [1, 1]), "p_hat", (2, 1)),
+            ((7, [0.5], [1]), "id", ()),
+        ],
+    )
+    def test_labels_of_unequal_or_nested_columns_are_refused_before_writing(
+        self, tmp_path, columns, name, shape
+    ):
+        path = tmp_path / "labels.csv"
+        with pytest.raises(ValueError) as excinfo:
+            write_labels_csv(path, *columns)
+        assert str(excinfo.value) == (
+            f"{path}: column {name!r} has shape {shape}; labels need one 1-D row per id"
+        )
+        assert not path.exists()
+
 
 class TestModelDumps:
     def test_classifier_model_round_trip(self, tmp_path):
